@@ -6,12 +6,11 @@
 Run from the repository root. Builds the `perfbench` agent (release, into
 $CARGO_TARGET_DIR, default `.bench_build`), then:
 
-- `--trace 0`: times the agent's set-up alone, from process start to exit,
-  in several fresh processes (`setup_s` is the median), then runs the
-  timed agent. Its operations alternate between all cores and the
-  single-core control; before each it asks, on a `pin` row, to be confined
-  to one CPU or released, which this script does with
-  `os.sched_setaffinity` before acknowledging on the agent's stdin.
+- `--trace 0`: runs the timed agent. Its operations alternate between all
+  cores and the single-core control; before each it asks, on a `pin` row,
+  to be confined to one CPU or released, which this script does with
+  `os.sched_setaffinity` before acknowledging on the agent's stdin. The
+  agent times its own set-up in fresh processes spread through the run.
 - `--trace 1`: runs the traced agent.
 
 Prints the agent's per-operation rows, then one JSON result line with the
@@ -22,18 +21,14 @@ without a result line, when the build or an agent run fails.
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import threading
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("dse_decoder", "dse_classic", "serve_metropolis", "serve_policy_mix")
-# Each agent process must end well inside the 180 s a whole run may take.
-AGENT_TIMEOUT_S = 120
-# Fresh processes timed from start to exit for `setup_s`.
-SETUP_SPAWNS = 5
+WORKLOADS = ("dse_decoder", "dse_classic", "serve_metropolis")
+# The agent must end well inside the 180 s a whole run may take.
+AGENT_TIMEOUT_S = 150
 
 
 class BenchError(Exception):
@@ -86,19 +81,6 @@ def run_agent(binary, args):
     return lines[:-1], json.loads(lines[-1])
 
 
-def setup_seconds(binary, args):
-    """Median wall time of set-up alone, process start to exit."""
-    walls = []
-    for _ in range(SETUP_SPAWNS):
-        started = time.perf_counter()
-        done = subprocess.run([binary] + args + ["--setup-only"], stdout=subprocess.DEVNULL,
-                              timeout=AGENT_TIMEOUT_S, check=False)
-        walls.append(time.perf_counter() - started)
-        if done.returncode != 0:
-            raise BenchError(f"set-up exited with {done.returncode}")
-    return statistics.median(walls)
-
-
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -112,12 +94,7 @@ def main(argv):
     binary = build()
     agent_args = ["--workload", args.workload, "--seed", str(args.seed),
                   "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    if args.trace:
-        rows, result = run_agent(binary, agent_args)
-    else:
-        setup_s = setup_seconds(binary, agent_args)
-        rows, result = run_agent(binary, agent_args + ["--pin-requests"])
-        result["metrics"] = {"setup_s": {"value": setup_s, "unit": "s"}, **result["metrics"]}
+    rows, result = run_agent(binary, agent_args)
     for row in rows:
         print(row)
     print(json.dumps(result))

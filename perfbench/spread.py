@@ -9,7 +9,7 @@ and prints per workload and metric the median of the runs with its unit
 and the spread: the distance between the first and third quartile
 (`statistics.quantiles(values, n=4)`) as a share of the median. Bounds
 from BENCHMARK.json are printed beside each spread. With `--out`, every
-result line is appended to that file.
+result line is appended to that file with the run's wall time.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -44,11 +45,14 @@ def main(argv):
         for seed in seeds(args.seeds):
             cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+            started = time.perf_counter()
             done = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+            wall_s = time.perf_counter() - started
             result = json.loads(done.stdout.splitlines()[-1])
             if args.out:
                 with open(args.out, "a") as f:
-                    f.write(json.dumps({"workload": workload, "seed": seed, **result}) + "\n")
+                    row = {"workload": workload, "seed": seed, "wall_s": wall_s, **result}
+                    f.write(json.dumps(row) + "\n")
             if not result["correct"] or result["failed"]:
                 print(f"{workload} seed {seed}: {result['failed']} failed", file=sys.stderr)
             for name, metric in result["metrics"].items():

@@ -45,6 +45,8 @@ struct Acc {
 /// Runs `workload` traced for about `seconds` and returns the per-layer
 /// metrics.
 pub fn traced(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, String> {
+    // The run's wall clock, apart from the spans.
+    let started = Instant::now();
     let mut out = Outcome::default();
     let mut acc = Acc::default();
     let mut tracer = Tracer::new();
@@ -104,24 +106,15 @@ pub fn traced(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, St
         Ok(())
     })?;
 
-    // Self times must account for the root span exactly: every span
-    // closed, none outside the root.
-    let root = &tracer.spans()[0];
-    let wall_ns = root.end_ns - root.start_ns;
-    let self_sum: u64 = tracer.self_times_ns().iter().sum();
-    out.record(if self_sum == wall_ns {
-        Ok(())
-    } else {
-        Err(format!(
-            "span self times sum to {self_sum} ns, run took {wall_ns} ns"
-        ))
-    });
+    let wall_s = started.elapsed().as_secs_f64();
+    let trace_overhead = tracer.spans().len() as f64 * span_cost_s() / wall_s;
+    let self_sum_s = tracer.self_times_ns().iter().sum::<u64>() as f64 * 1e-9;
+    out.record(self_times_account_for(self_sum_s, wall_s, trace_overhead));
 
     let med = |name: &str| median(&tracer.secs_of(name)).unwrap_or(f64::NAN);
     let inbranch_mean = mean(&tracer.secs_of("dse.inbranch")).unwrap_or(f64::NAN);
     let engine_s = med("serve.call") - med("serve.generate");
     let events = acc.events as f64;
-    let trace_overhead = tracer.spans().len() as f64 * span_cost_s() / (wall_ns as f64 * 1e-9);
     out.metrics = vec![
         ("profiler.profile_ms", med("profiler.profile") * 1e3, "ms"),
         ("core.construct_ms", med("core.construct") * 1e3, "ms"),
@@ -383,6 +376,20 @@ fn recorder_round(t: &mut Tracer, spec: &ServeSpec, out: &mut Outcome) {
     out.record(checked);
 }
 
+/// Checks that the spans' self times sum to the run's wall time, as read
+/// on a clock apart from the spans, within `trace_overhead` of it: work
+/// outside every span, or a span left open, breaks it.
+fn self_times_account_for(self_sum_s: f64, wall_s: f64, trace_overhead: f64) -> Result<(), String> {
+    if (wall_s - self_sum_s).abs() <= trace_overhead * wall_s {
+        Ok(())
+    } else {
+        Err(format!(
+            "span self times sum to {self_sum_s} s, run took {wall_s} s \
+             (allowed gap {trace_overhead} of it)"
+        ))
+    }
+}
+
 /// Wall cost of opening and closing one span.
 fn span_cost_s() -> f64 {
     const SPANS: u32 = 20_000;
@@ -392,4 +399,34 @@ fn span_cost_s() -> f64 {
         tracer.span("calibrate", |_| ());
     }
     started.elapsed().as_secs_f64() / f64::from(SPANS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn self_times_must_cover_the_wall_time() {
+        // 1 ms of spans over a 10 s run allows a 1 ms gap.
+        assert!(self_times_account_for(9.9995, 10.0, 1e-4).is_ok());
+        assert!(self_times_account_for(10.0, 10.0, 0.0).is_ok());
+        // Work outside every span, or a span counted past the run.
+        assert!(self_times_account_for(9.99, 10.0, 1e-4).is_err());
+        assert!(self_times_account_for(10.01, 10.0, 1e-4).is_err());
+    }
+
+    #[test]
+    fn a_traced_run_accounts_for_its_wall_time() {
+        let started = Instant::now();
+        let mut tracer = Tracer::new();
+        tracer.span("root", |t| {
+            for _ in 0..100 {
+                t.span("leaf", |_| black_box((0..1000).sum::<u64>()));
+            }
+        });
+        let wall_s = started.elapsed().as_secs_f64();
+        let self_sum_s = tracer.self_times_ns().iter().sum::<u64>() as f64 * 1e-9;
+        let overhead = tracer.spans().len() as f64 * span_cost_s() / wall_s;
+        assert!(self_times_account_for(self_sum_s, wall_s, overhead).is_ok());
+    }
 }

@@ -1,8 +1,7 @@
 //! Host-time benchmark agent for the F-CAD reproduction.
 //!
 //! ```text
-//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//!           [--pin-requests | --setup-only]
+//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--setup-only]
 //! ```
 //!
 //! Runs one workload from a single process in a closed loop: the next
@@ -10,18 +9,18 @@
 //! one returns, until `--seconds` have passed. Every output is checked.
 //! Stdout gets one JSON row per operation, then one result line:
 //!
-//! - `--trace 0`: the end-to-end metrics `op_s`, `op_s_1w`, `cpu_s` and
-//!   `peak_rss_mb`. Operations alternate between all cores
+//! - `--trace 0`: the end-to-end metrics `setup_s`, `op_s`, `op_s_1w`,
+//!   `cpu_s` and `peak_rss_mb`. Operations alternate between all cores
 //!   (`workers = nproc`) and the single-core control (`workers = 1`), so
-//!   both see the same host conditions. With `--pin-requests` the agent
-//!   prints a `pin` row before each switch and waits for a line on stdin:
-//!   `run.py` confines the process to one CPU for the control and releases
-//!   it after.
+//!   both see the same host conditions. Before each operation the agent
+//!   prints a `pin` row and waits for a line on stdin: `run.py` confines
+//!   the process to one CPU for the control and releases it after. Fresh
+//!   `--setup-only` processes, timed from spawn to exit for `setup_s`,
+//!   are spread through the loop the same way.
 //! - `--trace 1`: the per-layer metrics, from spans taken around each
 //!   layer's public calls.
 //!
-//! `--setup-only` builds the workload's inputs and exits without output;
-//! `run.py` times it from process start to exit for `setup_s`.
+//! `--setup-only` builds the workload's inputs and exits without output.
 
 mod check;
 mod layers;
@@ -31,7 +30,7 @@ mod trace;
 mod workload;
 
 use std::io::{self, BufRead, Write};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
 use check::{check_serve, Expected};
@@ -41,9 +40,8 @@ use workload::{run_flow, setup, Ready, Workload};
 /// What one agent process does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// The end-to-end loop; `pin_requests` asks the parent to pin the
-    /// process to one CPU around the single-core control.
-    Timed { pin_requests: bool },
+    /// The end-to-end loop.
+    Timed,
     /// The traced run.
     Traced,
     /// Set-up alone.
@@ -61,7 +59,7 @@ struct Args {
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-    let (mut pin_requests, mut setup_only) = (false, false);
+    let mut setup_only = false;
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -84,16 +82,14 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                     other => return Err(format!("--trace must be 0 or 1, not {other}")),
                 })
             }
-            "--pin-requests" => pin_requests = true,
             "--setup-only" => setup_only = true,
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    let mode = match (trace.unwrap_or(false), pin_requests, setup_only) {
-        (_, false, true) => Mode::SetupOnly,
-        (true, false, false) => Mode::Traced,
-        (false, pin_requests, false) => Mode::Timed { pin_requests },
-        _ => return Err("--pin-requests needs --trace 0 and no --setup-only".to_owned()),
+    let mode = match (trace.unwrap_or(false), setup_only) {
+        (_, true) => Mode::SetupOnly,
+        (true, false) => Mode::Traced,
+        (false, false) => Mode::Timed,
     };
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
@@ -251,21 +247,57 @@ fn request_pin(workers: usize) -> Result<(), String> {
     }
 }
 
+/// Fresh set-up processes timed per run for `setup_s`.
+const SETUP_SPAWNS: usize = 9;
+
+/// Wall seconds of one fresh `--setup-only` process of this binary, from
+/// spawn to exit. The child inherits this process's CPU affinity.
+fn setup_spawn(args: &Args) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let started = Instant::now();
+    let status = Command::new(exe)
+        .args(["--workload", args.workload.name()])
+        .args(["--seed", &args.seed.to_string()])
+        .args(["--seconds", &args.seconds.to_string()])
+        .arg("--setup-only")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .status()
+        .map_err(|e| format!("set-up process: {e}"))?;
+    let wall_s = started.elapsed().as_secs_f64();
+    if status.success() {
+        Ok(wall_s)
+    } else {
+        Err(format!("set-up process {status}"))
+    }
+}
+
+/// Whether the next of `done` set-up spawns is due, `elapsed` into a loop
+/// of `budget`: they are spread evenly over it, the first at its start.
+fn setup_due(done: usize, elapsed: Duration, budget: Duration) -> bool {
+    done < SETUP_SPAWNS && elapsed >= budget.mul_f64(done as f64 / SETUP_SPAWNS as f64)
+}
+
+/// The timed loop's output: one row per operation, and the wall seconds
+/// of each set-up spawn.
+struct LoopRun {
+    rows: Vec<OpRow>,
+    setup_walls: Vec<f64>,
+}
+
 /// The closed loop: every case at `workers = nproc` and then at
 /// `workers = 1`, in rotation, until the next operation would end past
-/// `seconds`, once every pair has run.
-fn closed_loop(
-    args: &Args,
-    ready: &Ready,
-    pin_requests: bool,
-    out: &mut Outcome,
-) -> Result<Vec<OpRow>, String> {
+/// `seconds`, once every pair has run. Set-up spawns run between
+/// operations while the process may use every core; any the loop had no
+/// room for run after it.
+fn closed_loop(args: &Args, ready: &Ready, out: &mut Outcome) -> Result<LoopRun, String> {
     let labels = ready.case_labels();
     let configs = [procfs::nproc(), 1];
     let slots = labels.len() * configs.len();
     let budget = Duration::from_secs_f64(args.seconds);
     let started = Instant::now();
     let mut rows: Vec<OpRow> = Vec::new();
+    let mut setup_walls = Vec::new();
     for i in 0.. {
         let (case, workers) = (i % slots / configs.len(), configs[i % configs.len()]);
         if i >= slots {
@@ -276,8 +308,9 @@ fn closed_loop(
                 break;
             }
         }
-        if pin_requests {
-            request_pin(workers)?;
+        request_pin(workers)?;
+        if workers == configs[0] && setup_due(setup_walls.len(), started.elapsed(), budget) {
+            setup_walls.push(setup_spawn(args)?);
         }
         let label = &labels[case];
         let (digest, row) = match ready {
@@ -299,21 +332,29 @@ fn closed_loop(
         out.record(checked);
         rows.push(row);
     }
-    Ok(rows)
+    if setup_walls.len() < SETUP_SPAWNS {
+        request_pin(configs[0])?;
+        while setup_walls.len() < SETUP_SPAWNS {
+            setup_walls.push(setup_spawn(args)?);
+        }
+    }
+    Ok(LoopRun { rows, setup_walls })
 }
 
 /// `--trace 0`: set-up, then the timed closed loop.
-fn end_to_end(args: &Args, pin_requests: bool) -> Result<Outcome, String> {
+fn end_to_end(args: &Args) -> Result<Outcome, String> {
     let ready = setup(args.workload, args.seed)?;
     let mut out = Outcome {
         expected: ready.expected(),
         ..Outcome::default()
     };
-    let rows = closed_loop(args, &ready, pin_requests, &mut out)?;
+    let LoopRun { rows, setup_walls } = closed_loop(args, &ready, &mut out)?;
     let labels = ready.case_labels();
     let (op_s, cpu_s) = per_case(&rows, &labels, procfs::nproc());
     let (op_s_1w, _) = per_case(&rows, &labels, 1);
+    let setup_s = stats::median(&setup_walls).unwrap_or(f64::NAN);
     out.metrics.extend([
+        ("setup_s", setup_s, "s"),
         ("op_s", op_s, "s"),
         ("op_s_1w", op_s_1w, "s"),
         ("cpu_s", cpu_s, "s"),
@@ -341,7 +382,7 @@ fn main() -> ExitCode {
             }
         }
         Mode::Traced => layers::traced(args.workload, args.seed, args.seconds),
-        Mode::Timed { pin_requests } => end_to_end(&args, pin_requests),
+        Mode::Timed => end_to_end(&args),
     };
     match outcome {
         Ok(outcome) => {
@@ -368,15 +409,28 @@ mod tests {
         let args = parse("--workload dse_classic --seed 7 --seconds 2.5 --trace 1").unwrap();
         assert_eq!(args.workload, Workload::DseClassic);
         assert_eq!((args.seed, args.seconds, args.mode), (7, 2.5, Mode::Traced));
-        let timed = parse("--workload dse_classic --seed 1 --seconds 1 --pin-requests").unwrap();
-        assert_eq!(timed.mode, Mode::Timed { pin_requests: true });
-        assert!(
-            parse("--workload dse_classic --seed 1 --seconds 1 --trace 1 --pin-requests").is_err()
-        );
+        let timed = parse("--workload dse_classic --seed 1 --seconds 1 --trace 0").unwrap();
+        assert_eq!(timed.mode, Mode::Timed);
+        let setup_only = parse("--workload dse_classic --seed 1 --seconds 1 --setup-only").unwrap();
+        assert_eq!(setup_only.mode, Mode::SetupOnly);
+        assert!(parse("--workload dse_classic --seed 1 --seconds 1 --pin-requests").is_err());
         assert!(parse("--workload nope --seed 1 --seconds 1").is_err());
         assert!(parse("--workload dse_classic --seed 1 --seconds 0").is_err());
         assert!(parse("--workload dse_classic --seed 1 --seconds 1 --trace 2").is_err());
         assert!(parse("--seed 1 --seconds 1").is_err());
+    }
+
+    #[test]
+    fn setup_spawns_spread_over_the_loop() {
+        let budget = Duration::from_secs(90);
+        let at = Duration::from_secs;
+        assert!(setup_due(0, at(0), budget));
+        assert!(!setup_due(1, at(9), budget));
+        assert!(setup_due(1, at(10), budget));
+        assert!(setup_due(4, at(45), budget));
+        assert!(!setup_due(5, at(45), budget));
+        // Never more than SETUP_SPAWNS, however late.
+        assert!(!setup_due(SETUP_SPAWNS, at(1_000), budget));
     }
 
     #[test]

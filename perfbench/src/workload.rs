@@ -1,4 +1,4 @@
-//! The four workloads, their set-up, and the operations they time. Every
+//! The three workloads, their set-up, and the operations they time. Every
 //! input is generated from the workload seed; the library sees only the
 //! generated inputs.
 
@@ -22,17 +22,14 @@ pub enum Workload {
     DseClassic,
     /// The 1.05 M-session autoscaled round-robin metropolis.
     ServeMetropolis,
-    /// The b2_qos burst on 64 least-loaded shards with every policy on.
-    ServePolicyMix,
 }
 
 impl Workload {
     /// Every workload, in the order the documentation lists them.
-    pub const ALL: [Workload; 4] = [
+    pub const ALL: [Workload; 3] = [
         Workload::DseDecoder,
         Workload::DseClassic,
         Workload::ServeMetropolis,
-        Workload::ServePolicyMix,
     ];
 
     /// The command-line name.
@@ -41,7 +38,6 @@ impl Workload {
             Workload::DseDecoder => "dse_decoder",
             Workload::DseClassic => "dse_classic",
             Workload::ServeMetropolis => "serve_metropolis",
-            Workload::ServePolicyMix => "serve_policy_mix",
         }
     }
 
@@ -262,7 +258,7 @@ pub fn classic_cases(seed: u64) -> Vec<DseCase> {
     cases
 }
 
-/// The DSE prelude of the serve workloads: the `reproduce` harness case
+/// The DSE prelude of the serve workload: the `reproduce` harness case
 /// (ZU17EG, 8-bit) whose design gives the fleet its service model.
 pub fn prelude_case(seed: u64) -> DseCase {
     DseCase::decoder(
@@ -419,18 +415,13 @@ impl Ready {
 }
 
 /// Builds the inputs of `workload` from `seed`: networks and cases for
-/// the DSE workloads; for the serve workloads also the harness DSE
+/// the DSE workloads; for the serve workload also the harness DSE
 /// prelude that yields the service model, and the fleet and scenario.
 pub fn setup(workload: Workload, seed: u64) -> Result<Ready, String> {
-    let serve_seed = mix(seed, 100);
-    let spec_of = |model: ServiceModel| match workload {
-        Workload::ServeMetropolis => ServeSpec::metropolis(model, serve_seed),
-        _ => ServeSpec::policy_mix(model, serve_seed, 64, 30),
-    };
     match workload {
         Workload::DseDecoder => Ok(Ready::Dse(decoder_cases(seed))),
         Workload::DseClassic => Ok(Ready::Dse(classic_cases(seed))),
-        Workload::ServeMetropolis | Workload::ServePolicyMix => {
+        Workload::ServeMetropolis => {
             let prelude_case = prelude_case(seed);
             let prelude = Fcad::new(prelude_case.network.clone(), prelude_case.platform.clone())
                 .with_customization(prelude_case.customization.clone())
@@ -438,7 +429,10 @@ pub fn setup(workload: Workload, seed: u64) -> Result<Ready, String> {
                 .run()
                 .map_err(|e| format!("prelude: {e}"))?;
             Ok(Ready::Serve {
-                spec: Box::new(spec_of(prelude.service_model())),
+                spec: Box::new(ServeSpec::metropolis(
+                    prelude.service_model(),
+                    mix(seed, 100),
+                )),
                 prelude_case: Box::new(prelude_case),
                 prelude: Box::new(prelude),
             })
