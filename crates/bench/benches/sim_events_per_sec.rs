@@ -1,6 +1,6 @@
 //! Pins the engine rebuild's throughput: simulated events per wall-clock
 //! second for the frozen pre-rebuild loop (`fcad_serve::reference`), the
-//! calendar-driven engine and the parallel shard engine, on the fleet
+//! calendar-driven engine and the windowed engine, on the fleet
 //! suite at 64 shards (where the reference's per-iteration linear scans
 //! dominate) plus a downscaled metropolis. Each comparison prints a
 //! machine-readable JSON line with the measured events/sec and the
@@ -11,9 +11,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use fcad_serve::{
     reference, simulate_autoscaled_deadline, simulate_fleet, simulate_fleet_deadline,
-    simulate_fleet_parallel, simulate_windowed, AdmissionKind, Autoscaler, BranchService,
-    DeadlinePolicy, FailurePlan, FleetConfig, Scenario, SchedulerKind, ServeReport, ServiceModel,
-    WindowPlan,
+    simulate_windowed, AdmissionKind, Autoscaler, BranchService, DeadlinePolicy, FailurePlan,
+    FleetConfig, Scenario, SchedulerKind, ServeReport, ServiceModel, WindowPlan,
 };
 
 const SHARDS: usize = 64;
@@ -55,6 +54,20 @@ fn sim_events(report: &ServeReport) -> u64 {
     report.issued + report.completed
 }
 
+/// A static fleet on the windowed engine at `PARALLEL_WORKERS` workers.
+fn windowed_static(config: &FleetConfig, scenario: &Scenario, kind: SchedulerKind) -> ServeReport {
+    simulate_windowed(
+        config,
+        scenario,
+        kind,
+        &Autoscaler::none(),
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::Off,
+        &WindowPlan::new(PARALLEL_WORKERS),
+    )
+}
+
 fn timed<F: FnMut() -> ServeReport>(mut run: F) -> (f64, ServeReport) {
     let start = Instant::now();
     let report = run();
@@ -77,8 +90,7 @@ fn bench(c: &mut Criterion) {
         let config = FleetConfig::uniform(model.clone(), SHARDS);
         let (ref_sec, ref_report) = timed(|| reference::simulate_fleet(&config, &scenario, kind));
         let (seq_sec, seq_report) = timed(|| simulate_fleet(&config, &scenario, kind));
-        let (par_sec, par_report) =
-            timed(|| simulate_fleet_parallel(&config, &scenario, kind, PARALLEL_WORKERS));
+        let (par_sec, par_report) = timed(|| windowed_static(&config, &scenario, kind));
         assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
         assert_eq!(ref_report.to_json_line(), par_report.to_json_line());
         let events = sim_events(&ref_report);
@@ -92,7 +104,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| simulate_fleet(&config, &scenario, kind))
         });
         c.bench_function(&format!("sim_events/{}/parallel8", scenario.name), |b| {
-            b.iter(|| simulate_fleet_parallel(&config, &scenario, kind, PARALLEL_WORKERS))
+            b.iter(|| windowed_static(&config, &scenario, kind))
         });
     }
 
@@ -153,8 +165,7 @@ fn bench(c: &mut Criterion) {
     let config = FleetConfig::uniform(model.clone(), 256);
     let (ref_sec, ref_report) = timed(|| reference::simulate_fleet(&config, &metropolis, kind));
     let (seq_sec, seq_report) = timed(|| simulate_fleet(&config, &metropolis, kind));
-    let (par_sec, par_report) =
-        timed(|| simulate_fleet_parallel(&config, &metropolis, kind, PARALLEL_WORKERS));
+    let (par_sec, par_report) = timed(|| windowed_static(&config, &metropolis, kind));
     assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), par_report.to_json_line());
     let events = sim_events(&ref_report);
@@ -162,7 +173,7 @@ fn bench(c: &mut Criterion) {
     print_comparison("metropolis_100k", events, ref_sec, "rebuilt", seq_sec);
     print_comparison("metropolis_100k", events, ref_sec, "parallel8", par_sec);
     c.bench_function("sim_events/metropolis_100k/parallel8", |b| {
-        b.iter(|| simulate_fleet_parallel(&config, &metropolis, kind, PARALLEL_WORKERS))
+        b.iter(|| windowed_static(&config, &metropolis, kind))
     });
 
     // The windowed cell: a *coupled* metropolis — the fleet scales from

@@ -15,9 +15,10 @@
 //!   reproduce --windowed     # metropolis-scale autoscaled round-robin
 //!                            # fleet (the windowed engine's regime)
 //!   reproduce --workers N    # run serving cells that support it on the
-//!                            # windowed parallel engine with N worker
-//!                            # threads; every JSON line is byte-identical
-//!                            # to the default sequential run (N = 1)
+//!                            # windowed engine with N workers (default
+//!                            # 1: every window on the calling thread);
+//!                            # every JSON line is byte-identical at
+//!                            # every N
 //!   reproduce --trace t.json --metrics m.jsonl --trace-worst 8
 //!                            # trace the b2_qos × priority × budget-aware
 //!                            # cell: Chrome trace_event JSON to t.json
@@ -186,10 +187,11 @@ fn main() {
     if want("--windowed") {
         // The windowed-engine experiment: a metropolis-scale round-robin
         // fleet that scales from 192 toward 256 shards under queue
-        // pressure. This is the cell `--workers N` accelerates — the
-        // scale-up phase replays sequentially, the terminal phase runs in
-        // parallel windows — and its JSON line is byte-identical at every
-        // worker count (the perf-trajectory harness times it at 1 and 8).
+        // pressure. The scale-up phase replays sequentially and the
+        // terminal phase runs in windows — on the calling thread at one
+        // worker, fanned out at `--workers N` — and its JSON line is
+        // byte-identical at every worker count (the perf-trajectory
+        // harness times it at 1 and 8).
         let scenario = fcad_serve::Scenario::metropolis().with_sessions(100_000);
         let policy = fcad_serve::Autoscaler::reactive(192, 256)
             .with_cooldown_us(0)

@@ -216,10 +216,11 @@ impl FcadResult {
     }
 
     /// [`FcadResult::serve_qos_autoscaled`] executed by the
-    /// time-windowed parallel engine on `workers` threads. The report is
-    /// byte-identical to the sequential run at every worker count;
-    /// `workers <= 1`, one-shard fleets and load-aware balancers run the
-    /// sequential engine directly.
+    /// time-windowed engine on `workers` workers, the calling thread
+    /// included (`1` runs every window inline and spawns no thread). The
+    /// report is byte-identical to the sequential run at every worker
+    /// count; under a load-aware balancer no window opens and every event
+    /// steps sequentially.
     #[allow(clippy::too_many_arguments)]
     pub fn serve_windowed(
         &self,

@@ -49,7 +49,7 @@ use crate::admission::{admit_traced, AdmissionController, AdmissionKind, Admissi
 use crate::autoscale::{
     Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
 };
-use crate::calendar::{Calendar, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
+use crate::calendar::{Calendar, EventKey, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::{f64_to_usize, u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
 use crate::fleet::{Balancer, FleetConfig, LoadBalancerKind, ShardLoad};
@@ -454,12 +454,7 @@ impl<'a> Shard<'a> {
         }
     }
 
-    pub(crate) fn admission_view(
-        &self,
-        capacity: usize,
-        service_us: u64,
-        branch: usize,
-    ) -> AdmissionView {
+    fn admission_view(&self, capacity: usize, service_us: u64, branch: usize) -> AdmissionView {
         AdmissionView {
             queued: self.scheduler.queued(),
             capacity,
@@ -481,6 +476,171 @@ impl<'a> Shard<'a> {
 
     pub(crate) fn dispatch_at(&self) -> u64 {
         self.free_at_us.max(self.pending_since_us)
+    }
+
+    /// Queues `request` at `now_us`, charging its single-request cost to
+    /// the backlog; a request entering an empty queue starts the wait the
+    /// next dispatch is timed from.
+    fn enqueue(&mut self, request: Request, now_us: u64) {
+        if self.scheduler.queued() == 0 {
+            self.pending_since_us = now_us;
+        }
+        let single_us = self.single_cost_us[request.branch];
+        self.backlog_us += single_us;
+        self.class_backlog_us[request.class.index()] += single_us;
+        self.scheduler.enqueue(request, now_us);
+    }
+
+    /// Releases the backlog `request` was charged when it was queued here,
+    /// once it leaves the queue served or culled.
+    fn release(&mut self, request: &Request) {
+        let single_us = self.single_cost_us[request.branch];
+        let class = request.class.index();
+        self.backlog_us = self
+            .backlog_us
+            .checked_sub(single_us)
+            .expect("the backlog holds the cost of every request queued on its shard");
+        self.class_backlog_us[class] = self.class_backlog_us[class]
+            .checked_sub(single_us)
+            .expect("the class backlog holds the cost of every queued request of its class");
+    }
+
+    /// Takes `request` through this shard's front door at its arrival
+    /// instant: counts it issued, then the admission controller may shed
+    /// it, a full queue drops it, or it is queued. Tallies and traces the
+    /// outcome; returns whether the request was queued.
+    pub(crate) fn admit(
+        &mut self,
+        shard_id: usize,
+        request: Request,
+        capacity: usize,
+        admission: &mut dyn AdmissionController,
+        tally: &mut Tally,
+        sink: &mut dyn TraceSink,
+    ) -> bool {
+        let now_us = request.issued_at_us;
+        let tracing = sink.enabled();
+        let class = request.class.index();
+        self.issued += 1;
+        let single_us = self.single_cost_us[request.branch];
+        let view = self.admission_view(capacity, single_us, request.branch);
+        if !admit_traced(admission, &request, &view, now_us, shard_id, sink, tracing) {
+            tally.shed[request.branch] += 1;
+            tally.class_shed[class] += 1;
+            self.shed += 1;
+            return false;
+        }
+        if self.scheduler.queued() >= capacity {
+            tally.dropped[request.branch] += 1;
+            tally.class_dropped[class] += 1;
+            self.dropped += 1;
+            if tracing {
+                sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Drop));
+            }
+            return false;
+        }
+        self.enqueue(request, now_us);
+        if tracing {
+            sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Enqueue));
+        }
+        true
+    }
+
+    /// Dispatches this shard's next batch at `now_us`. Under
+    /// [`DeadlinePolicy::CullExpired`], popped requests whose deadline
+    /// already passed while they queued retire as `expired` instead of
+    /// being served; culling costs no fabric time, so a fully-dead batch
+    /// is followed by another pop at the same instant. The served batch
+    /// occupies the fabric for its service time and every request in it
+    /// completes at the end of it.
+    ///
+    /// Returns the completion instant and the served batch, or `None`
+    /// when expiry drained the whole queue without touching the fabric.
+    pub(crate) fn dispatch(
+        &mut self,
+        shard_id: usize,
+        now_us: u64,
+        deadline: DeadlinePolicy,
+        split_us: Option<u64>,
+        tally: &mut Tally,
+        sink: &mut dyn TraceSink,
+    ) -> Option<(u64, Vec<Request>)> {
+        let tracing = sink.enabled();
+        let batch = loop {
+            let mut popped = self.scheduler.next_batch(&self.model, now_us, &[]);
+            debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
+            if deadline.culls() {
+                popped.retain(|request| {
+                    if now_us <= request.deadline_us() {
+                        return true;
+                    }
+                    self.release(request);
+                    self.expired += 1;
+                    tally.expired[request.branch] += 1;
+                    tally.class_expired[request.class.index()] += 1;
+                    if tracing {
+                        sink.record(request.trace(
+                            now_us,
+                            Some(shard_id),
+                            RequestEventKind::Expired,
+                        ));
+                    }
+                    false
+                });
+            }
+            if !popped.is_empty() || self.scheduler.queued() == 0 {
+                break popped;
+            }
+        };
+        self.pending_since_us = 0;
+        if batch.is_empty() {
+            return None;
+        }
+        let branch = batch[0].branch;
+        debug_assert!(batch.iter().all(|r| r.branch == branch));
+        let service_us = self.model.batch_service_us(branch, batch.len());
+        let done_us = now_us + service_us;
+        self.busy_us += service_us;
+        if tracing {
+            sink.record(TraceEvent::Batch(BatchEvent {
+                at_us: now_us,
+                shard: shard_id,
+                branch,
+                len: batch.len(),
+                service_us,
+            }));
+        }
+        for request in &batch {
+            let latency_us = request.latency_us(done_us);
+            if tracing {
+                sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::ServiceStart));
+                sink.record(request.trace(
+                    done_us,
+                    Some(shard_id),
+                    RequestEventKind::Complete { latency_us },
+                ));
+            }
+            let class = request.class.index();
+            tally.branch_histograms[request.branch].record(latency_us);
+            tally.completed[request.branch] += 1;
+            tally.class_histograms[class].record(latency_us);
+            tally.class_completed[class] += 1;
+            if request.meets_slo(done_us) {
+                tally.within_budget[class] += 1;
+            }
+            if let Some(split) = split_us {
+                if done_us < split {
+                    tally.pre_failure.record(latency_us);
+                } else {
+                    tally.post_failure.record(latency_us);
+                }
+            }
+            self.histogram.record(latency_us);
+            self.completed += 1;
+            self.release(request);
+        }
+        self.free_at_us = done_us;
+        Some((done_us, batch))
     }
 }
 
@@ -524,11 +684,13 @@ fn alive_count(shards: &[Shard]) -> usize {
 /// driven one event at a time.
 ///
 /// [`run`] is `new` + `while step()` + `finish`, bit-identical to the old
-/// single-function loop. The windowed parallel engine
-/// ([`crate::window`]) drives the same core differently: sequential
-/// `step()` calls through every *coupled* span (lifecycle events,
-/// load-aware placements, armed autoscale triggers) and parallel window
-/// fan-outs over the decoupled spans in between.
+/// single-function loop. The windowed engine ([`crate::window`]) drives
+/// the same core differently: sequential `step()` calls through every
+/// *coupled* span (lifecycle events, load-aware placements, armed
+/// autoscale triggers) and shard-local windows over the decoupled spans
+/// in between. The arrival and dispatch arms keep only the cross-shard
+/// work; what happens on the shard itself is [`Shard::admit`] and
+/// [`Shard::dispatch`], shared with the windows.
 pub(crate) struct EngineCore<'a, 'b> {
     pub(crate) scenario: &'b Scenario,
     pub(crate) balancer_kind: LoadBalancerKind,
@@ -696,6 +858,19 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         self.placeable_dirty = false;
     }
 
+    /// The earliest *live* calendar entry, discarding stale dispatch
+    /// entries (superseded epochs) on the way.
+    pub(crate) fn live_front(&mut self) -> Option<EventKey> {
+        while let Some(key) = self.calendar.peek_key() {
+            if key.lane != LANE_DISPATCH || key.b == self.shards[u64_to_usize(key.a)].dispatch_epoch
+            {
+                return Some(key);
+            }
+            self.calendar.pop();
+        }
+        None
+    }
+
     /// Processes the single earliest pending event. Returns `false` when
     /// the run is complete (no arrival pending and no request queued) —
     /// the old loop's termination condition, verbatim.
@@ -705,19 +880,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             return false;
         }
         let arrival_at = due_arrival.map_or(u64::MAX, |r| r.issued_at_us);
-        // Surface the earliest *live* calendar entry, discarding stale
-        // dispatch entries (superseded epochs) lazily.
-        let front = loop {
-            match self.calendar.peek_key() {
-                Some(key)
-                    if key.lane == LANE_DISPATCH
-                        && key.b != self.shards[u64_to_usize(key.a)].dispatch_epoch =>
-                {
-                    self.calendar.pop();
-                }
-                other => break other,
-            }
-        };
+        let front = self.live_front();
         let take_calendar =
             front.is_some_and(|key| (key.at_us, key.lane) < (arrival_at, LANE_ARRIVAL));
         if !take_calendar && due_arrival.is_none() {
@@ -811,7 +974,13 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 }
                 for request in orphans {
                     collect_placeable(&mut self.loads, &self.shards);
-                    if self.loads.is_empty() {
+                    let placed = (!self.loads.is_empty())
+                        .then(|| {
+                            self.balancer
+                                .place(&request, &self.loads, now_us, self.capacity)
+                        })
+                        .filter(|&dst| self.shards[dst].scheduler.queued() < self.capacity);
+                    let Some(dst) = placed else {
                         self.tally.lost[request.branch] += 1;
                         self.tally.class_lost[request.class.index()] += 1;
                         if self.tracing {
@@ -822,36 +991,15 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                             ));
                         }
                         continue;
-                    }
-                    let dst = self
-                        .balancer
-                        .place(&request, &self.loads, now_us, self.capacity);
-                    if self.shards[dst].scheduler.queued() >= self.capacity {
-                        self.tally.lost[request.branch] += 1;
-                        self.tally.class_lost[request.class.index()] += 1;
-                        if self.tracing {
-                            self.sink.record(request.trace(
-                                now_us,
-                                None,
-                                RequestEventKind::Lost { orphaned: true },
-                            ));
-                        }
-                        continue;
-                    }
+                    };
                     {
                         let target = &mut self.shards[dst];
-                        if target.scheduler.queued() == 0 {
-                            target.pending_since_us = now_us;
-                        }
                         if self.failures.repay_fill() && target.phase != ShardState::Warming {
                             let fill = target.model.branches[request.branch].fill_time_us;
                             target.free_at_us = target.free_at_us.max(now_us) + fill;
                             target.busy_us += fill;
                         }
-                        let single_us = target.single_cost_us[request.branch];
-                        target.backlog_us += single_us;
-                        target.class_backlog_us[request.class.index()] += single_us;
-                        target.scheduler.enqueue(request, now_us);
+                        target.enqueue(request, now_us);
                         target.issued += 1;
                     }
                     self.queued_total += 1;
@@ -959,62 +1107,28 @@ impl<'a, 'b> EngineCore<'a, 'b> {
     }
 
     fn dispatch_event(&mut self, now_us: u64, shard: usize) {
-        // Under `DeadlinePolicy::CullExpired`, requests whose
-        // deadline already passed while they queued are
-        // retired here instead of served — completing them
-        // would spend fabric time on frames nobody can use.
-        // Culling costs no fabric time (`free_at_us` is
-        // untouched), so a fully-dead batch is followed by
-        // another pop at the same instant.
-        let culls = self.deadline.culls();
-        let batch = loop {
-            let s = &mut self.shards[shard];
-            let popped = s.scheduler.next_batch(&s.model, now_us, &[]);
-            debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
-            self.queued_total -= popped.len();
-            let live = if culls {
-                let mut live = Vec::with_capacity(popped.len());
-                for request in popped {
-                    if now_us > request.deadline_us() {
-                        let single_us = s.single_cost_us[request.branch];
-                        let class = request.class.index();
-                        s.backlog_us = s.backlog_us.saturating_sub(single_us);
-                        s.class_backlog_us[class] =
-                            s.class_backlog_us[class].saturating_sub(single_us);
-                        s.expired += 1;
-                        self.tally.expired[request.branch] += 1;
-                        self.tally.class_expired[class] += 1;
-                        if self.tracing {
-                            self.sink.record(request.trace(
-                                now_us,
-                                Some(shard),
-                                RequestEventKind::Expired,
-                            ));
-                        }
-                    } else {
-                        live.push(request);
-                    }
-                }
-                live
-            } else {
-                popped
-            };
-            if !live.is_empty() || s.scheduler.queued() == 0 {
-                break live;
-            }
-        };
-        if batch.is_empty() {
-            // Expiry drained the whole queue without touching
-            // the fabric: no completion moves `free_at_us`,
-            // but the now-idle shard still owes its drain /
-            // idle-retirement housekeeping.
-            self.shards[shard].pending_since_us = 0;
-            refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+        let s = &mut self.shards[shard];
+        let queued_before = s.scheduler.queued();
+        let served = s.dispatch(
+            shard,
+            now_us,
+            self.deadline,
+            self.split_us,
+            &mut self.tally,
+            &mut *self.sink,
+        );
+        self.queued_total -= queued_before - s.scheduler.queued();
+        refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+        // The fabric frees when the batch completes, or right away when
+        // expiry drained the whole queue; a shard left idle owes its drain
+        // or idle-retirement housekeeping from that instant.
+        let free_us = served.as_ref().map_or(now_us, |(done_us, _)| *done_us);
+        if self.shards[shard].scheduler.queued() == 0 {
             if self.shards[shard].phase == ShardState::Draining {
                 retire(
                     &mut self.shards,
                     &mut self.tally.scale_events,
-                    now_us,
+                    free_us,
                     shard,
                     &mut *self.sink,
                     self.tracing,
@@ -1027,108 +1141,30 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 push_life(
                     &mut self.calendar,
                     &mut self.life_seq,
-                    now_us + self.policy.idle_retire_us,
+                    free_us + self.policy.idle_retire_us,
                     shard,
                     Action::IdleCheck,
                 );
             }
+        }
+        let Some((done_us, batch)) = served else {
             return;
-        }
-        let (service_us, done_us) = {
-            let s = &self.shards[shard];
-            let branch = batch[0].branch;
-            debug_assert!(batch.iter().all(|r| r.branch == branch));
-            let service_us = s.model.batch_service_us(branch, batch.len());
-            (service_us, now_us + service_us)
         };
-        self.shards[shard].busy_us += service_us;
-        if self.tracing {
-            self.sink.record(TraceEvent::Batch(BatchEvent {
-                at_us: now_us,
-                shard,
-                branch: batch[0].branch,
-                len: batch.len(),
-                service_us,
-            }));
-        }
+        let Some(kind) = self.spawn.filter(|_| self.policy.scale_up_p99_ms > 0.0) else {
+            return;
+        };
         for request in &batch {
-            let latency_us = request.latency_us(done_us);
-            if self.tracing {
-                self.sink.record(request.trace(
-                    now_us,
-                    Some(shard),
-                    RequestEventKind::ServiceStart,
-                ));
-                self.sink.record(request.trace(
-                    done_us,
-                    Some(shard),
-                    RequestEventKind::Complete { latency_us },
-                ));
+            if self.recent_latencies.len() == P99_WINDOW {
+                self.recent_latencies.pop_front();
             }
-            self.tally.branch_histograms[request.branch].record(latency_us);
-            self.tally.completed[request.branch] += 1;
-            let class = request.class.index();
-            self.tally.class_histograms[class].record(latency_us);
-            self.tally.class_completed[class] += 1;
-            if request.meets_slo(done_us) {
-                self.tally.within_budget[class] += 1;
-            }
-            let s = &mut self.shards[shard];
-            s.histogram.record(latency_us);
-            s.completed += 1;
-            let single_us = s.single_cost_us[request.branch];
-            s.backlog_us = s.backlog_us.saturating_sub(single_us);
-            s.class_backlog_us[class] = s.class_backlog_us[class].saturating_sub(single_us);
-            if let Some(split) = self.split_us {
-                if done_us < split {
-                    self.tally.pre_failure.record(latency_us);
-                } else {
-                    self.tally.post_failure.record(latency_us);
-                }
-            }
-            if self.spawn.is_some() && self.policy.scale_up_p99_ms > 0.0 {
-                if self.recent_latencies.len() == P99_WINDOW {
-                    self.recent_latencies.pop_front();
-                }
-                self.recent_latencies.push_back(latency_us);
-            }
+            self.recent_latencies.push_back(request.latency_us(done_us));
         }
-        self.shards[shard].free_at_us = done_us;
-        self.shards[shard].pending_since_us = 0;
-        refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
-        if self.shards[shard].phase == ShardState::Draining
-            && self.shards[shard].scheduler.queued() == 0
+        if self.recent_latencies.len() >= P99_MIN_SAMPLES
+            && alive_count(&self.shards) < self.policy.max_shards
+            && self
+                .last_scale_up
+                .is_none_or(|t| done_us >= t.saturating_add(self.policy.cooldown_us))
         {
-            retire(
-                &mut self.shards,
-                &mut self.tally.scale_events,
-                done_us,
-                shard,
-                &mut *self.sink,
-                self.tracing,
-            );
-        } else if self.shards[shard].phase == ShardState::Active
-            && self.shards[shard].scheduler.queued() == 0
-            && self.policy.idle_retire_us > 0
-            && !self.shards[shard].idle_check_pending
-        {
-            self.shards[shard].idle_check_pending = true;
-            push_life(
-                &mut self.calendar,
-                &mut self.life_seq,
-                done_us + self.policy.idle_retire_us,
-                shard,
-                Action::IdleCheck,
-            );
-        }
-        if let Some(kind) = self.spawn.filter(|_| {
-            self.policy.scale_up_p99_ms > 0.0
-                && self.recent_latencies.len() >= P99_MIN_SAMPLES
-                && alive_count(&self.shards) < self.policy.max_shards
-                && self
-                    .last_scale_up
-                    .is_none_or(|t| done_us >= t.saturating_add(self.policy.cooldown_us))
-        }) {
             let mut window: Vec<u64> = self.recent_latencies.iter().copied().collect();
             window.sort_unstable();
             let rank =
@@ -1154,104 +1190,64 @@ impl<'a, 'b> EngineCore<'a, 'b> {
 
     fn arrival_event(&mut self, request: Request) {
         let now_us = request.issued_at_us;
-        let shard = if self.dense {
+        let placed = if self.dense {
             if self.placeable_dirty {
                 self.rebuild_placeable();
             }
-            if self.placeable_ids.is_empty() {
-                self.tally.lost[request.branch] += 1;
-                self.tally.class_lost[request.class.index()] += 1;
+            (!self.placeable_ids.is_empty()).then(|| {
+                let dst = self
+                    .balancer
+                    .place_dense(&request, &self.placeable_ids)
+                    .expect("dense placement covers only load-oblivious balancers");
                 if self.tracing {
                     self.sink
-                        .record(request.trace(now_us, None, RequestEventKind::Arrival));
-                    self.sink.record(request.trace(
-                        now_us,
-                        None,
-                        RequestEventKind::Lost { orphaned: false },
-                    ));
+                        .record(request.trace(now_us, Some(dst), RequestEventKind::Arrival));
                 }
-                return;
-            }
-            let dst = self
-                .balancer
-                .place_dense(&request, &self.placeable_ids)
-                .expect("dense placement covers only load-oblivious balancers");
-            if self.tracing {
-                self.sink
-                    .record(request.trace(now_us, Some(dst), RequestEventKind::Arrival));
-            }
-            dst
+                dst
+            })
         } else {
             collect_placeable(&mut self.loads, &self.shards);
-            if self.loads.is_empty() {
-                self.tally.lost[request.branch] += 1;
-                self.tally.class_lost[request.class.index()] += 1;
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, None, RequestEventKind::Arrival));
-                    self.sink.record(request.trace(
-                        now_us,
-                        None,
-                        RequestEventKind::Lost { orphaned: false },
-                    ));
-                }
-                return;
-            }
-            self.balancer.place_traced(
-                &request,
-                &self.loads,
-                now_us,
-                self.capacity,
-                &mut *self.sink,
-                self.tracing,
-            )
+            (!self.loads.is_empty()).then(|| {
+                self.balancer.place_traced(
+                    &request,
+                    &self.loads,
+                    now_us,
+                    self.capacity,
+                    &mut *self.sink,
+                    self.tracing,
+                )
+            })
         };
-        let enqueued_into_empty = {
-            let target = &mut self.shards[shard];
-            target.issued += 1;
-            let single_us = target.single_cost_us[request.branch];
-            let view = target.admission_view(self.capacity, single_us, request.branch);
-            if !admit_traced(
-                self.admission,
-                &request,
-                &view,
-                now_us,
-                shard,
-                &mut *self.sink,
-                self.tracing,
-            ) {
-                self.tally.shed[request.branch] += 1;
-                self.tally.class_shed[request.class.index()] += 1;
-                target.shed += 1;
-                false
-            } else if target.scheduler.queued() >= self.capacity {
-                self.tally.dropped[request.branch] += 1;
-                self.tally.class_dropped[request.class.index()] += 1;
-                target.dropped += 1;
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, Some(shard), RequestEventKind::Drop));
-                }
-                false
-            } else {
-                let was_empty = target.scheduler.queued() == 0;
-                if was_empty {
-                    target.pending_since_us = now_us;
-                }
-                target.backlog_us += single_us;
-                target.class_backlog_us[request.class.index()] += single_us;
-                target.scheduler.enqueue(request, now_us);
-                self.queued_total += 1;
-                self.balancer.note_admitted(request.session, shard);
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, Some(shard), RequestEventKind::Enqueue));
-                }
-                was_empty
+        let Some(shard) = placed else {
+            self.tally.lost[request.branch] += 1;
+            self.tally.class_lost[request.class.index()] += 1;
+            if self.tracing {
+                self.sink
+                    .record(request.trace(now_us, None, RequestEventKind::Arrival));
+                self.sink.record(request.trace(
+                    now_us,
+                    None,
+                    RequestEventKind::Lost { orphaned: false },
+                ));
             }
+            return;
         };
-        if enqueued_into_empty {
-            refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+        let target = &mut self.shards[shard];
+        if target.admit(
+            shard,
+            request,
+            self.capacity,
+            self.admission,
+            &mut self.tally,
+            &mut *self.sink,
+        ) {
+            // A request queued alone makes the shard dispatchable.
+            let into_empty = target.scheduler.queued() == 1;
+            self.queued_total += 1;
+            self.balancer.note_admitted(request.session, shard);
+            if into_empty {
+                refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+            }
         }
         if let Some(kind) = self.spawn.filter(|_| self.policy.scale_up_queue_depth > 0) {
             let actives = active_count(&self.shards);
@@ -1288,36 +1284,18 @@ impl<'a, 'b> EngineCore<'a, 'b> {
     /// Consumes the core and folds the per-shard state into the final
     /// report — the old loop's epilogue, verbatim.
     pub(crate) fn finish(self) -> ServeReport {
-        let model0 = self.shards[0].model.clone();
-        let summaries: Vec<ShardSummary> = self
-            .shards
-            .into_iter()
-            .map(|s| ShardSummary {
-                scheduler_name: s.scheduler.name(),
-                phase: s.phase,
-                free_at_us: s.free_at_us,
-                busy_us: s.busy_us,
-                issued: s.issued,
-                completed: s.completed,
-                dropped: s.dropped,
-                shed: s.shed,
-                expired: s.expired,
-                histogram: s.histogram,
-            })
-            .collect();
         finalize(
             self.scenario,
             self.balancer_kind.name(),
             self.admission.name(),
-            &model0,
             self.tally,
-            &summaries,
+            &self.shards,
         )
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<'a>(
+fn run<'a>(
     config: &FleetConfig,
     scenario: &Scenario,
     schedulers: Vec<Box<dyn Scheduler + 'a>>,
@@ -1335,12 +1313,11 @@ pub(crate) fn run<'a>(
     core.finish()
 }
 
-/// Fleet-wide accumulators shared by the sequential and parallel engines:
-/// every per-branch / per-class / availability counter and histogram that
-/// is not per-shard. All fields are exact-merge (integer sums and
-/// fixed-bucket histogram adds), which is what makes the parallel
-/// engine's shard-order [`Tally::absorb`] reduction bit-identical to the
-/// sequential run.
+/// Fleet-wide accumulators: every per-branch / per-class / availability
+/// counter and histogram that is not per-shard. All fields are
+/// exact-merge (integer sums and fixed-bucket histogram adds), which is
+/// what makes folding the windowed engine's per-worker tallies with
+/// [`Tally::absorb`] bit-identical to the sequential run in any order.
 pub(crate) struct Tally {
     pub(crate) issued: Vec<u64>,
     pub(crate) completed: Vec<u64>,
@@ -1398,9 +1375,8 @@ impl Tally {
     }
 
     /// Folds another tally into this one. Every merge is exact (integer
-    /// addition, fixed-bucket histogram merge), so folding per-shard
-    /// tallies in shard-id order reproduces the sequential loop's
-    /// accumulators bit for bit.
+    /// addition, fixed-bucket histogram merge), so folding per-worker
+    /// tallies reproduces the sequential loop's accumulators bit for bit.
     pub(crate) fn absorb(&mut self, other: &Tally) {
         for (mine, theirs) in self.issued.iter_mut().zip(&other.issued) {
             *mine += theirs;
@@ -1444,40 +1420,22 @@ impl Tally {
     }
 }
 
-/// The per-shard facts the report needs, detached from the live shard so
-/// [`finalize`] can be shared between the sequential loop and the
-/// parallel engine's worker results.
-pub(crate) struct ShardSummary {
-    pub(crate) scheduler_name: &'static str,
-    pub(crate) phase: ShardState,
-    pub(crate) free_at_us: u64,
-    pub(crate) busy_us: u64,
-    pub(crate) issued: u64,
-    pub(crate) completed: u64,
-    pub(crate) dropped: u64,
-    pub(crate) shed: u64,
-    pub(crate) expired: u64,
-    pub(crate) histogram: LatencyHistogram,
-}
-
 /// Assembles the [`ServeReport`] from the run's accumulators — the exact
 /// arithmetic (and floating-point operation order) of the frozen loop's
-/// report tail, extracted so the sequential and parallel engines share
-/// one implementation. `model0` is shard 0's (priority-override-applied)
-/// service model, which names the branches.
-pub(crate) fn finalize(
+/// report tail. Shard 0's (priority-override-applied) service model
+/// names the branches.
+fn finalize(
     scenario: &Scenario,
     balancer_name: &str,
     admission_name: &str,
-    model0: &ServiceModel,
     mut tally: Tally,
-    summaries: &[ShardSummary],
+    shards: &[Shard],
 ) -> ServeReport {
     tally
         .scale_events
         .sort_by(|a, b| a.at_sec.total_cmp(&b.at_sec));
 
-    let shard_count = summaries.len();
+    let shard_count = shards.len();
     let total_issued: u64 = tally.issued.iter().sum();
     let total_completed: u64 = tally.completed.iter().sum();
     let total_dropped: u64 = tally.dropped.iter().sum();
@@ -1485,7 +1443,7 @@ pub(crate) fn finalize(
     let total_shed: u64 = tally.shed.iter().sum();
     let total_expired: u64 = tally.expired.iter().sum();
     let total_within: u64 = tally.within_budget.iter().sum();
-    let total_busy_us: u64 = summaries.iter().map(|s| s.busy_us).sum();
+    let total_busy_us: u64 = shards.iter().map(|s| s.busy_us).sum();
     debug_assert_eq!(
         total_completed + total_dropped + total_lost + total_shed + total_expired,
         total_issued,
@@ -1513,20 +1471,21 @@ pub(crate) fn finalize(
             "class {index} request conservation violated"
         );
     }
-    for (index, s) in summaries.iter().enumerate() {
+    for (index, s) in shards.iter().enumerate() {
         debug_assert_eq!(
             s.completed + s.dropped + s.shed + s.expired,
             s.issued,
             "shard {index} request conservation violated"
         );
     }
-    let makespan_us = summaries.iter().map(|s| s.free_at_us).max().unwrap_or(0);
+    let makespan_us = shards.iter().map(|s| s.free_at_us).max().unwrap_or(0);
     let makespan_sec = u64_to_f64(makespan_us) / 1e6;
     let mut overall = LatencyHistogram::new();
-    for shard in summaries {
+    for shard in shards {
         overall.merge(&shard.histogram);
     }
-    let branches = model0
+    let branches = shards[0]
+        .model
         .branches
         .iter()
         .enumerate()
@@ -1565,7 +1524,7 @@ pub(crate) fn finalize(
             }
         })
         .collect();
-    let shard_stats: Vec<ShardStats> = summaries
+    let shard_stats: Vec<ShardStats> = shards
         .iter()
         .map(|s| ShardStats {
             issued: s.issued,
@@ -1583,8 +1542,8 @@ pub(crate) fn finalize(
         })
         .collect();
     let imbalance = {
-        let max = summaries.iter().map(|s| s.busy_us).max().unwrap_or(0);
-        let min = summaries.iter().map(|s| s.busy_us).min().unwrap_or(0);
+        let max = shards.iter().map(|s| s.busy_us).max().unwrap_or(0);
+        let min = shards.iter().map(|s| s.busy_us).min().unwrap_or(0);
         let mean = u64_to_f64(total_busy_us) / usize_to_f64(shard_count);
         if mean > 0.0 {
             u64_to_f64(max - min) / mean
@@ -1598,11 +1557,9 @@ pub(crate) fn finalize(
     } else {
         0.0
     };
-    let scheduler_name = if summaries
-        .iter()
-        .all(|s| s.scheduler_name == summaries[0].scheduler_name)
-    {
-        summaries[0].scheduler_name
+    let scheduler_name = shards[0].scheduler.name();
+    let scheduler_name = if shards.iter().all(|s| s.scheduler.name() == scheduler_name) {
+        scheduler_name
     } else {
         "mixed"
     };

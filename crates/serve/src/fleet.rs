@@ -201,31 +201,40 @@ impl Balancer {
         now_us: u64,
         capacity: usize,
     ) -> usize {
+        if let Some(index) = self.oblivious_index(request, shards.len()) {
+            return shards[index].0;
+        }
+        if self.kind == LoadBalancerKind::AffinityFirst {
+            // The pinned shard holds this identity's weights; stay while
+            // it is placeable and has queue space. A pin to a failed or
+            // draining shard is simply not among the candidates, so the
+            // session re-places (and re-pins) through the least-loaded
+            // fallback.
+            let pinned = self.affinity.get(request.session).copied().flatten();
+            if let Some(pinned) = pinned.filter(|&pinned| {
+                shards
+                    .iter()
+                    .any(|&(id, load)| id == pinned && load.queued < capacity)
+            }) {
+                return pinned;
+            }
+        }
+        least_loaded(shards, now_us, capacity)
+    }
+
+    /// The load-oblivious placement law as an index into `len` candidates
+    /// in ascending id order: round-robin takes the cursor's slot and
+    /// advances it, branch-sharding takes the branch's slot. Load-aware
+    /// kinds return `None`: they need live loads.
+    fn oblivious_index(&mut self, request: &Request, len: usize) -> Option<usize> {
         match self.kind {
             LoadBalancerKind::RoundRobin => {
-                let shard = shards[self.next_round_robin % shards.len()].0;
-                self.next_round_robin = (self.next_round_robin + 1) % shards.len();
-                shard
+                let index = self.next_round_robin % len;
+                self.next_round_robin = (self.next_round_robin + 1) % len;
+                Some(index)
             }
-            LoadBalancerKind::BranchSharded => shards[request.branch % shards.len()].0,
-            LoadBalancerKind::LeastLoaded => least_loaded(shards, now_us, capacity),
-            LoadBalancerKind::AffinityFirst => {
-                match self.affinity.get(request.session).copied().flatten() {
-                    // The pinned shard holds this identity's weights; stay
-                    // while it is placeable and has queue space. A pin to a
-                    // failed or draining shard is simply not among the
-                    // candidates, so the session re-places (and re-pins)
-                    // through the least-loaded fallback.
-                    Some(pinned)
-                        if shards
-                            .iter()
-                            .any(|&(id, load)| id == pinned && load.queued < capacity) =>
-                    {
-                        pinned
-                    }
-                    _ => least_loaded(shards, now_us, capacity),
-                }
-            }
+            LoadBalancerKind::BranchSharded => Some(request.branch % len),
+            LoadBalancerKind::LeastLoaded | LoadBalancerKind::AffinityFirst => None,
         }
     }
 
@@ -255,17 +264,10 @@ impl Balancer {
     /// and round-robin / branch-sharding place by the same cursor
     /// arithmetic [`Balancer::place`] applies to a candidate slice — the
     /// ids play the role of the `(id, load)` pairs, which these two kinds
-    /// never read. Load-aware kinds return `None`: they need live loads.
+    /// never read. Load-aware kinds return `None`.
     pub(crate) fn place_dense(&mut self, request: &Request, ids: &[usize]) -> Option<usize> {
-        match self.kind {
-            LoadBalancerKind::RoundRobin => {
-                let shard = ids[self.next_round_robin % ids.len()];
-                self.next_round_robin = (self.next_round_robin + 1) % ids.len();
-                Some(shard)
-            }
-            LoadBalancerKind::BranchSharded => Some(ids[request.branch % ids.len()]),
-            LoadBalancerKind::LeastLoaded | LoadBalancerKind::AffinityFirst => None,
-        }
+        self.oblivious_index(request, ids.len())
+            .map(|index| ids[index])
     }
 
     /// Pre-sizes the affinity table for `sessions` sessions so the

@@ -197,9 +197,9 @@ mod tests {
         assert_eq!(merged.count(), left.count() + right.count());
     }
 
-    // ---- merge-order audit for the parallel engine's tally fold ----
+    // ---- merge-order audit for the windowed engine's tally fold ----
     //
-    // The parallel engine accumulates one histogram per worker and folds
+    // The windowed engine accumulates one histogram per worker and folds
     // the worker histograms in whatever order the workers finish their
     // shards on disjoint strides; `finalize` then merges per-shard
     // histograms in shard-id order. Both are only exact because `merge`

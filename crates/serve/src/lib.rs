@@ -49,15 +49,17 @@
 //!   `completed + dropped + lost + shed + expired == issued`. With
 //!   [`DeadlinePolicy::Off`] every legacy entry point stays
 //!   byte-identical.
-//! - **Scale** ([`calendar::Calendar`], [`simulate_fleet_parallel`]): the
+//! - **Scale** ([`calendar::Calendar`], [`simulate_windowed`]): the
 //!   loop is driven by an indexed event calendar (a binary min-heap with a
 //!   total, deterministic key order) instead of per-iteration linear
-//!   scans, and static fleets under load-oblivious balancers decompose
-//!   across worker threads with an exact-merge reduction — both
-//!   byte-identical to the frozen pre-rebuild engine
-//!   ([`reference`]), pinned by a differential equivalence battery. The
-//!   [`Scenario::metropolis`] workload (1.05 M sessions) exercises the
-//!   path at fleet scale.
+//!   scans, and under a load-oblivious balancer the spans between
+//!   cross-shard events run as time windows in which every shard advances
+//!   on its own, across worker threads (or inline on the calling thread
+//!   at one worker) with an exact-merge reduction — both byte-identical
+//!   to the frozen pre-rebuild engine ([`reference`]), pinned by a
+//!   differential equivalence battery. A static fleet is the case with no
+//!   cross-shard events at all. The [`Scenario::metropolis`] workload
+//!   (1.05 M sessions) exercises the path at fleet scale.
 //! - **Reporting** ([`ServeReport`]): throughput, utilization, drop rate
 //!   and p50/p95/p99 latency from a fixed-bucket histogram
 //!   ([`LatencyHistogram`]), plus per-shard utilization/imbalance
@@ -112,7 +114,6 @@ mod fleet;
 mod histogram;
 pub mod json;
 mod model;
-mod parallel;
 mod qos;
 pub mod reference;
 mod report;
@@ -135,10 +136,6 @@ pub use engine::{
 pub use fleet::{FleetConfig, LoadBalancerKind};
 pub use histogram::LatencyHistogram;
 pub use model::{BranchService, ServiceModel};
-pub use parallel::{
-    simulate_fleet_deadline_parallel, simulate_fleet_parallel, simulate_fleet_qos_parallel,
-    simulate_fleet_traced_parallel,
-};
 pub use qos::{ClassMix, QosClass, CLASS_COUNT};
 pub use report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 pub use request::Request;

@@ -178,7 +178,7 @@ impl Scenario {
     /// three-branch model), drawing from the telepresence class mix.
     /// Steady generation draws no RNG samples, so building the trace is
     /// pure arithmetic — the workload that exercises the indexed event
-    /// calendar and the parallel shard engine at fleet scale.
+    /// calendar and the windowed engine at fleet scale.
     pub fn metropolis() -> Self {
         Self {
             name: "metropolis".to_owned(),

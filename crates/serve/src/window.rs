@@ -1,32 +1,36 @@
-//! Time-windowed parallel execution for *coupled* fleets: autoscaled,
-//! failure-injected and admission-shedding runs spread across worker
-//! threads, bit-identical to the sequential calendar engine.
+//! Time-windowed execution: the shard-local spans of a run advance shard
+//! by shard on worker threads, bit-identical to the sequential calendar
+//! engine.
 //!
-//! [`crate::parallel`] decomposes the static corner — an all-Active fleet
-//! under a load-oblivious balancer — by partitioning the entire arrival
-//! stream up front. Coupled configurations cannot decompose that way:
-//! lifecycle events (spawn / warm / drain / fail), autoscale trigger
+//! Lifecycle events (spawn / warm / drain / fail), autoscale trigger
 //! evaluations and orphan re-placement all read or write **cross-shard**
 //! state, so their ordering against every other event is load-bearing.
+//! Every other event — an arrival placed by a load-oblivious balancer, a
+//! dispatch — touches only its own shard.
 //!
 //! The windowed engine runs the *same* [`EngineCore`] the sequential
 //! engine runs, but drives it in two alternating modes:
 //!
 //! 1. **Sequential spans.** Every event that touches cross-shard state is
-//!    processed by [`EngineCore::step`] on the coordinator thread — the
-//!    exact code path `run()` takes, so the interleaving is the
-//!    sequential one by construction.
-//! 2. **Parallel windows.** Between those events the fleet is *quiescent*:
-//!    no lifecycle event is pending before a provable horizon, placement
-//!    is pure cursor arithmetic over a frozen placeable snapshot, and no
+//!    processed by [`EngineCore::step`] on the calling thread — the exact
+//!    code path `run()` takes, so the interleaving is the sequential one
+//!    by construction.
+//! 2. **Windows.** Between those events the fleet is *quiescent*: no
+//!    lifecycle event is pending before a provable horizon, placement is
+//!    pure cursor arithmetic over a frozen placeable snapshot, and no
 //!    autoscale trigger can fire ([`EngineCore::quiescent_horizon`]
 //!    proves all three). Within `[start, horizon)` every shard's events
-//!    are then independent, so the coordinator pre-places the window's
-//!    arrivals (advancing the real balancer cursor), fans the shards out
-//!    across `std::thread::scope` workers, and at the window edge
-//!    barriers and re-derives exactly the cross-shard state the
-//!    sequential engine would hold: queue totals, refreshed dispatch
-//!    calendar entries, merged tallies and the sorted trace stream.
+//!    are then independent, so the caller pre-places the window's
+//!    arrivals (advancing the real balancer cursor), advances each shard
+//!    through [`Shard::admit`] and [`Shard::dispatch`] — worker 0's
+//!    shards on the calling thread, the others' on `std::thread::scope`
+//!    threads, so a one-worker run spawns no thread — and at the window
+//!    edge re-derives exactly the cross-shard state the sequential engine
+//!    would hold: queue totals, refreshed dispatch calendar entries,
+//!    merged tallies and the sorted trace stream.
+//!
+//! A static fleet is the case with no pinning events at all: its windows
+//! end only at the plan's `window_us` chunk size.
 //!
 //! **Window-edge pinning rules** (what forces a window to end):
 //!
@@ -45,53 +49,55 @@
 //! - the plan's `window_us` chunk size, bounding memory and barrier
 //!   latency when no coupling event is pending at all.
 //!
-//! **What still falls back to the fully sequential engine and why:**
-//! load-aware balancers (least-loaded, affinity-with-spill) read every
-//! shard's live load *per arrival*, so each placement is itself a
-//! cross-shard read and no window can open; a speculative
-//! run-and-rollback scheme for those is the ROADMAP follow-on. One-shard
-//! fleets and `workers <= 1` also run sequentially.
+//! **What runs sequentially and why:** load-aware balancers
+//! (least-loaded, affinity-with-spill) read every shard's live load *per
+//! arrival*, so each placement is itself a cross-shard read and no window
+//! can open; a speculative run-and-rollback scheme for those is the
+//! ROADMAP follow-on. Windows holding less work than the plan's fan-out
+//! threshold also step sequentially.
 //!
 //! Identical inputs produce **byte-identical** reports and recorder
 //! streams at every worker count — pinned across the coupled grid
-//! (balancer × {static, autoscaled, failure-injected} × admission ×
-//! deadline × workers) by `tests/engine_equivalence.rs` and the
-//! worker-count invariance proptests.
+//! (balancer × {static, autoscaled, failure-injected, one-shard scale-up}
+//! × admission × deadline × workers) by `tests/engine_equivalence.rs` and
+//! the worker-count invariance proptests.
 
-use fcad_obs::{BatchEvent, Off, RequestEventKind, TraceEvent, TraceSink};
+use fcad_obs::{Off, RequestEventKind, TraceEvent, TraceSink};
 
-use crate::admission::{admit_traced, AdmissionController, AdmissionKind};
+use crate::admission::{AdmissionController, AdmissionKind};
 use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
-use crate::cast::{u64_to_usize, usize_to_u64};
+use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
-use crate::engine::{refresh_dispatch, run, EngineCore, Shard, Tally};
-use crate::fleet::{FleetConfig, LoadBalancerKind};
-use crate::parallel::{StepKey, StepSink};
+use crate::engine::{refresh_dispatch, EngineCore, Shard, Tally};
+use crate::fleet::FleetConfig;
 use crate::report::ServeReport;
 use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerKind};
 
-/// Tuning knobs for windowed parallel execution. The plan never affects
-/// results — only how much of the run executes in parallel windows
-/// versus sequential spans.
+/// Tuning knobs for windowed execution. The plan never affects results —
+/// only how much of the run executes in windows versus sequential spans,
+/// and on how many threads.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowPlan {
-    /// Worker threads for the in-window fan-out; `<= 1` runs the whole
-    /// simulation sequentially.
+    /// Workers for the in-window fan-out, the calling thread included:
+    /// `1` runs every window on the calling thread, `0` counts as `1`, and
+    /// a window never uses more workers than the fleet has shards.
     pub workers: usize,
     /// Maximum window length in microseconds of simulated time; windows
     /// end earlier at any pinned edge (lifecycle event, armed trigger
     /// gate).
     pub window_us: u64,
     /// Minimum in-window workload (pending arrivals plus queued requests)
-    /// worth a thread fan-out; smaller windows execute sequentially.
+    /// worth a window's fixed cost — per-shard set-up, a dispatch refresh
+    /// of every shard and the thread fan-out; smaller windows step
+    /// sequentially.
     pub min_parallel_events: usize,
 }
 
 impl WindowPlan {
-    /// A plan with `workers` threads and the default window shape
+    /// A plan with `workers` workers and the default window shape
     /// (100 ms windows, 128-event fan-out threshold).
     pub fn new(workers: usize) -> Self {
         Self {
@@ -117,11 +123,11 @@ impl WindowPlan {
 
 /// [`crate::engine::simulate_autoscaled_deadline`] — the full coupled
 /// stack: QoS classes, admission shedding, autoscaling, failure injection
-/// and deadline culling — executed with windowed parallelism.
+/// and deadline culling — executed in shard-local time windows.
 ///
 /// Identical inputs produce a report byte-identical to the sequential
-/// engine at every worker count; configurations outside the windowed
-/// regime (see the module docs) run the sequential loop directly.
+/// engine at every worker count. Under a load-aware balancer no window
+/// opens and every event steps sequentially (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_windowed(
     config: &FleetConfig,
@@ -155,26 +161,9 @@ pub fn simulate_windowed_traced(
     sink: &mut dyn TraceSink,
     plan: &WindowPlan,
 ) -> ServeReport {
-    let windowable = matches!(
-        config.balancer,
-        LoadBalancerKind::RoundRobin | LoadBalancerKind::BranchSharded
-    );
     let schedulers: Vec<Box<dyn Scheduler>> =
         (0..config.shard_count()).map(|_| kind.build()).collect();
     let mut controller = admission.build();
-    if plan.workers <= 1 || config.shard_count() <= 1 || !windowable {
-        return run(
-            config,
-            scenario,
-            schedulers,
-            Some(kind),
-            policy,
-            failures,
-            controller.as_mut(),
-            deadline,
-            sink,
-        );
-    }
     let mut core = EngineCore::new(
         config,
         scenario,
@@ -213,30 +202,14 @@ pub fn simulate_windowed_traced(
 
 impl<'a> EngineCore<'a, '_> {
     /// The earliest pending event instant (arrival cursor vs. live
-    /// calendar front), or `None` when the run is complete. Discards
-    /// stale dispatch entries exactly as [`EngineCore::step`] would.
+    /// calendar front), or `None` when the run is complete.
     pub(crate) fn next_instant(&mut self) -> Option<u64> {
         let due_arrival = self.arrivals.get(self.next_arrival).map(|r| r.issued_at_us);
         if due_arrival.is_none() && self.queued_total == 0 {
             return None;
         }
-        let front = loop {
-            match self.calendar.peek_key() {
-                Some(key)
-                    if key.lane == LANE_DISPATCH
-                        && key.b != self.shards[u64_to_usize(key.a)].dispatch_epoch =>
-                {
-                    self.calendar.pop();
-                }
-                other => break other,
-            }
-        };
-        match (due_arrival, front) {
-            (Some(arrival), Some(key)) => Some(arrival.min(key.at_us)),
-            (Some(arrival), None) => Some(arrival),
-            (None, Some(key)) => Some(key.at_us),
-            (None, None) => None,
-        }
+        let front = self.live_front().map(|key| key.at_us);
+        due_arrival.into_iter().chain(front).min()
     }
 
     /// Runs sequential steps through every event strictly before `cap`,
@@ -258,7 +231,7 @@ impl<'a> EngineCore<'a, '_> {
     /// Proves a quiescent horizon: the earliest instant at which an event
     /// *could* read or write cross-shard state. Every event strictly
     /// before the horizon touches only its own shard, so `[now, horizon)`
-    /// may execute as a parallel window. Returns `None` when no horizon
+    /// may execute as a window. Returns `None` when no horizon
     /// can be proved and execution must stay sequential.
     ///
     /// The proof obligations, matching the sequential engine arm by arm:
@@ -319,11 +292,11 @@ impl<'a> EngineCore<'a, '_> {
         Some(horizon)
     }
 
-    /// Executes every event strictly before `cap` as one parallel window:
+    /// Executes every event strictly before `cap` as one window:
     /// pre-places the window's arrivals through the dense snapshot
-    /// (advancing the real balancer cursor), fans the shards out across
-    /// scoped worker threads, then re-derives the coordinator's
-    /// cross-shard state at the window edge — queue totals, dispatch
+    /// (advancing the real balancer cursor), advances the shards on the
+    /// plan's workers — the calling thread is worker 0 — then re-derives
+    /// the cross-shard state at the window edge: queue totals, dispatch
     /// calendar entries, merged tallies and the sorted trace stream.
     ///
     /// Returns the number of events processed; `0` means the window was
@@ -360,51 +333,60 @@ impl<'a> EngineCore<'a, '_> {
         let split_us = self.split_us;
         let tracing = self.tracing;
         let branch_count = self.tally.issued.len();
+        // One step-keyed sink per worker: step keys sort into the
+        // sequential emission order however shards are spread over
+        // workers. Worker 0 runs on the calling thread and tallies
+        // straight into the run's accumulators; every other worker fills
+        // a tally of its own, folded in afterwards (tally merges are
+        // exact integer and fixed-bucket histogram adds).
+        let run_share = move |share: Vec<(usize, &mut Shard<'a>, Vec<Request>)>,
+                              tally: &mut Tally| {
+            let mut sink = StepSink::new(tracing);
+            let mut steps = 0usize;
+            for (shard_id, shard, arrivals) in share {
+                let mut controller = admission_kind.build();
+                steps += advance_shard(
+                    shard_id,
+                    shard,
+                    controller.as_mut(),
+                    &arrivals,
+                    capacity,
+                    deadline,
+                    cap,
+                    split_us,
+                    tally,
+                    &mut sink,
+                );
+            }
+            (sink.events, steps)
+        };
 
-        let worker_count = plan.workers.min(shard_count);
-        let mut assignments: Vec<Vec<(usize, &mut Shard<'a>, Vec<Request>)>> =
+        let worker_count = plan.workers.clamp(1, shard_count);
+        let mut shares: Vec<Vec<(usize, &mut Shard<'a>, Vec<Request>)>> =
             (0..worker_count).map(|_| Vec::new()).collect();
-        for (shard_id, (shard, slice)) in self.shards.iter_mut().zip(per_shard).enumerate() {
-            assignments[shard_id % worker_count].push((shard_id, shard, slice));
+        for (shard_id, (shard, arrivals)) in self.shards.iter_mut().zip(per_shard).enumerate() {
+            shares[shard_id % worker_count].push((shard_id, shard, arrivals));
         }
-        let mut processed = 0usize;
-        let mut trace: Vec<(StepKey, TraceEvent)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .into_iter()
-                .map(|mine| {
+        let mut shares = shares.into_iter();
+        let own_share = shares.next().expect("a window has at least one worker");
+        let (mut trace, processed) = std::thread::scope(|scope| {
+            let handles: Vec<_> = shares
+                .map(|share| {
                     scope.spawn(move || {
-                        let mut worker_tally = Tally::new(branch_count);
-                        let mut events: Vec<(StepKey, TraceEvent)> = Vec::new();
-                        let mut steps = 0usize;
-                        for (shard_id, shard, slice) in mine {
-                            let mut controller = admission_kind.build();
-                            let mut sink = StepSink::new(tracing);
-                            steps += advance_shard(
-                                shard_id,
-                                shard,
-                                controller.as_mut(),
-                                &slice,
-                                capacity,
-                                deadline,
-                                cap,
-                                split_us,
-                                &mut worker_tally,
-                                &mut sink,
-                            );
-                            events.extend(sink.events);
-                        }
-                        (worker_tally, events, steps)
+                        let mut tally = Tally::new(branch_count);
+                        let (events, steps) = run_share(share, &mut tally);
+                        (tally, events, steps)
                     })
                 })
                 .collect();
+            let (mut trace, mut processed) = run_share(own_share, &mut self.tally);
             for handle in handles {
-                let (worker_tally, events, steps) =
-                    handle.join().expect("window worker thread panicked");
-                self.tally.absorb(&worker_tally);
+                let (tally, events, steps) = handle.join().expect("window worker thread panicked");
+                self.tally.absorb(&tally);
                 trace.extend(events);
                 processed += steps;
             }
+            (trace, processed)
         });
 
         // Barrier: re-derive the cross-shard state the sequential engine
@@ -433,13 +415,10 @@ impl<'a> EngineCore<'a, '_> {
 /// shard never changes lifecycle phase, and arrivals win same-instant
 /// ties against dispatches exactly as the calendar's lane order dictates.
 /// Queued work whose dispatch instant lands at or past the horizon stays
-/// queued for the next window (or the sequential engine).
-///
-/// [`crate::parallel`] calls this with an unbounded horizon over a fresh
-/// shard — the static full-run decomposition; the windowed engine calls
-/// it repeatedly on live shards. Returns the number of events processed.
+/// queued for the next window (or the sequential engine). Returns the
+/// number of events processed.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_shard(
+fn advance_shard(
     shard_id: usize,
     shard: &mut Shard<'_>,
     admission: &mut dyn AdmissionController,
@@ -451,7 +430,6 @@ pub(crate) fn advance_shard(
     tally: &mut Tally,
     sink: &mut StepSink,
 ) -> usize {
-    let tracing = sink.enabled();
     let mut next_arrival = 0usize;
     let mut processed = 0usize;
     loop {
@@ -467,102 +445,7 @@ pub(crate) fn advance_shard(
             }
             processed += 1;
             sink.begin_step(now_us, LANE_DISPATCH, usize_to_u64(shard_id));
-            // Same culling discipline as the sequential dispatch arm:
-            // already-expired requests retire straight out of the queue,
-            // and a fully-dead batch is followed by another pop at the
-            // same instant — culling costs no fabric time.
-            let batch = loop {
-                let popped = shard.scheduler.next_batch(&shard.model, now_us, &[]);
-                debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
-                let live = if deadline.culls() {
-                    let mut live = Vec::with_capacity(popped.len());
-                    for request in popped {
-                        if now_us > request.deadline_us() {
-                            let single_us = shard.single_cost_us[request.branch];
-                            let class = request.class.index();
-                            shard.backlog_us = shard.backlog_us.saturating_sub(single_us);
-                            shard.class_backlog_us[class] =
-                                shard.class_backlog_us[class].saturating_sub(single_us);
-                            shard.expired += 1;
-                            tally.expired[request.branch] += 1;
-                            tally.class_expired[class] += 1;
-                            if tracing {
-                                sink.record(request.trace(
-                                    now_us,
-                                    Some(shard_id),
-                                    RequestEventKind::Expired,
-                                ));
-                            }
-                        } else {
-                            live.push(request);
-                        }
-                    }
-                    live
-                } else {
-                    popped
-                };
-                if !live.is_empty() || shard.scheduler.queued() == 0 {
-                    break live;
-                }
-            };
-            if batch.is_empty() {
-                // Expiry drained the whole queue without touching the
-                // fabric — `free_at_us` stays put.
-                shard.pending_since_us = 0;
-                continue;
-            }
-            let branch = batch[0].branch;
-            debug_assert!(batch.iter().all(|r| r.branch == branch));
-            let service_us = shard.model.batch_service_us(branch, batch.len());
-            let done_us = now_us + service_us;
-            shard.busy_us += service_us;
-            if tracing {
-                sink.record(TraceEvent::Batch(BatchEvent {
-                    at_us: now_us,
-                    shard: shard_id,
-                    branch,
-                    len: batch.len(),
-                    service_us,
-                }));
-            }
-            for request in &batch {
-                let latency_us = request.latency_us(done_us);
-                if tracing {
-                    sink.record(request.trace(
-                        now_us,
-                        Some(shard_id),
-                        RequestEventKind::ServiceStart,
-                    ));
-                    sink.record(request.trace(
-                        done_us,
-                        Some(shard_id),
-                        RequestEventKind::Complete { latency_us },
-                    ));
-                }
-                tally.branch_histograms[request.branch].record(latency_us);
-                tally.completed[request.branch] += 1;
-                let class = request.class.index();
-                tally.class_histograms[class].record(latency_us);
-                tally.class_completed[class] += 1;
-                if request.meets_slo(done_us) {
-                    tally.within_budget[class] += 1;
-                }
-                shard.histogram.record(latency_us);
-                shard.completed += 1;
-                let single_us = shard.single_cost_us[request.branch];
-                shard.backlog_us = shard.backlog_us.saturating_sub(single_us);
-                shard.class_backlog_us[class] =
-                    shard.class_backlog_us[class].saturating_sub(single_us);
-                if let Some(split) = split_us {
-                    if done_us < split {
-                        tally.pre_failure.record(latency_us);
-                    } else {
-                        tally.post_failure.record(latency_us);
-                    }
-                }
-            }
-            shard.free_at_us = done_us;
-            shard.pending_since_us = 0;
+            shard.dispatch(shard_id, now_us, deadline, split_us, tally, sink);
         } else {
             let request = due_arrival.expect("arrival_at is finite");
             debug_assert!(
@@ -573,37 +456,61 @@ pub(crate) fn advance_shard(
             processed += 1;
             let now_us = request.issued_at_us;
             sink.begin_step(now_us, LANE_ARRIVAL, request.id);
-            if tracing {
+            if sink.on {
                 sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Arrival));
             }
-            shard.issued += 1;
-            let single_us = shard.single_cost_us[request.branch];
-            let view = shard.admission_view(capacity, single_us, request.branch);
-            if !admit_traced(
-                admission, &request, &view, now_us, shard_id, &mut *sink, tracing,
-            ) {
-                tally.shed[request.branch] += 1;
-                tally.class_shed[request.class.index()] += 1;
-                shard.shed += 1;
-            } else if shard.scheduler.queued() >= capacity {
-                tally.dropped[request.branch] += 1;
-                tally.class_dropped[request.class.index()] += 1;
-                shard.dropped += 1;
-                if tracing {
-                    sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Drop));
-                }
-            } else {
-                if shard.scheduler.queued() == 0 {
-                    shard.pending_since_us = now_us;
-                }
-                shard.backlog_us += single_us;
-                shard.class_backlog_us[request.class.index()] += single_us;
-                shard.scheduler.enqueue(request, now_us);
-                if tracing {
-                    sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Enqueue));
-                }
-            }
+            shard.admit(shard_id, request, capacity, admission, tally, sink);
         }
     }
     processed
+}
+
+/// The processing-step key ordering merged trace events: the instant, the
+/// lane (arrivals before dispatches, exactly the engine's tie rule), the
+/// in-lane tiebreak (arrival id — global arrival order within an instant —
+/// or dispatching shard id), and the event's index within its step.
+type StepKey = (u64, u8, u64, u64);
+
+/// A step-tagging trace sink: every recorded event is stamped with the
+/// current processing-step key so per-worker streams merge into the
+/// sequential recording order by a plain sort.
+struct StepSink {
+    on: bool,
+    at_us: u64,
+    lane: u8,
+    tie: u64,
+    seq: u64,
+    events: Vec<(StepKey, TraceEvent)>,
+}
+
+impl StepSink {
+    fn new(on: bool) -> Self {
+        Self {
+            on,
+            at_us: 0,
+            lane: LANE_ARRIVAL,
+            tie: 0,
+            seq: 0,
+            events: Vec::new(),
+        }
+    }
+
+    fn begin_step(&mut self, at_us: u64, lane: u8, tie: u64) {
+        self.at_us = at_us;
+        self.lane = lane;
+        self.tie = tie;
+        self.seq = 0;
+    }
+}
+
+impl TraceSink for StepSink {
+    fn enabled(&self) -> bool {
+        self.on
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        self.events
+            .push(((self.at_us, self.lane, self.tie, self.seq), event));
+        self.seq += 1;
+    }
 }

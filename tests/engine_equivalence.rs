@@ -1,13 +1,14 @@
 //! The engine-rebuild differential battery: the calendar-driven engine
-//! (`fcad_serve::simulate_*`) and the parallel shard engine
-//! (`fcad_serve::simulate_fleet_parallel` and friends) must reproduce the
-//! frozen pre-rebuild loop (`fcad_serve::reference`) **byte for byte** —
-//! same `ServeReport` JSON line, same recorded trace stream — for every
-//! scheduler × balancer × scenario combination, across shard counts,
-//! with QoS admission, autoscaling and failure injection in the mix.
+//! (`fcad_serve::simulate_*`) and the windowed engine
+//! (`fcad_serve::simulate_windowed{,_traced}`) at every worker count must
+//! reproduce the frozen pre-rebuild loop (`fcad_serve::reference`) **byte
+//! for byte** — same `ServeReport` JSON line, same recorded trace stream —
+//! for every scheduler × balancer × scenario combination, across shard
+//! counts, with QoS admission, autoscaling and failure injection in the
+//! mix.
 //!
 //! This battery is the contract that makes the indexed-calendar /
-//! heap-scheduler / parallel-shard rebuild a pure performance change:
+//! heap-scheduler / windowed-shard rebuild a pure performance change:
 //! any behavioural drift shows up as a byte diff here.
 
 mod common;
@@ -15,8 +16,7 @@ mod common;
 use common::three_branch_model;
 use fcad_serve::{
     reference, simulate_autoscaled_deadline, simulate_autoscaled_qos, simulate_fleet,
-    simulate_fleet_parallel, simulate_fleet_qos, simulate_fleet_qos_parallel,
-    simulate_fleet_traced_parallel, simulate_traced, simulate_windowed, simulate_windowed_traced,
+    simulate_fleet_qos, simulate_traced, simulate_windowed, simulate_windowed_traced,
     AdmissionKind, Autoscaler, DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind,
     Recorder, Scenario, SchedulerKind, WindowPlan,
 };
@@ -73,7 +73,16 @@ fn parallel_engine_matches_the_reference_at_every_worker_count() {
                     let config = fleet(shards, balancer);
                     let frozen = reference::simulate_fleet(&config, &scenario, kind);
                     for &workers in &WORKER_COUNTS {
-                        let parallel = simulate_fleet_parallel(&config, &scenario, kind, workers);
+                        let parallel = simulate_windowed(
+                            &config,
+                            &scenario,
+                            kind,
+                            &Autoscaler::none(),
+                            &FailurePlan::none(),
+                            AdmissionKind::AdmitAll,
+                            DeadlinePolicy::Off,
+                            &WindowPlan::new(workers),
+                        );
                         assert_eq!(
                             frozen.to_json_line(),
                             parallel.to_json_line(),
@@ -102,7 +111,16 @@ fn qos_admission_grid_is_bit_identical_across_engines() {
                     rebuilt.to_json_line(),
                     "QoS rebuild diverged: {kind:?} × {balancer:?} × {admission:?}"
                 );
-                let parallel = simulate_fleet_qos_parallel(&config, &scenario, kind, admission, 4);
+                let parallel = simulate_windowed(
+                    &config,
+                    &scenario,
+                    kind,
+                    &Autoscaler::none(),
+                    &FailurePlan::none(),
+                    admission,
+                    DeadlinePolicy::Off,
+                    &WindowPlan::new(4),
+                );
                 assert_eq!(
                     frozen.to_json_line(),
                     parallel.to_json_line(),
@@ -294,6 +312,16 @@ fn coupled_regimes() -> Vec<(
             FailurePlan::none(),
             DeadlinePolicy::CullExpired,
         ),
+        (
+            // A fleet that starts at one shard: sequential until the first
+            // scale-up, windows across the grown fleet after it.
+            "one-shard-scale-up",
+            Scenario::b2(),
+            1,
+            Autoscaler::reactive(1, 3).with_idle_retire_us(0),
+            FailurePlan::none(),
+            DeadlinePolicy::Off,
+        ),
     ]
 }
 
@@ -334,43 +362,58 @@ fn windowed_engine_matches_the_sequential_engine_across_the_coupled_grid() {
 #[test]
 fn windowed_trace_streams_match_the_sequential_recording() {
     // The full dynamic stack, traced: scale-ups, a mid-run kill with
-    // orphan re-placement, admission shedding — the recorded stream must
-    // be event-for-event identical at every worker count.
-    let scenario = Scenario::b2_failover(2);
-    let policy = Autoscaler::reactive(1, 4).with_idle_retire_us(0);
-    let failures = FailurePlan::scheduled(&[(900_000, 1)]);
-    for &kind in SchedulerKind::all() {
-        for &balancer in LoadBalancerKind::all() {
-            let config = fleet(2, balancer);
-            let mut sequential_rec = Recorder::new();
-            let sequential = simulate_traced(
-                &config,
-                &scenario,
-                kind,
-                &policy,
-                &failures,
-                AdmissionKind::QueueThreshold,
-                &mut sequential_rec,
-            );
-            for &workers in &WORKER_COUNTS {
-                let mut windowed_rec = Recorder::new();
-                let windowed = simulate_windowed_traced(
+    // orphan re-placement, admission shedding, and a fleet that starts at
+    // one shard — the recorded stream must be event-for-event identical
+    // at every worker count.
+    let runs = [
+        (
+            Scenario::b2_failover(2),
+            2,
+            Autoscaler::reactive(1, 4).with_idle_retire_us(0),
+            FailurePlan::scheduled(&[(900_000, 1)]),
+        ),
+        (
+            Scenario::b2(),
+            1,
+            Autoscaler::reactive(1, 3).with_idle_retire_us(0),
+            FailurePlan::none(),
+        ),
+    ];
+    for (scenario, shards, policy, failures) in &runs {
+        for &kind in SchedulerKind::all() {
+            for &balancer in LoadBalancerKind::all() {
+                let config = fleet(*shards, balancer);
+                let mut sequential_rec = Recorder::new();
+                let sequential = simulate_traced(
                     &config,
-                    &scenario,
+                    scenario,
                     kind,
-                    &policy,
-                    &failures,
+                    policy,
+                    failures,
                     AdmissionKind::QueueThreshold,
-                    DeadlinePolicy::Off,
-                    &mut windowed_rec,
-                    &stress_plan(workers),
+                    &mut sequential_rec,
                 );
-                assert_eq!(sequential.to_json_line(), windowed.to_json_line());
-                assert_eq!(
-                    sequential_rec.events(),
-                    windowed_rec.events(),
-                    "windowed trace diverged: {kind:?} × {balancer:?} × {workers} workers"
-                );
+                for &workers in &WORKER_COUNTS {
+                    let mut windowed_rec = Recorder::new();
+                    let windowed = simulate_windowed_traced(
+                        &config,
+                        scenario,
+                        kind,
+                        policy,
+                        failures,
+                        AdmissionKind::QueueThreshold,
+                        DeadlinePolicy::Off,
+                        &mut windowed_rec,
+                        &stress_plan(workers),
+                    );
+                    assert_eq!(sequential.to_json_line(), windowed.to_json_line());
+                    assert_eq!(
+                        sequential_rec.events(),
+                        windowed_rec.events(),
+                        "windowed trace diverged: {} × {kind:?} × {balancer:?} × {workers} workers",
+                        scenario.name
+                    );
+                }
             }
         }
     }
@@ -378,8 +421,8 @@ fn windowed_trace_streams_match_the_sequential_recording() {
 
 #[test]
 fn parallel_trace_streams_match_the_sequential_recording() {
-    // Static fleets only — the parallel engine's decomposable regime —
-    // but across every balancer (load-aware kinds exercise the fallback).
+    // Static fleets — windows cut only by the plan's chunk size — across
+    // every balancer (load-aware kinds never open a window).
     let scenario = Scenario::b2_qos().with_sessions(16);
     for &kind in SchedulerKind::all() {
         for &balancer in LoadBalancerKind::all() {
@@ -396,13 +439,16 @@ fn parallel_trace_streams_match_the_sequential_recording() {
             );
             for &workers in &WORKER_COUNTS {
                 let mut parallel_rec = Recorder::new();
-                let parallel = simulate_fleet_traced_parallel(
+                let parallel = simulate_windowed_traced(
                     &config,
                     &scenario,
                     kind,
+                    &Autoscaler::none(),
+                    &FailurePlan::none(),
                     AdmissionKind::BudgetAware,
+                    DeadlinePolicy::Off,
                     &mut parallel_rec,
-                    workers,
+                    &WindowPlan::new(workers),
                 );
                 assert_eq!(frozen.to_json_line(), parallel.to_json_line());
                 assert_eq!(

@@ -2,16 +2,16 @@
 //! the indexed event calendar's total, push-stable pop order; the
 //! heap-backed ready queues' batch-for-batch agreement with the frozen
 //! linear-rescan schedulers under random request streams; and the
-//! parallel shard engine's worker-count invariance on random seeds.
+//! windowed engine's worker-count invariance on random seeds.
 
 mod common;
 
 use common::three_branch_model;
 use fcad_serve::calendar::{Calendar, EventKey};
 use fcad_serve::{
-    reference, simulate_autoscaled_deadline, simulate_fleet_parallel, simulate_windowed,
-    AdmissionKind, ArrivalPattern, Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig,
-    LoadBalancerKind, QosClass, Request, Scenario, Scheduler, SchedulerKind, WindowPlan,
+    reference, simulate_autoscaled_deadline, simulate_windowed, AdmissionKind, ArrivalPattern,
+    Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, QosClass,
+    Request, Scenario, Scheduler, SchedulerKind, WindowPlan,
 };
 use proptest::prelude::*;
 
@@ -143,9 +143,9 @@ proptest! {
         );
     }
 
-    /// The parallel engine is worker-count invariant: 1, 2, 4 and 8
-    /// workers produce the byte-identical report of the frozen reference
-    /// for random seeds, session counts, capacities and disciplines.
+    /// A static fleet is worker-count invariant: 1, 2, 4 and 8 workers
+    /// produce the byte-identical report of the frozen reference for
+    /// random seeds, session counts, capacities and disciplines.
     #[test]
     fn worker_counts_agree_on_random_scenarios(
         seed in 0u64..10_000,
@@ -172,7 +172,16 @@ proptest! {
         };
         let frozen = reference::simulate_fleet(&config, &scenario, kind);
         for workers in [1usize, 2, 4, 8] {
-            let parallel = simulate_fleet_parallel(&config, &scenario, kind, workers);
+            let parallel = simulate_windowed(
+                &config,
+                &scenario,
+                kind,
+                &Autoscaler::none(),
+                &FailurePlan::none(),
+                AdmissionKind::AdmitAll,
+                DeadlinePolicy::Off,
+                &WindowPlan::new(workers),
+            );
             prop_assert_eq!(
                 frozen.to_json_line(),
                 parallel.to_json_line(),
@@ -182,11 +191,11 @@ proptest! {
     }
 
     /// The *windowed* engine is worker-count invariant on coupled fleets:
-    /// random seeds, balancers (the load-aware kinds exercise the
-    /// sequential fallback), admission controllers, window shapes and a
-    /// random coupling regime — static, autoscaled, failure-injected or
+    /// random seeds, balancers (the load-aware kinds never open a
+    /// window), admission controllers, window shapes and a random
+    /// coupling regime — static, autoscaled, failure-injected or
     /// deadline-culled — all produce reports byte-identical to the
-    /// sequential engine at 1, 2, 4 and 8 workers.
+    /// sequential engine at 0 (counted as 1), 1, 2, 4 and 8 workers.
     #[test]
     fn windowed_worker_counts_agree_on_random_coupled_scenarios(
         seed in 0u64..10_000,
@@ -230,7 +239,7 @@ proptest! {
         let sequential = simulate_autoscaled_deadline(
             &config, &scenario, kind, &policy, &failures, admission, deadline,
         );
-        for workers in [1usize, 2, 4, 8] {
+        for workers in [0usize, 1, 2, 4, 8] {
             let plan = WindowPlan::new(workers)
                 .with_window_us(window_us)
                 .with_min_parallel_events(min_events);

@@ -1,5 +1,5 @@
 //! The metropolis scale test: 1.05 M sessions (3.15 M requests) across a
-//! 256-shard fleet, executed by the parallel engine. Release-only — the
+//! 256-shard fleet, executed by the windowed engine. Release-only — the
 //! debug build carries the engine's conservation `debug_assert!`s and
 //! unoptimized heaps, so the test is `#[ignore]`d there and CI runs it
 //! with `cargo test --release`.
@@ -9,7 +9,10 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::three_branch_model;
-use fcad_serve::{simulate_fleet_parallel, FleetConfig, LoadBalancerKind, Scenario, SchedulerKind};
+use fcad_serve::{
+    simulate_windowed, AdmissionKind, Autoscaler, DeadlinePolicy, FailurePlan, FleetConfig,
+    LoadBalancerKind, Scenario, SchedulerKind, WindowPlan,
+};
 
 /// Generous CI ceiling; the release build finishes far below it, and a
 /// regression back to per-iteration linear scans blows straight past it.
@@ -27,8 +30,16 @@ fn metropolis_completes_in_seconds_and_conserves() {
     let config = FleetConfig::uniform(three_branch_model(), SHARDS);
     let workers = std::thread::available_parallelism().map_or(4, usize::from);
     let start = Instant::now();
-    let report =
-        simulate_fleet_parallel(&config, &scenario, SchedulerKind::BatchAggregating, workers);
+    let report = simulate_windowed(
+        &config,
+        &scenario,
+        SchedulerKind::BatchAggregating,
+        &Autoscaler::none(),
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::Off,
+        &WindowPlan::new(workers),
+    );
     let elapsed = start.elapsed();
 
     assert!(
@@ -61,9 +72,27 @@ fn metropolis_is_worker_count_invariant_at_scale() {
     let scenario = Scenario::metropolis().with_sessions(100_000);
     let mut config = FleetConfig::uniform(three_branch_model(), SHARDS);
     config.balancer = LoadBalancerKind::BranchSharded;
-    let baseline = simulate_fleet_parallel(&config, &scenario, SchedulerKind::Fifo, 1);
+    let baseline = simulate_windowed(
+        &config,
+        &scenario,
+        SchedulerKind::Fifo,
+        &Autoscaler::none(),
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::Off,
+        &WindowPlan::new(1),
+    );
     for workers in [2usize, 8, 32] {
-        let parallel = simulate_fleet_parallel(&config, &scenario, SchedulerKind::Fifo, workers);
+        let parallel = simulate_windowed(
+            &config,
+            &scenario,
+            SchedulerKind::Fifo,
+            &Autoscaler::none(),
+            &FailurePlan::none(),
+            AdmissionKind::AdmitAll,
+            DeadlinePolicy::Off,
+            &WindowPlan::new(workers),
+        );
         assert_eq!(
             baseline.to_json_line(),
             parallel.to_json_line(),

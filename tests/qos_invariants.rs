@@ -16,9 +16,9 @@
 
 use fcad_serve::{
     simulate, simulate_autoscaled_deadline, simulate_autoscaled_qos, simulate_deadline,
-    simulate_fleet, simulate_fleet_deadline, simulate_fleet_deadline_parallel, simulate_fleet_qos,
-    simulate_qos, AdmissionKind, Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig,
-    LoadBalancerKind, QosClass, Scenario, SchedulerKind, ServeReport, ServiceModel,
+    simulate_fleet, simulate_fleet_deadline, simulate_fleet_qos, simulate_qos, simulate_windowed,
+    AdmissionKind, Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig,
+    LoadBalancerKind, QosClass, Scenario, SchedulerKind, ServeReport, ServiceModel, WindowPlan,
 };
 
 mod common;
@@ -272,13 +272,15 @@ fn deadline_policy_off_is_byte_identical_everywhere() {
                     balancer.name(),
                     kind
                 );
-                let parallel = simulate_fleet_deadline_parallel(
+                let parallel = simulate_windowed(
                     &config,
                     &scenario,
                     kind,
+                    &Autoscaler::none(),
+                    &FailurePlan::none(),
                     AdmissionKind::AdmitAll,
                     DeadlinePolicy::Off,
-                    4,
+                    &WindowPlan::new(4),
                 );
                 assert_eq!(
                     fleet.to_json_line(),
@@ -416,10 +418,9 @@ fn expiry_composes_with_failure_injection() {
     }
 }
 
-/// The parallel shard engine agrees with the sequential one under
-/// culling, for every balancer and worker count — including the
-/// non-decomposable balancers, which must fall back without losing the
-/// deadline policy on the way.
+/// The windowed engine agrees with the sequential one under culling, for
+/// every balancer and worker count — including the load-aware balancers,
+/// which open no window but must keep the deadline policy all the same.
 #[test]
 fn parallel_deadline_culling_matches_sequential() {
     let scenario = Scenario::b2_qos();
@@ -433,13 +434,15 @@ fn parallel_deadline_culling_matches_sequential() {
             DeadlinePolicy::CullExpired,
         );
         for workers in [1usize, 2, 4] {
-            let parallel = simulate_fleet_deadline_parallel(
+            let parallel = simulate_windowed(
                 &config,
                 &scenario,
                 SchedulerKind::Deadline,
+                &Autoscaler::none(),
+                &FailurePlan::none(),
                 AdmissionKind::AdmitAll,
                 DeadlinePolicy::CullExpired,
-                workers,
+                &WindowPlan::new(workers),
             );
             assert_eq!(
                 sequential.to_json_line(),
