@@ -48,11 +48,11 @@ pub use config::{AcceleratorConfig, BranchConfig, StageConfig};
 pub use cost::CostModel;
 pub use elastic::{AcceleratorReport, ElasticAccelerator};
 pub use error::{Error, Result};
-pub use parallelism::Parallelism;
+pub use parallelism::{LaneTable, Parallelism};
 pub use pipeline::{BranchPipeline, BranchReport, StageEvaluation};
 pub use platform::{Platform, PlatformKind, ResourceBudget, ResourceUsage};
 pub use stage::ConvStage;
-pub use unit::UnitModel;
+pub use unit::{UnitCost, UnitModel};
 
 /// Computes hardware efficiency following Eq. 3 of the paper.
 ///

@@ -84,52 +84,115 @@ impl Parallelism {
     /// Derives a balanced 3D split for a target number of MAC lanes on a
     /// given stage — the `GetPF` step of Algorithm 2.
     ///
+    /// Builds the stage's [`LaneTable`] and queries it once; see
+    /// [`LaneTable::for_target`] for the selection rule. A caller that asks
+    /// for many targets on one stage, like the in-branch search, should
+    /// build the table once and query it directly.
+    pub fn for_target(stage: &ConvStage, target_lanes: usize) -> Self {
+        LaneTable::of(stage).for_target(target_lanes)
+    }
+}
+
+/// The `GetPF` search space of one stage: every pair of channel unroll
+/// factors `(cpf, kpf)` that divide the stage's channel counts, with the
+/// channel quanta `InCh/cpf × OutCh/kpf` each leaves, stably sorted by
+/// `cpf × kpf`.
+#[derive(Debug, Clone)]
+pub struct LaneTable {
+    max_h: usize,
+    ideal_cycles: f64,
+    cycles_per_quantum: f64,
+    splits: Vec<ChannelSplit>,
+}
+
+/// One `(cpf, kpf)` pair of a [`LaneTable`]; 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct ChannelSplit {
+    cpf: u32,
+    kpf: u32,
+    channel_quanta: usize,
+}
+
+impl ChannelSplit {
+    fn channel_lanes(&self) -> usize {
+        self.cpf as usize * self.kpf as usize
+    }
+}
+
+impl LaneTable {
+    /// Builds the table of `stage`.
+    ///
+    /// # Panics
+    ///
+    /// When a channel count exceeds `u32::MAX`.
+    pub fn of(stage: &ConvStage) -> Self {
+        let max = Parallelism::max_for(stage);
+        let ideal_cycles = stage.macs.max(1) as f64;
+        let (cpfs, kpfs) = (divisors(max.cpf), divisors(max.kpf));
+        let mut splits = Vec::with_capacity(cpfs.len() * kpfs.len());
+        for &cpf in &cpfs {
+            for &kpf in &kpfs {
+                splits.push(ChannelSplit {
+                    cpf: u32::try_from(cpf).expect("input channels fit in u32"),
+                    kpf: u32::try_from(kpf).expect("output channels fit in u32"),
+                    channel_quanta: max.cpf.div_ceil(cpf) * max.kpf.div_ceil(kpf),
+                });
+            }
+        }
+        // Stable: two candidates of `for_target` tie only with equal
+        // `cpf × kpf`, and then the first in (cpf, kpf) order must win.
+        splits.sort_by_key(ChannelSplit::channel_lanes);
+        Self {
+            max_h: max.h,
+            ideal_cycles,
+            cycles_per_quantum: ideal_cycles / (max.cpf * max.kpf * max.h) as f64,
+            splits,
+        }
+    }
+
+    /// [`Parallelism::for_target`] on the table's stage.
+    ///
     /// Channel unroll factors are chosen among the divisors of the channel
     /// counts (so the unrolled loops stay balanced) and the H-partition
     /// supplies whatever the channels cannot; among all such combinations
     /// the one whose total lane count is closest to the target is selected,
     /// preferring channel unrolling (which reuses buffered data best) on
-    /// ties. The result never exceeds the stage's maximum parallelism; it
-    /// may deliver fewer lanes than requested when the target exceeds that
-    /// maximum.
-    pub fn for_target(stage: &ConvStage, target_lanes: usize) -> Self {
+    /// ties. Channel splits of more than twice the target are not
+    /// considered. The result never exceeds the stage's maximum
+    /// parallelism; it may deliver fewer lanes than requested when the
+    /// target exceeds that maximum.
+    pub fn for_target(&self, target_lanes: usize) -> Parallelism {
         let target = target_lanes.max(1) as f64;
-        let max = Self::max_for(stage);
-        let ideal_cycles = stage.macs.max(1) as f64;
-        let mut best = Self::unit();
+        let max_h = self.max_h;
+        let mut best = Parallelism::unit();
         let mut best_score = (f64::INFINITY, 0usize);
-        for &cpf in &divisors(max.cpf) {
-            if cpf as f64 > target * 2.0 && cpf > 1 {
-                continue;
+        for split in &self.splits {
+            let channel_lanes = split.channel_lanes();
+            // Sorted by `cpf × kpf`: every later split overshoots too.
+            if channel_lanes as f64 > target * 2.0 && channel_lanes > 1 {
+                break;
             }
-            for &kpf in &divisors(max.kpf) {
-                let channel_lanes = cpf * kpf;
-                if channel_lanes as f64 > target * 2.0 && channel_lanes > 1 {
-                    continue;
-                }
-                let h_ideal = (target / channel_lanes as f64).round() as usize;
-                for h in [h_ideal, h_ideal + 1, h_ideal.saturating_sub(1)] {
-                    let h = h.clamp(1, max.h);
-                    let candidate = Self::new(cpf, kpf, h);
-                    // Score by the *effective* lanes the candidate delivers
-                    // once loop quantization is taken into account: a factor
-                    // that mis-divides its dimension (e.g. 43 partitions of
-                    // 55 rows) wastes cycles that raw lane counting hides.
-                    let quantized_cycles = (max.cpf.div_ceil(candidate.cpf)
-                        * max.kpf.div_ceil(candidate.kpf)
-                        * max.h.div_ceil(candidate.h))
-                        as f64
-                        * (ideal_cycles / (max.cpf * max.kpf * max.h) as f64);
-                    let effective_lanes = ideal_cycles / quantized_cycles.max(1.0);
-                    let distance = (effective_lanes - target).abs();
-                    // Prefer the closest effective throughput; on ties prefer
-                    // more channel unrolling (better data reuse).
-                    let score = (distance, usize::MAX - channel_lanes);
-                    if score.0 < best_score.0 || (score.0 == best_score.0 && score.1 < best_score.1)
-                    {
-                        best_score = score;
-                        best = candidate;
-                    }
+            let h_ideal = (target / channel_lanes as f64).round() as usize;
+            for h in [
+                h_ideal,
+                h_ideal.saturating_add(1),
+                h_ideal.saturating_sub(1),
+            ] {
+                let h = h.clamp(1, max_h);
+                // Score by the *effective* lanes the candidate delivers once
+                // loop quantization is taken into account: a factor that
+                // mis-divides its dimension (e.g. 43 partitions of 55 rows)
+                // wastes cycles that raw lane counting hides.
+                let quantized_cycles =
+                    (split.channel_quanta * max_h.div_ceil(h)) as f64 * self.cycles_per_quantum;
+                let effective_lanes = self.ideal_cycles / quantized_cycles.max(1.0);
+                let distance = (effective_lanes - target).abs();
+                // Prefer the closest effective throughput; on ties prefer
+                // more channel unrolling (better data reuse).
+                let score = (distance, usize::MAX - channel_lanes);
+                if score.0 < best_score.0 || (score.0 == best_score.0 && score.1 < best_score.1) {
+                    best_score = score;
+                    best = Parallelism::new(split.cpf as usize, split.kpf as usize, h);
                 }
             }
         }
@@ -226,6 +289,29 @@ mod tests {
         assert_eq!(p.kpf, 16);
         assert_eq!(p.h, 4);
         assert_eq!(p.total(), 1024);
+    }
+
+    #[test]
+    fn for_target_saturates_at_usize_max() {
+        // The `h_ideal + 1` candidate must saturate, not overflow.
+        let s = stage();
+        assert_eq!(
+            Parallelism::for_target(&s, usize::MAX),
+            Parallelism::max_for(&s)
+        );
+    }
+
+    #[test]
+    fn lane_table_entries_stay_at_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<ChannelSplit>(), 16);
+        let table = LaneTable::of(&stage());
+        // 5 divisors of 16 times 6 of 32, at exact capacity.
+        assert_eq!(table.splits.len(), 30);
+        assert_eq!(table.splits.capacity(), 30);
+        assert!(table
+            .splits
+            .windows(2)
+            .all(|w| w[0].channel_lanes() <= w[1].channel_lanes()));
     }
 
     #[test]

@@ -8,36 +8,26 @@ use crate::stage::ConvStage;
 use fcad_nnir::Precision;
 use serde::{Deserialize, Serialize};
 
-/// Analytical model of one basic architecture unit (Sec. V-B/C).
-///
-/// A unit executes one fused Conv-like stage with `cpf × kpf × h` MAC lanes,
-/// an input line buffer, a double-buffered weight tile buffer and a port to
-/// external memory for streaming weights. The model answers three questions:
-/// how long does the stage take (Eq. 4), how many DSPs / BRAMs does it
-/// occupy, and how much external bandwidth does it need to sustain its
-/// throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UnitModel {
-    stage_name: String,
-    parallelism: Parallelism,
-    precision: Precision,
-    latency_cycles: u64,
-    dsp: usize,
-    bram: usize,
-    weight_bytes_per_frame: u64,
-    macs: u64,
-    ops: u64,
+/// Latency and resources of one basic architecture unit: the Eq. 4, DSP
+/// and BRAM formulas of Sec. V-B/C, written once. [`UnitModel`] wraps it
+/// with the stage's identity; the DSE's in-branch search evaluates it
+/// directly, since it is `Copy` and builds without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct UnitCost {
+    /// Stage latency in cycles for one input (Eq. 4 without the frequency
+    /// term).
+    pub latency_cycles: u64,
+    /// DSP slices (or ASIC MAC units) occupied by the unit.
+    pub dsp: usize,
+    /// On-chip memory blocks occupied by the unit.
+    pub bram: usize,
+    /// Bytes of weights streamed from external memory per frame.
+    pub weight_bytes_per_frame: u64,
 }
 
-impl UnitModel {
-    /// Builds the model for `stage` under `parallelism` (clamped to the
-    /// stage's limits) using the default FPGA cost model.
-    pub fn new(stage: &ConvStage, parallelism: Parallelism, precision: Precision) -> Self {
-        Self::with_cost_model(stage, parallelism, precision, &CostModel::default())
-    }
-
-    /// Builds the model with an explicit [`CostModel`].
-    pub fn with_cost_model(
+impl UnitCost {
+    /// Costs `stage` under `parallelism` (clamped to the stage's limits).
+    pub fn of(
         stage: &ConvStage,
         parallelism: Parallelism,
         precision: Precision,
@@ -71,16 +61,52 @@ impl UnitModel {
             * bits as u64;
         let weight_blocks = cost.blocks_for(tile_bits, p.cpf * p.kpf, bits);
 
-        let bram = input_blocks + weight_blocks + cost.control_bram_per_stage;
-
         Self {
-            stage_name: stage.name.clone(),
-            parallelism: p,
-            precision,
             latency_cycles,
             dsp,
-            bram,
+            bram: input_blocks + weight_blocks + cost.control_bram_per_stage,
             weight_bytes_per_frame: stage.params * bytes,
+        }
+    }
+}
+
+/// Analytical model of one basic architecture unit (Sec. V-B/C).
+///
+/// A unit executes one fused Conv-like stage with `cpf × kpf × h` MAC lanes,
+/// an input line buffer, a double-buffered weight tile buffer and a port to
+/// external memory for streaming weights. The model answers three questions:
+/// how long does the stage take (Eq. 4), how many DSPs / BRAMs does it
+/// occupy, and how much external bandwidth does it need to sustain its
+/// throughput.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct UnitModel {
+    stage_name: String,
+    parallelism: Parallelism,
+    precision: Precision,
+    cost: UnitCost,
+    macs: u64,
+    ops: u64,
+}
+
+impl UnitModel {
+    /// Builds the model for `stage` under `parallelism` (clamped to the
+    /// stage's limits) using the default FPGA cost model.
+    pub fn new(stage: &ConvStage, parallelism: Parallelism, precision: Precision) -> Self {
+        Self::with_cost_model(stage, parallelism, precision, &CostModel::default())
+    }
+
+    /// Builds the model with an explicit [`CostModel`].
+    pub fn with_cost_model(
+        stage: &ConvStage,
+        parallelism: Parallelism,
+        precision: Precision,
+        cost: &CostModel,
+    ) -> Self {
+        Self {
+            stage_name: stage.name.clone(),
+            parallelism: parallelism.clamped_to(stage),
+            precision,
+            cost: UnitCost::of(stage, parallelism, precision, cost),
             macs: stage.macs,
             ops: stage.ops,
         }
@@ -104,27 +130,27 @@ impl UnitModel {
     /// Stage latency in cycles for one input (Eq. 4 without the frequency
     /// term).
     pub fn latency_cycles(&self) -> u64 {
-        self.latency_cycles
+        self.cost.latency_cycles
     }
 
     /// Stage latency in seconds at `frequency_hz`.
     pub fn latency_seconds(&self, frequency_hz: f64) -> f64 {
-        self.latency_cycles as f64 / frequency_hz
+        self.cost.latency_cycles as f64 / frequency_hz
     }
 
     /// DSP slices (or ASIC MAC units) occupied by the unit.
     pub fn dsp(&self) -> usize {
-        self.dsp
+        self.cost.dsp
     }
 
     /// On-chip memory blocks occupied by the unit.
     pub fn bram(&self) -> usize {
-        self.bram
+        self.cost.bram
     }
 
     /// Bytes of weights streamed from external memory per frame.
     pub fn weight_bytes_per_frame(&self) -> u64 {
-        self.weight_bytes_per_frame
+        self.cost.weight_bytes_per_frame
     }
 
     /// Operations executed per frame (including fused epilogue work).
@@ -141,14 +167,14 @@ impl UnitModel {
     /// `fps` frames per second, after derating by the DRAM efficiency of the
     /// cost model.
     pub fn bandwidth_bytes_per_sec(&self, fps: f64, cost: &CostModel) -> f64 {
-        self.weight_bytes_per_frame as f64 * fps / cost.dram_efficiency.max(1e-6)
+        self.cost.weight_bytes_per_frame as f64 * fps / cost.dram_efficiency.max(1e-6)
     }
 
     /// Resource usage of this unit at a given frame rate.
     pub fn resource_usage(&self, fps: f64, cost: &CostModel) -> ResourceUsage {
         ResourceUsage {
-            dsp: self.dsp,
-            bram: self.bram,
+            dsp: self.cost.dsp,
+            bram: self.cost.bram,
             bandwidth_bytes_per_sec: self.bandwidth_bytes_per_sec(fps, cost),
         }
     }
@@ -189,6 +215,20 @@ mod tests {
         let stage = ConvStage::synthetic("small", 4, 4, 8, 8, 3, 1);
         let unit = UnitModel::new(&stage, Parallelism::new(64, 64, 64), Precision::Int8);
         assert_eq!(unit.parallelism(), Parallelism::new(4, 4, 8));
+    }
+
+    #[test]
+    fn unit_cost_clamps_and_matches_the_model() {
+        let stage = ConvStage::synthetic("small", 4, 4, 8, 8, 3, 1);
+        let cost = CostModel::default();
+        let oversized = UnitCost::of(&stage, Parallelism::new(64, 64, 64), Precision::Int8, &cost);
+        let max = UnitCost::of(&stage, Parallelism::new(4, 4, 8), Precision::Int8, &cost);
+        assert_eq!(oversized, max);
+        let unit = UnitModel::new(&stage, Parallelism::new(64, 64, 64), Precision::Int8);
+        assert_eq!(unit.latency_cycles(), max.latency_cycles);
+        assert_eq!(unit.dsp(), max.dsp);
+        assert_eq!(unit.bram(), max.bram);
+        assert_eq!(unit.weight_bytes_per_frame(), max.weight_bytes_per_frame);
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::inbranch::InBranchOptimizer;
 use crate::result::DseResult;
 use crate::timer::ElapsedTimer;
 use fcad_accel::{
-    AcceleratorConfig, AcceleratorReport, ElasticAccelerator, Platform, ResourceBudget,
+    AcceleratorConfig, AcceleratorReport, ElasticAccelerator, Parallelism, Platform,
+    ResourceBudget, UnitCost,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -268,13 +269,13 @@ impl DseEngine {
                     .stages()
                     .iter()
                     .map(|stage| {
-                        fcad_accel::UnitModel::with_cost_model(
+                        UnitCost::of(
                             stage,
-                            fcad_accel::Parallelism::unit(),
+                            Parallelism::unit(),
                             customization.precision,
                             accelerator.cost_model(),
                         )
-                        .bram()
+                        .bram
                     })
                     .sum();
                 (per_copy * customization.batch_size(i)) as f64 + 1.0
@@ -295,6 +296,18 @@ impl DseEngine {
             particles.push(ResourceDistribution::random(branch_count, &mut rng));
         }
 
+        let optimizers: Vec<InBranchOptimizer> = accelerator
+            .branches()
+            .iter()
+            .map(|pipeline| {
+                InBranchOptimizer::new(
+                    pipeline,
+                    customization.precision,
+                    accelerator.frequency_hz(),
+                )
+                .with_cost_model(*accelerator.cost_model())
+            })
+            .collect();
         let mut local_best: Vec<(f64, ResourceDistribution)> = particles
             .iter()
             .map(|p| (f64::NEG_INFINITY, p.clone()))
@@ -310,9 +323,13 @@ impl DseEngine {
 
         for iteration in 0..self.params.iterations.max(1) {
             for (index, particle) in particles.iter().enumerate() {
-                let Some((config, report)) =
-                    self.evaluate_candidate(accelerator, particle, &budget, customization)
-                else {
+                let Some((config, report)) = Self::evaluate_candidate(
+                    accelerator,
+                    &optimizers,
+                    particle,
+                    &budget,
+                    customization,
+                ) else {
                     continue;
                 };
                 if !report.fits(&budget) {
@@ -398,26 +415,25 @@ impl DseEngine {
     }
 
     /// Builds and evaluates the configuration implied by one resource
-    /// distribution (Algorithm 1, lines 7–11).
+    /// distribution (Algorithm 1, lines 7–11), with one optimizer per
+    /// branch of `accelerator`.
     fn evaluate_candidate(
-        &self,
         accelerator: &ElasticAccelerator,
+        optimizers: &[InBranchOptimizer],
         distribution: &ResourceDistribution,
         budget: &ResourceBudget,
         customization: &Customization,
     ) -> Option<(AcceleratorConfig, AcceleratorReport)> {
-        let mut branch_configs = Vec::with_capacity(accelerator.branch_count());
-        for (index, pipeline) in accelerator.branches().iter().enumerate() {
-            let branch_budget = distribution.branch_budget(index, budget);
-            let optimizer = InBranchOptimizer::new(
-                pipeline,
-                customization.precision,
-                accelerator.frequency_hz(),
-            )
-            .with_cost_model(*accelerator.cost_model());
-            branch_configs
-                .push(optimizer.optimize(&branch_budget, customization.batch_size(index)));
-        }
+        let branch_configs = optimizers
+            .iter()
+            .enumerate()
+            .map(|(index, optimizer)| {
+                optimizer.optimize(
+                    &distribution.branch_budget(index, budget),
+                    customization.batch_size(index),
+                )
+            })
+            .collect();
         let config = AcceleratorConfig::new(branch_configs, customization.precision);
         let report = accelerator.evaluate(&config).ok()?;
         Some((config, report))

@@ -1,7 +1,8 @@
 //! In-branch greedy optimization (Algorithm 2 of the paper).
 
 use fcad_accel::{
-    BranchConfig, BranchPipeline, CostModel, Parallelism, ResourceBudget, StageConfig, UnitModel,
+    BranchConfig, BranchPipeline, CostModel, LaneTable, Parallelism, ResourceBudget, StageConfig,
+    UnitCost,
 };
 use fcad_nnir::Precision;
 
@@ -21,12 +22,27 @@ use fcad_nnir::Precision;
 /// 3. greedily grows the slowest stage again while the batch-size constraint
 ///    keeps holding, stopping when no stage can grow — "once the parallelism
 ///    fails to grow".
+///
+/// [`new`](Self::new) builds one [`LaneTable`] per stage, so callers that
+/// search one branch under many budgets should build the optimizer once and
+/// reuse it. [`optimize`](Self::optimize) is incremental: it keeps each
+/// stage's parallelism and [`UnitCost`] for its current target and
+/// recomputes only the stages whose target moved.
 #[derive(Debug, Clone)]
 pub struct InBranchOptimizer<'a> {
     pipeline: &'a BranchPipeline,
     precision: Precision,
     frequency_hz: f64,
     cost: CostModel,
+    tables: Vec<LaneTable>,
+}
+
+/// One stage's lane target with the parallelism and cost it maps to.
+#[derive(Debug, Clone, Copy)]
+struct StagePoint {
+    target: usize,
+    parallelism: Parallelism,
+    cost: UnitCost,
 }
 
 impl<'a> InBranchOptimizer<'a> {
@@ -37,6 +53,7 @@ impl<'a> InBranchOptimizer<'a> {
             precision,
             frequency_hz,
             cost: CostModel::default(),
+            tables: pipeline.stages().iter().map(LaneTable::of).collect(),
         }
     }
 
@@ -63,77 +80,89 @@ impl<'a> InBranchOptimizer<'a> {
         let weight_bytes: u64 = self.pipeline.weight_bytes_per_frame(self.precision).max(1);
         let bandwidth_fps =
             budget.bandwidth_bytes_per_sec * self.cost.dram_efficiency / weight_bytes as f64;
-        let mut targets: Vec<usize> = stages
+        let mut points: Vec<StagePoint> = stages
             .iter()
-            .map(|stage| {
+            .enumerate()
+            .map(|(i, stage)| {
                 let lanes = (stage.macs as f64 * bandwidth_fps / self.frequency_hz).ceil();
-                (lanes as usize).max(1)
+                self.point(i, (lanes as usize).max(1))
             })
             .collect();
 
         // Lines 13–24: halve until the requested batch size fits.
         let target_batch = target_batch.max(1);
         loop {
-            let batch = self.supported_batch(&targets, budget);
+            let batch = self.supported_batch(&points, budget);
             if batch >= target_batch {
                 break;
             }
-            if targets.iter().all(|&t| t <= 1) {
+            if points.iter().all(|p| p.target <= 1) {
                 break;
             }
-            for t in &mut targets {
-                *t = (*t / 2).max(1);
+            for (i, point) in points.iter_mut().enumerate() {
+                if point.target > 1 {
+                    *point = self.point(i, point.target / 2);
+                }
             }
         }
 
         // Greedy growth: push the slowest stage further while the batch-size
         // constraint keeps holding.
-        let mut growable = vec![true; targets.len()];
+        let mut growable = vec![true; points.len()];
         let mut guard = 0usize;
         while growable.iter().any(|&g| g) && guard < 512 {
             guard += 1;
-            let Some(slowest) = self.slowest_growable_stage(&targets, &growable) else {
+            let Some(slowest) = self.slowest_growable_stage(&points, &growable) else {
                 break;
             };
-            let stage = &stages[slowest];
-            let max_lanes = Parallelism::max_for(stage).total();
-            let current = targets[slowest];
-            if current >= max_lanes {
+            let max_lanes = Parallelism::max_for(&stages[slowest]).total();
+            let current = points[slowest];
+            if current.target >= max_lanes {
                 growable[slowest] = false;
                 continue;
             }
-            let attempt = (current * 2).min(max_lanes);
-            let mut trial = targets.clone();
-            trial[slowest] = attempt;
-            if self.supported_batch(&trial, budget) >= target_batch {
-                targets = trial;
-            } else {
+            points[slowest] = self.point(slowest, (current.target * 2).min(max_lanes));
+            if self.supported_batch(&points, budget) < target_batch {
+                points[slowest] = current;
                 growable[slowest] = false;
             }
         }
 
-        BranchConfig::new(target_batch, self.stage_configs(&targets))
+        let configs = points
+            .iter()
+            .map(|p| StageConfig::new(p.parallelism))
+            .collect();
+        BranchConfig::new(target_batch, configs)
     }
 
-    /// How many pipeline copies with the given per-stage lane targets fit in
-    /// the budget (Algorithm 2, line 18).
-    fn supported_batch(&self, targets: &[usize], budget: &ResourceBudget) -> usize {
-        let stages = self.pipeline.stages();
+    /// Stage `index` at `target` lanes (Algorithm 2's `GetPF`, then the
+    /// unit model).
+    fn point(&self, index: usize, target: usize) -> StagePoint {
+        let parallelism = self.tables[index].for_target(target);
+        StagePoint {
+            target,
+            parallelism,
+            cost: UnitCost::of(
+                &self.pipeline.stages()[index],
+                parallelism,
+                self.precision,
+                &self.cost,
+            ),
+        }
+    }
+
+    /// How many pipeline copies of the stages at `points` fit in the budget
+    /// (Algorithm 2, line 18).
+    fn supported_batch(&self, points: &[StagePoint], budget: &ResourceBudget) -> usize {
         let mut dsp = 0usize;
         let mut bram = 0usize;
         let mut max_latency = 1u64;
         let mut weight_bytes = 0u64;
-        for (stage, &lanes) in stages.iter().zip(targets) {
-            let unit = UnitModel::with_cost_model(
-                stage,
-                Parallelism::for_target(stage, lanes),
-                self.precision,
-                &self.cost,
-            );
-            dsp += unit.dsp();
-            bram += unit.bram();
-            max_latency = max_latency.max(unit.latency_cycles());
-            weight_bytes += unit.weight_bytes_per_frame();
+        for point in points {
+            dsp += point.cost.dsp;
+            bram += point.cost.bram;
+            max_latency = max_latency.max(point.cost.latency_cycles);
+            weight_bytes += point.cost.weight_bytes_per_frame;
         }
         let copies_by_dsp = budget.dsp / dsp.max(1);
         let copies_by_bram = budget.bram / bram.max(1);
@@ -149,26 +178,17 @@ impl<'a> InBranchOptimizer<'a> {
 
     /// Index of the stage with the highest latency among those still allowed
     /// to grow.
-    fn slowest_growable_stage(&self, targets: &[usize], growable: &[bool]) -> Option<usize> {
-        let stages = self.pipeline.stages();
-        stages
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| growable[*i])
-            .max_by_key(|(i, stage)| {
-                let p = Parallelism::for_target(stage, targets[*i]);
-                (stage.macs as f64 / p.total() as f64).ceil() as u64
-            })
-            .map(|(i, _)| i)
-    }
-
-    fn stage_configs(&self, targets: &[usize]) -> Vec<StageConfig> {
+    fn slowest_growable_stage(&self, points: &[StagePoint], growable: &[bool]) -> Option<usize> {
         self.pipeline
             .stages()
             .iter()
-            .zip(targets)
-            .map(|(stage, &lanes)| StageConfig::new(Parallelism::for_target(stage, lanes)))
-            .collect()
+            .zip(points)
+            .enumerate()
+            .filter(|(i, _)| growable[*i])
+            .max_by_key(|(_, (stage, point))| {
+                (stage.macs as f64 / point.parallelism.total() as f64).ceil() as u64
+            })
+            .map(|(i, _)| i)
     }
 }
 
@@ -281,6 +301,26 @@ mod tests {
         let optimizer = InBranchOptimizer::new(&pipe, Precision::Int8, 200e6);
         let cfg = optimizer.optimize(&tiny, 1);
         assert!(cfg.stages.iter().all(|s| s.parallelism.total() <= 2));
+    }
+
+    #[test]
+    fn infinite_bandwidth_saturates_the_optimistic_targets() {
+        // Infinite bandwidth saturates the optimistic targets at
+        // `usize::MAX`; the search must accept them.
+        let pipe = pipeline();
+        let budget = ResourceBudget {
+            dsp: 800,
+            bram: 700,
+            bandwidth_bytes_per_sec: f64::INFINITY,
+        };
+        let optimizer = InBranchOptimizer::new(&pipe, Precision::Int8, 200e6);
+        let report = evaluate(&pipe, &optimizer.optimize(&budget, 1));
+        assert!(report.usage.dsp <= budget.dsp, "dsp {}", report.usage.dsp);
+        assert!(
+            report.usage.bram <= budget.bram,
+            "bram {}",
+            report.usage.bram
+        );
     }
 
     #[test]
