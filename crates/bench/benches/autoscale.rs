@@ -1,16 +1,13 @@
 //! Benchmarks the dynamic-fleet engine: the stretched `b2_failover` burst
 //! on a six-shard least-loaded fleet of a DSE-optimized ZU17EG decoder —
 //! fixed healthy, fixed with a triple mid-burst kill, and reactive
-//! autoscaling healing the same kill — plus the no-op-policy path, whose
-//! cost must stay at the fixed-fleet baseline (the lifecycle layer is free
-//! when unused).
+//! autoscaling healing the same kill.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fcad_accel::Platform;
 use fcad_nnir::Precision;
 use fcad_serve::{
-    simulate_autoscaled, simulate_fleet, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind,
-    Scenario, SchedulerKind,
+    serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, Scenario, ServeSpec,
 };
 
 fn bench(c: &mut Criterion) {
@@ -26,56 +23,29 @@ fn bench(c: &mut Criterion) {
         .with_cooldown_us(80_000)
         .with_idle_retire_us(0);
 
-    let healed = simulate_autoscaled(
-        &config,
-        &scenario,
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &kills,
-    );
+    let static_kill = ServeSpec {
+        failures: kills.clone(),
+        ..ServeSpec::default()
+    };
+    let reactive_kill = ServeSpec {
+        autoscaler: policy,
+        failures: kills,
+        ..ServeSpec::default()
+    };
+
+    let healed = serve(&config, &scenario, &reactive_kill, &mut Off);
     println!("{}", healed.to_json_line());
 
     c.bench_function(&format!("autoscale/{}/fixed", scenario.name), |b| {
-        b.iter(|| simulate_fleet(&config, &scenario, SchedulerKind::BatchAggregating))
-    });
-    c.bench_function(&format!("autoscale/{}/noop_policy", scenario.name), |b| {
-        b.iter(|| {
-            simulate_autoscaled(
-                &config,
-                &scenario,
-                SchedulerKind::BatchAggregating,
-                &Autoscaler::none(),
-                &FailurePlan::none(),
-            )
-        })
+        b.iter(|| serve(&config, &scenario, &ServeSpec::default(), &mut Off))
     });
     c.bench_function(
         &format!("autoscale/{}/triple_kill_static", scenario.name),
-        |b| {
-            b.iter(|| {
-                simulate_autoscaled(
-                    &config,
-                    &scenario,
-                    SchedulerKind::BatchAggregating,
-                    &Autoscaler::none(),
-                    &kills,
-                )
-            })
-        },
+        |b| b.iter(|| serve(&config, &scenario, &static_kill, &mut Off)),
     );
     c.bench_function(
         &format!("autoscale/{}/triple_kill_reactive", scenario.name),
-        |b| {
-            b.iter(|| {
-                simulate_autoscaled(
-                    &config,
-                    &scenario,
-                    SchedulerKind::BatchAggregating,
-                    &policy,
-                    &kills,
-                )
-            })
-        },
+        |b| b.iter(|| serve(&config, &scenario, &reactive_kill, &mut Off)),
     );
 }
 

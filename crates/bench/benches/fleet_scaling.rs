@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fcad_accel::Platform;
 use fcad_nnir::Precision;
-use fcad_serve::{simulate_fleet, FleetConfig, LoadBalancerKind, Scenario, SchedulerKind};
+use fcad_serve::{serve, FleetConfig, LoadBalancerKind, Off, Scenario, ServeSpec};
 
 fn bench(c: &mut Criterion) {
     // Optimize the design once; benches time only the fleet simulation.
@@ -16,11 +16,11 @@ fn bench(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         let config = FleetConfig::uniform(model.clone(), shards)
             .with_balancer(LoadBalancerKind::LeastLoaded);
-        let report = simulate_fleet(&config, &chaos, SchedulerKind::BatchAggregating);
+        let report = serve(&config, &chaos, &ServeSpec::default(), &mut Off);
         println!("{}", report.to_json_line());
         c.bench_function(
             &format!("fleet/{}/{}shards/least_loaded", chaos.name, shards),
-            |b| b.iter(|| simulate_fleet(&config, &chaos, SchedulerKind::BatchAggregating)),
+            |b| b.iter(|| serve(&config, &chaos, &ServeSpec::default(), &mut Off)),
         );
     }
     let fleet_chaos = Scenario::b2_fleet(4);
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         let config = FleetConfig::uniform(model.clone(), 4).with_balancer(balancer);
         c.bench_function(
             &format!("fleet/{}/4shards/{}", fleet_chaos.name, balancer.name()),
-            |b| b.iter(|| simulate_fleet(&config, &fleet_chaos, SchedulerKind::BatchAggregating)),
+            |b| b.iter(|| serve(&config, &fleet_chaos, &ServeSpec::default(), &mut Off)),
         );
     }
 }

@@ -7,19 +7,25 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fcad_accel::Platform;
 use fcad_nnir::Precision;
-use fcad_serve::{simulate, simulate_qos, AdmissionKind, Scenario, SchedulerKind};
+use fcad_serve::{serve, simulate, AdmissionKind, Off, Scenario, SchedulerKind, ServeSpec};
 
 fn bench(c: &mut Criterion) {
     // Optimize the design once; benches time only the serving simulation.
     let result = fcad_bench::run_case(&Platform::zu17eg(), Precision::Int8, false);
     let model = result.service_model();
+    let config = result.fleet_config(1);
     let scenario = Scenario::b2_qos();
+    let weighted = |admission| ServeSpec {
+        scheduler: SchedulerKind::PriorityByBranch,
+        admission,
+        ..ServeSpec::default()
+    };
 
-    let budget = simulate_qos(
-        &model,
+    let budget = serve(
+        &config,
         &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::BudgetAware,
+        &weighted(AdmissionKind::BudgetAware),
+        &mut Off,
     );
     println!("{}", budget.to_json_line());
 
@@ -30,14 +36,8 @@ fn bench(c: &mut Criterion) {
         c.bench_function(
             &format!("qos/{}/{}", scenario.name, admission.name()),
             |b| {
-                b.iter(|| {
-                    simulate_qos(
-                        &model,
-                        &scenario,
-                        SchedulerKind::PriorityByBranch,
-                        admission,
-                    )
-                })
+                let spec = weighted(admission);
+                b.iter(|| serve(&config, &scenario, &spec, &mut Off))
             },
         );
     }

@@ -1,18 +1,19 @@
 //! Pins the engine rebuild's throughput: simulated events per wall-clock
-//! second for the frozen pre-rebuild loop (`fcad_serve::reference`), the
-//! calendar-driven engine and the windowed engine, on the fleet
-//! suite at 64 shards (where the reference's per-iteration linear scans
-//! dominate) plus a downscaled metropolis. Each comparison prints a
-//! machine-readable JSON line with the measured events/sec and the
-//! speedup over the reference — CI uploads this output as an artifact.
+//! second for the frozen pre-rebuild loop (`fcad_serve::reference`),
+//! `serve` at one worker (`rebuilt`) and the windowed engine at 8 workers,
+//! on the fleet suite at 64 shards (where the reference's per-iteration
+//! linear scans dominate) plus a downscaled metropolis. Each comparison
+//! prints a machine-readable JSON line with the measured events/sec and
+//! the speedup over the reference — CI uploads this output as an
+//! artifact.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fcad_serve::{
-    reference, simulate_autoscaled_deadline, simulate_fleet, simulate_fleet_deadline,
-    simulate_windowed, AdmissionKind, Autoscaler, BranchService, DeadlinePolicy, FailurePlan,
-    FleetConfig, Scenario, SchedulerKind, ServeReport, ServiceModel, WindowPlan,
+    reference, serve, simulate_windowed, AdmissionKind, Autoscaler, BranchService, DeadlinePolicy,
+    FailurePlan, FleetConfig, Off, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel,
+    WindowPlan,
 };
 
 const SHARDS: usize = 64;
@@ -68,6 +69,22 @@ fn windowed_static(config: &FleetConfig, scenario: &Scenario, kind: SchedulerKin
     )
 }
 
+/// `serve` at one worker on `config` with every other axis at its default
+/// except the discipline and the deadline policy.
+fn rebuilt(
+    config: &FleetConfig,
+    scenario: &Scenario,
+    kind: SchedulerKind,
+    deadline: DeadlinePolicy,
+) -> ServeReport {
+    let spec = ServeSpec {
+        scheduler: kind,
+        deadline,
+        ..ServeSpec::default()
+    };
+    serve(config, scenario, &spec, &mut Off)
+}
+
 fn timed<F: FnMut() -> ServeReport>(mut run: F) -> (f64, ServeReport) {
     let start = Instant::now();
     let report = run();
@@ -89,7 +106,8 @@ fn bench(c: &mut Criterion) {
     for scenario in Scenario::fleet_suite(SHARDS) {
         let config = FleetConfig::uniform(model.clone(), SHARDS);
         let (ref_sec, ref_report) = timed(|| reference::simulate_fleet(&config, &scenario, kind));
-        let (seq_sec, seq_report) = timed(|| simulate_fleet(&config, &scenario, kind));
+        let off = DeadlinePolicy::Off;
+        let (seq_sec, seq_report) = timed(|| rebuilt(&config, &scenario, kind, off));
         let (par_sec, par_report) = timed(|| windowed_static(&config, &scenario, kind));
         assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
         assert_eq!(ref_report.to_json_line(), par_report.to_json_line());
@@ -101,7 +119,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| reference::simulate_fleet(&config, &scenario, kind))
         });
         c.bench_function(&format!("sim_events/{}/rebuilt", scenario.name), |b| {
-            b.iter(|| simulate_fleet(&config, &scenario, kind))
+            b.iter(|| rebuilt(&config, &scenario, kind, off))
         });
         c.bench_function(&format!("sim_events/{}/parallel8", scenario.name), |b| {
             b.iter(|| windowed_static(&config, &scenario, kind))
@@ -116,24 +134,9 @@ fn bench(c: &mut Criterion) {
     let edf = SchedulerKind::Deadline;
     let config = FleetConfig::uniform(model.clone(), SHARDS);
     let (ref_sec, ref_report) = timed(|| reference::simulate_fleet(&config, &qos, edf));
-    let (off_sec, off_report) = timed(|| {
-        simulate_fleet_deadline(
-            &config,
-            &qos,
-            edf,
-            AdmissionKind::AdmitAll,
-            DeadlinePolicy::Off,
-        )
-    });
-    let (cull_sec, cull_report) = timed(|| {
-        simulate_fleet_deadline(
-            &config,
-            &qos,
-            edf,
-            AdmissionKind::AdmitAll,
-            DeadlinePolicy::CullExpired,
-        )
-    });
+    let cull = DeadlinePolicy::CullExpired;
+    let (off_sec, off_report) = timed(|| rebuilt(&config, &qos, edf, DeadlinePolicy::Off));
+    let (cull_sec, cull_report) = timed(|| rebuilt(&config, &qos, edf, cull));
     assert_eq!(ref_report.to_json_line(), off_report.to_json_line());
     assert!(cull_report.conserves_requests());
     let events = sim_events(&ref_report);
@@ -147,15 +150,7 @@ fn bench(c: &mut Criterion) {
         cull_sec,
     );
     c.bench_function("sim_events/b2_qos_deadline/deadline_cull", |b| {
-        b.iter(|| {
-            simulate_fleet_deadline(
-                &config,
-                &qos,
-                edf,
-                AdmissionKind::AdmitAll,
-                DeadlinePolicy::CullExpired,
-            )
-        })
+        b.iter(|| rebuilt(&config, &qos, edf, cull))
     });
 
     // Metropolis, downscaled so the reference loop stays affordable in one
@@ -164,7 +159,8 @@ fn bench(c: &mut Criterion) {
     let metropolis = Scenario::metropolis().with_sessions(100_000);
     let config = FleetConfig::uniform(model.clone(), 256);
     let (ref_sec, ref_report) = timed(|| reference::simulate_fleet(&config, &metropolis, kind));
-    let (seq_sec, seq_report) = timed(|| simulate_fleet(&config, &metropolis, kind));
+    let off = DeadlinePolicy::Off;
+    let (seq_sec, seq_report) = timed(|| rebuilt(&config, &metropolis, kind, off));
     let (par_sec, par_report) = timed(|| windowed_static(&config, &metropolis, kind));
     assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), par_report.to_json_line());
@@ -179,9 +175,11 @@ fn bench(c: &mut Criterion) {
     // The windowed cell: a *coupled* metropolis — the fleet scales from
     // 192 toward 256 shards under queue pressure (those spans run
     // sequentially), then the terminal phase executes in parallel
-    // windows. All three engines are byte-identical; the windowed run at
-    // 8 workers must clear 2× over the sequential coupled engine (the
-    // floor `perf_trajectory` pins in BENCH_serve.json).
+    // windows. Every run is byte-identical; the windowed run at 8 workers
+    // must clear 2× over the windows-disabled driver, whose fan-out
+    // threshold no window clears, so every event steps through
+    // `EngineCore::step` (the floor `perf_trajectory` pins in
+    // BENCH_serve.json).
     let policy = Autoscaler::reactive(192, 256)
         .with_cooldown_us(0)
         .with_idle_retire_us(0);
@@ -197,19 +195,12 @@ fn bench(c: &mut Criterion) {
             AdmissionKind::AdmitAll,
         )
     });
-    let (seq_sec, seq_report) = timed(|| {
-        simulate_autoscaled_deadline(
-            &config,
-            &metropolis,
-            kind,
-            &policy,
-            &none,
-            AdmissionKind::AdmitAll,
-            DeadlinePolicy::Off,
-        )
-    });
-    let plan = WindowPlan::new(PARALLEL_WORKERS).with_window_us(400_000);
-    let (win_sec, win_report) = timed(|| {
+    let spec = ServeSpec {
+        autoscaler: policy.clone(),
+        ..ServeSpec::default()
+    };
+    let (one_sec, one_report) = timed(|| serve(&config, &metropolis, &spec, &mut Off));
+    let windowed = |plan: &WindowPlan| {
         simulate_windowed(
             &config,
             &metropolis,
@@ -218,35 +209,30 @@ fn bench(c: &mut Criterion) {
             &none,
             AdmissionKind::AdmitAll,
             DeadlinePolicy::Off,
-            &plan,
+            plan,
         )
-    });
+    };
+    let sequential = WindowPlan::new(1).with_min_parallel_events(usize::MAX);
+    let (seq_sec, seq_report) = timed(|| windowed(&sequential));
+    let plan = WindowPlan::new(PARALLEL_WORKERS).with_window_us(400_000);
+    let (win_sec, win_report) = timed(|| windowed(&plan));
+    assert_eq!(ref_report.to_json_line(), one_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), win_report.to_json_line());
     assert!(
         seq_sec / win_sec >= 2.0,
-        "windowed8 must clear 2x over the sequential coupled engine \
+        "windowed8 must clear 2x over the windows-disabled driver \
          (got {:.2}x)",
         seq_sec / win_sec
     );
     let events = sim_events(&ref_report);
     let cell = "metropolis_100k_autoscaled";
     print_comparison(cell, events, ref_sec, "reference", ref_sec);
-    print_comparison(cell, events, ref_sec, "rebuilt", seq_sec);
+    print_comparison(cell, events, ref_sec, "sequential", seq_sec);
+    print_comparison(cell, events, ref_sec, "rebuilt", one_sec);
     print_comparison(cell, events, ref_sec, "windowed8", win_sec);
     c.bench_function("sim_events/metropolis_100k_autoscaled/windowed8", |b| {
-        b.iter(|| {
-            simulate_windowed(
-                &config,
-                &metropolis,
-                kind,
-                &policy,
-                &none,
-                AdmissionKind::AdmitAll,
-                DeadlinePolicy::Off,
-                &plan,
-            )
-        })
+        b.iter(|| windowed(&plan))
     });
 }
 

@@ -14,11 +14,10 @@
 //!                            # without queue-time expiry culling
 //!   reproduce --windowed     # metropolis-scale autoscaled round-robin
 //!                            # fleet (the windowed engine's regime)
-//!   reproduce --workers N    # run serving cells that support it on the
-//!                            # windowed engine with N workers (default
-//!                            # 1: every window on the calling thread);
-//!                            # every JSON line is byte-identical at
-//!                            # every N
+//!   reproduce --workers N    # run every serving cell's windows on N
+//!                            # workers (default 1: every window on the
+//!                            # calling thread); every JSON line is
+//!                            # byte-identical at every N
 //!   reproduce --trace t.json --metrics m.jsonl --trace-worst 8
 //!                            # trace the b2_qos × priority × budget-aware
 //!                            # cell: Chrome trace_event JSON to t.json
@@ -29,6 +28,11 @@
 //!
 //! The last line of every invocation is a single-line machine-readable JSON
 //! summary (FPS, efficiency, resources, and serving tail latencies).
+
+use fcad_serve::{
+    serve, AdmissionKind, Autoscaler, DeadlinePolicy, FailurePlan, LoadBalancerKind, Off, Scenario,
+    SchedulerKind, ServeSpec,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,23 +106,30 @@ fn main() {
     // case (ZU17EG, 8-bit) so the flow never runs twice.
     let platform = fcad_accel::Platform::zu17eg();
     let result = fcad_bench::run_case(&platform, fcad_nnir::Precision::Int8, full);
+    // Every serving cell runs at `--workers`; the rest of each cell's spec
+    // is the legacy default unless the cell says otherwise.
+    let spec = ServeSpec {
+        workers,
+        ..ServeSpec::default()
+    };
     if want("--serve") {
-        for scenario in fcad_serve::Scenario::suite() {
-            println!("{}", result.serve(&scenario).to_json_line());
+        let config = result.fleet_config(1);
+        for scenario in Scenario::suite() {
+            println!(
+                "{}",
+                serve(&config, &scenario, &spec, &mut Off).to_json_line()
+            );
         }
     }
     if want("--fleet") {
         // Fixed b2 burst load on growing least-loaded fleets: the per-shard
         // stats in each line show the tail collapsing as shards are added.
-        let chaos = fcad_serve::Scenario::b2();
+        let chaos = Scenario::b2();
         for shards in [1usize, 2, 4] {
-            let report = result.serve_fleet(
-                &chaos,
-                shards,
-                fcad_serve::LoadBalancerKind::LeastLoaded,
-                fcad_serve::SchedulerKind::BatchAggregating,
-            );
-            println!("{}", report.to_json_line());
+            let config = result
+                .fleet_config(shards)
+                .with_balancer(LoadBalancerKind::LeastLoaded);
+            println!("{}", serve(&config, &chaos, &spec, &mut Off).to_json_line());
         }
     }
     if want("--autoscale") {
@@ -127,24 +138,25 @@ fn main() {
         // once on the static fleet and once under the reactive autoscaler.
         // The two extended JSON lines carry the pre/post-failure tails,
         // re-placed/lost counts, availability and the scale-event log.
-        let scenario = fcad_serve::Scenario::b2_failover(1);
-        let kills =
-            fcad_serve::FailurePlan::scheduled(&[(1_100_000, 1), (1_150_000, 2), (1_200_000, 3)]);
-        let policy = fcad_serve::Autoscaler::reactive(6, 8)
+        let scenario = Scenario::b2_failover(1);
+        let config = result
+            .fleet_config(6)
+            .with_balancer(LoadBalancerKind::LeastLoaded);
+        let policy = Autoscaler::reactive(6, 8)
             .with_scale_up_queue_depth(4)
             .with_warmup_us(25_000)
             .with_cooldown_us(80_000)
             .with_idle_retire_us(0);
-        for autoscaler in [fcad_serve::Autoscaler::none(), policy] {
-            let report = result.serve_autoscaled(
-                &scenario,
-                6,
-                fcad_serve::LoadBalancerKind::LeastLoaded,
-                fcad_serve::SchedulerKind::BatchAggregating,
-                &autoscaler,
-                &kills,
+        for autoscaler in [Autoscaler::none(), policy] {
+            let cell = ServeSpec {
+                autoscaler,
+                failures: FailurePlan::scheduled(&[(1_100_000, 1), (1_150_000, 2), (1_200_000, 3)]),
+                ..spec.clone()
+            };
+            println!(
+                "{}",
+                serve(&config, &scenario, &cell, &mut Off).to_json_line()
             );
-            println!("{}", report.to_json_line());
         }
     }
     if want("--qos") {
@@ -152,14 +164,18 @@ fn main() {
         // weighted scheduler, once per admission policy. The three
         // extended JSON lines carry the shed counts, per-class rows and
         // slo_attainment — the fields policies are compared on.
-        let scenario = fcad_serve::Scenario::b2_qos();
-        for &admission in fcad_serve::AdmissionKind::all() {
-            let report = result.serve_qos(
-                &scenario,
-                fcad_serve::SchedulerKind::PriorityByBranch,
+        let scenario = Scenario::b2_qos();
+        let config = result.fleet_config(1);
+        for &admission in AdmissionKind::all() {
+            let cell = ServeSpec {
+                scheduler: SchedulerKind::PriorityByBranch,
                 admission,
+                ..spec.clone()
+            };
+            println!(
+                "{}",
+                serve(&config, &scenario, &cell, &mut Off).to_json_line()
             );
-            println!("{}", report.to_json_line());
         }
     }
     if want("--deadline") {
@@ -170,18 +186,18 @@ fn main() {
         // carry the `expired` outcome, fabric_busy_us and
         // slo_per_busy_sec — deadline policies are compared on SLO
         // attainment per unit of fabric time.
-        let scenario = fcad_serve::Scenario::b2_qos();
-        for deadline in [
-            fcad_serve::DeadlinePolicy::Off,
-            fcad_serve::DeadlinePolicy::CullExpired,
-        ] {
-            let report = result.serve_deadline(
-                &scenario,
-                fcad_serve::SchedulerKind::Deadline,
-                fcad_serve::AdmissionKind::AdmitAll,
+        let scenario = Scenario::b2_qos();
+        let config = result.fleet_config(1);
+        for deadline in [DeadlinePolicy::Off, DeadlinePolicy::CullExpired] {
+            let cell = ServeSpec {
+                scheduler: SchedulerKind::Deadline,
                 deadline,
+                ..spec.clone()
+            };
+            println!(
+                "{}",
+                serve(&config, &scenario, &cell, &mut Off).to_json_line()
             );
-            println!("{}", report.to_json_line());
         }
     }
     if want("--windowed") {
@@ -192,21 +208,16 @@ fn main() {
         // worker, fanned out at `--workers N` — and its JSON line is
         // byte-identical at every worker count (the perf-trajectory
         // harness times it at 1 and 8).
-        let scenario = fcad_serve::Scenario::metropolis().with_sessions(100_000);
-        let policy = fcad_serve::Autoscaler::reactive(192, 256)
-            .with_cooldown_us(0)
-            .with_idle_retire_us(0);
+        let scenario = Scenario::metropolis().with_sessions(100_000);
+        let config = result.fleet_config(192);
+        let cell = ServeSpec {
+            autoscaler: Autoscaler::reactive(192, 256)
+                .with_cooldown_us(0)
+                .with_idle_retire_us(0),
+            ..spec.clone()
+        };
         let start = std::time::Instant::now();
-        let report = result.serve_windowed(
-            &scenario,
-            192,
-            fcad_serve::LoadBalancerKind::RoundRobin,
-            fcad_serve::SchedulerKind::BatchAggregating,
-            &policy,
-            &fcad_serve::FailurePlan::none(),
-            fcad_serve::AdmissionKind::AdmitAll,
-            workers,
-        );
+        let report = serve(&config, &scenario, &cell, &mut Off);
         let wall_sec = start.elapsed().as_secs_f64().max(1e-9);
         println!("{}", report.to_json_line());
         // A serving-only timing line (the report line above is identical
@@ -224,14 +235,14 @@ fn main() {
         // and budget-aware admission, narrated into a recorder. The report
         // line gains the trace_summary tail; the recorded events feed
         // whichever exporters the flags asked for.
-        let scenario = fcad_serve::Scenario::b2_qos();
+        let scenario = Scenario::b2_qos();
+        let cell = ServeSpec {
+            scheduler: SchedulerKind::PriorityByBranch,
+            admission: AdmissionKind::BudgetAware,
+            ..spec.clone()
+        };
         let mut recorder = fcad_serve::Recorder::new();
-        let report = result.serve_qos_traced(
-            &scenario,
-            fcad_serve::SchedulerKind::PriorityByBranch,
-            fcad_serve::AdmissionKind::BudgetAware,
-            &mut recorder,
-        );
+        let report = serve(&result.fleet_config(1), &scenario, &cell, &mut recorder);
         println!(
             "{}",
             report.with_trace_summary(recorder.summary()).to_json_line()

@@ -446,13 +446,14 @@ pub fn summary(full: bool) -> String {
 /// twice.
 pub fn summary_of(result: &FcadResult, platform: &Platform) -> String {
     use fcad_serve::json::{array, JsonObject};
-    use fcad_serve::Scenario;
+    use fcad_serve::{Off, Scenario, ServeSpec};
 
     let report = result.report();
+    let config = result.fleet_config(1);
     let scenarios: Vec<String> = Scenario::suite()
         .iter()
         .map(|scenario| {
-            let serve = result.serve(scenario);
+            let serve = fcad_serve::serve(&config, scenario, &ServeSpec::default(), &mut Off);
             JsonObject::new()
                 .str("scenario", &serve.scenario)
                 .str("scheduler", &serve.scheduler)

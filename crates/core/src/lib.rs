@@ -23,10 +23,12 @@
 //! paper's board measurements.
 //!
 //! Beyond the paper's static evaluation, an optimized design can be put
-//! under multi-session telepresence load: [`FcadResult::serve`] runs the
-//! `fcad-serve` discrete-event simulator (arrival patterns, pluggable
-//! schedulers, tail-latency percentiles) on the design's frame times — see
-//! [`Scenario`] for the `a1`/`a2`/`b1`/`b2` scenario suite.
+//! under multi-session telepresence load: [`serve`] runs the `fcad-serve`
+//! discrete-event simulator (arrival patterns, pluggable schedulers,
+//! admission, autoscaling, tail-latency percentiles) on the fleet
+//! [`FcadResult::fleet_config`] builds from the design's frame times,
+//! under one [`ServeSpec`] — see [`Scenario`] for the
+//! `a1`/`a2`/`b1`/`b2` scenario suite.
 //!
 //! # Quick start
 //!
@@ -64,8 +66,8 @@ pub use validate::{BranchValidation, ValidationReport};
 // sub-crate explicitly.
 pub use fcad_dse::{Customization, DseParams, DseResult, ElapsedTimer};
 pub use fcad_serve::{
-    chrome_trace, validate_json, AdmissionKind, Autoscaler, ClassMix, ClassServeStats, FailurePlan,
-    FleetConfig, FlightRecorder, LoadBalancerKind, QosClass, Recorder, ScaleEvent, ScaleEventKind,
-    Scenario, SchedulerKind, ServeReport, ServiceModel, ShardState, ShardStats, TraceSink,
-    Windowed,
+    chrome_trace, serve, validate_json, AdmissionKind, Autoscaler, ClassMix, ClassServeStats,
+    FailurePlan, FleetConfig, FlightRecorder, LoadBalancerKind, Off, QosClass, Recorder,
+    ScaleEvent, ScaleEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel,
+    ShardState, ShardStats, TraceSink, Windowed,
 };

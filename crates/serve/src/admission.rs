@@ -12,9 +12,8 @@
 //!
 //! Three built-in policies:
 //!
-//! - [`AdmitAll`] — never sheds; the bit-identical legacy special case
-//!   ([`crate::simulate_fleet`] is [`crate::simulate_fleet_qos`] under
-//!   this policy).
+//! - [`AdmitAll`] — never sheds; the legacy behaviour and the
+//!   [`ServeSpec`](crate::ServeSpec) default.
 //! - [`QueueThresholdAdmission`] — sheds lower tiers *before* the queue
 //!   saturates: each class has an occupancy fraction above which it is
 //!   turned away, so a filling queue stays reserved for the classes that

@@ -18,10 +18,9 @@
 //! new shard — and whatever cannot be re-placed is *lost*, a third terminal
 //! outcome next to completed and dropped.
 //!
-//! Both knobs are plain data consumed by
-//! [`simulate_autoscaled`](crate::simulate_autoscaled); the no-op policy
-//! plus the empty failure plan reproduce the fixed-fleet engine bit for
-//! bit.
+//! Both knobs are plain data carried by
+//! [`ServeSpec`](crate::ServeSpec); the no-op policy plus the empty
+//! failure plan — the spec's default — are the fixed fleet.
 
 use crate::cast::usize_to_u64;
 use serde::{Deserialize, Serialize};
@@ -177,8 +176,8 @@ pub struct Autoscaler {
 
 impl Autoscaler {
     /// The no-op policy: no triggers, no drains, no replacement — the
-    /// fleet stays exactly as configured. [`crate::simulate_fleet`] is this
-    /// policy plus [`FailurePlan::none`], bit for bit.
+    /// fleet stays exactly as configured. With [`FailurePlan::none`] it is
+    /// the [`ServeSpec`](crate::ServeSpec) default.
     pub fn none() -> Self {
         Self {
             min_shards: 0,
@@ -247,6 +246,12 @@ impl Autoscaler {
     pub fn with_scheduled_drain(mut self, at_us: u64, shard: usize) -> Self {
         self.drains.push((at_us, shard));
         self
+    }
+
+    /// Whether the rolling-p99 trigger is configured (a threshold of 0.0,
+    /// or NaN, disables it).
+    pub(crate) fn p99_trigger_on(&self) -> bool {
+        self.scale_up_p99_ms > 0.0
     }
 }
 

@@ -1,5 +1,6 @@
 //! The deterministic discrete-event serving loop, from one accelerator to
-//! a lifecycle-driven fleet of them.
+//! a lifecycle-driven fleet of them, and its one front door: [`serve`]
+//! under a [`ServeSpec`].
 //!
 //! Each shard is one accelerator serving its admitted sessions
 //! time-multiplexed (Table V of the paper scales a single decoder
@@ -33,13 +34,13 @@
 //! skip the per-arrival placeable scan entirely — placement is O(1)
 //! arithmetic until the first lifecycle event or spawn.
 //!
-//! The fixed fleet is the no-op special case: [`simulate_fleet`] runs the
-//! same loop under [`Autoscaler::none`] and [`FailurePlan::none`], where no
-//! lifecycle event ever fires and every shard stays
-//! [`ShardState::Active`](crate::ShardState::Active) — bit-identical to a
-//! dedicated static loop. The single-device [`simulate`]/[`simulate_with`]
-//! path in turn *is* the one-shard special case of [`simulate_fleet_with`]:
-//! same loop, same admission order, same arithmetic, bit-identical reports.
+//! [`serve`] drives this core through [`crate::window`]: one
+//! [`EngineCore::step`] per event through every span that couples shards,
+//! shard-local windows between them. The fixed fleet is the default
+//! [`ServeSpec`] — [`Autoscaler::none`] and [`FailurePlan::none`], where
+//! no lifecycle event ever fires and every shard stays
+//! [`ShardState::Active`](crate::ShardState::Active) — and the single
+//! device ([`simulate`]) is the one-shard fleet.
 
 use std::collections::VecDeque;
 
@@ -60,268 +61,87 @@ use crate::report::{BranchServeStats, ClassServeStats, LatencySummary, ServeRepo
 use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::window::{drive, WindowPlan};
 
 /// Rolling window of recent completion latencies feeding the autoscaler's
 /// p99 trigger, and the minimum fill before the trigger may fire.
 const P99_WINDOW: usize = 64;
 const P99_MIN_SAMPLES: usize = 16;
 
-/// Runs `scenario` against a single accelerator `model` under the given
-/// discipline and returns the aggregated report.
+/// The window length [`serve`] runs at. On a 2-core host, 100 ms windows
+/// ran the autoscaled 100k-session metropolis at one worker 7–12% slower
+/// than 400 ms.
+const SERVE_WINDOW_US: u64 = 400_000;
+
+/// Everything about a serving run except the fleet and the traffic: the
+/// policy on each axis and the worker count. [`Default`] is the legacy
+/// run — batch aggregation, admit-all, no expiry culling, a fixed fleet
+/// with no failures, one worker.
+#[derive(Debug, Clone)]
+pub struct ServeSpec {
+    /// Dispatch discipline of every shard, spawned ones included.
+    pub scheduler: SchedulerKind,
+    /// Policy consulted at each shard's front door; rejected requests are
+    /// counted `shed`.
+    pub admission: AdmissionKind,
+    /// Whether requests whose latency budget ran out while queued retire
+    /// as `expired` at dispatch instead of being served.
+    pub deadline: DeadlinePolicy,
+    /// Scales the fleet at runtime: spawned shards clone shard 0's
+    /// service model and pay the warm-up fill before serving.
+    pub autoscaler: Autoscaler,
+    /// Kills shards mid-run; their queued requests re-place through the
+    /// live balancer or are counted `lost`.
+    pub failures: FailurePlan,
+    /// Workers for the shard-local windows, the calling thread included
+    /// (`0` counts as `1`). Never changes the report.
+    pub workers: usize,
+}
+
+impl Default for ServeSpec {
+    fn default() -> Self {
+        Self {
+            scheduler: SchedulerKind::BatchAggregating,
+            admission: AdmissionKind::AdmitAll,
+            deadline: DeadlinePolicy::Off,
+            autoscaler: Autoscaler::none(),
+            failures: FailurePlan::none(),
+            workers: 1,
+        }
+    }
+}
+
+/// Runs `scenario` against the fleet `config` under `spec`, delivering
+/// every engine event to `sink` (pass [`Off`] to record nothing).
 ///
-/// Scenario priority overrides (if any) replace the model's per-branch
-/// priorities for the run. Identical `(model, scenario, kind)` inputs
-/// produce identical reports. This is exactly the one-shard fleet.
-pub fn simulate(model: &ServiceModel, scenario: &Scenario, kind: SchedulerKind) -> ServeReport {
-    simulate_fleet(&FleetConfig::uniform(model.clone(), 1), scenario, kind)
-}
-
-/// [`simulate`] under an explicit admission policy — the single-device QoS
-/// entry point. [`AdmissionKind::AdmitAll`] reproduces [`simulate`] bit
-/// for bit.
-pub fn simulate_qos(
-    model: &ServiceModel,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    admission: AdmissionKind,
-) -> ServeReport {
-    simulate_fleet_qos(
-        &FleetConfig::uniform(model.clone(), 1),
-        scenario,
-        kind,
-        admission,
-    )
-}
-
-/// [`simulate`] with a caller-provided scheduler (for custom disciplines or
-/// tuned aging rates).
-pub fn simulate_with(
-    model: &ServiceModel,
-    scenario: &Scenario,
-    scheduler: &mut dyn Scheduler,
-) -> ServeReport {
-    let config = FleetConfig::uniform(model.clone(), 1);
-    let mut one: [Box<dyn Scheduler + '_>; 1] = [Box::new(scheduler)];
-    simulate_fleet_with(&config, scenario, &mut one)
-}
-
-/// Runs `scenario` against a fixed fleet of accelerator shards, each
-/// scheduled by a fresh instance of `kind`, with `config.balancer` placing
-/// arrivals.
-///
-/// Identical `(config, scenario, kind)` inputs produce identical reports,
-/// and a one-shard config reproduces [`simulate`] bit for bit (modulo the
-/// report's balancer name). This is [`simulate_autoscaled`] under the
-/// no-op policy and the empty failure plan.
-pub fn simulate_fleet(
+/// The engine chooses the execution path: shard-local spans run as
+/// 400 ms windows on `spec.workers` workers, and everything that couples
+/// shards (lifecycle events, autoscale triggers, load-aware placement)
+/// steps sequentially. Identical inputs produce a byte-identical report
+/// and trace stream at every worker count, and any sink produces the
+/// report the [`Off`] sink does.
+pub fn serve(
     config: &FleetConfig,
     scenario: &Scenario,
-    kind: SchedulerKind,
-) -> ServeReport {
-    simulate_fleet_qos(config, scenario, kind, AdmissionKind::AdmitAll)
-}
-
-/// [`simulate_fleet`] under an explicit admission policy: the controller
-/// is consulted once per arrival (after the balancer picks the shard,
-/// before the capacity check) and rejected requests are counted `shed`.
-/// [`AdmissionKind::AdmitAll`] reproduces [`simulate_fleet`] bit for bit.
-pub fn simulate_fleet_qos(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    admission: AdmissionKind,
-) -> ServeReport {
-    simulate_fleet_deadline(config, scenario, kind, admission, DeadlinePolicy::Off)
-}
-
-/// [`simulate_qos`] under a deadline policy — the single-device
-/// deadline-aware entry point. [`DeadlinePolicy::Off`] reproduces
-/// [`simulate_qos`] bit for bit; [`DeadlinePolicy::CullExpired`] retires
-/// requests whose latency budget ran out while they queued as the fifth
-/// terminal outcome `expired` instead of spending fabric time on them.
-pub fn simulate_deadline(
-    model: &ServiceModel,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    admission: AdmissionKind,
-    deadline: DeadlinePolicy,
-) -> ServeReport {
-    simulate_fleet_deadline(
-        &FleetConfig::uniform(model.clone(), 1),
-        scenario,
-        kind,
-        admission,
-        deadline,
-    )
-}
-
-/// [`simulate_fleet_qos`] under a deadline policy: at every dispatch
-/// instant, [`DeadlinePolicy::CullExpired`] pops and retires the queued
-/// requests whose deadline (`issued_at + class budget`) has already
-/// passed — counted `expired`, never served, costing no fabric time.
-/// [`DeadlinePolicy::Off`] reproduces [`simulate_fleet_qos`] bit for bit.
-pub fn simulate_fleet_deadline(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    admission: AdmissionKind,
-    deadline: DeadlinePolicy,
-) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
-    let mut controller = admission.build();
-    run(
-        config,
-        scenario,
-        schedulers,
-        None,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-        controller.as_mut(),
-        deadline,
-        &mut Off,
-    )
-}
-
-/// [`simulate_fleet`] with caller-provided per-shard schedulers (one per
-/// shard, in shard order). Borrowed schedulers box in via the
-/// `&mut dyn Scheduler` forwarding impl.
-pub fn simulate_fleet_with<'a>(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    schedulers: &mut [Box<dyn Scheduler + 'a>],
-) -> ServeReport {
-    let reboxed: Vec<Box<dyn Scheduler + '_>> = schedulers
-        .iter_mut()
-        .map(|s| Box::new(&mut **s) as Box<dyn Scheduler + '_>)
-        .collect();
-    let mut controller = AdmissionKind::AdmitAll.build();
-    run(
-        config,
-        scenario,
-        reboxed,
-        None,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-        controller.as_mut(),
-        DeadlinePolicy::Off,
-        &mut Off,
-    )
-}
-
-/// Runs `scenario` against a *dynamic* fleet: `config` describes the
-/// initial shards, `policy` scales the fleet up and down at runtime
-/// (spawned shards clone shard 0's service model and pay the warm-up fill
-/// before serving), and `failures` kills shards mid-run — their queued
-/// requests lose affinity and re-place through the live balancer, or are
-/// counted `lost` when no surviving queue can take them.
-///
-/// Under [`Autoscaler::none`] and [`FailurePlan::none`] this is
-/// [`simulate_fleet`], bit for bit.
-pub fn simulate_autoscaled(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-) -> ServeReport {
-    simulate_autoscaled_qos(
-        config,
-        scenario,
-        kind,
-        policy,
-        failures,
-        AdmissionKind::AdmitAll,
-    )
-}
-
-/// [`simulate_autoscaled`] under an explicit admission policy — the full
-/// stack: QoS classes, admission shedding, autoscaling and failure
-/// injection in one run. [`AdmissionKind::AdmitAll`] reproduces
-/// [`simulate_autoscaled`] bit for bit. Shed requests never enter a
-/// queue, so a shedding policy also damps the autoscaler's queue-depth
-/// trigger — admission and scaling are deliberately composable knobs.
-pub fn simulate_autoscaled_qos(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: AdmissionKind,
-) -> ServeReport {
-    simulate_autoscaled_deadline(
-        config,
-        scenario,
-        kind,
-        policy,
-        failures,
-        admission,
-        DeadlinePolicy::Off,
-    )
-}
-
-/// [`simulate_autoscaled_qos`] under a deadline policy — the full stack
-/// with queue-time expiry culling on top: QoS classes, admission
-/// shedding, autoscaling, failure injection and deadline-aware dispatch
-/// in one run. [`DeadlinePolicy::Off`] reproduces
-/// [`simulate_autoscaled_qos`] bit for bit.
-pub fn simulate_autoscaled_deadline(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: AdmissionKind,
-    deadline: DeadlinePolicy,
-) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
-    let mut controller = admission.build();
-    run(
-        config,
-        scenario,
-        schedulers,
-        Some(kind),
-        policy,
-        failures,
-        controller.as_mut(),
-        deadline,
-        &mut Off,
-    )
-}
-
-/// The fully observable entry point: the full serving stack —
-/// QoS classes, admission shedding, autoscaling and failure injection —
-/// with every engine event delivered to `sink`.
-///
-/// Instrumentation is observation-only: any sink (including the
-/// always-recording [`fcad_obs::Recorder`]) produces a report
-/// byte-identical to [`simulate_autoscaled_qos`] with the same inputs,
-/// and under [`Autoscaler::none`] plus [`FailurePlan::none`] to
-/// [`simulate_fleet_qos`], bit for bit. With the default
-/// [`fcad_obs::Off`] sink the run *is* [`simulate_autoscaled_qos`].
-pub fn simulate_traced(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: AdmissionKind,
+    spec: &ServeSpec,
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
-    let mut controller = admission.build();
-    run(
-        config,
+    let plan = WindowPlan::new(spec.workers).with_window_us(SERVE_WINDOW_US);
+    drive(config, scenario, spec, sink, &plan)
+}
+
+/// [`serve`] on a single accelerator `model` under the discipline `kind`,
+/// every other axis at its [`ServeSpec::default`].
+pub fn simulate(model: &ServiceModel, scenario: &Scenario, kind: SchedulerKind) -> ServeReport {
+    let spec = ServeSpec {
+        scheduler: kind,
+        ..ServeSpec::default()
+    };
+    serve(
+        &FleetConfig::uniform(model.clone(), 1),
         scenario,
-        schedulers,
-        Some(kind),
-        policy,
-        failures,
-        controller.as_mut(),
-        DeadlinePolicy::Off,
-        &mut *sink,
+        &spec,
+        &mut Off,
     )
 }
 
@@ -383,9 +203,9 @@ fn push_life(
 /// weight-refill end, which is why the makespan reads straight off it;
 /// `pending_since_us` is the arrival instant that made its queue non-empty
 /// (a shard with queued work dispatches at `max(free_at, pending_since)`).
-pub(crate) struct Shard<'a> {
+pub(crate) struct Shard {
     pub(crate) model: ServiceModel,
-    pub(crate) scheduler: Box<dyn Scheduler + 'a>,
+    pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) phase: ShardState,
     pub(crate) free_at_us: u64,
     pub(crate) pending_since_us: u64,
@@ -420,10 +240,10 @@ pub(crate) struct Shard<'a> {
     pub(crate) idle_check_pending: bool,
 }
 
-impl<'a> Shard<'a> {
+impl Shard {
     pub(crate) fn new(
         model: ServiceModel,
-        scheduler: Box<dyn Scheduler + 'a>,
+        scheduler: Box<dyn Scheduler>,
         phase: ShardState,
     ) -> Self {
         let max_priority = model
@@ -679,31 +499,22 @@ fn alive_count(shards: &[Shard]) -> usize {
     shards.iter().filter(|s| s.phase.is_alive()).count()
 }
 
-/// The steppable core of the sequential engine: every local of the old
-/// monolithic `run()` loop, promoted to a field so the loop body can be
-/// driven one event at a time.
-///
-/// [`run`] is `new` + `while step()` + `finish`, bit-identical to the old
-/// single-function loop. The windowed engine ([`crate::window`]) drives
-/// the same core differently: sequential `step()` calls through every
-/// *coupled* span (lifecycle events, load-aware placements, armed
-/// autoscale triggers) and shard-local windows over the decoupled spans
-/// in between. The arrival and dispatch arms keep only the cross-shard
-/// work; what happens on the shard itself is [`Shard::admit`] and
+/// The steppable engine: the run's whole state, advanced one event at a
+/// time by [`EngineCore::step`] or one shard-local window at a time by
+/// [`EngineCore::run_window`] — the driver ([`crate::window`]) picks
+/// which. The arrival and dispatch arms keep only the cross-shard work;
+/// what happens on the shard itself is [`Shard::admit`] and
 /// [`Shard::dispatch`], shared with the windows.
-pub(crate) struct EngineCore<'a, 'b> {
+pub(crate) struct EngineCore<'b> {
     pub(crate) scenario: &'b Scenario,
     pub(crate) balancer_kind: LoadBalancerKind,
-    pub(crate) spawn: Option<SchedulerKind>,
-    pub(crate) policy: &'b Autoscaler,
-    pub(crate) failures: &'b FailurePlan,
-    pub(crate) admission: &'b mut dyn AdmissionController,
-    pub(crate) deadline: DeadlinePolicy,
+    pub(crate) spec: &'b ServeSpec,
+    pub(crate) admission: Box<dyn AdmissionController>,
     pub(crate) sink: &'b mut dyn TraceSink,
     pub(crate) tracing: bool,
     pub(crate) arrivals: Vec<Request>,
     pub(crate) next_arrival: usize,
-    pub(crate) shards: Vec<Shard<'a>>,
+    pub(crate) shards: Vec<Shard>,
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
     pub(crate) calendar: Calendar<CalEvent>,
@@ -728,27 +539,14 @@ pub(crate) struct EngineCore<'a, 'b> {
     pub(crate) tally: Tally,
 }
 
-impl<'a, 'b> EngineCore<'a, 'b> {
-    #[allow(clippy::too_many_arguments)]
+impl<'b> EngineCore<'b> {
     pub(crate) fn new(
         config: &'b FleetConfig,
         scenario: &'b Scenario,
-        schedulers: Vec<Box<dyn Scheduler + 'a>>,
-        spawn: Option<SchedulerKind>,
-        policy: &'b Autoscaler,
-        failures: &'b FailurePlan,
-        admission: &'b mut dyn AdmissionController,
-        deadline: DeadlinePolicy,
+        spec: &'b ServeSpec,
         sink: &'b mut dyn TraceSink,
     ) -> Self {
         config.assert_valid();
-        assert_eq!(
-            schedulers.len(),
-            config.shard_count(),
-            "one scheduler per shard ({} shards, {} schedulers)",
-            config.shard_count(),
-            schedulers.len()
-        );
         let branch_count = config.branch_count();
         let arrivals = scenario.generate(branch_count);
         let mut balancer = Balancer::new(config.balancer);
@@ -756,16 +554,15 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         let capacity = scenario.queue_capacity;
         let tracing = sink.enabled();
 
-        let mut shards: Vec<Shard<'a>> = config
+        let mut shards: Vec<Shard> = config
             .shards
             .iter()
-            .zip(schedulers)
-            .map(|(model, scheduler)| {
+            .map(|model| {
                 let model = match &scenario.priorities {
                     Some(priorities) => model.clone().with_priorities(priorities),
                     None => model.clone(),
                 };
-                Shard::new(model, scheduler, ShardState::Active)
+                Shard::new(model, spec.scheduler.build(), ShardState::Active)
             })
             .collect();
 
@@ -774,7 +571,8 @@ impl<'a, 'b> EngineCore<'a, 'b> {
 
         let mut calendar: Calendar<CalEvent> = Calendar::new();
         let mut life_seq = 0u64;
-        for kill in failures.kills() {
+        let policy = &spec.autoscaler;
+        for kill in spec.failures.kills() {
             let shard = match kill.target {
                 KillTarget::Shard(s) => s,
                 KillTarget::Seeded(_) => usize::MAX, // resolved at fire time
@@ -802,17 +600,14 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 );
             }
         }
-        let split_us = failures.first_kill_us();
+        let split_us = spec.failures.first_kill_us();
         let shard_count = shards.len();
 
         Self {
             scenario,
             balancer_kind: config.balancer,
-            spawn,
-            policy,
-            failures,
-            admission,
-            deadline,
+            spec,
+            admission: spec.admission.build(),
             sink,
             tracing,
             arrivals,
@@ -838,23 +633,11 @@ impl<'a, 'b> EngineCore<'a, 'b> {
     }
 
     /// Rebuilds the placeable-id snapshot after a lifecycle event: the
-    /// active shards' global ids in ascending order, or — only when none
-    /// is active — the warming ones, exactly the candidate set
-    /// [`collect_placeable`] hands the general path.
+    /// global ids of the [`placeable`] shards in ascending order, exactly
+    /// the candidate set [`collect_placeable`] hands the general path.
     pub(crate) fn rebuild_placeable(&mut self) {
-        for wanted in [ShardState::Active, ShardState::Warming] {
-            self.placeable_ids.clear();
-            self.placeable_ids.extend(
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.phase == wanted)
-                    .map(|(index, _)| index),
-            );
-            if !self.placeable_ids.is_empty() {
-                break;
-            }
-        }
+        self.placeable_ids.clear();
+        self.placeable_ids.extend(placeable(&self.shards));
         self.placeable_dirty = false;
     }
 
@@ -954,23 +737,22 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 }
                 self.queued_total -= orphans.len();
                 refresh_dispatch(&mut self.calendar, &mut self.shards, victim);
-                if let Some(kind) = self.spawn {
-                    while alive_count(&self.shards) < self.policy.min_shards
-                        && alive_count(&self.shards) < self.policy.max_shards
-                    {
-                        do_spawn(
-                            now_us,
-                            kind,
-                            self.policy,
-                            &mut self.shards,
-                            &mut self.calendar,
-                            &mut self.life_seq,
-                            &mut self.tally.scale_events,
-                            &mut *self.sink,
-                            self.tracing,
-                        );
-                        self.last_scale_up = Some(now_us);
-                    }
+                let policy = &self.spec.autoscaler;
+                while alive_count(&self.shards) < policy.min_shards
+                    && alive_count(&self.shards) < policy.max_shards
+                {
+                    do_spawn(
+                        now_us,
+                        self.spec.scheduler,
+                        policy,
+                        &mut self.shards,
+                        &mut self.calendar,
+                        &mut self.life_seq,
+                        &mut self.tally.scale_events,
+                        &mut *self.sink,
+                        self.tracing,
+                    );
+                    self.last_scale_up = Some(now_us);
                 }
                 for request in orphans {
                     collect_placeable(&mut self.loads, &self.shards);
@@ -994,7 +776,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     };
                     {
                         let target = &mut self.shards[dst];
-                        if self.failures.repay_fill() && target.phase != ShardState::Warming {
+                        if self.spec.failures.repay_fill() && target.phase != ShardState::Warming {
                             let fill = target.model.branches[request.branch].fill_time_us;
                             target.free_at_us = target.free_at_us.max(now_us) + fill;
                             target.busy_us += fill;
@@ -1023,7 +805,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 if shard >= self.shards.len() || self.shards[shard].phase != ShardState::Active {
                     return;
                 }
-                let floor = self.policy.min_shards.max(1);
+                let floor = self.spec.autoscaler.min_shards.max(1);
                 if active_count(&self.shards) <= floor {
                     return;
                 }
@@ -1079,18 +861,18 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 {
                     return;
                 }
-                if self.shards[shard].free_at_us + self.policy.idle_retire_us > now_us {
+                if self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us > now_us {
                     self.shards[shard].idle_check_pending = true;
                     push_life(
                         &mut self.calendar,
                         &mut self.life_seq,
-                        self.shards[shard].free_at_us + self.policy.idle_retire_us,
+                        self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us,
                         shard,
                         Action::IdleCheck,
                     );
                     return;
                 }
-                let floor = self.policy.min_shards.max(1);
+                let floor = self.spec.autoscaler.min_shards.max(1);
                 if active_count(&self.shards) <= floor {
                     return;
                 }
@@ -1112,7 +894,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         let served = s.dispatch(
             shard,
             now_us,
-            self.deadline,
+            self.spec.deadline,
             self.split_us,
             &mut self.tally,
             &mut *self.sink,
@@ -1134,14 +916,14 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     self.tracing,
                 );
             } else if self.shards[shard].phase == ShardState::Active
-                && self.policy.idle_retire_us > 0
+                && self.spec.autoscaler.idle_retire_us > 0
                 && !self.shards[shard].idle_check_pending
             {
                 self.shards[shard].idle_check_pending = true;
                 push_life(
                     &mut self.calendar,
                     &mut self.life_seq,
-                    free_us + self.policy.idle_retire_us,
+                    free_us + self.spec.autoscaler.idle_retire_us,
                     shard,
                     Action::IdleCheck,
                 );
@@ -1150,9 +932,10 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         let Some((done_us, batch)) = served else {
             return;
         };
-        let Some(kind) = self.spawn.filter(|_| self.policy.scale_up_p99_ms > 0.0) else {
+        let policy = &self.spec.autoscaler;
+        if !policy.p99_trigger_on() {
             return;
-        };
+        }
         for request in &batch {
             if self.recent_latencies.len() == P99_WINDOW {
                 self.recent_latencies.pop_front();
@@ -1160,21 +943,21 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             self.recent_latencies.push_back(request.latency_us(done_us));
         }
         if self.recent_latencies.len() >= P99_MIN_SAMPLES
-            && alive_count(&self.shards) < self.policy.max_shards
+            && alive_count(&self.shards) < policy.max_shards
             && self
                 .last_scale_up
-                .is_none_or(|t| done_us >= t.saturating_add(self.policy.cooldown_us))
+                .is_none_or(|t| done_us >= t.saturating_add(policy.cooldown_us))
         {
             let mut window: Vec<u64> = self.recent_latencies.iter().copied().collect();
             window.sort_unstable();
             let rank =
                 f64_to_usize((usize_to_f64(window.len()) * 0.99).ceil()).clamp(1, window.len());
             let p99_ms = u64_to_f64(window[rank - 1]) / 1_000.0;
-            if p99_ms >= self.policy.scale_up_p99_ms {
+            if p99_ms >= policy.scale_up_p99_ms {
                 do_spawn(
                     done_us,
-                    kind,
-                    self.policy,
+                    self.spec.scheduler,
+                    policy,
                     &mut self.shards,
                     &mut self.calendar,
                     &mut self.life_seq,
@@ -1237,7 +1020,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             shard,
             request,
             self.capacity,
-            self.admission,
+            self.admission.as_mut(),
             &mut self.tally,
             &mut *self.sink,
         ) {
@@ -1249,7 +1032,8 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
             }
         }
-        if let Some(kind) = self.spawn.filter(|_| self.policy.scale_up_queue_depth > 0) {
+        let policy = &self.spec.autoscaler;
+        if policy.scale_up_queue_depth > 0 {
             let actives = active_count(&self.shards);
             let queued: usize = self
                 .shards
@@ -1258,16 +1042,16 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 .map(|s| s.scheduler.queued())
                 .sum();
             if actives > 0
-                && queued >= self.policy.scale_up_queue_depth * actives
-                && alive_count(&self.shards) < self.policy.max_shards
+                && queued >= policy.scale_up_queue_depth * actives
+                && alive_count(&self.shards) < policy.max_shards
                 && self
                     .last_scale_up
-                    .is_none_or(|t| now_us >= t.saturating_add(self.policy.cooldown_us))
+                    .is_none_or(|t| now_us >= t.saturating_add(policy.cooldown_us))
             {
                 do_spawn(
                     now_us,
-                    kind,
-                    self.policy,
+                    self.spec.scheduler,
+                    policy,
                     &mut self.shards,
                     &mut self.calendar,
                     &mut self.life_seq,
@@ -1292,25 +1076,6 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             &self.shards,
         )
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run<'a>(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    schedulers: Vec<Box<dyn Scheduler + 'a>>,
-    spawn: Option<SchedulerKind>,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: &mut dyn AdmissionController,
-    deadline: DeadlinePolicy,
-    sink: &mut dyn TraceSink,
-) -> ServeReport {
-    let mut core = EngineCore::new(
-        config, scenario, schedulers, spawn, policy, failures, admission, deadline, sink,
-    );
-    while core.step() {}
-    core.finish()
 }
 
 /// Fleet-wide accumulators: every per-branch / per-class / availability
@@ -1557,15 +1322,9 @@ fn finalize(
     } else {
         0.0
     };
-    let scheduler_name = shards[0].scheduler.name();
-    let scheduler_name = if shards.iter().all(|s| s.scheduler.name() == scheduler_name) {
-        scheduler_name
-    } else {
-        "mixed"
-    };
     ServeReport {
         scenario: scenario.name.clone(),
-        scheduler: scheduler_name.to_owned(),
+        scheduler: shards[0].scheduler.name().to_owned(),
         balancer: balancer_name.to_owned(),
         seed: scenario.seed,
         sessions: scenario.sessions,
@@ -1627,23 +1386,26 @@ fn attainment(within: u64, completed: u64, issued: u64) -> f64 {
     }
 }
 
-/// Fills `loads` with the placeable shards' `(global id, load)` pairs:
-/// the active shards, or — only when none is active — the warming ones
+/// The global ids of the shards placement may choose, ascending: the
+/// active shards, or — only when none is active — the warming ones
 /// (their queues hold until warmed, but the work is not lost).
+fn placeable(shards: &[Shard]) -> impl Iterator<Item = usize> + '_ {
+    let wanted = if shards.iter().any(|s| s.phase == ShardState::Active) {
+        ShardState::Active
+    } else {
+        ShardState::Warming
+    };
+    shards
+        .iter()
+        .enumerate()
+        .filter(move |(_, s)| s.phase == wanted)
+        .map(|(index, _)| index)
+}
+
+/// Fills `loads` with the [`placeable`] shards' `(global id, load)` pairs.
 fn collect_placeable(loads: &mut Vec<(usize, ShardLoad)>, shards: &[Shard]) {
-    for wanted in [ShardState::Active, ShardState::Warming] {
-        loads.clear();
-        loads.extend(
-            shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.phase == wanted)
-                .map(|(index, s)| (index, s.load())),
-        );
-        if !loads.is_empty() {
-            return;
-        }
-    }
+    loads.clear();
+    loads.extend(placeable(shards).map(|index| (index, shards[index].load())));
 }
 
 /// Decommissions a shard (from Draining, or straight from Active on idle
@@ -1704,11 +1466,11 @@ fn record(
 /// handler raises `free_at_us` to the warm instant, so even work queued
 /// while warming cannot complete before the weight fill ends.
 #[allow(clippy::too_many_arguments)]
-fn do_spawn<'a>(
+fn do_spawn(
     now_us: u64,
     kind: SchedulerKind,
     policy: &Autoscaler,
-    shards: &mut Vec<Shard<'a>>,
+    shards: &mut Vec<Shard>,
     calendar: &mut Calendar<CalEvent>,
     life_seq: &mut u64,
     scale_events: &mut Vec<ScaleEvent>,
@@ -1838,7 +1600,7 @@ mod tests {
         let scenario = Scenario::b2();
         for &balancer in LoadBalancerKind::all() {
             let config = FleetConfig::uniform(model.clone(), 3).with_balancer(balancer);
-            let report = simulate_fleet(&config, &scenario, SchedulerKind::BatchAggregating);
+            let report = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
             assert!(report.conserves_requests(), "{}", balancer.name());
             assert_eq!(report.shard_count(), 3);
             assert_eq!(report.balancer, balancer.name());
@@ -1853,15 +1615,17 @@ mod tests {
     fn adding_shards_cannot_hurt_the_burst_tail() {
         let model = test_model();
         let scenario = Scenario::b2();
-        let one = simulate_fleet(
+        let one = serve(
             &FleetConfig::uniform(model.clone(), 1).with_balancer(LoadBalancerKind::LeastLoaded),
             &scenario,
-            SchedulerKind::BatchAggregating,
+            &ServeSpec::default(),
+            &mut Off,
         );
-        let four = simulate_fleet(
+        let four = serve(
             &FleetConfig::uniform(model, 4).with_balancer(LoadBalancerKind::LeastLoaded),
             &scenario,
-            SchedulerKind::BatchAggregating,
+            &ServeSpec::default(),
+            &mut Off,
         );
         assert!(
             four.latency.p99_ms < one.latency.p99_ms,
@@ -1870,19 +1634,6 @@ mod tests {
             one.latency.p99_ms
         );
         assert!(four.dropped <= one.dropped);
-    }
-
-    #[test]
-    fn mixed_shard_schedulers_are_reported_as_mixed() {
-        use crate::scheduler::{FifoScheduler, PriorityScheduler};
-        let config = FleetConfig::uniform(test_model(), 2);
-        let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(FifoScheduler::new()),
-            Box::new(PriorityScheduler::new()),
-        ];
-        let report = simulate_fleet_with(&config, &Scenario::b2(), &mut schedulers);
-        assert_eq!(report.scheduler, "mixed");
-        assert!(report.conserves_requests());
     }
 
     #[test]
@@ -1895,7 +1646,7 @@ mod tests {
         }
         let config = FleetConfig::heterogeneous(vec![fast, slow])
             .with_balancer(LoadBalancerKind::LeastLoaded);
-        let report = simulate_fleet(&config, &Scenario::b2(), SchedulerKind::BatchAggregating);
+        let report = serve(&config, &Scenario::b2(), &ServeSpec::default(), &mut Off);
         assert!(report.conserves_requests());
         assert!(
             report.shards[0].completed > report.shards[1].completed,
@@ -1907,10 +1658,11 @@ mod tests {
 
     #[test]
     fn a_fixed_fleet_reports_every_shard_active_and_no_events() {
-        let report = simulate_fleet(
+        let report = serve(
             &FleetConfig::uniform(test_model(), 2),
             &Scenario::b2(),
-            SchedulerKind::BatchAggregating,
+            &ServeSpec::default(),
+            &mut Off,
         );
         assert!(report.scale_events.is_empty());
         assert_eq!(report.replaced, 0);
@@ -1928,14 +1680,11 @@ mod tests {
         let config =
             FleetConfig::uniform(test_model(), 2).with_balancer(LoadBalancerKind::LeastLoaded);
         let scenario = Scenario::b2();
-        let plan = FailurePlan::scheduled(&[(1_000_000, 1)]);
-        let report = simulate_autoscaled(
-            &config,
-            &scenario,
-            SchedulerKind::BatchAggregating,
-            &Autoscaler::none(),
-            &plan,
-        );
+        let spec = ServeSpec {
+            failures: FailurePlan::scheduled(&[(1_000_000, 1)]),
+            ..ServeSpec::default()
+        };
+        let report = serve(&config, &scenario, &spec, &mut Off);
         assert!(report.conserves_requests());
         assert_eq!(report.shards[1].state, crate::ShardState::Failed);
         assert_eq!(report.shards[0].state, crate::ShardState::Active);
@@ -1955,14 +1704,12 @@ mod tests {
     fn killing_a_nonexistent_shard_changes_nothing() {
         let config = FleetConfig::uniform(test_model(), 2);
         let scenario = Scenario::b2();
-        let baseline = simulate_fleet(&config, &scenario, SchedulerKind::BatchAggregating);
-        let with_noop_kill = simulate_autoscaled(
-            &config,
-            &scenario,
-            SchedulerKind::BatchAggregating,
-            &Autoscaler::none(),
-            &FailurePlan::scheduled(&[(1_000_000, 9)]),
-        );
+        let baseline = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
+        let spec = ServeSpec {
+            failures: FailurePlan::scheduled(&[(1_000_000, 9)]),
+            ..ServeSpec::default()
+        };
+        let with_noop_kill = serve(&config, &scenario, &spec, &mut Off);
         // The phantom kill fires on no shard; only the pre/post-failure
         // split (anchored at the scheduled instant) may differ.
         assert_eq!(baseline.completed, with_noop_kill.completed);
@@ -1977,7 +1724,7 @@ mod tests {
         for scenario in [Scenario::b2(), Scenario::b2_qos()] {
             for &kind in SchedulerKind::all() {
                 let legacy = simulate(&model, &scenario, kind);
-                let qos = simulate_qos(&model, &scenario, kind, AdmissionKind::AdmitAll);
+                let qos = qos_single(&model, &scenario, kind, AdmissionKind::AdmitAll);
                 assert_eq!(legacy, qos, "{} / {:?}", scenario.name, kind);
                 assert_eq!(legacy.shed, 0);
                 assert_eq!(legacy.admission, "admit_all");
@@ -2012,13 +1759,33 @@ mod tests {
         model
     }
 
+    /// `model` as one shard under `kind` and `admission`.
+    fn qos_single(
+        model: &ServiceModel,
+        scenario: &Scenario,
+        kind: SchedulerKind,
+        admission: AdmissionKind,
+    ) -> ServeReport {
+        let spec = ServeSpec {
+            scheduler: kind,
+            admission,
+            ..ServeSpec::default()
+        };
+        serve(
+            &FleetConfig::uniform(model.clone(), 1),
+            scenario,
+            &spec,
+            &mut Off,
+        )
+    }
+
     #[test]
     fn shedding_policies_conserve_with_the_fourth_outcome() {
         let model = slow_model();
         let scenario = Scenario::b2_qos();
         for &admission in AdmissionKind::all() {
             for &kind in SchedulerKind::all() {
-                let report = simulate_qos(&model, &scenario, kind, admission);
+                let report = qos_single(&model, &scenario, kind, admission);
                 assert!(
                     report.conserves_requests(),
                     "{} / {:?}: {} + {} + {} + {} != {}",
@@ -2036,7 +1803,7 @@ mod tests {
         // The b2_qos burst oversubscribes one device, so both shedding
         // policies must actually shed.
         for admission in [AdmissionKind::QueueThreshold, AdmissionKind::BudgetAware] {
-            let report = simulate_qos(
+            let report = qos_single(
                 &model,
                 &scenario,
                 SchedulerKind::PriorityByBranch,
@@ -2050,7 +1817,7 @@ mod tests {
     fn queue_thresholds_protect_the_interactive_tier() {
         let model = slow_model();
         let scenario = Scenario::b2_qos();
-        let report = simulate_qos(
+        let report = qos_single(
             &model,
             &scenario,
             SchedulerKind::PriorityByBranch,
@@ -2069,18 +1836,15 @@ mod tests {
     fn queue_pressure_spawns_within_policy_bounds() {
         // One shard under five bursty sessions trips the depth trigger.
         let config = FleetConfig::uniform(test_model(), 1);
-        let policy = Autoscaler::reactive(1, 3)
-            .with_scale_up_queue_depth(4)
-            .with_warmup_us(10_000)
-            .with_cooldown_us(50_000)
-            .with_idle_retire_us(0);
-        let report = simulate_autoscaled(
-            &config,
-            &Scenario::b2(),
-            SchedulerKind::BatchAggregating,
-            &policy,
-            &FailurePlan::none(),
-        );
+        let spec = ServeSpec {
+            autoscaler: Autoscaler::reactive(1, 3)
+                .with_scale_up_queue_depth(4)
+                .with_warmup_us(10_000)
+                .with_cooldown_us(50_000)
+                .with_idle_retire_us(0),
+            ..ServeSpec::default()
+        };
+        let report = serve(&config, &Scenario::b2(), &spec, &mut Off);
         assert!(report.conserves_requests());
         let ups = report
             .scale_events

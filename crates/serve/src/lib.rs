@@ -4,7 +4,12 @@
 //! accelerator to 1, 3 and 5 concurrent avatars — but a static FPS number
 //! says little about what users experience when many sessions contend for
 //! the device. This crate closes that gap with a deterministic
-//! discrete-event simulation of avatar-decode traffic:
+//! discrete-event simulation of avatar-decode traffic, behind one front
+//! door: [`serve`] runs a [`Scenario`] on a [`FleetConfig`] under a
+//! [`ServeSpec`] — scheduler, admission, deadline policy, autoscaler,
+//! failure plan and worker count, whose [`Default`] is the legacy run —
+//! and narrates it into a [`TraceSink`]. The engine, not the caller,
+//! chooses how to execute it.
 //!
 //! - **Sessions & arrivals** ([`Scenario`], [`ArrivalPattern`]): N avatar
 //!   sessions emit one request per branch per frame, under steady, Poisson,
@@ -22,16 +27,15 @@
 //!   one time-multiplexed accelerator to a sharded fleet (optionally
 //!   heterogeneous), with round-robin, least-loaded-by-readiness,
 //!   session-affinity-with-spill and per-branch-sharded placement. The
-//!   single-device [`simulate`] path is the one-shard special case of
-//!   [`simulate_fleet`], bit for bit.
+//!   single device ([`simulate`]) is the one-shard fleet.
 //! - **Availability** ([`Autoscaler`], [`FailurePlan`]): a dynamic-fleet
 //!   layer over the same loop — shards move through
 //!   warming/active/draining/retired/failed lifecycle states
 //!   ([`ShardState`]), the autoscaler spawns on queue or tail pressure
 //!   (paying a warm-up weight fill) and drains idle shards, and the
 //!   failure injector kills shards mid-run, re-placing their orphaned
-//!   queues through the live balancer. [`simulate_fleet`] is
-//!   [`simulate_autoscaled`] under the no-op policy, bit for bit.
+//!   queues through the live balancer. The fixed fleet is the no-op
+//!   policy ([`Autoscaler::none`], [`FailurePlan::none`]).
 //! - **QoS & admission** ([`QosClass`], [`AdmissionController`]): every
 //!   session draws a QoS class (latency budget + scheduling weight) from
 //!   the scenario's seeded [`ClassMix`]; the weighted priority scheduler
@@ -39,26 +43,27 @@
 //!   controller (admit-all, queue-depth thresholds, budget-aware early
 //!   rejection) sheds low tiers *before* queues saturate — `shed` is a
 //!   fourth terminal outcome with conservation `completed + dropped +
-//!   lost + shed == issued`. The classless path is the
-//!   everyone-is-`Standard` + admit-all special case, bit for bit.
+//!   lost + shed == issued`. The classless run is the
+//!   everyone-is-`Standard` + admit-all special case.
 //! - **Deadlines** ([`SchedulerKind::Deadline`], [`DeadlinePolicy`]): an
 //!   earliest-deadline-first discipline serves the queue head with the
 //!   least remaining slack within class bands, and an opt-in expiry
-//!   policy ([`simulate_deadline`] and friends) retires requests whose
-//!   budget ran out while queued as a fifth terminal outcome `expired` —
-//!   `completed + dropped + lost + shed + expired == issued`. With
-//!   [`DeadlinePolicy::Off`] every legacy entry point stays
-//!   byte-identical.
-//! - **Scale** ([`calendar::Calendar`], [`simulate_windowed`]): the
+//!   policy ([`ServeSpec::deadline`]) retires requests whose budget ran
+//!   out while queued as a fifth terminal outcome `expired` —
+//!   `completed + dropped + lost + shed + expired == issued`.
+//!   [`DeadlinePolicy::Off`] culls nothing.
+//! - **Scale** ([`calendar::Calendar`], [`ServeSpec::workers`]): the
 //!   loop is driven by an indexed event calendar (a binary min-heap with a
 //!   total, deterministic key order) instead of per-iteration linear
 //!   scans, and under a load-oblivious balancer the spans between
 //!   cross-shard events run as time windows in which every shard advances
 //!   on its own, across worker threads (or inline on the calling thread
-//!   at one worker) with an exact-merge reduction — both byte-identical
-//!   to the frozen pre-rebuild engine ([`reference`]), pinned by a
-//!   differential equivalence battery. A static fleet is the case with no
-//!   cross-shard events at all. The [`Scenario::metropolis`] workload
+//!   at one worker) with an exact-merge reduction — byte-identical to the
+//!   frozen pre-rebuild engine ([`reference`](mod@reference)) at every
+//!   worker count, pinned by a differential equivalence battery. A static
+//!   fleet is the case with no cross-shard events at all.
+//!   [`simulate_windowed`] takes an explicit [`WindowPlan`] instead of
+//!   `serve`'s 400 ms windows. The [`Scenario::metropolis`] workload
 //!   (1.05 M sessions) exercises the path at fleet scale.
 //! - **Reporting** ([`ServeReport`]): throughput, utilization, drop rate
 //!   and p50/p95/p99 latency from a fixed-bucket histogram
@@ -69,11 +74,11 @@
 //!   fraction of completions inside their class budget,
 //!   [`ClassServeStats`]) and a merged fleet-wide latency histogram,
 //!   rendered as a single machine-readable JSON line.
-//! - **Observability** ([`TraceSink`], [`simulate_traced`]): the same
-//!   loop narrates itself through a pluggable, sim-time-stamped trace
-//!   sink — per-request lifecycle events (arrival through terminal
-//!   outcome), batch dispatches and fleet lifecycle instants. The
-//!   default [`Off`] sink records nothing and changes nothing; a
+//! - **Observability** ([`TraceSink`]): the same loop narrates itself
+//!   through the sink [`serve`] takes — per-request lifecycle events
+//!   (arrival through terminal outcome), batch dispatches and fleet
+//!   lifecycle instants. The [`Off`] sink records nothing and changes
+//!   nothing; a
 //!   [`Recorder`] feeds the exporters re-exported from `fcad-obs`:
 //!   Chrome `trace_event` JSON ([`chrome_trace`]), fixed-interval
 //!   time-series metrics ([`Windowed`]) and a worst-latency flight
@@ -84,7 +89,10 @@
 //! # Example
 //!
 //! ```
-//! use fcad_serve::{simulate, BranchService, Scenario, SchedulerKind, ServiceModel};
+//! use fcad_serve::{
+//!     serve, AdmissionKind, BranchService, FleetConfig, Off, Scenario, SchedulerKind, ServeSpec,
+//!     ServiceModel,
+//! };
 //!
 //! let model = ServiceModel {
 //!     branches: vec![BranchService {
@@ -95,7 +103,13 @@
 //!         priority: 1.0,
 //!     }],
 //! };
-//! let report = simulate(&model, &Scenario::a1(), SchedulerKind::BatchAggregating);
+//! let spec = ServeSpec {
+//!     scheduler: SchedulerKind::PriorityByBranch,
+//!     admission: AdmissionKind::BudgetAware,
+//!     ..ServeSpec::default()
+//! };
+//! let fleet = FleetConfig::uniform(model, 2);
+//! let report = serve(&fleet, &Scenario::b2_qos(), &spec, &mut Off);
 //! assert!(report.conserves_requests());
 //! assert!(report.latency.p99_ms >= report.latency.p50_ms);
 //! println!("{}", report.to_json_line());
@@ -128,11 +142,7 @@ pub use admission::{
 };
 pub use autoscale::{Autoscaler, FailurePlan, ScaleEvent, ScaleEventKind, ShardState};
 pub use deadline::DeadlinePolicy;
-pub use engine::{
-    simulate, simulate_autoscaled, simulate_autoscaled_deadline, simulate_autoscaled_qos,
-    simulate_deadline, simulate_fleet, simulate_fleet_deadline, simulate_fleet_qos,
-    simulate_fleet_with, simulate_qos, simulate_traced, simulate_with,
-};
+pub use engine::{serve, simulate, ServeSpec};
 pub use fleet::{FleetConfig, LoadBalancerKind};
 pub use histogram::LatencyHistogram;
 pub use model::{BranchService, ServiceModel};

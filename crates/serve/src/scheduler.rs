@@ -74,35 +74,6 @@ pub trait Scheduler: Send {
     ) -> Vec<Request>;
 }
 
-/// Forwarding impl so a borrowed scheduler can stand in wherever an owned
-/// one is expected (the fleet engine takes boxed per-shard schedulers;
-/// `simulate_with` and `simulate_fleet_with` box their callers' borrowed
-/// schedulers through this). The reference and trait-object lifetimes are
-/// independent so a short reborrow of a long-lived scheduler still
-/// forwards.
-impl<'r, 'o> Scheduler for &'r mut (dyn Scheduler + 'o) {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn enqueue(&mut self, request: Request, now_us: u64) {
-        (**self).enqueue(request, now_us);
-    }
-
-    fn queued(&self) -> usize {
-        (**self).queued()
-    }
-
-    fn next_batch(
-        &mut self,
-        model: &ServiceModel,
-        now_us: u64,
-        branch_free_us: &[u64],
-    ) -> Vec<Request> {
-        (**self).next_batch(model, now_us, branch_free_us)
-    }
-}
-
 /// The built-in disciplines, as a value users can pass around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {

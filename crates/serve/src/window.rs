@@ -8,13 +8,14 @@
 //! Every other event — an arrival placed by a load-oblivious balancer, a
 //! dispatch — touches only its own shard.
 //!
-//! The windowed engine runs the *same* [`EngineCore`] the sequential
-//! engine runs, but drives it in two alternating modes:
+//! [`drive`] — the driver behind [`crate::serve`] and the
+//! `simulate_windowed*` entry points — runs one [`EngineCore`] in two
+//! alternating modes:
 //!
 //! 1. **Sequential spans.** Every event that touches cross-shard state is
-//!    processed by [`EngineCore::step`] on the calling thread — the exact
-//!    code path `run()` takes, so the interleaving is the sequential one
-//!    by construction.
+//!    processed by [`EngineCore::step`] on the calling thread, one event
+//!    at a time, so the interleaving is the sequential one by
+//!    construction.
 //! 2. **Windows.** Between those events the fleet is *quiescent*: no
 //!    lifecycle event is pending before a provable horizon, placement is
 //!    pure cursor arithmetic over a frozen placeable snapshot, and no
@@ -30,7 +31,11 @@
 //!    merged tallies and the sorted trace stream.
 //!
 //! A static fleet is the case with no pinning events at all: its windows
-//! end only at the plan's `window_us` chunk size.
+//! end only at the plan's `window_us` chunk size. A plan whose fan-out
+//! threshold no window can clear
+//! (`WindowPlan::new(1).with_min_parallel_events(usize::MAX)`) steps every
+//! event — the sequential comparator the equivalence battery checks the
+//! windows against.
 //!
 //! **Window-edge pinning rules** (what forces a window to end):
 //!
@@ -57,7 +62,7 @@
 //! threshold also step sequentially.
 //!
 //! Identical inputs produce **byte-identical** reports and recorder
-//! streams at every worker count — pinned across the coupled grid
+//! streams at every worker count and plan — pinned across the coupled grid
 //! (balancer × {static, autoscaled, failure-injected, one-shard scale-up}
 //! × admission × deadline × workers) by `tests/engine_equivalence.rs` and
 //! the worker-count invariance proptests.
@@ -69,12 +74,12 @@ use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
-use crate::engine::{refresh_dispatch, EngineCore, Shard, Tally};
+use crate::engine::{refresh_dispatch, EngineCore, ServeSpec, Shard, Tally};
 use crate::fleet::FleetConfig;
 use crate::report::ServeReport;
 use crate::request::Request;
 use crate::scenario::Scenario;
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::SchedulerKind;
 
 /// Tuning knobs for windowed execution. The plan never affects results —
 /// only how much of the run executes in windows versus sequential spans,
@@ -121,13 +126,13 @@ impl WindowPlan {
     }
 }
 
-/// [`crate::engine::simulate_autoscaled_deadline`] — the full coupled
-/// stack: QoS classes, admission shedding, autoscaling, failure injection
-/// and deadline culling — executed in shard-local time windows.
+/// [`crate::serve`] with its axes spelled out and an explicit window
+/// plan: QoS classes, admission shedding, autoscaling, failure injection
+/// and deadline culling, executed in shard-local time windows.
 ///
-/// Identical inputs produce a report byte-identical to the sequential
-/// engine at every worker count. Under a load-aware balancer no window
-/// opens and every event steps sequentially (see the module docs).
+/// Identical inputs produce a byte-identical report at every worker count
+/// and plan. Under a load-aware balancer no window opens and every event
+/// steps sequentially (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_windowed(
     config: &FleetConfig,
@@ -145,10 +150,9 @@ pub fn simulate_windowed(
 }
 
 /// [`simulate_windowed`] with every engine event delivered to `sink`, in
-/// the exact order the sequential [`crate::engine::simulate_traced`]
-/// would record them: sequential spans write straight through, window
-/// events carry deterministic step keys and merge by sort at each window
-/// edge.
+/// the order a run that steps every event would record them: sequential
+/// spans write straight through, window events carry deterministic step
+/// keys and merge by sort at each window edge.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_windowed_traced(
     config: &FleetConfig,
@@ -161,20 +165,28 @@ pub fn simulate_windowed_traced(
     sink: &mut dyn TraceSink,
     plan: &WindowPlan,
 ) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
-    let mut controller = admission.build();
-    let mut core = EngineCore::new(
-        config,
-        scenario,
-        schedulers,
-        Some(kind),
-        policy,
-        failures,
-        controller.as_mut(),
+    let spec = ServeSpec {
+        scheduler: kind,
+        admission,
         deadline,
-        sink,
-    );
+        autoscaler: policy.clone(),
+        failures: failures.clone(),
+        workers: plan.workers,
+    };
+    drive(config, scenario, &spec, sink, plan)
+}
+
+/// Runs `spec` to completion, alternating sequential spans and windows
+/// as the module docs describe; `plan` (not `spec.workers`) sets the
+/// window shape and worker count.
+pub(crate) fn drive(
+    config: &FleetConfig,
+    scenario: &Scenario,
+    spec: &ServeSpec,
+    sink: &mut dyn TraceSink,
+    plan: &WindowPlan,
+) -> ServeReport {
+    let mut core = EngineCore::new(config, scenario, spec, sink);
     while let Some(start) = core.next_instant() {
         match core.quiescent_horizon() {
             Some(horizon) => {
@@ -183,10 +195,8 @@ pub fn simulate_windowed_traced(
                 // `run_window == 0`: the window is below the fan-out
                 // threshold (or holds only work dispatchable at or after
                 // the edge). Either way, advance sequentially — `step()`
-                // is the sequential engine and is always correct.
-                if (cap <= start || core.run_window(cap, plan, admission) == 0)
-                    && !core.step_until(cap)
-                {
+                // is always correct.
+                if (cap <= start || core.run_window(cap, plan) == 0) && !core.step_until(cap) {
                     break;
                 }
             }
@@ -200,7 +210,7 @@ pub fn simulate_windowed_traced(
     core.finish()
 }
 
-impl<'a> EngineCore<'a, '_> {
+impl EngineCore<'_> {
     /// The earliest pending event instant (arrival cursor vs. live
     /// calendar front), or `None` when the run is complete.
     pub(crate) fn next_instant(&mut self) -> Option<u64> {
@@ -256,7 +266,8 @@ impl<'a> EngineCore<'a, '_> {
     ///   the first instant it could fire again; before the first
     ///   scale-up there is no bound, so no window opens.
     pub(crate) fn quiescent_horizon(&self) -> Option<u64> {
-        if !self.dense || self.policy.idle_retire_us > 0 {
+        let policy = &self.spec.autoscaler;
+        if !self.dense || policy.idle_retire_us > 0 {
             return None;
         }
         let mut active = 0usize;
@@ -272,21 +283,17 @@ impl<'a> EngineCore<'a, '_> {
         }
         let next_life = self.calendar.earliest_in_lane(LANE_LIFECYCLE);
         let mut horizon = next_life.unwrap_or(u64::MAX);
-        if self.spawn.is_some() {
-            let terminal = active >= self.policy.max_shards && next_life.is_none();
-            if self.policy.scale_up_p99_ms > 0.0 && !terminal {
-                return None;
-            }
-            let depth_armed = self.policy.scale_up_queue_depth > 0
-                && active < self.policy.max_shards
-                && self.next_arrival < self.arrivals.len();
-            if depth_armed {
-                match self.last_scale_up {
-                    Some(last) => {
-                        horizon = horizon.min(last.saturating_add(self.policy.cooldown_us));
-                    }
-                    None => return None,
-                }
+        let terminal = active >= policy.max_shards && next_life.is_none();
+        if policy.p99_trigger_on() && !terminal {
+            return None;
+        }
+        let depth_armed = policy.scale_up_queue_depth > 0
+            && active < policy.max_shards
+            && self.next_arrival < self.arrivals.len();
+        if depth_armed {
+            match self.last_scale_up {
+                Some(last) => horizon = horizon.min(last.saturating_add(policy.cooldown_us)),
+                None => return None,
             }
         }
         Some(horizon)
@@ -302,12 +309,7 @@ impl<'a> EngineCore<'a, '_> {
     /// Returns the number of events processed; `0` means the window was
     /// below the plan's fan-out threshold (nothing ran — the caller
     /// advances sequentially instead).
-    pub(crate) fn run_window(
-        &mut self,
-        cap: u64,
-        plan: &WindowPlan,
-        admission_kind: AdmissionKind,
-    ) -> usize {
+    pub(crate) fn run_window(&mut self, cap: u64, plan: &WindowPlan) -> usize {
         let in_window =
             self.arrivals[self.next_arrival..].partition_point(|r| r.issued_at_us < cap);
         if in_window + self.queued_total < plan.min_parallel_events.max(1) {
@@ -329,7 +331,8 @@ impl<'a> EngineCore<'a, '_> {
         self.next_arrival += in_window;
 
         let capacity = self.capacity;
-        let deadline = self.deadline;
+        let admission_kind = self.spec.admission;
+        let deadline = self.spec.deadline;
         let split_us = self.split_us;
         let tracing = self.tracing;
         let branch_count = self.tally.issued.len();
@@ -339,8 +342,7 @@ impl<'a> EngineCore<'a, '_> {
         // straight into the run's accumulators; every other worker fills
         // a tally of its own, folded in afterwards (tally merges are
         // exact integer and fixed-bucket histogram adds).
-        let run_share = move |share: Vec<(usize, &mut Shard<'a>, Vec<Request>)>,
-                              tally: &mut Tally| {
+        let run_share = move |share: Vec<(usize, &mut Shard, Vec<Request>)>, tally: &mut Tally| {
             let mut sink = StepSink::new(tracing);
             let mut steps = 0usize;
             for (shard_id, shard, arrivals) in share {
@@ -362,7 +364,7 @@ impl<'a> EngineCore<'a, '_> {
         };
 
         let worker_count = plan.workers.clamp(1, shard_count);
-        let mut shares: Vec<Vec<(usize, &mut Shard<'a>, Vec<Request>)>> =
+        let mut shares: Vec<Vec<(usize, &mut Shard, Vec<Request>)>> =
             (0..worker_count).map(|_| Vec::new()).collect();
         for (shard_id, (shard, arrivals)) in self.shards.iter_mut().zip(per_shard).enumerate() {
             shares[shard_id % worker_count].push((shard_id, shard, arrivals));
@@ -420,7 +422,7 @@ impl<'a> EngineCore<'a, '_> {
 #[allow(clippy::too_many_arguments)]
 fn advance_shard(
     shard_id: usize,
-    shard: &mut Shard<'_>,
+    shard: &mut Shard,
     admission: &mut dyn AdmissionController,
     arrivals: &[Request],
     capacity: usize,

@@ -22,8 +22,8 @@
 //! Run with: `cargo run --release --example autoscaled_fleet`
 
 use fcad::{
-    Autoscaler, Customization, DseParams, FailurePlan, Fcad, LoadBalancerKind, Scenario,
-    SchedulerKind,
+    serve, Autoscaler, Customization, DseParams, FailurePlan, Fcad, LoadBalancerKind, Off,
+    Scenario, ServeSpec,
 };
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
@@ -42,8 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let scenario = Scenario::b2_failover(1); // five bursty sessions, 4 s
     let shards = 6;
-    let balancer = LoadBalancerKind::LeastLoaded;
-    let kind = SchedulerKind::BatchAggregating;
+    let config = result
+        .fleet_config(shards)
+        .with_balancer(LoadBalancerKind::LeastLoaded);
     let kills = FailurePlan::scheduled(&[(1_100_000, 1), (1_150_000, 2), (1_200_000, 3)]);
     let policy = Autoscaler::reactive(shards, shards + 2)
         .with_scale_up_queue_depth(4)
@@ -51,24 +52,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_cooldown_us(80_000)
         .with_idle_retire_us(0);
 
-    let healthy = result.serve_autoscaled(
-        &scenario,
-        shards,
-        balancer,
-        kind,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-    );
-    let static_failed = result.serve_autoscaled(
-        &scenario,
-        shards,
-        balancer,
-        kind,
-        &Autoscaler::none(),
-        &kills,
-    );
-    let elastic_failed =
-        result.serve_autoscaled(&scenario, shards, balancer, kind, &policy, &kills);
+    // Batch-aggregating dispatch and admit-all throughout; the runs differ
+    // only in the autoscaler and the failure plan.
+    let healthy = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
+    let static_kills = ServeSpec {
+        failures: kills.clone(),
+        ..ServeSpec::default()
+    };
+    let static_failed = serve(&config, &scenario, &static_kills, &mut Off);
+    let elastic_kills = ServeSpec {
+        autoscaler: policy,
+        failures: kills,
+        ..ServeSpec::default()
+    };
+    let elastic_failed = serve(&config, &scenario, &elastic_kills, &mut Off);
     for report in [&healthy, &static_failed, &elastic_failed] {
         assert!(report.conserves_requests());
         println!("{}", report.to_json_line());

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
-use fcad::{Customization, DseParams, Fcad, LoadBalancerKind, Scenario, SchedulerKind};
+use fcad::{serve, Customization, DseParams, Fcad, LoadBalancerKind, Off, Scenario, ServeSpec};
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
 use fcad_nnir::Precision;
@@ -28,15 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fixed load, growing fleet: the single-device b2 chaos scenario on
     // 1/2/4/8 shards. More shards must cut the tail.
+    // Batch-aggregating dispatch, admit-all, no autoscaling: the default
+    // spec on every fleet.
+    let spec = ServeSpec::default();
     let chaos = Scenario::b2();
     let mut p99_by_shards = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let report = result.serve_fleet(
-            &chaos,
-            shards,
-            LoadBalancerKind::LeastLoaded,
-            SchedulerKind::BatchAggregating,
-        );
+        let config = result
+            .fleet_config(shards)
+            .with_balancer(LoadBalancerKind::LeastLoaded);
+        let report = serve(&config, &chaos, &spec, &mut Off);
         assert!(report.conserves_requests());
         p99_by_shards.push((shards, report.latency.p99_ms));
         println!("{}", report.to_json_line());
@@ -58,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet_chaos = Scenario::b2_fleet(4);
     println!("\nbalancer head-to-head on {}:", fleet_chaos.name);
     for &balancer in LoadBalancerKind::all() {
-        let report = result.serve_fleet(&fleet_chaos, 4, balancer, SchedulerKind::BatchAggregating);
+        let config = result.fleet_config(4).with_balancer(balancer);
+        let report = serve(&config, &fleet_chaos, &spec, &mut Off);
         assert!(report.conserves_requests());
         println!(
             "{:<14} p50 {:>7.1} ms  p99 {:>7.1} ms  drop {:>5.1}%  utilization {:>5.1}%  imbalance {:.2}",

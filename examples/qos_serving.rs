@@ -24,7 +24,10 @@
 //!
 //! Run with: `cargo run --release --example qos_serving`
 
-use fcad::{AdmissionKind, Customization, DseParams, Fcad, QosClass, Scenario, SchedulerKind};
+use fcad::{
+    serve, AdmissionKind, Customization, DseParams, Fcad, Off, QosClass, Scenario, SchedulerKind,
+    ServeSpec,
+};
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
 use fcad_nnir::Precision;
@@ -47,10 +50,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.sessions
     );
 
+    let device = result.fleet_config(1);
     let reports: Vec<_> = AdmissionKind::all()
         .iter()
         .map(|&admission| {
-            let report = result.serve_qos(&scenario, SchedulerKind::PriorityByBranch, admission);
+            let spec = ServeSpec {
+                scheduler: SchedulerKind::PriorityByBranch,
+                admission,
+                ..ServeSpec::default()
+            };
+            let report = serve(&device, &scenario, &spec, &mut Off);
             assert!(report.conserves_requests());
             println!("{}", report.to_json_line());
             (admission, report)

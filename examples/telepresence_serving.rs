@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example telepresence_serving`
 
-use fcad::{Customization, DseParams, Fcad, Scenario, SchedulerKind};
+use fcad::{serve, Customization, DseParams, Fcad, Off, Scenario, SchedulerKind, ServeSpec};
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
 use fcad_nnir::Precision;
@@ -28,8 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.efficiency() * 100.0
     );
 
+    // One shard of this design, every policy axis at its default.
+    let device = result.fleet_config(1);
     for scenario in Scenario::suite() {
-        let report = result.serve(&scenario);
+        let report = serve(&device, &scenario, &ServeSpec::default(), &mut Off);
         assert!(report.conserves_requests());
         println!("{}", report.to_json_line());
     }
@@ -39,8 +41,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cost of the low-priority (audio-like) stream.
     let chaos = Scenario::b2();
     println!("\nscheduler head-to-head on {}:", chaos.name);
-    let fifo = result.serve_with(&chaos, SchedulerKind::Fifo);
-    let priority = result.serve_with(&chaos, SchedulerKind::PriorityByBranch);
+    let under = |scheduler| {
+        let spec = ServeSpec {
+            scheduler,
+            ..ServeSpec::default()
+        };
+        serve(&device, &chaos, &spec, &mut Off)
+    };
+    let fifo = under(SchedulerKind::Fifo);
+    let priority = under(SchedulerKind::PriorityByBranch);
     println!("{}", fifo.to_json_line());
     println!("{}", priority.to_json_line());
     println!(

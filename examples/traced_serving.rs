@@ -22,8 +22,8 @@
 //! Run with: `cargo run --release --example traced_serving`
 
 use fcad::{
-    chrome_trace, validate_json, AdmissionKind, Customization, DseParams, Fcad, FlightRecorder,
-    Recorder, Scenario, SchedulerKind, Windowed,
+    chrome_trace, serve, validate_json, AdmissionKind, Customization, DseParams, Fcad,
+    FlightRecorder, Off, Recorder, Scenario, SchedulerKind, ServeSpec, Windowed,
 };
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
@@ -35,20 +35,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_dse_params(DseParams::fast())
         .run()?;
     let scenario = Scenario::b2_qos();
+    let device = result.fleet_config(1);
+    let spec = ServeSpec {
+        scheduler: SchedulerKind::PriorityByBranch,
+        admission: AdmissionKind::BudgetAware,
+        ..ServeSpec::default()
+    };
 
     // One traced run; the untraced twin pins the observation-only claim.
     let mut recorder = Recorder::new();
-    let traced = result.serve_qos_traced(
-        &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::BudgetAware,
-        &mut recorder,
-    );
-    let untraced = result.serve_qos(
-        &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::BudgetAware,
-    );
+    let traced = serve(&device, &scenario, &spec, &mut recorder);
+    let untraced = serve(&device, &scenario, &spec, &mut Off);
     assert_eq!(traced, untraced, "tracing must not perturb the simulation");
     assert!(!recorder.is_empty(), "the run must produce trace events");
     println!(

@@ -5,16 +5,32 @@
 //! weight fill completes.
 
 use fcad_serve::{
-    simulate_autoscaled, simulate_fleet, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind,
-    ScaleEventKind, Scenario, SchedulerKind, ShardState,
+    reference, serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, ScaleEventKind,
+    Scenario, SchedulerKind, ServeReport, ServeSpec, ShardState,
 };
 
 mod common;
 
-use common::three_branch_model as model;
+use common::{spec_for, three_branch_model as model};
 
-/// The ISSUE's acceptance gate: with the no-op autoscaler and no failure
-/// plan, the lifecycle-driven loop reproduces `simulate_fleet` bit for
+/// `scenario` on `config` under batch aggregation with the given
+/// autoscaler and failure plan.
+fn elastic(
+    config: &FleetConfig,
+    scenario: &Scenario,
+    autoscaler: Autoscaler,
+    failures: FailurePlan,
+) -> ServeReport {
+    let spec = ServeSpec {
+        autoscaler,
+        failures,
+        ..ServeSpec::default()
+    };
+    serve(config, scenario, &spec, &mut Off)
+}
+
+/// With the no-op autoscaler and no failure plan — the default spec — the
+/// lifecycle-driven engine reproduces the frozen fixed-fleet loop bit for
 /// bit, for every balancer × scheduler × scenario of the standard suite,
 /// at 1 and at 3 shards.
 #[test]
@@ -24,14 +40,8 @@ fn noop_policy_is_bit_identical_to_the_fixed_fleet_everywhere() {
             for &kind in SchedulerKind::all() {
                 for shards in [1usize, 3] {
                     let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-                    let fixed = simulate_fleet(&config, &scenario, kind);
-                    let noop = simulate_autoscaled(
-                        &config,
-                        &scenario,
-                        kind,
-                        &Autoscaler::none(),
-                        &FailurePlan::none(),
-                    );
+                    let fixed = reference::simulate_fleet(&config, &scenario, kind);
+                    let noop = serve(&config, &scenario, &spec_for(kind), &mut Off);
                     assert_eq!(
                         fixed,
                         noop,
@@ -56,13 +66,11 @@ fn every_request_is_accounted_for_under_failure() {
     for &balancer in LoadBalancerKind::all() {
         for &kind in SchedulerKind::all() {
             let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-            let report = simulate_autoscaled(
-                &config,
-                &scenario,
-                kind,
-                &Autoscaler::none(),
-                &FailurePlan::scheduled(&[(1_100_000, 1)]),
-            );
+            let spec = ServeSpec {
+                failures: FailurePlan::scheduled(&[(1_100_000, 1)]),
+                ..spec_for(kind)
+            };
+            let report = serve(&config, &scenario, &spec, &mut Off);
             assert!(
                 report.conserves_requests(),
                 "{} / {}: {} completed + {} dropped + {} lost != {} issued",
@@ -96,13 +104,7 @@ fn every_request_is_accounted_for_under_failure() {
 fn a_draining_shard_accepts_no_new_placements() {
     let config = FleetConfig::uniform(model(), 2).with_balancer(LoadBalancerKind::RoundRobin);
     let policy = Autoscaler::none().with_scheduled_drain(0, 1);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::b2(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let report = elastic(&config, &Scenario::b2(), policy, FailurePlan::none());
     assert!(report.conserves_requests());
     assert_eq!(report.shards[1].state, ShardState::Retired);
     assert_eq!(
@@ -122,21 +124,9 @@ fn a_draining_shard_accepts_no_new_placements() {
 #[test]
 fn a_mid_run_drain_finishes_the_queue_then_retires() {
     let config = FleetConfig::uniform(model(), 3).with_balancer(LoadBalancerKind::RoundRobin);
-    let undrained = simulate_autoscaled(
-        &config,
-        &Scenario::b2(),
-        SchedulerKind::BatchAggregating,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-    );
+    let undrained = serve(&config, &Scenario::b2(), &ServeSpec::default(), &mut Off);
     let policy = Autoscaler::none().with_scheduled_drain(800_000, 2);
-    let drained = simulate_autoscaled(
-        &config,
-        &Scenario::b2(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let drained = elastic(&config, &Scenario::b2(), policy, FailurePlan::none());
     assert!(drained.conserves_requests());
     assert_eq!(drained.lost, 0, "draining loses nothing");
     assert_eq!(drained.shards[2].state, ShardState::Retired);
@@ -168,13 +158,7 @@ fn a_mid_run_drain_finishes_the_queue_then_retires() {
 fn drains_below_the_policy_floor_are_refused() {
     let config = FleetConfig::uniform(model(), 1);
     let policy = Autoscaler::none().with_scheduled_drain(0, 0);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::a1(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let report = elastic(&config, &Scenario::a1(), policy, FailurePlan::none());
     assert!(
         report.scale_events.is_empty(),
         "the last shard cannot drain"
@@ -189,18 +173,12 @@ fn drains_below_the_policy_floor_are_refused() {
 #[test]
 fn a_warming_shard_contributes_nothing_until_filled() {
     let config = FleetConfig::uniform(model(), 1);
-    let baseline = simulate_fleet(&config, &Scenario::b2(), SchedulerKind::BatchAggregating);
+    let baseline = serve(&config, &Scenario::b2(), &ServeSpec::default(), &mut Off);
     let policy = Autoscaler::reactive(1, 2)
         .with_scale_up_queue_depth(2)
         .with_warmup_us(3_600_000_000) // an hour: never warms in a 2.5 s run
         .with_idle_retire_us(0);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::b2(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let report = elastic(&config, &Scenario::b2(), policy, FailurePlan::none());
     assert!(report.conserves_requests());
     assert_eq!(report.shard_count(), 2, "pressure must have spawned");
     assert_eq!(report.shards[1].state, ShardState::Warming);
@@ -219,18 +197,12 @@ fn a_warming_shard_contributes_nothing_until_filled() {
 #[test]
 fn a_warmed_shard_serves_and_cuts_the_tail() {
     let config = FleetConfig::uniform(model(), 1);
-    let baseline = simulate_fleet(&config, &Scenario::b2(), SchedulerKind::BatchAggregating);
+    let baseline = serve(&config, &Scenario::b2(), &ServeSpec::default(), &mut Off);
     let policy = Autoscaler::reactive(1, 2)
         .with_scale_up_queue_depth(2)
         .with_warmup_us(30_000)
         .with_idle_retire_us(0);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::b2(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let report = elastic(&config, &Scenario::b2(), policy, FailurePlan::none());
     assert!(report.conserves_requests());
     assert_eq!(report.shard_count(), 2);
     assert!(report.shards[1].completed > 0, "warmed shard must serve");
@@ -266,13 +238,7 @@ fn idle_shards_retire_down_to_the_floor() {
     let policy = Autoscaler::reactive(2, 4)
         .with_scale_up_queue_depth(0)
         .with_idle_retire_us(50_000);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::a1(),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::none(),
-    );
+    let report = elastic(&config, &Scenario::a1(), policy, FailurePlan::none());
     assert!(report.conserves_requests());
     let retired = report
         .shards
@@ -298,12 +264,11 @@ fn failures_trigger_replacement_spawns_back_to_the_floor() {
         .with_scale_up_queue_depth(0) // isolate the replacement path
         .with_warmup_us(25_000)
         .with_idle_retire_us(0);
-    let report = simulate_autoscaled(
+    let report = elastic(
         &config,
         &Scenario::b2_failover(2),
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &FailurePlan::scheduled(&[(1_000_000, 0)]),
+        policy,
+        FailurePlan::scheduled(&[(1_000_000, 0)]),
     );
     assert!(report.conserves_requests());
     assert_eq!(report.shard_count(), 3, "one replacement for one failure");
@@ -332,19 +297,13 @@ fn failures_trigger_replacement_spawns_back_to_the_floor() {
 #[test]
 fn orphans_on_a_warming_replacement_wait_out_the_weight_fill() {
     let config = FleetConfig::uniform(model(), 1);
-    let plan = FailurePlan::scheduled(&[(1_100_000, 0)]);
     let run = |warmup_us: u64| {
         let policy = Autoscaler::reactive(1, 1)
             .with_scale_up_queue_depth(0)
             .with_warmup_us(warmup_us)
             .with_idle_retire_us(0);
-        simulate_autoscaled(
-            &config,
-            &Scenario::b2(),
-            SchedulerKind::BatchAggregating,
-            &policy,
-            &plan,
-        )
+        let plan = FailurePlan::scheduled(&[(1_100_000, 0)]);
+        elastic(&config, &Scenario::b2(), policy, plan)
     };
     let quick = run(1_000);
     let slow = run(400_000);
@@ -364,7 +323,7 @@ fn orphans_on_a_warming_replacement_wait_out_the_weight_fill() {
     );
     assert!(slow.latency.max_ms > quick.latency.max_ms);
     // The warm events land exactly one warm-up after the kill.
-    let warm_at = |r: &fcad_serve::ServeReport| {
+    let warm_at = |r: &ServeReport| {
         r.scale_events
             .iter()
             .find(|e| e.kind == ScaleEventKind::Warm)

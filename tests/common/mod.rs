@@ -2,10 +2,44 @@
 //! target uses every helper, hence the `dead_code` allowances.
 
 use fcad_serve::{
-    AdmissionKind, ArrivalPattern, BranchService, ClassMix, RequestEventKind, Scenario,
-    SchedulerKind, ServeReport, ServiceModel, TraceEvent,
+    simulate_windowed_traced, AdmissionKind, ArrivalPattern, BranchService, ClassMix, FleetConfig,
+    RequestEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel, TraceEvent,
+    TraceSink, WindowPlan,
 };
 use proptest::prelude::*;
+
+/// The default spec under the discipline `kind`.
+#[allow(dead_code)]
+pub fn spec_for(kind: SchedulerKind) -> ServeSpec {
+    ServeSpec {
+        scheduler: kind,
+        ..ServeSpec::default()
+    }
+}
+
+/// `spec` on the windows-disabled driver, every event delivered to `sink`:
+/// no window clears a fan-out threshold of `usize::MAX`, so every event
+/// steps through `EngineCore::step`, one at a time — the sequential
+/// comparator of the windowed grids. `spec.workers` is ignored.
+#[allow(dead_code)]
+pub fn serve_sequential(
+    config: &FleetConfig,
+    scenario: &Scenario,
+    spec: &ServeSpec,
+    sink: &mut dyn TraceSink,
+) -> ServeReport {
+    simulate_windowed_traced(
+        config,
+        scenario,
+        spec.scheduler,
+        &spec.autoscaler,
+        &spec.failures,
+        spec.admission,
+        spec.deadline,
+        sink,
+        &WindowPlan::new(1).with_min_parallel_events(usize::MAX),
+    )
+}
 
 /// The synthetic three-branch service model (no DSE run needed) used across
 /// the serve/fleet test suites: two visual branches and a cheap

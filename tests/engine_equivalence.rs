@@ -1,6 +1,7 @@
-//! The engine-rebuild differential battery: the calendar-driven engine
-//! (`fcad_serve::simulate_*`) and the windowed engine
-//! (`fcad_serve::simulate_windowed{,_traced}`) at every worker count must
+//! The engine-rebuild differential battery: the front door
+//! (`fcad_serve::serve`), the windowed engine under explicit plans
+//! (`fcad_serve::simulate_windowed{,_traced}`) at every worker count and
+//! the windows-disabled driver (`common::serve_sequential`) must
 //! reproduce the frozen pre-rebuild loop (`fcad_serve::reference`) **byte
 //! for byte** — same `ServeReport` JSON line, same recorded trace stream —
 //! for every scheduler × balancer × scenario combination, across shard
@@ -9,16 +10,18 @@
 //!
 //! This battery is the contract that makes the indexed-calendar /
 //! heap-scheduler / windowed-shard rebuild a pure performance change:
-//! any behavioural drift shows up as a byte diff here.
+//! any behavioural drift shows up as a byte diff here. Expiry culling has
+//! no reference twin, so the coupled grid also pins the windows-disabled
+//! driver's reports to digests recorded before the sequential `run()`
+//! loop was deleted.
 
 mod common;
 
-use common::three_branch_model;
+use common::{serve_sequential, spec_for, three_branch_model};
 use fcad_serve::{
-    reference, simulate_autoscaled_deadline, simulate_autoscaled_qos, simulate_fleet,
-    simulate_fleet_qos, simulate_traced, simulate_windowed, simulate_windowed_traced,
-    AdmissionKind, Autoscaler, DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind,
-    Recorder, Scenario, SchedulerKind, WindowPlan,
+    reference, serve, simulate_windowed, simulate_windowed_traced, AdmissionKind, Autoscaler,
+    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, Recorder, Scenario,
+    SchedulerKind, ServeSpec, WindowPlan,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
@@ -51,7 +54,7 @@ fn rebuilt_engine_matches_the_reference_everywhere() {
                 for &balancer in LoadBalancerKind::all() {
                     let config = fleet(shards, balancer);
                     let frozen = reference::simulate_fleet(&config, &scenario, kind);
-                    let rebuilt = simulate_fleet(&config, &scenario, kind);
+                    let rebuilt = serve(&config, &scenario, &spec_for(kind), &mut Off);
                     assert_eq!(
                         frozen.to_json_line(),
                         rebuilt.to_json_line(),
@@ -105,7 +108,11 @@ fn qos_admission_grid_is_bit_identical_across_engines() {
         for &kind in SchedulerKind::all() {
             for admission in ADMISSIONS {
                 let frozen = reference::simulate_fleet_qos(&config, &scenario, kind, admission);
-                let rebuilt = simulate_fleet_qos(&config, &scenario, kind, admission);
+                let spec = ServeSpec {
+                    admission,
+                    ..spec_for(kind)
+                };
+                let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
                     rebuilt.to_json_line(),
@@ -147,14 +154,12 @@ fn autoscaled_runs_are_bit_identical_to_the_reference() {
                     &FailurePlan::none(),
                     admission,
                 );
-                let rebuilt = simulate_autoscaled_qos(
-                    &config,
-                    &scenario,
-                    kind,
-                    &policy,
-                    &FailurePlan::none(),
+                let spec = ServeSpec {
                     admission,
-                );
+                    autoscaler: policy.clone(),
+                    ..spec_for(kind)
+                };
+                let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
                     rebuilt.to_json_line(),
@@ -182,14 +187,12 @@ fn failure_injection_runs_are_bit_identical_to_the_reference() {
                     failures,
                     AdmissionKind::AdmitAll,
                 );
-                let rebuilt = simulate_autoscaled_qos(
-                    &config,
-                    &scenario,
-                    kind,
-                    &Autoscaler::reactive(2, 4),
-                    failures,
-                    AdmissionKind::AdmitAll,
-                );
+                let spec = ServeSpec {
+                    autoscaler: Autoscaler::reactive(2, 4),
+                    failures: failures.clone(),
+                    ..spec_for(kind)
+                };
+                let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
                     rebuilt.to_json_line(),
@@ -219,16 +222,14 @@ fn trace_streams_are_identical_event_for_event() {
                 AdmissionKind::QueueThreshold,
                 &mut frozen_rec,
             );
+            let spec = ServeSpec {
+                admission: AdmissionKind::QueueThreshold,
+                autoscaler: policy.clone(),
+                failures: failures.clone(),
+                ..spec_for(kind)
+            };
             let mut rebuilt_rec = Recorder::new();
-            let rebuilt = simulate_traced(
-                &config,
-                &scenario,
-                kind,
-                &policy,
-                &failures,
-                AdmissionKind::QueueThreshold,
-                &mut rebuilt_rec,
-            );
+            let rebuilt = serve(&config, &scenario, &spec, &mut rebuilt_rec);
             assert_eq!(frozen.to_json_line(), rebuilt.to_json_line());
             assert_eq!(
                 frozen_rec.events(),
@@ -325,16 +326,46 @@ fn coupled_regimes() -> Vec<(
     ]
 }
 
+/// FNV-1a digest of every sequential JSON line of each coupled regime, in
+/// grid order (scheduler, balancer, admission), each line followed by a
+/// newline. Recorded on the sequential `run()` loop before it was deleted;
+/// the windows-disabled driver must reproduce them.
+const COUPLED_GRID_DIGESTS: [(&str, u64); 7] = [
+    ("static", 0x0105_a0de_a30d_c88b),
+    ("autoscaled", 0xeaa2_a791_e9ba_174f),
+    ("autoscaled-idle", 0xf8db_3844_b59a_fb88),
+    ("failure-injected", 0x22ca_e1c9_71c9_a119),
+    ("failure-seeded", 0x1f08_cde2_8d26_8b95),
+    ("deadline-culled", 0x0202_7a08_2ea2_4df1),
+    ("one-shard-scale-up", 0xeb8e_0756_d5c0_bd61),
+];
+
+fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn windowed_engine_matches_the_sequential_engine_across_the_coupled_grid() {
+    let mut digests = Vec::new();
     for (regime, scenario, shards, policy, failures, deadline) in coupled_regimes() {
+        let mut digest = 0xcbf2_9ce4_8422_2325;
         for &kind in SchedulerKind::all() {
             for &balancer in LoadBalancerKind::all() {
                 let config = fleet(shards, balancer);
                 for admission in ADMISSIONS {
-                    let sequential = simulate_autoscaled_deadline(
-                        &config, &scenario, kind, &policy, &failures, admission, deadline,
-                    );
+                    let spec = ServeSpec {
+                        scheduler: kind,
+                        admission,
+                        deadline,
+                        autoscaler: policy.clone(),
+                        failures: failures.clone(),
+                        workers: 1,
+                    };
+                    let sequential = serve_sequential(&config, &scenario, &spec, &mut Off);
+                    digest = fnv1a_extend(digest, sequential.to_json_line().as_bytes());
+                    digest = fnv1a_extend(digest, b"\n");
                     for &workers in &WORKER_COUNTS {
                         let windowed = simulate_windowed(
                             &config,
@@ -356,7 +387,18 @@ fn windowed_engine_matches_the_sequential_engine_across_the_coupled_grid() {
                 }
             }
         }
+        digests.push((regime, digest));
     }
+    let mismatches: Vec<String> = digests
+        .iter()
+        .zip(&COUPLED_GRID_DIGESTS)
+        .filter(|(actual, golden)| actual != golden)
+        .map(|((regime, digest), (name, want))| {
+            format!("{regime}: {digest:#018x} (golden {name}: {want:#018x})")
+        })
+        .collect();
+    assert_eq!(digests.len(), COUPLED_GRID_DIGESTS.len(), "regime count");
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 #[test]
@@ -383,16 +425,14 @@ fn windowed_trace_streams_match_the_sequential_recording() {
         for &kind in SchedulerKind::all() {
             for &balancer in LoadBalancerKind::all() {
                 let config = fleet(*shards, balancer);
+                let spec = ServeSpec {
+                    admission: AdmissionKind::QueueThreshold,
+                    autoscaler: policy.clone(),
+                    failures: failures.clone(),
+                    ..spec_for(kind)
+                };
                 let mut sequential_rec = Recorder::new();
-                let sequential = simulate_traced(
-                    &config,
-                    scenario,
-                    kind,
-                    policy,
-                    failures,
-                    AdmissionKind::QueueThreshold,
-                    &mut sequential_rec,
-                );
+                let sequential = serve_sequential(&config, scenario, &spec, &mut sequential_rec);
                 for &workers in &WORKER_COUNTS {
                     let mut windowed_rec = Recorder::new();
                     let windowed = simulate_windowed_traced(

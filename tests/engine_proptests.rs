@@ -6,12 +6,12 @@
 
 mod common;
 
-use common::three_branch_model;
+use common::{serve_sequential, three_branch_model};
 use fcad_serve::calendar::{Calendar, EventKey};
 use fcad_serve::{
-    reference, simulate_autoscaled_deadline, simulate_windowed, AdmissionKind, ArrivalPattern,
-    Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, QosClass,
-    Request, Scenario, Scheduler, SchedulerKind, WindowPlan,
+    reference, simulate_windowed, AdmissionKind, ArrivalPattern, Autoscaler, ClassMix,
+    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, QosClass, Request, Scenario,
+    Scheduler, SchedulerKind, ServeSpec, WindowPlan,
 };
 use proptest::prelude::*;
 
@@ -195,7 +195,7 @@ proptest! {
     /// window), admission controllers, window shapes and a random
     /// coupling regime — static, autoscaled, failure-injected or
     /// deadline-culled — all produce reports byte-identical to the
-    /// sequential engine at 0 (counted as 1), 1, 2, 4 and 8 workers.
+    /// windows-disabled driver at 0 (counted as 1), 1, 2, 4 and 8 workers.
     #[test]
     fn windowed_worker_counts_agree_on_random_coupled_scenarios(
         seed in 0u64..10_000,
@@ -236,9 +236,15 @@ proptest! {
             ),
             _ => (Autoscaler::none(), FailurePlan::none(), DeadlinePolicy::CullExpired),
         };
-        let sequential = simulate_autoscaled_deadline(
-            &config, &scenario, kind, &policy, &failures, admission, deadline,
-        );
+        let spec = ServeSpec {
+            scheduler: kind,
+            admission,
+            deadline,
+            autoscaler: policy.clone(),
+            failures: failures.clone(),
+            workers: 1,
+        };
+        let sequential = serve_sequential(&config, &scenario, &spec, &mut Off);
         for workers in [0usize, 1, 2, 4, 8] {
             let plan = WindowPlan::new(workers)
                 .with_window_us(window_us)

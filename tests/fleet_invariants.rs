@@ -5,22 +5,24 @@
 
 use fcad::{Customization, DseParams, Fcad};
 use fcad_serve::{
-    simulate, simulate_fleet, simulate_fleet_with, simulate_with, FleetConfig, LoadBalancerKind,
-    PriorityScheduler, Scenario, Scheduler, SchedulerKind,
+    reference, serve, simulate, FleetConfig, LoadBalancerKind, Off, Scenario, SchedulerKind,
+    ServeSpec,
 };
 
 mod common;
 
-use common::three_branch_model as model;
+use common::{spec_for, three_branch_model as model};
 
 #[test]
 fn one_shard_fleet_is_bit_identical_to_the_single_device_engine() {
     // Round-robin is the single-device default, so the whole report —
-    // balancer name included — must match exactly.
+    // balancer name included — must match the frozen one-shard fleet
+    // exactly.
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
             let single = simulate(&model(), &scenario, kind);
-            let fleet = simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
+            let fleet =
+                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
             assert_eq!(
                 single,
                 fleet,
@@ -41,7 +43,7 @@ fn every_balancer_degenerates_to_the_single_device_on_one_shard() {
             let single = simulate(&model(), &scenario, kind);
             for &balancer in LoadBalancerKind::all() {
                 let config = FleetConfig::uniform(model(), 1).with_balancer(balancer);
-                let mut fleet = simulate_fleet(&config, &scenario, kind);
+                let mut fleet = serve(&config, &scenario, &spec_for(kind), &mut Off);
                 assert_eq!(fleet.balancer, balancer.name());
                 fleet.balancer = single.balancer.clone();
                 assert_eq!(
@@ -58,21 +60,6 @@ fn every_balancer_degenerates_to_the_single_device_on_one_shard() {
 }
 
 #[test]
-fn caller_provided_schedulers_match_the_built_in_path() {
-    // `simulate_with` (borrowed scheduler) and `simulate_fleet_with`
-    // (boxed shard schedulers) run the same loop as `simulate`.
-    let scenario = Scenario::b2();
-    let built_in = simulate(&model(), &scenario, SchedulerKind::PriorityByBranch);
-    let mut borrowed = PriorityScheduler::new();
-    let via_with = simulate_with(&model(), &scenario, &mut borrowed);
-    assert_eq!(built_in, via_with);
-    let mut boxed: Vec<Box<dyn Scheduler>> = vec![Box::new(PriorityScheduler::new())];
-    let via_fleet_with =
-        simulate_fleet_with(&FleetConfig::uniform(model(), 1), &scenario, &mut boxed);
-    assert_eq!(built_in, via_fleet_with);
-}
-
-#[test]
 fn one_shard_fleet_matches_the_single_device_on_an_optimized_design() {
     let result = Fcad::new(
         fcad_nnir::models::targeted_decoder(),
@@ -83,13 +70,9 @@ fn one_shard_fleet_matches_the_single_device_on_an_optimized_design() {
     .run()
     .expect("decoder flow succeeds");
     for scenario in [Scenario::a1(), Scenario::b2()] {
-        let single = result.serve_with(&scenario, SchedulerKind::BatchAggregating);
-        let fleet = result.serve_fleet(
-            &scenario,
-            1,
-            LoadBalancerKind::RoundRobin,
-            SchedulerKind::BatchAggregating,
-        );
+        let kind = SchedulerKind::BatchAggregating;
+        let single = simulate(&result.service_model(), &scenario, kind);
+        let fleet = reference::simulate_fleet(&result.fleet_config(1), &scenario, kind);
         assert_eq!(
             single, fleet,
             "{}: optimized-design divergence",
@@ -104,7 +87,7 @@ fn fleet_reports_carry_consistent_shard_metadata() {
         let scenario = Scenario::b2_fleet(shards);
         let config =
             FleetConfig::uniform(model(), shards).with_balancer(LoadBalancerKind::LeastLoaded);
-        let report = simulate_fleet(&config, &scenario, SchedulerKind::BatchAggregating);
+        let report = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
         assert!(report.conserves_requests());
         assert_eq!(report.shard_count(), shards);
         assert!(report.imbalance >= 0.0);

@@ -7,15 +7,15 @@
 //! post-failure tail still monotone).
 
 use fcad_serve::{
-    simulate_autoscaled, simulate_fleet, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind,
-    ScaleEventKind,
+    serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, ScaleEventKind, ServeSpec,
 };
 use proptest::prelude::*;
 
 mod common;
 
 use common::{
-    pattern_strategy, prop_scenario as scenario, scheduler_strategy, three_branch_model as model,
+    pattern_strategy, prop_scenario as scenario, scheduler_strategy, spec_for,
+    three_branch_model as model,
 };
 
 fn balancer_strategy() -> impl Strategy<Value = LoadBalancerKind> {
@@ -44,8 +44,8 @@ proptest! {
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-        let a = simulate_fleet(&config, &scenario, kind);
-        let b = simulate_fleet(&config, &scenario, kind);
+        let a = serve(&config, &scenario, &spec_for(kind), &mut Off);
+        let b = serve(&config, &scenario, &spec_for(kind), &mut Off);
         prop_assert_eq!(a, b);
     }
 
@@ -65,7 +65,7 @@ proptest! {
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-        let report = simulate_fleet(&config, &scenario, kind);
+        let report = serve(&config, &scenario, &spec_for(kind), &mut Off);
         prop_assert!(report.conserves_requests());
         prop_assert_eq!(report.shard_count(), shards);
         prop_assert_eq!(
@@ -98,7 +98,7 @@ proptest! {
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-        let report = simulate_fleet(&config, &scenario, kind);
+        let report = serve(&config, &scenario, &spec_for(kind), &mut Off);
         prop_assert_eq!(
             report.completed,
             report.shards.iter().map(|s| s.completed).sum::<u64>()
@@ -134,7 +134,7 @@ proptest! {
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-        let report = simulate_fleet(&config, &scenario, kind);
+        let report = serve(&config, &scenario, &spec_for(kind), &mut Off);
         let monotone = |p50: f64, p95: f64, p99: f64| p99 >= p95 && p95 >= p50;
         prop_assert!(monotone(
             report.latency.p50_ms,
@@ -178,14 +178,17 @@ proptest! {
         let scenario = scenario(seed, sessions, rate, capacity, arrival);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
         let max_shards = shards + 2;
-        let policy = Autoscaler::reactive(shards, max_shards)
-            .with_scale_up_queue_depth(5)
-            .with_warmup_us(20_000)
-            .with_cooldown_us(60_000)
-            .with_idle_retire_us(250_000);
-        let plan = FailurePlan::seeded(seed ^ 0x5EED, kills, 1_000_000);
-        let a = simulate_autoscaled(&config, &scenario, kind, &policy, &plan);
-        let b = simulate_autoscaled(&config, &scenario, kind, &policy, &plan);
+        let spec = ServeSpec {
+            autoscaler: Autoscaler::reactive(shards, max_shards)
+                .with_scale_up_queue_depth(5)
+                .with_warmup_us(20_000)
+                .with_cooldown_us(60_000)
+                .with_idle_retire_us(250_000),
+            failures: FailurePlan::seeded(seed ^ 0x5EED, kills, 1_000_000),
+            ..spec_for(kind)
+        };
+        let a = serve(&config, &scenario, &spec, &mut Off);
+        let b = serve(&config, &scenario, &spec, &mut Off);
         prop_assert_eq!(&a, &b, "fixed seed must give a bit-identical report");
         prop_assert!(a.conserves_requests());
         // Replay the lifecycle log: alive = initial + ups − (fails + retires),

@@ -6,13 +6,13 @@
 //! session wait the static fleet cannot.
 
 use fcad_serve::{
-    simulate_autoscaled, simulate_fleet, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind,
-    Scenario, SchedulerKind,
+    serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, Scenario, SchedulerKind,
+    ServeSpec,
 };
 
 mod common;
 
-use common::three_branch_model as model;
+use common::{spec_for, three_branch_model as model};
 
 /// A fleet whose second half runs 3× slower than the first: the kind of
 /// mixed-generation deployment where static round-robin placement queues
@@ -42,7 +42,8 @@ fn affinity_first_bounds_every_branch_wait_under_the_b2_burst() {
         let scenario = Scenario::b2_fleet(shards);
         let config =
             FleetConfig::uniform(model(), shards).with_balancer(LoadBalancerKind::AffinityFirst);
-        let report = simulate_fleet(&config, &scenario, SchedulerKind::PriorityByBranch);
+        let spec = spec_for(SchedulerKind::PriorityByBranch);
+        let report = serve(&config, &scenario, &spec, &mut Off);
         assert!(report.conserves_requests());
         // No session waits unboundedly: the worst wait across the whole
         // run stays within the makespan and under an absolute ceiling far
@@ -84,15 +85,17 @@ fn least_loaded_beats_round_robin_p99_on_a_mixed_generation_fleet() {
     for shards in [2usize, 4] {
         let scenario = Scenario::b2_fleet(shards);
         for &kind in SchedulerKind::all() {
-            let round_robin = simulate_fleet(
+            let round_robin = serve(
                 &mixed_generation_fleet(shards, LoadBalancerKind::RoundRobin),
                 &scenario,
-                kind,
+                &spec_for(kind),
+                &mut Off,
             );
-            let least_loaded = simulate_fleet(
+            let least_loaded = serve(
                 &mixed_generation_fleet(shards, LoadBalancerKind::LeastLoaded),
                 &scenario,
-                kind,
+                &spec_for(kind),
+                &mut Off,
             );
             assert!(
                 least_loaded.latency.p99_ms < round_robin.latency.p99_ms,
@@ -111,15 +114,17 @@ fn least_loaded_beats_round_robin_p99_on_an_uneven_homogeneous_fleet() {
     // rotation leaves one shard hot while others idle; least-loaded
     // levels the backlog and cuts the tail.
     let scenario = Scenario::b2();
-    let round_robin = simulate_fleet(
+    let round_robin = serve(
         &FleetConfig::uniform(model(), 3).with_balancer(LoadBalancerKind::RoundRobin),
         &scenario,
-        SchedulerKind::BatchAggregating,
+        &ServeSpec::default(),
+        &mut Off,
     );
-    let least_loaded = simulate_fleet(
+    let least_loaded = serve(
         &FleetConfig::uniform(model(), 3).with_balancer(LoadBalancerKind::LeastLoaded),
         &scenario,
-        SchedulerKind::BatchAggregating,
+        &ServeSpec::default(),
+        &mut Off,
     );
     assert!(
         least_loaded.latency.p99_ms < round_robin.latency.p99_ms,
@@ -140,26 +145,20 @@ fn autoscale_with_spill_bounds_the_max_wait_a_failed_static_fleet_cannot() {
     // wait ≈940 ms with availability 1.0.
     let scenario = Scenario::b2_failover(2);
     let config = FleetConfig::uniform(model(), 2).with_balancer(LoadBalancerKind::AffinityFirst);
-    let plan = FailurePlan::scheduled(&[(1_100_000, 1)]);
-    let static_fleet = simulate_autoscaled(
-        &config,
-        &scenario,
-        SchedulerKind::BatchAggregating,
-        &Autoscaler::none(),
-        &plan,
-    );
-    let policy = Autoscaler::reactive(2, 5)
-        .with_scale_up_queue_depth(4)
-        .with_warmup_us(25_000)
-        .with_cooldown_us(80_000)
-        .with_idle_retire_us(0);
-    let elastic = simulate_autoscaled(
-        &config,
-        &scenario,
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &plan,
-    );
+    let killed = ServeSpec {
+        failures: FailurePlan::scheduled(&[(1_100_000, 1)]),
+        ..ServeSpec::default()
+    };
+    let static_fleet = serve(&config, &scenario, &killed, &mut Off);
+    let healing = ServeSpec {
+        autoscaler: Autoscaler::reactive(2, 5)
+            .with_scale_up_queue_depth(4)
+            .with_warmup_us(25_000)
+            .with_cooldown_us(80_000)
+            .with_idle_retire_us(0),
+        ..killed
+    };
+    let elastic = serve(&config, &scenario, &healing, &mut Off);
     assert!(static_fleet.conserves_requests());
     assert!(elastic.conserves_requests());
     // The static fleet's worst wait blows past the pinned ceiling the

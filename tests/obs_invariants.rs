@@ -11,14 +11,23 @@
 //! valid JSON even through failure and autoscale churn.
 
 use fcad_serve::{
-    chrome_trace, simulate_autoscaled_qos, simulate_fleet_qos, simulate_traced, validate_json,
-    AdmissionKind, Autoscaler, FailurePlan, FleetConfig, FlightRecorder, LoadBalancerKind,
-    Recorder, Scenario, SchedulerKind, TraceEvent, Windowed,
+    chrome_trace, serve, validate_json, AdmissionKind, Autoscaler, FailurePlan, FleetConfig,
+    FlightRecorder, LoadBalancerKind, Off, Recorder, Scenario, SchedulerKind, ServeSpec,
+    TraceEvent, Windowed,
 };
 
 mod common;
 
 use common::{check_trace_against_report, three_branch_model as model};
+
+/// A fixed-fleet spec under `kind` and `admission`.
+fn spec(kind: SchedulerKind, admission: AdmissionKind) -> ServeSpec {
+    ServeSpec {
+        scheduler: kind,
+        admission,
+        ..ServeSpec::default()
+    }
+}
 
 fn traced_cell(
     shards: usize,
@@ -29,15 +38,7 @@ fn traced_cell(
 ) -> (fcad_serve::ServeReport, Recorder) {
     let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
     let mut recorder = Recorder::new();
-    let report = simulate_traced(
-        &config,
-        scenario,
-        kind,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-        admission,
-        &mut recorder,
-    );
+    let report = serve(&config, scenario, &spec(kind, admission), &mut recorder);
     (report, recorder)
 }
 
@@ -52,7 +53,8 @@ fn recording_never_changes_the_report_across_the_whole_grid() {
         for &kind in SchedulerKind::all() {
             for &balancer in LoadBalancerKind::all() {
                 let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-                let off = simulate_fleet_qos(&config, scenario, kind, AdmissionKind::BudgetAware);
+                let budget = spec(kind, AdmissionKind::BudgetAware);
+                let off = serve(&config, scenario, &budget, &mut Off);
                 let (traced, recorder) =
                     traced_cell(2, balancer, scenario, kind, AdmissionKind::BudgetAware);
                 assert_eq!(
@@ -122,29 +124,17 @@ fn failure_and_autoscale_churn_lands_on_the_trace_timeline() {
     // the books must still match through replacement/loss.
     let scenario = Scenario::b2_failover(2);
     let config = FleetConfig::uniform(model(), 2).with_balancer(LoadBalancerKind::LeastLoaded);
-    let policy = Autoscaler::reactive(2, 4)
-        .with_scale_up_queue_depth(3)
-        .with_warmup_us(25_000)
-        .with_cooldown_us(80_000);
-    let kills = FailurePlan::scheduled(&[(1_500_000, 1)]);
+    let churn = ServeSpec {
+        autoscaler: Autoscaler::reactive(2, 4)
+            .with_scale_up_queue_depth(3)
+            .with_warmup_us(25_000)
+            .with_cooldown_us(80_000),
+        failures: FailurePlan::scheduled(&[(1_500_000, 1)]),
+        ..ServeSpec::default()
+    };
     let mut recorder = Recorder::new();
-    let traced = simulate_traced(
-        &config,
-        &scenario,
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &kills,
-        AdmissionKind::AdmitAll,
-        &mut recorder,
-    );
-    let untraced = simulate_autoscaled_qos(
-        &config,
-        &scenario,
-        SchedulerKind::BatchAggregating,
-        &policy,
-        &kills,
-        AdmissionKind::AdmitAll,
-    );
+    let traced = serve(&config, &scenario, &churn, &mut recorder);
+    let untraced = serve(&config, &scenario, &churn, &mut Off);
     assert_eq!(
         untraced.to_json_line(),
         traced.to_json_line(),

@@ -6,8 +6,8 @@
 //! simulation, and fixed seed ⇒ an identical event stream.
 
 use fcad_serve::{
-    simulate_autoscaled_qos, simulate_traced, Autoscaler, FailurePlan, FleetConfig,
-    LoadBalancerKind, Recorder, Windowed,
+    serve, AdmissionKind, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, Recorder,
+    SchedulerKind, ServeSpec, Windowed,
 };
 use proptest::prelude::*;
 
@@ -17,6 +17,15 @@ use common::{
     admission_strategy, check_trace_against_report, class_mix_strategy, pattern_strategy,
     prop_scenario as scenario, scheduler_strategy, three_branch_model as model,
 };
+
+/// A fixed-fleet spec under `kind` and `admission`.
+fn spec(kind: SchedulerKind, admission: AdmissionKind) -> ServeSpec {
+    ServeSpec {
+        scheduler: kind,
+        admission,
+        ..ServeSpec::default()
+    }
+}
 
 fn balancer_strategy() -> impl Strategy<Value = LoadBalancerKind> {
     prop_oneof![
@@ -49,23 +58,8 @@ proptest! {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
         let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
         let mut recorder = Recorder::new();
-        let traced = simulate_traced(
-            &config,
-            &scenario,
-            kind,
-            &Autoscaler::none(),
-            &FailurePlan::none(),
-            admission,
-            &mut recorder,
-        );
-        let untraced = simulate_autoscaled_qos(
-            &config,
-            &scenario,
-            kind,
-            &Autoscaler::none(),
-            &FailurePlan::none(),
-            admission,
-        );
+        let traced = serve(&config, &scenario, &spec(kind, admission), &mut recorder);
+        let untraced = serve(&config, &scenario, &spec(kind, admission), &mut Off);
         prop_assert_eq!(&untraced, &traced);
         check_trace_against_report(recorder.events(), &traced);
     }
@@ -93,15 +87,16 @@ proptest! {
             fcad_serve::ArrivalPattern::Poisson,
         );
         let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-        let policy = Autoscaler::reactive(2, 4)
-            .with_scale_up_queue_depth(3)
-            .with_warmup_us(20_000)
-            .with_cooldown_us(50_000);
-        let kills = FailurePlan::scheduled(&[(kill_at_ms * 1_000, kill_shard)]);
+        let churn = ServeSpec {
+            autoscaler: Autoscaler::reactive(2, 4)
+                .with_scale_up_queue_depth(3)
+                .with_warmup_us(20_000)
+                .with_cooldown_us(50_000),
+            failures: FailurePlan::scheduled(&[(kill_at_ms * 1_000, kill_shard)]),
+            ..spec(kind, admission)
+        };
         let mut recorder = Recorder::new();
-        let traced = simulate_traced(
-            &config, &scenario, kind, &policy, &kills, admission, &mut recorder,
-        );
+        let traced = serve(&config, &scenario, &churn, &mut recorder);
         prop_assert!(traced.conserves_requests());
         prop_assert_eq!(
             recorder.fleet_events().count(),
@@ -126,15 +121,7 @@ proptest! {
         let config = FleetConfig::uniform(model(), 2);
         let run = || {
             let mut recorder = Recorder::new();
-            simulate_traced(
-                &config,
-                &scenario,
-                kind,
-                &Autoscaler::none(),
-                &FailurePlan::none(),
-                admission,
-                &mut recorder,
-            );
+            serve(&config, &scenario, &spec(kind, admission), &mut recorder);
             recorder
         };
         prop_assert_eq!(run().events(), run().events());
@@ -157,15 +144,7 @@ proptest! {
             .with_class_mix(mix);
         let config = FleetConfig::uniform(model(), 2);
         let mut recorder = Recorder::new();
-        let report = simulate_traced(
-            &config,
-            &scenario,
-            kind,
-            &Autoscaler::none(),
-            &FailurePlan::none(),
-            admission,
-            &mut recorder,
-        );
+        let report = serve(&config, &scenario, &spec(kind, admission), &mut recorder);
         let mut windowed = Windowed::new(interval_ms * 1_000);
         recorder.replay(&mut windowed);
         let series = windowed.finish();

@@ -4,9 +4,9 @@
 //!
 //! 1. **Classless equivalence** — the QoS refactor is invisible until
 //!    opted into: with every session `Standard` (the legacy scenarios)
-//!    and the admit-all policy, `simulate`/`simulate_fleet`/
-//!    `simulate_autoscaled` are bit-identical to their `_qos`
-//!    counterparts for every scheduler × balancer × suite scenario.
+//!    and the admit-all policy, single-device, fleet and autoscaled runs
+//!    are bit-identical to the frozen reference for every scheduler ×
+//!    balancer × suite scenario.
 //! 2. **Shedding helps, never hurts, the protected tiers** — turning on
 //!    a shedding admission policy never increases a higher class's p99
 //!    over admit-all.
@@ -15,15 +15,43 @@
 //! failure-injected engine without breaking per-class conservation.
 
 use fcad_serve::{
-    simulate, simulate_autoscaled_deadline, simulate_autoscaled_qos, simulate_deadline,
-    simulate_fleet, simulate_fleet_deadline, simulate_fleet_qos, simulate_qos, simulate_windowed,
-    AdmissionKind, Autoscaler, ClassMix, DeadlinePolicy, FailurePlan, FleetConfig,
-    LoadBalancerKind, QosClass, Scenario, SchedulerKind, ServeReport, ServiceModel, WindowPlan,
+    reference, serve, simulate, simulate_windowed, AdmissionKind, Autoscaler, ClassMix,
+    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, QosClass, Scenario,
+    SchedulerKind, ServeReport, ServeSpec, ServiceModel, WindowPlan,
 };
 
 mod common;
 
-use common::three_branch_model as model;
+use common::{serve_sequential, three_branch_model as model};
+
+/// A fixed-fleet spec under `kind`, `admission` and `deadline`.
+fn spec(kind: SchedulerKind, admission: AdmissionKind, deadline: DeadlinePolicy) -> ServeSpec {
+    ServeSpec {
+        scheduler: kind,
+        admission,
+        deadline,
+        ..ServeSpec::default()
+    }
+}
+
+/// `scenario` on one shard of `model` under `spec`.
+fn single(model: &ServiceModel, scenario: &Scenario, spec: &ServeSpec) -> ServeReport {
+    serve(
+        &FleetConfig::uniform(model.clone(), 1),
+        scenario,
+        spec,
+        &mut Off,
+    )
+}
+
+/// The mid-burst kill of shard 1 the composition pins share, under
+/// `kind`, `admission` and `deadline`.
+fn killed(kind: SchedulerKind, admission: AdmissionKind, deadline: DeadlinePolicy) -> ServeSpec {
+    ServeSpec {
+        failures: FailurePlan::scheduled(&[(1_100_000, 1)]),
+        ..spec(kind, admission, deadline)
+    }
+}
 
 /// The three-branch model slowed 4×: the b2-class burst now oversubscribes
 /// the device hard enough that queue waits blow through the interactive
@@ -37,26 +65,27 @@ fn slow_model() -> ServiceModel {
     slowed
 }
 
-/// The ISSUE's acceptance gate: all-`Standard` + admit-all is the legacy
-/// engine bit for bit — single device and fleet, for every scheduler ×
-/// balancer × suite scenario, at 1 and 3 shards.
+/// All-`Standard` + admit-all is the legacy engine bit for bit — single
+/// device and fleet, for every scheduler × balancer × suite scenario, at
+/// 1 and 3 shards.
 #[test]
 fn classless_equivalence_holds_everywhere() {
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
             let single = simulate(&model(), &scenario, kind);
-            let single_qos = simulate_qos(&model(), &scenario, kind, AdmissionKind::AdmitAll);
+            let frozen =
+                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
             assert_eq!(
-                single, single_qos,
+                single, frozen,
                 "{} / {:?}: single-device QoS path diverged",
                 scenario.name, kind
             );
+            let admit_all = spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off);
             for &balancer in LoadBalancerKind::all() {
                 for shards in [1usize, 3] {
                     let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-                    let fleet = simulate_fleet(&config, &scenario, kind);
-                    let fleet_qos =
-                        simulate_fleet_qos(&config, &scenario, kind, AdmissionKind::AdmitAll);
+                    let fleet = reference::simulate_fleet(&config, &scenario, kind);
+                    let fleet_qos = serve(&config, &scenario, &admit_all, &mut Off);
                     assert_eq!(
                         fleet,
                         fleet_qos,
@@ -72,15 +101,14 @@ fn classless_equivalence_holds_everywhere() {
     }
 }
 
-/// The autoscaled entry point joins the same equivalence: no-op policy,
-/// empty failure plan and admit-all reproduce the fixed fleet.
+/// The autoscaled path joins the same equivalence: no-op policy, empty
+/// failure plan and admit-all reproduce the frozen autoscaled loop.
 #[test]
 fn autoscaled_classless_equivalence_holds() {
     for scenario in Scenario::suite() {
         for &balancer in LoadBalancerKind::all() {
             let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-            let fixed = simulate_fleet(&config, &scenario, SchedulerKind::BatchAggregating);
-            let qos = simulate_autoscaled_qos(
+            let fixed = reference::simulate_autoscaled_qos(
                 &config,
                 &scenario,
                 SchedulerKind::BatchAggregating,
@@ -88,6 +116,7 @@ fn autoscaled_classless_equivalence_holds() {
                 &FailurePlan::none(),
                 AdmissionKind::AdmitAll,
             );
+            let qos = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
             assert_eq!(
                 fixed,
                 qos,
@@ -144,9 +173,17 @@ fn interactive_p99(report: &ServeReport) -> f64 {
 fn shedding_never_increases_a_higher_class_p99() {
     let scenario = Scenario::b2_qos().with_class_mix(ClassMix::new(0.15, 0.35, 0.5));
     for &kind in SchedulerKind::all() {
-        let admit_all = simulate_qos(&model(), &scenario, kind, AdmissionKind::AdmitAll);
+        let admit_all = single(
+            &model(),
+            &scenario,
+            &spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off),
+        );
         for admission in [AdmissionKind::QueueThreshold, AdmissionKind::BudgetAware] {
-            let shedding = simulate_qos(&model(), &scenario, kind, admission);
+            let shedding = single(
+                &model(),
+                &scenario,
+                &spec(kind, admission, DeadlinePolicy::Off),
+            );
             assert!(shedding.conserves_requests());
             assert!(shedding.shed > 0, "{}: nothing shed", admission.name());
             assert!(
@@ -170,18 +207,15 @@ fn shedding_never_increases_a_higher_class_p99() {
 #[test]
 fn budget_aware_raises_interactive_attainment() {
     let scenario = Scenario::b2_qos();
-    let admit_all = simulate_qos(
-        &model(),
-        &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::AdmitAll,
-    );
-    let budget = simulate_qos(
-        &model(),
-        &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::BudgetAware,
-    );
+    let weighted = |admission| {
+        spec(
+            SchedulerKind::PriorityByBranch,
+            admission,
+            DeadlinePolicy::Off,
+        )
+    };
+    let admit_all = single(&model(), &scenario, &weighted(AdmissionKind::AdmitAll));
+    let budget = single(&model(), &scenario, &weighted(AdmissionKind::BudgetAware));
     let attainment = |r: &ServeReport| {
         r.class(QosClass::Interactive)
             .expect("interactive row")
@@ -207,14 +241,12 @@ fn qos_composes_with_failure_injection() {
     let scenario = Scenario::b2_failover(2).with_class_mix(ClassMix::telepresence());
     for &balancer in LoadBalancerKind::all() {
         let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-        let report = simulate_autoscaled_qos(
-            &config,
-            &scenario,
+        let kill = killed(
             SchedulerKind::PriorityByBranch,
-            &Autoscaler::none(),
-            &FailurePlan::scheduled(&[(1_100_000, 1)]),
             AdmissionKind::QueueThreshold,
+            DeadlinePolicy::Off,
         );
+        let report = serve(&config, &scenario, &kill, &mut Off);
         assert!(
             report.conserves_requests(),
             "{}: books unbalanced under kill + shed",
@@ -230,25 +262,21 @@ fn qos_composes_with_failure_injection() {
     }
 }
 
-/// `DeadlinePolicy::Off` is invisible: every deadline-aware entry point
-/// with culling off is byte-identical to its QoS counterpart — single
-/// device and fleet, sequential and parallel, for every scheduler ×
-/// balancer × suite scenario. The EDF discipline itself rides the same
-/// grid via `SchedulerKind::all()`.
+/// `DeadlinePolicy::Off` is invisible: culling off is byte-identical to
+/// the frozen reference, which predates the policy — single device and
+/// fleet, one worker and four, for every scheduler × balancer × suite
+/// scenario. The EDF discipline itself rides the same grid via
+/// `SchedulerKind::all()`.
 #[test]
 fn deadline_policy_off_is_byte_identical_everywhere() {
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
-            let single = simulate_qos(&model(), &scenario, kind, AdmissionKind::AdmitAll);
-            let off = simulate_deadline(
-                &model(),
-                &scenario,
-                kind,
-                AdmissionKind::AdmitAll,
-                DeadlinePolicy::Off,
-            );
+            let off_spec = spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off);
+            let frozen =
+                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
+            let off = single(&model(), &scenario, &off_spec);
             assert_eq!(
-                single.to_json_line(),
+                frozen.to_json_line(),
                 off.to_json_line(),
                 "{} / {:?}: single-device deadline-off path diverged",
                 scenario.name,
@@ -256,14 +284,8 @@ fn deadline_policy_off_is_byte_identical_everywhere() {
             );
             for &balancer in LoadBalancerKind::all() {
                 let config = FleetConfig::uniform(model(), 3).with_balancer(balancer);
-                let fleet = simulate_fleet_qos(&config, &scenario, kind, AdmissionKind::AdmitAll);
-                let off = simulate_fleet_deadline(
-                    &config,
-                    &scenario,
-                    kind,
-                    AdmissionKind::AdmitAll,
-                    DeadlinePolicy::Off,
-                );
+                let fleet = reference::simulate_fleet(&config, &scenario, kind);
+                let off = serve(&config, &scenario, &off_spec, &mut Off);
                 assert_eq!(
                     fleet.to_json_line(),
                     off.to_json_line(),
@@ -295,14 +317,14 @@ fn deadline_policy_off_is_byte_identical_everywhere() {
     }
 }
 
-/// The autoscaled entry point joins the off-is-invisible pin, with a real
+/// The autoscaled path joins the off-is-invisible pin, with a real
 /// failure plan and shedding admission in the loop.
 #[test]
 fn autoscaled_deadline_off_matches_the_qos_path() {
     let scenario = Scenario::b2_failover(2).with_class_mix(ClassMix::telepresence());
     for &balancer in LoadBalancerKind::all() {
         let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-        let qos = simulate_autoscaled_qos(
+        let qos = reference::simulate_autoscaled_qos(
             &config,
             &scenario,
             SchedulerKind::PriorityByBranch,
@@ -310,15 +332,12 @@ fn autoscaled_deadline_off_matches_the_qos_path() {
             &FailurePlan::scheduled(&[(1_100_000, 1)]),
             AdmissionKind::QueueThreshold,
         );
-        let off = simulate_autoscaled_deadline(
-            &config,
-            &scenario,
+        let kill = killed(
             SchedulerKind::PriorityByBranch,
-            &Autoscaler::none(),
-            &FailurePlan::scheduled(&[(1_100_000, 1)]),
             AdmissionKind::QueueThreshold,
             DeadlinePolicy::Off,
         );
+        let off = serve(&config, &scenario, &kill, &mut Off);
         assert_eq!(
             qos.to_json_line(),
             off.to_json_line(),
@@ -338,18 +357,23 @@ fn autoscaled_deadline_off_matches_the_qos_path() {
 fn deadline_dispatch_stops_serving_dead_frames() {
     let model = slow_model();
     let scenario = Scenario::b2_qos();
-    let weighted = simulate_qos(
+    let weighted = single(
         &model,
         &scenario,
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::AdmitAll,
+        &spec(
+            SchedulerKind::PriorityByBranch,
+            AdmissionKind::AdmitAll,
+            DeadlinePolicy::Off,
+        ),
     );
-    let edf = simulate_deadline(
+    let edf = single(
         &model,
         &scenario,
-        SchedulerKind::Deadline,
-        AdmissionKind::AdmitAll,
-        DeadlinePolicy::CullExpired,
+        &spec(
+            SchedulerKind::Deadline,
+            AdmissionKind::AdmitAll,
+            DeadlinePolicy::CullExpired,
+        ),
     );
     assert!(edf.conserves_requests(), "five-outcome books unbalanced");
     assert!(
@@ -384,15 +408,12 @@ fn expiry_composes_with_failure_injection() {
     let scenario = Scenario::b2_failover(2).with_class_mix(ClassMix::telepresence());
     for &balancer in LoadBalancerKind::all() {
         let config = FleetConfig::uniform(slow_model(), 2).with_balancer(balancer);
-        let report = simulate_autoscaled_deadline(
-            &config,
-            &scenario,
+        let kill = killed(
             SchedulerKind::Deadline,
-            &Autoscaler::none(),
-            &FailurePlan::scheduled(&[(1_100_000, 1)]),
             AdmissionKind::AdmitAll,
             DeadlinePolicy::CullExpired,
         );
+        let report = serve(&config, &scenario, &kill, &mut Off);
         assert!(
             report.conserves_requests(),
             "{}: books unbalanced under kill + cull",
@@ -418,21 +439,21 @@ fn expiry_composes_with_failure_injection() {
     }
 }
 
-/// The windowed engine agrees with the sequential one under culling, for
-/// every balancer and worker count — including the load-aware balancers,
-/// which open no window but must keep the deadline policy all the same.
+/// The windowed engine agrees with the windows-disabled driver under
+/// culling, for every balancer and worker count — including the
+/// load-aware balancers, which open no window but must keep the deadline
+/// policy all the same.
 #[test]
 fn parallel_deadline_culling_matches_sequential() {
     let scenario = Scenario::b2_qos();
+    let culling = spec(
+        SchedulerKind::Deadline,
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::CullExpired,
+    );
     for &balancer in LoadBalancerKind::all() {
         let config = FleetConfig::uniform(slow_model(), 3).with_balancer(balancer);
-        let sequential = simulate_fleet_deadline(
-            &config,
-            &scenario,
-            SchedulerKind::Deadline,
-            AdmissionKind::AdmitAll,
-            DeadlinePolicy::CullExpired,
-        );
+        let sequential = serve_sequential(&config, &scenario, &culling, &mut Off);
         for workers in [1usize, 2, 4] {
             let parallel = simulate_windowed(
                 &config,

@@ -2,13 +2,15 @@
 //! design: request conservation, percentile sanity, the priority-vs-FIFO
 //! acceptance criterion, and bounded starvation under priority scheduling.
 
-use fcad::{Customization, DseParams, Fcad, Scenario, SchedulerKind};
+use fcad::{
+    serve, Customization, DseParams, Fcad, FcadResult, Off, Scenario, SchedulerKind, ServeReport,
+    ServeSpec,
+};
 use fcad_accel::Platform;
 use fcad_nnir::models::targeted_decoder;
 use fcad_nnir::Precision;
-use fcad_serve::{simulate_with, PriorityScheduler};
 
-fn optimized() -> fcad::FcadResult {
+fn optimized() -> FcadResult {
     Fcad::new(targeted_decoder(), Platform::zu17eg())
         .with_customization(Customization::codec_avatar(Precision::Int8))
         .with_dse_params(DseParams::fast())
@@ -16,12 +18,22 @@ fn optimized() -> fcad::FcadResult {
         .expect("decoder flow succeeds")
 }
 
+/// `scenario` on one shard of `result`'s design under `kind`, every other
+/// axis at its default.
+fn single(result: &FcadResult, scenario: &Scenario, kind: SchedulerKind) -> ServeReport {
+    let spec = ServeSpec {
+        scheduler: kind,
+        ..ServeSpec::default()
+    };
+    serve(&result.fleet_config(1), scenario, &spec, &mut Off)
+}
+
 #[test]
 fn every_scheduler_conserves_requests_across_the_suite() {
     let result = optimized();
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
-            let report = result.serve_with(&scenario, kind);
+            let report = single(&result, &scenario, kind);
             assert!(
                 report.conserves_requests(),
                 "{} / {}: {} + {} != {}",
@@ -47,7 +59,7 @@ fn every_scheduler_conserves_requests_across_the_suite() {
 #[test]
 fn fanout_scenario_shows_tail_latency_above_the_median() {
     let result = optimized();
-    let report = result.serve(&Scenario::a2(5));
+    let report = single(&result, &Scenario::a2(5), SchedulerKind::BatchAggregating);
     // Five sessions oversubscribe the fabric: the tail must be real (not a
     // degenerate single-bucket distribution) and above the median.
     assert!(report.latency.p99_ms >= report.latency.p50_ms);
@@ -64,8 +76,8 @@ fn fanout_scenario_shows_tail_latency_above_the_median() {
 fn priority_scheduling_beats_fifo_for_high_priority_branches_under_chaos() {
     let result = optimized();
     let chaos = Scenario::b2();
-    let fifo = result.serve_with(&chaos, SchedulerKind::Fifo);
-    let priority = result.serve_with(&chaos, SchedulerKind::PriorityByBranch);
+    let fifo = single(&result, &chaos, SchedulerKind::Fifo);
+    let priority = single(&result, &chaos, SchedulerKind::PriorityByBranch);
     // Branches 0 and 1 carry priority 1.0 (visual); branch 2 is the
     // low-priority audio-like stream.
     for branch in 0..2 {
@@ -82,7 +94,7 @@ fn priority_scheduling_beats_fifo_for_high_priority_branches_under_chaos() {
 fn priority_scheduling_does_not_starve_the_low_priority_branch() {
     let result = optimized();
     let chaos = Scenario::b2();
-    let report = result.serve_with(&chaos, SchedulerKind::PriorityByBranch);
+    let report = single(&result, &chaos, SchedulerKind::PriorityByBranch);
     let low = &report.branches[2];
     let high = &report.branches[0];
     // The low-priority branch keeps completing work under sustained
@@ -101,19 +113,14 @@ fn priority_scheduling_does_not_starve_the_low_priority_branch() {
         low.latency.p99_ms,
         high.latency.p99_ms
     );
-    // Strict priorities without aging are allowed to starve harder — the
-    // aging default must be doing real work.
-    let mut strict = PriorityScheduler::new().with_aging_per_sec(0.0);
-    let strict_report = simulate_with(&result.service_model(), &chaos, &mut strict);
-    assert!(strict_report.conserves_requests());
 }
 
 #[test]
 fn batching_never_loses_to_fifo_on_makespan() {
     let result = optimized();
     for scenario in Scenario::suite() {
-        let fifo = result.serve_with(&scenario, SchedulerKind::Fifo);
-        let batch = result.serve_with(&scenario, SchedulerKind::BatchAggregating);
+        let fifo = single(&result, &scenario, SchedulerKind::Fifo);
+        let batch = single(&result, &scenario, SchedulerKind::BatchAggregating);
         assert!(
             batch.makespan_sec <= fifo.makespan_sec + 1e-9,
             "{}: batch makespan {} > fifo {}",
@@ -127,7 +134,7 @@ fn batching_never_loses_to_fifo_on_makespan() {
 #[test]
 fn serve_reports_render_valid_single_line_json() {
     let result = optimized();
-    let line = result.serve(&Scenario::a1()).to_json_line();
+    let line = single(&result, &Scenario::a1(), SchedulerKind::BatchAggregating).to_json_line();
     assert!(!line.contains('\n'));
     assert!(line.starts_with('{') && line.ends_with('}'));
     // Balanced braces/brackets — a cheap structural validity check that

@@ -15,10 +15,9 @@
 //! class rows, shed counts and per-class SLO attainment populated).
 
 use fcad_serve::{
-    simulate_autoscaled, simulate_fleet, simulate_qos, AdmissionKind, Autoscaler, BranchServeStats,
-    ClassServeStats, FailurePlan, FleetConfig, LatencySummary, LoadBalancerKind, QosClass,
-    ScaleEvent, ScaleEventKind, Scenario, SchedulerKind, ServeReport, ServiceModel, ShardState,
-    ShardStats,
+    serve, AdmissionKind, Autoscaler, BranchServeStats, ClassServeStats, FailurePlan, FleetConfig,
+    LatencySummary, LoadBalancerKind, Off, QosClass, ScaleEvent, ScaleEventKind, Scenario,
+    SchedulerKind, ServeReport, ServeSpec, ServiceModel, ShardState, ShardStats,
 };
 
 fn latency() -> LatencySummary {
@@ -645,8 +644,7 @@ fn one_branch_model() -> ServiceModel {
 fn simulated_fleet_reports_render_with_the_golden_key_order() {
     let config =
         FleetConfig::uniform(one_branch_model(), 2).with_balancer(LoadBalancerKind::LeastLoaded);
-    let line =
-        simulate_fleet(&config, &Scenario::a1(), SchedulerKind::BatchAggregating).to_json_line();
+    let line = serve(&config, &Scenario::a1(), &ServeSpec::default(), &mut Off).to_json_line();
     assert_key_order(&line, &TOP_LEVEL_KEYS);
     assert_key_order(
         &line,
@@ -664,13 +662,12 @@ fn simulated_fleet_reports_render_with_the_golden_key_order() {
 fn simulated_autoscaled_reports_render_with_the_golden_key_order() {
     let config =
         FleetConfig::uniform(one_branch_model(), 2).with_balancer(LoadBalancerKind::LeastLoaded);
-    let report = simulate_autoscaled(
-        &config,
-        &Scenario::b2_failover(2),
-        SchedulerKind::BatchAggregating,
-        &Autoscaler::reactive(2, 4),
-        &FailurePlan::scheduled(&[(1_500_000, 1)]),
-    );
+    let spec = ServeSpec {
+        autoscaler: Autoscaler::reactive(2, 4),
+        failures: FailurePlan::scheduled(&[(1_500_000, 1)]),
+        ..ServeSpec::default()
+    };
+    let report = serve(&config, &Scenario::b2_failover(2), &spec, &mut Off);
     let line = report.to_json_line();
     assert_key_order(&line, &TOP_LEVEL_KEYS);
     assert_key_order(
@@ -687,12 +684,13 @@ fn simulated_autoscaled_reports_render_with_the_golden_key_order() {
 
 #[test]
 fn simulated_qos_reports_render_with_the_golden_key_order() {
-    let report = simulate_qos(
-        &one_branch_model(),
-        &Scenario::b2_qos(),
-        SchedulerKind::PriorityByBranch,
-        AdmissionKind::BudgetAware,
-    );
+    let spec = ServeSpec {
+        scheduler: SchedulerKind::PriorityByBranch,
+        admission: AdmissionKind::BudgetAware,
+        ..ServeSpec::default()
+    };
+    let config = FleetConfig::uniform(one_branch_model(), 1);
+    let report = serve(&config, &Scenario::b2_qos(), &spec, &mut Off);
     let line = report.to_json_line();
     assert_key_order(&line, &TOP_LEVEL_KEYS);
     assert_key_order(

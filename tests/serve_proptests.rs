@@ -7,7 +7,10 @@
 //! conservation with `expired` under queue-time culling, and the
 //! invisibility of `DeadlinePolicy::Off`.
 
-use fcad_serve::{simulate, simulate_deadline, simulate_qos, ArrivalPattern, DeadlinePolicy};
+use fcad_serve::{
+    reference, serve, simulate, AdmissionKind, ArrivalPattern, DeadlinePolicy, FleetConfig, Off,
+    Scenario, SchedulerKind, ServeReport, ServeSpec,
+};
 use proptest::prelude::*;
 
 mod common;
@@ -16,6 +19,23 @@ use common::{
     admission_strategy, class_mix_strategy, pattern_strategy, prop_scenario as scenario,
     scheduler_strategy, three_branch_model as model,
 };
+
+/// `scenario` on one shard of the test model under `kind`, `admission`
+/// and `deadline`.
+fn single(
+    scenario: &Scenario,
+    kind: SchedulerKind,
+    admission: AdmissionKind,
+    deadline: DeadlinePolicy,
+) -> ServeReport {
+    let spec = ServeSpec {
+        scheduler: kind,
+        admission,
+        deadline,
+        ..ServeSpec::default()
+    };
+    serve(&FleetConfig::uniform(model(), 1), scenario, &spec, &mut Off)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -73,8 +93,8 @@ proptest! {
         mix in class_mix_strategy(),
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
-        let a = simulate_qos(&model(), &scenario, kind, admission);
-        let b = simulate_qos(&model(), &scenario, kind, admission);
+        let a = single(&scenario, kind, admission, DeadlinePolicy::Off);
+        let b = single(&scenario, kind, admission, DeadlinePolicy::Off);
         prop_assert_eq!(&a.classes, &b.classes);
         prop_assert_eq!(a, b);
     }
@@ -95,7 +115,7 @@ proptest! {
         mix in class_mix_strategy(),
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
-        let report = simulate_qos(&model(), &scenario, kind, admission);
+        let report = single(&scenario, kind, admission, DeadlinePolicy::Off);
         prop_assert!(report.conserves_requests());
         prop_assert_eq!(
             report.issued,
@@ -130,13 +150,7 @@ proptest! {
         mix in class_mix_strategy(),
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
-        let report = simulate_deadline(
-            &model(),
-            &scenario,
-            kind,
-            admission,
-            DeadlinePolicy::CullExpired,
-        );
+        let report = single(&scenario, kind, admission, DeadlinePolicy::CullExpired);
         prop_assert!(report.conserves_requests());
         prop_assert_eq!(
             report.expired,
@@ -161,9 +175,9 @@ proptest! {
         prop_assert!(report.slo_per_busy_sec >= 0.0);
     }
 
-    /// `DeadlinePolicy::Off` is invisible under fuzzing too: the deadline
-    /// entry point with culling off is bit-identical to the QoS path for
-    /// random scenarios, disciplines, admissions and mixes.
+    /// `DeadlinePolicy::Off` is invisible under fuzzing too: culling off is
+    /// bit-identical to the frozen reference, which predates the policy,
+    /// for random scenarios, disciplines, admissions and mixes.
     #[test]
     fn deadline_off_is_invisible_under_fuzzing(
         seed in 0u64..10_000,
@@ -176,9 +190,10 @@ proptest! {
         mix in class_mix_strategy(),
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
-        let qos = simulate_qos(&model(), &scenario, kind, admission);
-        let off = simulate_deadline(&model(), &scenario, kind, admission, DeadlinePolicy::Off);
-        prop_assert_eq!(qos, off);
+        let config = FleetConfig::uniform(model(), 1);
+        let frozen = reference::simulate_fleet_qos(&config, &scenario, kind, admission);
+        let off = single(&scenario, kind, admission, DeadlinePolicy::Off);
+        prop_assert_eq!(frozen, off);
     }
 
     /// Different seeds shift stochastic arrivals (the RNG is actually
