@@ -24,7 +24,7 @@
 //!
 //! Beyond the paper's static evaluation, an optimized design can be put
 //! under multi-session telepresence load: [`serve`] runs the `fcad-serve`
-//! discrete-event simulator (arrival patterns, pluggable schedulers,
+//! discrete-event simulator (arrival patterns, four schedulers,
 //! admission, autoscaling, tail-latency percentiles) on the fleet
 //! [`FcadResult::fleet_config`] builds from the design's frame times,
 //! under one [`ServeSpec`] — see [`Scenario`] for the

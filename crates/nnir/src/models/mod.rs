@@ -6,9 +6,9 @@
 //! * [`mimic_decoder`] — the decoder variant used to evaluate DNNBuilder and
 //!   HybridDNN in Sec. III: customized Conv replaced by conventional Conv,
 //!   everything else unchanged.
-//! * [`classic`] — AlexNet, ZFNet, VGG16 and Tiny-YOLO, the single-branch
-//!   benchmarks used to validate the analytical performance model in
-//!   Figs. 6 and 7.
+//! * [`alexnet`], [`zfnet`], [`vgg16`] and [`tiny_yolo`] (all four from
+//!   [`classic_benchmarks`]) — the single-branch benchmarks used to
+//!   validate the analytical performance model in Figs. 6 and 7.
 
 mod classic;
 mod decoder;

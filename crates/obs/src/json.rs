@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON emission and a structural validity checker.
 //!
 //! The workspace's offline `serde` stand-in only provides marker traits, so
-//! the exporters render JSON with this tiny writer (a sibling of the one in
-//! `fcad-serve` — obs is a leaf crate and cannot depend on serve). Output
-//! is deterministic: fields appear in insertion order and floats use fixed
-//! four-decimal formatting. [`validate_json`] is the round-trip checker the
-//! CI smoke uses to assert exported traces are well-formed.
+//! the exporters render JSON with this tiny writer, and `fcad-serve`
+//! re-exports it for its report line. Output is deterministic: fields
+//! appear in insertion order and floats use fixed four-decimal formatting.
+//! [`validate_json`] is the round-trip checker the CI smoke uses to assert
+//! exported traces are well-formed.
 
 /// Builds one JSON object as a single-line string.
 #[derive(Debug, Default)]
@@ -258,6 +258,16 @@ mod tests {
             "{\"name\":\"w0\",\"arrivals\":42,\"p99_ms\":1.2500,\"classes\":[{\"x\":1}]}"
         );
         validate_json(&line).expect("writer output is valid JSON");
+    }
+
+    #[test]
+    fn escapes_quotes_and_nonfinite_floats() {
+        let line = JsonObject::new()
+            .str("k", "say \"hi\"")
+            .f64("bad", f64::NAN)
+            .render();
+        assert_eq!(line, "{\"k\":\"say \\\"hi\\\"\",\"bad\":0.0000}");
+        validate_json(&line).expect("escaped output is valid JSON");
     }
 
     #[test]

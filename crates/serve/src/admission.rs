@@ -3,22 +3,22 @@
 //!
 //! The bounded front-end queue already sheds load, but it sheds *whoever
 //! arrives last* — under a burst that is as likely to be a paying
-//! interactive session as a background prefetch. An
-//! [`AdmissionController`] moves that decision ahead of the queue: the
-//! engine consults it once per arrival (after the balancer picks the
+//! interactive session as a background prefetch. An [`AdmissionKind`]
+//! moves that decision ahead of the queue: the engine consults
+//! [`AdmissionKind::admits`] once per arrival (after the balancer picks the
 //! shard, before the capacity check), and a rejected request is counted
 //! **shed** — a fourth terminal outcome next to completed, dropped and
 //! lost, with conservation `completed + dropped + lost + shed == issued`.
 //!
-//! Three built-in policies:
+//! Three policies, all stateless:
 //!
-//! - [`AdmitAll`] — never sheds; the legacy behaviour and the
-//!   [`ServeSpec`](crate::ServeSpec) default.
-//! - [`QueueThresholdAdmission`] — sheds lower tiers *before* the queue
-//!   saturates: each class has an occupancy fraction above which it is
-//!   turned away, so a filling queue stays reserved for the classes that
-//!   can still use it.
-//! - [`BudgetAwareAdmission`] — early rejection on the SLO itself: a
+//! - [`AdmissionKind::AdmitAll`] — never sheds; the legacy behaviour and
+//!   the [`ServeSpec`](crate::ServeSpec) default.
+//! - [`AdmissionKind::QueueThreshold`] — sheds lower tiers *before* the
+//!   queue saturates: each class has an occupancy fraction above which it
+//!   is turned away, so a filling queue stays reserved for the classes
+//!   that can still use it.
+//! - [`AdmissionKind::BudgetAware`] — early rejection on the SLO itself: a
 //!   request is shed when its projected completion (fabric busy time +
 //!   the backlog of same-or-higher-weight work + its own service) already
 //!   exceeds its class budget — serving it would burn fabric time on a
@@ -27,6 +27,11 @@
 use crate::cast::usize_to_f64;
 use crate::qos::{QosClass, CLASS_COUNT};
 use crate::request::Request;
+
+/// Queue occupancy fraction at which [`AdmissionKind::QueueThreshold`]
+/// sheds each class, indexed by [`QosClass::index`]: interactive only at a
+/// full queue, standard at three quarters, best-effort at half.
+const QUEUE_THRESHOLD_FRACTIONS: [f64; CLASS_COUNT] = [1.0, 0.75, 0.5];
 
 /// The shard-local state an admission decision may inspect: the chosen
 /// shard's queue occupancy, fabric readiness and per-class backlog, plus
@@ -75,32 +80,38 @@ impl AdmissionView {
     }
 }
 
-/// An admission policy: accept the request onto the shard's queue, or
+/// The admission policies: accept a request onto the shard's queue, or
 /// shed it at the front door.
-pub trait AdmissionController {
-    /// Policy name (used in reports).
-    fn name(&self) -> &'static str;
-
-    /// Whether `request`, arriving at `now_us` and routed to the shard
-    /// described by `view`, may enter the queue. `false` sheds it.
-    fn admit(&mut self, request: &Request, view: &AdmissionView, now_us: u64) -> bool;
-}
-
-/// The built-in admission policies, as a value users can pass around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionKind {
-    /// Never shed (the legacy classless behaviour).
+    /// Never shed; the bounded queue alone sheds load (by dropping whoever
+    /// arrives at a full queue). The legacy classless behaviour.
     AdmitAll,
-    /// Queue-depth thresholds per class: lower tiers are turned away at
-    /// lower occupancy, keeping headroom for the classes above them.
+    /// Queue-depth thresholds per class: class `c` is shed once the chosen
+    /// shard's occupancy reaches its fraction of the capacity (best-effort
+    /// at half a queue, standard at three quarters, interactive only at a
+    /// full queue), so the remaining space is progressively reserved for
+    /// the higher tiers instead of being consumed first-come-first-served.
     QueueThreshold,
-    /// Budget-aware early rejection: shed when the projected completion
-    /// already misses the class budget.
+    /// Budget-aware early rejection: shed a request whose projected
+    /// completion — fabric busy time, plus the backlog of
+    /// same-or-higher-weight work, plus its own service — already exceeds
+    /// its class budget, keeping the queue full of work that can still
+    /// meet its SLO.
+    ///
+    /// The projection over-estimates the wait of the class nothing
+    /// outranks (it counts whole-class backlogs at the model's worst-case
+    /// branch priority, and nothing arriving later can jump ahead of that
+    /// class), so admitted interactive requests overwhelmingly complete
+    /// inside their budget — the mechanism behind the example's ≥ 95 %
+    /// attainment claim. For the middle tiers the projection is a
+    /// snapshot: interactive work arriving *after* admission still jumps
+    /// the queue, so their attainment improves but is not guaranteed.
     BudgetAware,
 }
 
 impl AdmissionKind {
-    /// All built-in admission policies.
+    /// All admission policies.
     pub fn all() -> &'static [AdmissionKind] {
         &[
             AdmissionKind::AdmitAll,
@@ -118,22 +129,29 @@ impl AdmissionKind {
         }
     }
 
-    /// Instantiates the policy.
-    pub fn build(&self) -> Box<dyn AdmissionController> {
+    /// Whether `request`, arriving at `now_us` and routed to the shard
+    /// described by `view`, may enter the queue. `false` sheds it.
+    pub fn admits(&self, request: &Request, view: &AdmissionView, now_us: u64) -> bool {
         match self {
-            AdmissionKind::AdmitAll => Box::new(AdmitAll),
-            AdmissionKind::QueueThreshold => Box::new(QueueThresholdAdmission::new()),
-            AdmissionKind::BudgetAware => Box::new(BudgetAwareAdmission),
+            AdmissionKind::AdmitAll => true,
+            AdmissionKind::QueueThreshold => {
+                let fraction = QUEUE_THRESHOLD_FRACTIONS[request.class.index()];
+                usize_to_f64(view.queued) < fraction * usize_to_f64(view.capacity)
+            }
+            AdmissionKind::BudgetAware => {
+                view.projected_wait_us(request.class, now_us) + view.service_us
+                    <= request.class.budget_us()
+            }
         }
     }
 }
 
-/// Consults `controller` and mirrors its verdict onto the trace: an
+/// Consults `admission` and mirrors its verdict onto the trace: an
 /// `Admit` or `Shed` event stamped with the chosen shard. `Shed` doubles
 /// as the request's terminal event — a shed request never enters a queue,
 /// so nothing else can happen to it.
 pub(crate) fn admit_traced(
-    controller: &mut dyn AdmissionController,
+    admission: AdmissionKind,
     request: &Request,
     view: &AdmissionView,
     now_us: u64,
@@ -141,7 +159,7 @@ pub(crate) fn admit_traced(
     sink: &mut dyn fcad_obs::TraceSink,
     tracing: bool,
 ) -> bool {
-    let admitted = controller.admit(request, view, now_us);
+    let admitted = admission.admits(request, view, now_us);
     if tracing {
         let kind = if admitted {
             fcad_obs::RequestEventKind::Admit
@@ -151,94 +169,6 @@ pub(crate) fn admit_traced(
         sink.record(request.trace(now_us, Some(shard), kind));
     }
     admitted
-}
-
-/// Admit everything; the bounded queue alone sheds load (by dropping
-/// whoever arrives at a full queue). The legacy engine, bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmitAll;
-
-impl AdmissionController for AdmitAll {
-    fn name(&self) -> &'static str {
-        "admit_all"
-    }
-
-    fn admit(&mut self, _request: &Request, _view: &AdmissionView, _now_us: u64) -> bool {
-        true
-    }
-}
-
-/// Sheds class `c` once the chosen shard's queue occupancy reaches
-/// `fraction(c) × capacity`: best-effort traffic is turned away at half a
-/// queue, standard at three quarters, interactive only at a full queue —
-/// so the remaining space is progressively reserved for the higher
-/// tiers instead of being consumed first-come-first-served.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueThresholdAdmission {
-    /// Occupancy fraction at which each class is shed, indexed by
-    /// [`QosClass::index`]; 1.0 means "only at a full queue".
-    fractions: [f64; CLASS_COUNT],
-}
-
-impl QueueThresholdAdmission {
-    /// The default thresholds: interactive 1.0, standard 0.75,
-    /// best-effort 0.5.
-    pub fn new() -> Self {
-        Self {
-            fractions: [1.0, 0.75, 0.5],
-        }
-    }
-
-    /// Replaces one class's occupancy threshold (clamped to [0, 1]).
-    pub fn with_fraction(mut self, class: QosClass, fraction: f64) -> Self {
-        self.fractions[class.index()] = fraction.clamp(0.0, 1.0);
-        self
-    }
-}
-
-impl Default for QueueThresholdAdmission {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AdmissionController for QueueThresholdAdmission {
-    fn name(&self) -> &'static str {
-        "queue_threshold"
-    }
-
-    fn admit(&mut self, request: &Request, view: &AdmissionView, _now_us: u64) -> bool {
-        let threshold = self.fractions[request.class.index()] * usize_to_f64(view.capacity);
-        usize_to_f64(view.queued) < threshold
-    }
-}
-
-/// Sheds a request whose projected completion — fabric busy time, plus
-/// the backlog of same-or-higher-weight work, plus its own service —
-/// already exceeds its class budget. Serving such a request would spend
-/// fabric time on a frame that misses its deadline anyway; rejecting it
-/// early keeps the queue full of work that can still meet its SLO.
-///
-/// The projection over-estimates the wait of the class nothing outranks
-/// (it counts whole-class backlogs at the model's worst-case branch
-/// priority, and nothing arriving later can jump ahead of that class),
-/// so admitted interactive requests overwhelmingly complete inside
-/// their budget — the mechanism behind the example's ≥ 95 % attainment
-/// claim. For the middle tiers the projection is a snapshot: interactive
-/// work arriving *after* admission still jumps the queue, so their
-/// attainment improves but is not guaranteed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BudgetAwareAdmission;
-
-impl AdmissionController for BudgetAwareAdmission {
-    fn name(&self) -> &'static str {
-        "budget_aware"
-    }
-
-    fn admit(&mut self, request: &Request, view: &AdmissionView, now_us: u64) -> bool {
-        let projected = view.projected_wait_us(request.class, now_us) + view.service_us;
-        projected <= request.class.budget_us()
-    }
 }
 
 #[cfg(test)]
@@ -271,46 +201,32 @@ mod tests {
     fn kinds_build_their_policies() {
         let names: Vec<&str> = AdmissionKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names, vec!["admit_all", "queue_threshold", "budget_aware"]);
-        for kind in AdmissionKind::all() {
-            assert_eq!(kind.build().name(), kind.name());
-        }
     }
 
     #[test]
     fn admit_all_never_sheds() {
-        let mut policy = AdmitAll;
         for class in QosClass::all() {
-            assert!(policy.admit(&request(*class), &view(1_000, 4), 0));
+            assert!(AdmissionKind::AdmitAll.admits(&request(*class), &view(1_000, 4), 0));
         }
     }
 
     #[test]
     fn queue_thresholds_shed_lower_tiers_first() {
-        let mut policy = QueueThresholdAdmission::new();
+        let policy = AdmissionKind::QueueThreshold;
         let half_full = view(50, 100);
-        assert!(policy.admit(&request(QosClass::Interactive), &half_full, 0));
-        assert!(policy.admit(&request(QosClass::Standard), &half_full, 0));
-        assert!(!policy.admit(&request(QosClass::BestEffort), &half_full, 0));
+        assert!(policy.admits(&request(QosClass::Interactive), &half_full, 0));
+        assert!(policy.admits(&request(QosClass::Standard), &half_full, 0));
+        assert!(!policy.admits(&request(QosClass::BestEffort), &half_full, 0));
         let nearly_full = view(80, 100);
-        assert!(policy.admit(&request(QosClass::Interactive), &nearly_full, 0));
-        assert!(!policy.admit(&request(QosClass::Standard), &nearly_full, 0));
+        assert!(policy.admits(&request(QosClass::Interactive), &nearly_full, 0));
+        assert!(!policy.admits(&request(QosClass::Standard), &nearly_full, 0));
         let full = view(100, 100);
-        assert!(!policy.admit(&request(QosClass::Interactive), &full, 0));
-    }
-
-    #[test]
-    fn queue_threshold_fractions_are_tunable() {
-        let mut strict = QueueThresholdAdmission::new().with_fraction(QosClass::Interactive, 0.1);
-        assert!(!strict.admit(&request(QosClass::Interactive), &view(10, 100), 0));
-        assert!(strict.admit(&request(QosClass::Interactive), &view(9, 100), 0));
-        // Clamp: out-of-range fractions behave like their nearest bound.
-        let mut never = QueueThresholdAdmission::new().with_fraction(QosClass::Standard, -3.0);
-        assert!(!never.admit(&request(QosClass::Standard), &view(0, 100), 0));
+        assert!(!policy.admits(&request(QosClass::Interactive), &full, 0));
     }
 
     #[test]
     fn budget_aware_projects_same_or_higher_weight_backlog() {
-        let mut policy = BudgetAwareAdmission;
+        let policy = AdmissionKind::BudgetAware;
         let mut v = view(10, 100);
         // 30 ms interactive + 200 ms standard + 5 s best-effort backlog.
         v.class_backlog_us = [30_000, 200_000, 5_000_000];
@@ -318,15 +234,15 @@ mod tests {
         // Interactive (100 ms budget): 10 ms busy + 30 ms own-class
         // backlog + 5 ms service = 45 ms — admitted; the best-effort
         // mountain behind it does not count.
-        assert!(policy.admit(&request(QosClass::Interactive), &v, 0));
+        assert!(policy.admits(&request(QosClass::Interactive), &v, 0));
         // Standard (400 ms): 10 + 30 + 200 + 5 = 245 ms — admitted.
-        assert!(policy.admit(&request(QosClass::Standard), &v, 0));
+        assert!(policy.admits(&request(QosClass::Standard), &v, 0));
         // Best-effort (2 s): its own 5 s backlog blows the budget.
-        assert!(!policy.admit(&request(QosClass::BestEffort), &v, 0));
+        assert!(!policy.admits(&request(QosClass::BestEffort), &v, 0));
         // Once the interactive backlog alone exceeds 100 ms, interactive
         // arrivals are shed too.
         v.class_backlog_us[0] = 120_000;
-        assert!(!policy.admit(&request(QosClass::Interactive), &v, 0));
+        assert!(!policy.admits(&request(QosClass::Interactive), &v, 0));
     }
 
     #[test]
@@ -336,20 +252,20 @@ mod tests {
         // branch (score 0.8) waits behind standard geometry work (score
         // up to 1.0) — the projection must count that backlog even
         // though standard's bare class weight is lower.
-        let mut policy = BudgetAwareAdmission;
+        let policy = AdmissionKind::BudgetAware;
         let mut v = view(10, 100);
         v.class_backlog_us = [0, 300_000, 0]; // 300 ms of standard work
         v.priority = 0.2;
         v.max_priority = 1.0;
         let audio = request(QosClass::Interactive);
         assert!(
-            !policy.admit(&audio, &v, 0),
+            !policy.admits(&audio, &v, 0),
             "interactive-audio must see the standard backlog it cannot outrank"
         );
         // The same request on a priority-1.0 branch outranks everything
         // standard can offer, so only interactive backlog counts.
         v.priority = 1.0;
-        assert!(policy.admit(&request(QosClass::Interactive), &v, 0));
+        assert!(policy.admits(&request(QosClass::Interactive), &v, 0));
     }
 
     #[test]

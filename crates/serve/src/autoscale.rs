@@ -141,10 +141,10 @@ pub struct ScaleEvent {
 /// trigger and reproduces the fixed fleet bit for bit.
 ///
 /// Composition with admission control: shed requests never enter a queue,
-/// so a shedding [`AdmissionController`](crate::AdmissionController)
-/// damps the queue-depth trigger — an admission policy that protects the
-/// SLO by rejecting load and a scaling policy that protects it by buying
-/// capacity are deliberately independent knobs of the same run.
+/// so a shedding [`AdmissionKind`](crate::AdmissionKind) damps the
+/// queue-depth trigger — an admission policy that protects the SLO by
+/// rejecting load and a scaling policy that protects it by buying capacity
+/// are deliberately independent knobs of the same run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Autoscaler {
     /// Fewest alive shards the policy tolerates: scale-down never drains

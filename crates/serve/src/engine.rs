@@ -28,7 +28,7 @@
 //! changed, and stale calendar entries are discarded at pop time.
 //! Admission happens in arrival order against the chosen shard's live
 //! state: the balancer picks among the *placeable* shards, the admission
-//! controller accepts or sheds the request at that shard's front door, and
+//! policy accepts or sheds the request at that shard's front door, and
 //! the shard's bounded queue takes the drop. Static fleets under a
 //! load-oblivious balancer (round-robin, branch-sharded) additionally
 //! skip the per-arrival placeable scan entirely — placement is O(1)
@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 
 use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
-use crate::admission::{admit_traced, AdmissionController, AdmissionKind, AdmissionView};
+use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
 use crate::autoscale::{
     Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
 };
@@ -212,7 +212,7 @@ pub(crate) struct Shard {
     pub(crate) busy_us: u64,
     pub(crate) backlog_us: u64,
     /// The queued backlog split by QoS class (each request at its
-    /// unbatched single-request cost) — the admission controller's view
+    /// unbatched single-request cost) — the admission policy's view
     /// of how much work that can outrank a new arrival it waits behind.
     pub(crate) class_backlog_us: [u64; CLASS_COUNT],
     /// Highest branch priority of this shard's model (fixed for the
@@ -308,7 +308,7 @@ impl Shard {
         let single_us = self.single_cost_us[request.branch];
         self.backlog_us += single_us;
         self.class_backlog_us[request.class.index()] += single_us;
-        self.scheduler.enqueue(request, now_us);
+        self.scheduler.enqueue(request);
     }
 
     /// Releases the backlog `request` was charged when it was queued here,
@@ -326,15 +326,15 @@ impl Shard {
     }
 
     /// Takes `request` through this shard's front door at its arrival
-    /// instant: counts it issued, then the admission controller may shed
-    /// it, a full queue drops it, or it is queued. Tallies and traces the
+    /// instant: counts it issued, then the `admission` policy may shed it,
+    /// a full queue drops it, or it is queued. Tallies and traces the
     /// outcome; returns whether the request was queued.
     pub(crate) fn admit(
         &mut self,
         shard_id: usize,
         request: Request,
         capacity: usize,
-        admission: &mut dyn AdmissionController,
+        admission: AdmissionKind,
         tally: &mut Tally,
         sink: &mut dyn TraceSink,
     ) -> bool {
@@ -387,7 +387,7 @@ impl Shard {
     ) -> Option<(u64, Vec<Request>)> {
         let tracing = sink.enabled();
         let batch = loop {
-            let mut popped = self.scheduler.next_batch(&self.model, now_us, &[]);
+            let mut popped = self.scheduler.next_batch(&self.model, now_us);
             debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
             if deadline.culls() {
                 popped.retain(|request| {
@@ -509,7 +509,6 @@ pub(crate) struct EngineCore<'b> {
     pub(crate) scenario: &'b Scenario,
     pub(crate) balancer_kind: LoadBalancerKind,
     pub(crate) spec: &'b ServeSpec,
-    pub(crate) admission: Box<dyn AdmissionController>,
     pub(crate) sink: &'b mut dyn TraceSink,
     pub(crate) tracing: bool,
     pub(crate) arrivals: Vec<Request>,
@@ -607,7 +606,6 @@ impl<'b> EngineCore<'b> {
             scenario,
             balancer_kind: config.balancer,
             spec,
-            admission: spec.admission.build(),
             sink,
             tracing,
             arrivals,
@@ -726,7 +724,7 @@ impl<'b> EngineCore<'b> {
                 {
                     let dead = &mut self.shards[victim];
                     while dead.scheduler.queued() > 0 {
-                        let batch = dead.scheduler.next_batch(&dead.model, now_us, &[]);
+                        let batch = dead.scheduler.next_batch(&dead.model, now_us);
                         debug_assert!(!batch.is_empty(), "scheduler returned an empty batch");
                         orphans.extend(batch);
                     }
@@ -1020,7 +1018,7 @@ impl<'b> EngineCore<'b> {
             shard,
             request,
             self.capacity,
-            self.admission.as_mut(),
+            self.spec.admission,
             &mut self.tally,
             &mut *self.sink,
         ) {
@@ -1071,7 +1069,7 @@ impl<'b> EngineCore<'b> {
         finalize(
             self.scenario,
             self.balancer_kind.name(),
-            self.admission.name(),
+            self.spec.admission.name(),
             self.tally,
             &self.shards,
         )
@@ -1209,40 +1207,6 @@ fn finalize(
     let total_expired: u64 = tally.expired.iter().sum();
     let total_within: u64 = tally.within_budget.iter().sum();
     let total_busy_us: u64 = shards.iter().map(|s| s.busy_us).sum();
-    debug_assert_eq!(
-        total_completed + total_dropped + total_lost + total_shed + total_expired,
-        total_issued,
-        "fleet-wide request conservation violated"
-    );
-    for index in 0..tally.issued.len() {
-        debug_assert_eq!(
-            tally.completed[index]
-                + tally.dropped[index]
-                + tally.lost[index]
-                + tally.shed[index]
-                + tally.expired[index],
-            tally.issued[index],
-            "branch {index} request conservation violated"
-        );
-    }
-    for index in 0..tally.class_issued.len() {
-        debug_assert_eq!(
-            tally.class_completed[index]
-                + tally.class_dropped[index]
-                + tally.class_lost[index]
-                + tally.class_shed[index]
-                + tally.class_expired[index],
-            tally.class_issued[index],
-            "class {index} request conservation violated"
-        );
-    }
-    for (index, s) in shards.iter().enumerate() {
-        debug_assert_eq!(
-            s.completed + s.dropped + s.shed + s.expired,
-            s.issued,
-            "shard {index} request conservation violated"
-        );
-    }
     let makespan_us = shards.iter().map(|s| s.free_at_us).max().unwrap_or(0);
     let makespan_sec = u64_to_f64(makespan_us) / 1e6;
     let mut overall = LatencyHistogram::new();
@@ -1322,7 +1286,7 @@ fn finalize(
     } else {
         0.0
     };
-    ServeReport {
+    let report = ServeReport {
         scenario: scenario.name.clone(),
         scheduler: shards[0].scheduler.name().to_owned(),
         balancer: balancer_name.to_owned(),
@@ -1369,7 +1333,9 @@ fn finalize(
         fabric_busy_us: total_busy_us,
         slo_per_busy_sec,
         trace_summary: None,
-    }
+    };
+    debug_assert!(report.conserves_requests(), "request conservation violated");
+    report
 }
 
 /// Attainment over completions, with issued traffic deciding the vacuous

@@ -17,9 +17,8 @@
 //! The affinity-first balancer models exactly that: a session is pinned to
 //! the shard that last admitted its identity and only spills (re-pinning)
 //! when the pinned shard's queue is full. The least-loaded balancer instead
-//! chases the readiness signal the [`Scheduler`](crate::Scheduler) trait
-//! already exposes as `branch_free_us`: each shard's fabric-free instant
-//! plus its queued backlog, in microseconds.
+//! chases readiness: each shard's remaining fabric busy time plus its
+//! queued backlog, in microseconds.
 
 use crate::model::ServiceModel;
 use crate::request::Request;
@@ -31,10 +30,10 @@ pub enum LoadBalancerKind {
     /// Static rotation over the shards, one request at a time. Ignores
     /// load entirely — the baseline every adaptive policy must beat.
     RoundRobin,
-    /// Picks the shard with the smallest load in microseconds: the
-    /// fabric-free hint (`branch_free_us` at fleet granularity) plus the
-    /// estimated service backlog of its queue; ties fall to the shallower
-    /// queue, then the lowest shard index.
+    /// Picks the shard with the smallest load in microseconds: the time
+    /// until its fabric frees plus the estimated service backlog of its
+    /// queue; ties fall to the shallower queue, then the lowest shard
+    /// index.
     LeastLoaded,
     /// Session affinity with spill: a session is pinned to the shard that
     /// last admitted one of its requests (its identity weights are
@@ -163,8 +162,7 @@ pub(crate) struct ShardLoad {
 
 impl ShardLoad {
     /// The shard's load in microseconds as of `now_us`: remaining busy
-    /// time plus queued backlog — the fleet-level reading of the
-    /// `branch_free_us` readiness hint.
+    /// time plus queued backlog.
     fn load_us(&self, now_us: u64) -> u64 {
         self.free_at_us.saturating_sub(now_us) + self.backlog_us
     }

@@ -15,10 +15,11 @@
 //!   sessions emit one request per branch per frame, under steady, Poisson,
 //!   bursty or diurnal-ramp arrival processes, all reproducible from a
 //!   fixed seed.
-//! - **Scheduling** ([`Scheduler`], [`SchedulerKind`]): pluggable
-//!   disciplines — FIFO, priority-by-branch (visual branches outrank the
-//!   audio-like stream, with aging to bound starvation), and
-//!   batch-aggregation up to the DSE-chosen batch size.
+//! - **Scheduling** ([`SchedulerKind`]): four disciplines, each behind
+//!   the [`Scheduler`] trait — FIFO, priority-by-branch (visual branches
+//!   outrank the audio-like stream, with aging to bound starvation),
+//!   batch-aggregation up to the DSE-chosen batch size, and
+//!   earliest-deadline-first.
 //! - **Service model** ([`ServiceModel`]): per-branch frame times taken
 //!   from the analytical [`fcad_accel::AcceleratorReport`] or, in the
 //!   calibrated mode, from the cycle-level simulator
@@ -36,11 +37,11 @@
 //!   failure injector kills shards mid-run, re-placing their orphaned
 //!   queues through the live balancer. The fixed fleet is the no-op
 //!   policy ([`Autoscaler::none`], [`FailurePlan::none`]).
-//! - **QoS & admission** ([`QosClass`], [`AdmissionController`]): every
+//! - **QoS & admission** ([`QosClass`], [`AdmissionKind`]): every
 //!   session draws a QoS class (latency budget + scheduling weight) from
 //!   the scenario's seeded [`ClassMix`]; the weighted priority scheduler
 //!   orders work by `class weight × branch priority`, and an admission
-//!   controller (admit-all, queue-depth thresholds, budget-aware early
+//!   policy (admit-all, queue-depth thresholds, budget-aware early
 //!   rejection) sheds low tiers *before* queues saturate — `shed` is a
 //!   fourth terminal outcome with conservation `completed + dropped +
 //!   lost + shed == issued`. The classless run is the
@@ -126,7 +127,6 @@ mod deadline;
 mod engine;
 mod fleet;
 mod histogram;
-pub mod json;
 mod model;
 mod qos;
 pub mod reference;
@@ -136,10 +136,7 @@ mod scenario;
 mod scheduler;
 mod window;
 
-pub use admission::{
-    AdmissionController, AdmissionKind, AdmissionView, AdmitAll, BudgetAwareAdmission,
-    QueueThresholdAdmission,
-};
+pub use admission::{AdmissionKind, AdmissionView};
 pub use autoscale::{Autoscaler, FailurePlan, ScaleEvent, ScaleEventKind, ShardState};
 pub use deadline::DeadlinePolicy;
 pub use engine::{serve, simulate, ServeSpec};
@@ -154,6 +151,9 @@ pub use scheduler::{
     BatchScheduler, DeadlineScheduler, FifoScheduler, PriorityScheduler, Scheduler, SchedulerKind,
 };
 pub use window::{simulate_windowed, simulate_windowed_traced, WindowPlan};
+
+// The single-line JSON writer the report renders with.
+pub use fcad_obs::json;
 
 // Observability surface, re-exported from `fcad-obs` so traced serving
 // needs only this crate: the sink trait and its implementations, the

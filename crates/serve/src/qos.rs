@@ -8,7 +8,7 @@
 //! queueing. A [`QosClass`] makes that difference first-class: every
 //! [`Request`](crate::Request) carries its session's class, the weighted
 //! scheduler orders work by `class weight × branch priority`, the
-//! admission layer ([`crate::AdmissionController`]) sheds low classes
+//! admission policy ([`crate::AdmissionKind`]) sheds low classes
 //! before queues saturate, and the report scores each class against its
 //! own budget (`slo_attainment`).
 //!

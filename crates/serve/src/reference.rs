@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
-use crate::admission::{admit_traced, AdmissionController, AdmissionKind, AdmissionView};
+use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
 use crate::autoscale::{
     Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
 };
@@ -37,8 +37,13 @@ use crate::scheduler::{Scheduler, SchedulerKind};
 const P99_WINDOW: usize = 64;
 const P99_MIN_SAMPLES: usize = 16;
 
-/// Reference counterpart of [`crate::simulate_fleet`]: the frozen loop
-/// with frozen per-shard schedulers of `kind`.
+/// The frozen priority discipline's aging rate, score points per second of
+/// waiting.
+const AGING_PER_SEC: f64 = 0.25;
+
+/// The frozen loop on a fixed fleet under admit-all, with frozen per-shard
+/// schedulers of `kind`: the oracle for [`crate::serve`] with only the
+/// scheduler set.
 pub fn simulate_fleet(
     config: &FleetConfig,
     scenario: &Scenario,
@@ -47,7 +52,7 @@ pub fn simulate_fleet(
     simulate_fleet_qos(config, scenario, kind, AdmissionKind::AdmitAll)
 }
 
-/// Reference counterpart of [`crate::simulate_fleet_qos`].
+/// [`simulate_fleet`] under the admission policy `admission`.
 pub fn simulate_fleet_qos(
     config: &FleetConfig,
     scenario: &Scenario,
@@ -56,7 +61,6 @@ pub fn simulate_fleet_qos(
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
         (0..config.shard_count()).map(|_| build(kind)).collect();
-    let mut controller = admission.build();
     run(
         config,
         scenario,
@@ -64,12 +68,13 @@ pub fn simulate_fleet_qos(
         None,
         &Autoscaler::none(),
         &FailurePlan::none(),
-        controller.as_mut(),
+        admission,
         &mut Off,
     )
 }
 
-/// Reference counterpart of [`crate::simulate_autoscaled_qos`].
+/// [`simulate_fleet_qos`] on a dynamic fleet: `policy` scales it (spawned
+/// shards run frozen schedulers of `kind`) and `failures` kills shards.
 pub fn simulate_autoscaled_qos(
     config: &FleetConfig,
     scenario: &Scenario,
@@ -80,7 +85,6 @@ pub fn simulate_autoscaled_qos(
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
         (0..config.shard_count()).map(|_| build(kind)).collect();
-    let mut controller = admission.build();
     run(
         config,
         scenario,
@@ -88,13 +92,12 @@ pub fn simulate_autoscaled_qos(
         Some(kind),
         policy,
         failures,
-        controller.as_mut(),
+        admission,
         &mut Off,
     )
 }
 
-/// Reference counterpart of [`crate::simulate_traced`]: the frozen loop
-/// narrating itself through `sink`.
+/// [`simulate_autoscaled_qos`] narrating itself through `sink`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_traced(
     config: &FleetConfig,
@@ -107,7 +110,6 @@ pub fn simulate_traced(
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
         (0..config.shard_count()).map(|_| build(kind)).collect();
-    let mut controller = admission.build();
     run(
         config,
         scenario,
@@ -115,7 +117,7 @@ pub fn simulate_traced(
         Some(kind),
         policy,
         failures,
-        controller.as_mut(),
+        admission,
         sink,
     )
 }
@@ -154,7 +156,7 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn enqueue(&mut self, request: Request, _now_us: u64) {
+    fn enqueue(&mut self, request: Request) {
         self.queue.push_back(request);
     }
 
@@ -162,50 +164,28 @@ impl Scheduler for FifoScheduler {
         self.queue.len()
     }
 
-    fn next_batch(
-        &mut self,
-        _model: &ServiceModel,
-        _now_us: u64,
-        _branch_free_us: &[u64],
-    ) -> Vec<Request> {
+    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
         self.queue.pop_front().into_iter().collect()
     }
 }
 
 /// Frozen weighted-priority discipline: every `next_batch` rescans every
 /// `(branch, class)` queue head and recomputes its score from scratch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PriorityScheduler {
     queues: Vec<[VecDeque<Request>; CLASS_COUNT]>,
     queued: usize,
-    aging_per_sec: f64,
-}
-
-impl Default for PriorityScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PriorityScheduler {
-    /// Creates the frozen discipline with the default 0.25/s aging rate.
+    /// Creates the frozen discipline with the 0.25/s aging rate.
     pub fn new() -> Self {
-        Self {
-            queues: Vec::new(),
-            queued: 0,
-            aging_per_sec: 0.25,
-        }
-    }
-
-    /// Replaces the aging rate (score points gained per second of waiting).
-    pub fn with_aging_per_sec(mut self, aging_per_sec: f64) -> Self {
-        self.aging_per_sec = aging_per_sec;
-        self
+        Self::default()
     }
 
     fn score(&self, branch: usize, head: &Request, model: &ServiceModel, now_us: u64) -> f64 {
         let wait_sec = u64_to_f64(head.latency_us(now_us)) / 1e6;
-        head.class.weight() * model.priority(branch) + self.aging_per_sec * wait_sec
+        head.class.weight() * model.priority(branch) + AGING_PER_SEC * wait_sec
     }
 
     fn best_class(&self, branch: usize, model: &ServiceModel, now_us: u64) -> Option<(usize, f64)> {
@@ -227,7 +207,7 @@ impl Scheduler for PriorityScheduler {
         "priority"
     }
 
-    fn enqueue(&mut self, request: Request, _now_us: u64) {
+    fn enqueue(&mut self, request: Request) {
         if request.branch >= self.queues.len() {
             self.queues
                 .resize_with(request.branch + 1, Default::default);
@@ -240,35 +220,18 @@ impl Scheduler for PriorityScheduler {
         self.queued
     }
 
-    fn next_batch(
-        &mut self,
-        model: &ServiceModel,
-        now_us: u64,
-        branch_free_us: &[u64],
-    ) -> Vec<Request> {
-        let mut best_ready: Option<(usize, usize, f64)> = None;
-        let mut best_busy: Option<(usize, u64)> = None;
+    fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request> {
+        let mut best: Option<(usize, usize, f64)> = None;
         for branch in 0..self.queues.len() {
             let Some((class, score)) = self.best_class(branch, model, now_us) else {
                 continue;
             };
-            let free_at = branch_free_us.get(branch).copied().unwrap_or(0);
-            if free_at <= now_us {
-                if best_ready.is_none_or(|(_, _, s)| score > s) {
-                    best_ready = Some((branch, class, score));
-                }
-            } else if best_busy.is_none_or(|(_, f)| free_at < f) {
-                best_busy = Some((branch, free_at));
+            if best.is_none_or(|(_, _, s)| score > s) {
+                best = Some((branch, class, score));
             }
         }
-        let pick = best_ready.map(|(b, c, _)| (b, c)).or_else(|| {
-            best_busy.and_then(|(branch, _)| {
-                self.best_class(branch, model, now_us)
-                    .map(|(class, _)| (branch, class))
-            })
-        });
-        match pick {
-            Some((branch, class)) => {
+        match best {
+            Some((branch, class, _)) => {
                 self.queued -= 1;
                 self.queues[branch][class].pop_front().into_iter().collect()
             }
@@ -297,7 +260,7 @@ impl Scheduler for BatchScheduler {
         "batch"
     }
 
-    fn enqueue(&mut self, request: Request, _now_us: u64) {
+    fn enqueue(&mut self, request: Request) {
         if request.branch >= self.queues.len() {
             self.queues.resize_with(request.branch + 1, VecDeque::new);
         }
@@ -309,23 +272,13 @@ impl Scheduler for BatchScheduler {
         self.queued
     }
 
-    fn next_batch(
-        &mut self,
-        model: &ServiceModel,
-        now_us: u64,
-        branch_free_us: &[u64],
-    ) -> Vec<Request> {
-        let candidate = |ready: bool| {
-            self.queues
-                .iter()
-                .enumerate()
-                .filter(|(branch, _)| {
-                    (branch_free_us.get(*branch).copied().unwrap_or(0) <= now_us) == ready
-                })
-                .filter_map(|(branch, queue)| queue.front().map(|head| (head.issued_at_us, branch)))
-                .min()
-        };
-        let oldest = candidate(true).or_else(|| candidate(false));
+    fn next_batch(&mut self, model: &ServiceModel, _now_us: u64) -> Vec<Request> {
+        let oldest = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter_map(|(branch, queue)| queue.front().map(|head| (head.issued_at_us, branch)))
+            .min();
         match oldest {
             Some((_, branch)) => {
                 let take = model.max_batch(branch).min(self.queues[branch].len());
@@ -361,7 +314,7 @@ impl Scheduler for DeadlineScheduler {
         "deadline"
     }
 
-    fn enqueue(&mut self, request: Request, _now_us: u64) {
+    fn enqueue(&mut self, request: Request) {
         if request.branch >= self.queues.len() {
             self.queues
                 .resize_with(request.branch + 1, Default::default);
@@ -374,29 +327,19 @@ impl Scheduler for DeadlineScheduler {
         self.queued
     }
 
-    fn next_batch(
-        &mut self,
-        _model: &ServiceModel,
-        now_us: u64,
-        branch_free_us: &[u64],
-    ) -> Vec<Request> {
-        let candidate = |ready: bool| {
-            self.queues
-                .iter()
-                .enumerate()
-                .filter(|(branch, _)| {
-                    (branch_free_us.get(*branch).copied().unwrap_or(0) <= now_us) == ready
+    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
+        let tightest = self
+            .queues
+            .iter()
+            .enumerate()
+            .flat_map(|(branch, lanes)| {
+                lanes.iter().enumerate().filter_map(move |(class, queue)| {
+                    queue
+                        .front()
+                        .map(|head| (class, head.deadline_us(), branch))
                 })
-                .flat_map(|(branch, lanes)| {
-                    lanes.iter().enumerate().filter_map(move |(class, queue)| {
-                        queue
-                            .front()
-                            .map(|head| (class, head.deadline_us(), branch))
-                    })
-                })
-                .min()
-        };
-        let tightest = candidate(true).or_else(|| candidate(false));
+            })
+            .min();
         match tightest {
             Some((class, _, branch)) => {
                 self.queued -= 1;
@@ -526,7 +469,7 @@ fn run<'a>(
     spawn: Option<SchedulerKind>,
     policy: &Autoscaler,
     failures: &FailurePlan,
-    admission: &mut dyn AdmissionController,
+    admission: AdmissionKind,
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
     config.assert_valid();
@@ -680,7 +623,7 @@ fn run<'a>(
                     {
                         let dead = &mut shards[victim];
                         while dead.scheduler.queued() > 0 {
-                            let batch = dead.scheduler.next_batch(&dead.model, now_us, &[]);
+                            let batch = dead.scheduler.next_batch(&dead.model, now_us);
                             debug_assert!(!batch.is_empty(), "scheduler returned an empty batch");
                             orphans.extend(batch);
                         }
@@ -746,7 +689,7 @@ fn run<'a>(
                         let single_us = target.model.batch_service_us(request.branch, 1);
                         target.backlog_us += single_us;
                         target.class_backlog_us[request.class.index()] += single_us;
-                        target.scheduler.enqueue(request, now_us);
+                        target.scheduler.enqueue(request);
                         balancer.note_admitted(request.session, dst);
                         target.issued += 1;
                         replaced += 1;
@@ -866,7 +809,7 @@ fn run<'a>(
                 }
                 target.backlog_us += single_us;
                 target.class_backlog_us[request.class.index()] += single_us;
-                target.scheduler.enqueue(request, now_us);
+                target.scheduler.enqueue(request);
                 balancer.note_admitted(request.session, shard);
                 if tracing {
                     sink.record(request.trace(now_us, Some(shard), RequestEventKind::Enqueue));
@@ -902,7 +845,7 @@ fn run<'a>(
             let (now_us, shard) = next_dispatch.expect("dispatch_at is finite");
             let (batch, service_us, done_us) = {
                 let s = &mut shards[shard];
-                let batch = s.scheduler.next_batch(&s.model, now_us, &[]);
+                let batch = s.scheduler.next_batch(&s.model, now_us);
                 debug_assert!(!batch.is_empty(), "scheduler returned an empty batch");
                 let branch = batch[0].branch;
                 debug_assert!(batch.iter().all(|r| r.branch == branch));

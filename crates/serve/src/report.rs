@@ -54,7 +54,7 @@ pub struct BranchServeStats {
     /// admitted by the balancer's re-placement pick, or arriving while no
     /// shard was placeable).
     pub lost: u64,
-    /// Requests shed by the admission controller (0 under admit-all).
+    /// Requests shed by the admission policy (0 under admit-all).
     pub shed: u64,
     /// Requests retired in-queue by the deadline policy (0 when the
     /// policy is off — every legacy path).
@@ -80,7 +80,7 @@ pub struct ClassServeStats {
     pub dropped: u64,
     /// Requests lost to shard failure.
     pub lost: u64,
-    /// Requests shed by the admission controller.
+    /// Requests shed by the admission policy.
     pub shed: u64,
     /// Requests of this class retired in-queue by the deadline policy.
     pub expired: u64,
@@ -102,7 +102,7 @@ pub struct ShardStats {
     pub completed: u64,
     /// Requests dropped at this shard's full queue.
     pub dropped: u64,
-    /// Requests the admission controller shed at this shard's front door.
+    /// Requests the admission policy shed at this shard's front door.
     pub shed: u64,
     /// Requests retired from this shard's queue by the deadline policy.
     pub expired: u64,
@@ -184,7 +184,7 @@ pub struct ServeReport {
     /// Fleet lifecycle log — spawns, warm-ups, drains, retirements and
     /// failures in time order; empty for a fixed fleet.
     pub scale_events: Vec<ScaleEvent>,
-    /// Requests shed by the admission controller — the fourth terminal
+    /// Requests shed by the admission policy — the fourth terminal
     /// outcome: `completed + dropped + lost + shed == issued`. Always 0
     /// under admit-all (the legacy paths).
     pub shed: u64,

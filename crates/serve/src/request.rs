@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// them across sessions. Every request carries its session's QoS class —
 /// the class is a per-session property (assigned by the scenario's seeded
 /// class mix), stamped on each request so schedulers and admission
-/// controllers can read it without a session table.
+/// policies can read it without a session table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
     /// Globally unique, assigned in arrival order (ties broken by session

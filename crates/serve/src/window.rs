@@ -69,7 +69,7 @@
 
 use fcad_obs::{Off, RequestEventKind, TraceEvent, TraceSink};
 
-use crate::admission::{AdmissionController, AdmissionKind};
+use crate::admission::AdmissionKind;
 use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::usize_to_u64;
@@ -331,7 +331,7 @@ impl EngineCore<'_> {
         self.next_arrival += in_window;
 
         let capacity = self.capacity;
-        let admission_kind = self.spec.admission;
+        let admission = self.spec.admission;
         let deadline = self.spec.deadline;
         let split_us = self.split_us;
         let tracing = self.tracing;
@@ -346,18 +346,9 @@ impl EngineCore<'_> {
             let mut sink = StepSink::new(tracing);
             let mut steps = 0usize;
             for (shard_id, shard, arrivals) in share {
-                let mut controller = admission_kind.build();
                 steps += advance_shard(
-                    shard_id,
-                    shard,
-                    controller.as_mut(),
-                    &arrivals,
-                    capacity,
-                    deadline,
-                    cap,
-                    split_us,
-                    tally,
-                    &mut sink,
+                    shard_id, shard, admission, &arrivals, capacity, deadline, cap, split_us,
+                    tally, &mut sink,
                 );
             }
             (sink.events, steps)
@@ -423,7 +414,7 @@ impl EngineCore<'_> {
 fn advance_shard(
     shard_id: usize,
     shard: &mut Shard,
-    admission: &mut dyn AdmissionController,
+    admission: AdmissionKind,
     arrivals: &[Request],
     capacity: usize,
     deadline: DeadlinePolicy,

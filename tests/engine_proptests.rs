@@ -56,19 +56,19 @@ fn assert_schedulers_agree(
     let mut now_us = 0;
     for (index, request) in stream.iter().enumerate() {
         now_us = request.issued_at_us;
-        rebuilt.enqueue(*request, now_us);
-        frozen.enqueue(*request, now_us);
+        rebuilt.enqueue(*request);
+        frozen.enqueue(*request);
         assert_eq!(rebuilt.queued(), frozen.queued());
         if index % drain_every == drain_every - 1 {
-            let a = rebuilt.next_batch(&model, now_us, &[]);
-            let b = frozen.next_batch(&model, now_us, &[]);
+            let a = rebuilt.next_batch(&model, now_us);
+            let b = frozen.next_batch(&model, now_us);
             assert_eq!(a, b, "mid-stream batch diverged at arrival {index}");
         }
     }
     while frozen.queued() > 0 {
         now_us += 1_000;
-        let a = rebuilt.next_batch(&model, now_us, &[]);
-        let b = frozen.next_batch(&model, now_us, &[]);
+        let a = rebuilt.next_batch(&model, now_us);
+        let b = frozen.next_batch(&model, now_us);
         assert_eq!(a, b, "drain batch diverged at {now_us} µs");
     }
     assert_eq!(rebuilt.queued(), 0);
@@ -110,19 +110,16 @@ proptest! {
 
     /// The heap-backed priority scheduler's incrementally maintained
     /// scores pick exactly the batches the frozen from-scratch rescan
-    /// picks, under random streams, random drain cadences and random
-    /// aging rates (including the zero and frozen-fallback negative).
+    /// picks, under random streams and random drain cadences.
     #[test]
     fn priority_heap_matches_the_frozen_rescan(
         raw in stream_strategy(),
         drain_every in 1usize..8,
-        aging_sel in 0usize..3,
     ) {
-        let aging = [8_000.0, 0.0, -1.0][aging_sel];
         let stream = build_stream(&raw);
         assert_schedulers_agree(
-            Box::new(fcad_serve::PriorityScheduler::new().with_aging_per_sec(aging)),
-            Box::new(reference::PriorityScheduler::new().with_aging_per_sec(aging)),
+            Box::new(fcad_serve::PriorityScheduler::new()),
+            Box::new(reference::PriorityScheduler::new()),
             &stream,
             drain_every,
         );
@@ -192,7 +189,7 @@ proptest! {
 
     /// The *windowed* engine is worker-count invariant on coupled fleets:
     /// random seeds, balancers (the load-aware kinds never open a
-    /// window), admission controllers, window shapes and a random
+    /// window), admission policies, window shapes and a random
     /// coupling regime — static, autoscaled, failure-injected or
     /// deadline-culled — all produce reports byte-identical to the
     /// windows-disabled driver at 0 (counted as 1), 1, 2, 4 and 8 workers.

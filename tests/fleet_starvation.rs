@@ -80,7 +80,7 @@ fn affinity_first_bounds_every_branch_wait_under_the_b2_burst() {
 #[test]
 fn least_loaded_beats_round_robin_p99_on_a_mixed_generation_fleet() {
     // Round-robin keeps feeding the slow half of the fleet through the b2
-    // bursts; least-loaded reads the readiness hint and routes around it.
+    // bursts; least-loaded reads each shard's readiness and routes around it.
     // This holds for every discipline, at 2 and at 4 shards.
     for shards in [2usize, 4] {
         let scenario = Scenario::b2_fleet(shards);
