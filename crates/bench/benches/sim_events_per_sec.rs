@@ -4,8 +4,9 @@
 //! on the fleet suite at 64 shards (where the reference's per-iteration
 //! linear scans dominate) plus a downscaled metropolis. Each comparison
 //! prints a machine-readable JSON line with the measured events/sec and
-//! the speedup over the reference — CI uploads this output as an
-//! artifact.
+//! the speedup over the reference, and the coupled metropolis cell adds a
+//! `parallel_speedup` line (8 workers over one, with the host's core
+//! count) — CI uploads this output as an artifact.
 
 use std::time::Instant;
 
@@ -174,12 +175,15 @@ fn bench(c: &mut Criterion) {
 
     // The windowed cell: a *coupled* metropolis — the fleet scales from
     // 192 toward 256 shards under queue pressure (those spans run
-    // sequentially), then the terminal phase executes in parallel
-    // windows. Every run is byte-identical; the windowed run at 8 workers
-    // must clear 2× over the windows-disabled driver, whose fan-out
-    // threshold no window clears, so every event steps through
-    // `EngineCore::step` (the floor `perf_trajectory` pins in
-    // BENCH_serve.json).
+    // sequentially), then the terminal phase executes in windows. Every
+    // run is byte-identical. Two gates, each against the windows-disabled
+    // driver, whose fan-out threshold no window clears, so every event
+    // steps through `EngineCore::step`: `serve` at one worker must clear
+    // 2× (the window path's per-event advantage, no parallelism), and so
+    // must the windowed run at 8 workers (the floor `perf_trajectory` pins
+    // in BENCH_serve.json). The `parallel_speedup` row — 8 workers over
+    // one, same window shape — separates the parallel gain from the
+    // per-event one, next to the host's core count.
     let policy = Autoscaler::reactive(192, 256)
         .with_cooldown_us(0)
         .with_idle_retire_us(0);
@@ -220,6 +224,12 @@ fn bench(c: &mut Criterion) {
     assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), win_report.to_json_line());
     assert!(
+        seq_sec / one_sec >= 2.0,
+        "serve at one worker must clear 2x over the windows-disabled driver \
+         (got {:.2}x)",
+        seq_sec / one_sec
+    );
+    assert!(
         seq_sec / win_sec >= 2.0,
         "windowed8 must clear 2x over the windows-disabled driver \
          (got {:.2}x)",
@@ -231,6 +241,13 @@ fn bench(c: &mut Criterion) {
     print_comparison(cell, events, ref_sec, "sequential", seq_sec);
     print_comparison(cell, events, ref_sec, "rebuilt", one_sec);
     print_comparison(cell, events, ref_sec, "windowed8", win_sec);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "{{\"bench\":\"parallel_speedup\",\"scenario\":\"{cell}\",\"workers\":{PARALLEL_WORKERS},\
+         \"cores\":{cores},\"one_worker_sec\":{one_sec:.4},\"workers_sec\":{win_sec:.4},\
+         \"speedup\":{:.2}}}",
+        one_sec / win_sec,
+    );
     c.bench_function("sim_events/metropolis_100k_autoscaled/windowed8", |b| {
         b.iter(|| windowed(&plan))
     });

@@ -27,44 +27,84 @@
 //!                            # table to stderr. Each flag is independent.
 //!
 //! The last line of every invocation is a single-line machine-readable JSON
-//! summary (FPS, efficiency, resources, and serving tail latencies).
+//! summary (FPS, efficiency, resources, and serving tail latencies). Any
+//! other argument, or a flag missing its value, prints the usage list to
+//! stderr and exits with status 2.
 
 use fcad_serve::{
     serve, AdmissionKind, Autoscaler, DeadlinePolicy, FailurePlan, LoadBalancerKind, Off, Scenario,
     SchedulerKind, ServeSpec,
 };
 
+/// The experiment selectors; with none given, every experiment runs.
+const EXPERIMENTS: [&str; 14] = [
+    "--table1",
+    "--table2",
+    "--fig3",
+    "--fig6",
+    "--fig7",
+    "--table4",
+    "--table5",
+    "--convergence",
+    "--serve",
+    "--fleet",
+    "--autoscale",
+    "--qos",
+    "--deadline",
+    "--windowed",
+];
+
+/// Prints `problem` and the usage list to stderr and exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "reproduce: {problem}\n\n\
+         usage: reproduce [--full] [EXPERIMENT ...] [--workers N]\n\
+         \x20                [--trace FILE] [--metrics FILE] [--trace-worst K]\n\n\
+         \x20 --full           the paper's P=200/N=20 DSE setting\n\
+         \x20 EXPERIMENT       any of {} (default: all)\n\
+         \x20 --workers N      workers for every serving cell's windows (default 1)\n\
+         \x20 --trace FILE     Chrome trace of the b2_qos cell\n\
+         \x20 --metrics FILE   windowed metrics of the b2_qos cell\n\
+         \x20 --trace-worst K  the K worst-latency requests of the b2_qos cell",
+        EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The value following `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// The integer following `flag`.
+fn count(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+    value(args, flag)
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} needs a non-negative integer")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Value-carrying trace flags come out first so the experiment selector
-    // below never mistakes a file path for an experiment name.
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut trace_worst: Option<usize> = None;
     let mut workers = 1usize;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = args.into_iter();
+    let mut full = false;
+    let mut selected: Vec<&str> = Vec::new();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a file path")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics needs a file path")),
-            "--trace-worst" => {
-                let k = args.next().expect("--trace-worst needs a count");
-                trace_worst = Some(k.parse().expect("--trace-worst count must be an integer"));
-            }
-            "--workers" => {
-                let n = args.next().expect("--workers needs a thread count");
-                workers = n.parse().expect("--workers count must be an integer");
-            }
-            _ => rest.push(arg),
+            "--trace" => trace_path = Some(value(&mut args, "--trace")),
+            "--metrics" => metrics_path = Some(value(&mut args, "--metrics")),
+            "--trace-worst" => trace_worst = Some(count(&mut args, "--trace-worst")),
+            "--workers" => workers = count(&mut args, "--workers"),
+            "--full" => full = true,
+            other => match EXPERIMENTS.iter().find(|&&name| name == other) {
+                Some(&name) => selected.push(name),
+                None => usage_error(&format!("unknown argument `{other}`")),
+            },
         }
     }
-    let full = rest.iter().any(|a| a == "--full");
-    let selected: Vec<&str> = rest
-        .iter()
-        .filter(|a| *a != "--full")
-        .map(String::as_str)
-        .collect();
     let tracing = trace_path.is_some() || metrics_path.is_some() || trace_worst.is_some();
     // A trace request narrows the run to the traced cell plus the final
     // summary, keeping trace artefacts fast to regenerate.

@@ -189,9 +189,6 @@ pub struct DseEngine {
     timer: ElapsedTimer,
 }
 
-/// Backwards-compatible name for the cross-branch search engine.
-pub type CrossBranchSearch = DseEngine;
-
 impl DseEngine {
     /// Creates an engine with the given hyper-parameters. Elapsed-time
     /// measurement is off, so results depend only on the seed.

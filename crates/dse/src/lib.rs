@@ -7,7 +7,7 @@
 //! of branches and layers. The DSE engine follows the paper's two-step
 //! divide-and-conquer strategy:
 //!
-//! 1. **Cross-branch optimization** ([`CrossBranchSearch`], Algorithm 1) — a
+//! 1. **Cross-branch optimization** ([`DseEngine`], Algorithm 1) — a
 //!    particle-swarm-style stochastic search over *resource distributions*:
 //!    how the DSP / BRAM / bandwidth budgets are split across branches. Each
 //!    candidate is scored by a priority-weighted throughput fitness with a
@@ -49,7 +49,7 @@ mod inbranch;
 mod result;
 mod timer;
 
-pub use crossbranch::{CrossBranchSearch, DseEngine, DseParams, ResourceDistribution};
+pub use crossbranch::{DseEngine, DseParams, ResourceDistribution};
 pub use customization::Customization;
 pub use error::{Error, Result};
 pub use fitness::{fitness_score, FitnessParams};

@@ -6,17 +6,17 @@
 //! latency-critical, resource-elastic mobile workload, and a fleet sized
 //! for the diurnal peak wastes most of its devices off-peak while a fleet
 //! sized for the trough melts under bursts. The [`Autoscaler`] closes that
-//! gap by spinning shards up when queue pressure (or the rolling p99)
-//! crosses a threshold and draining idle shards back down — with a warm-up
-//! penalty before a spawned shard serves, because a fresh accelerator must
-//! stream identity weights before it can decode anyone's avatar.
+//! gap by spinning shards up when the mean queue depth crosses a threshold
+//! and draining idle shards back down — with a warm-up penalty before a
+//! spawned shard serves, because a fresh accelerator must stream identity
+//! weights before it can decode anyone's avatar.
 //!
 //! The [`FailurePlan`] injects the other half of the availability story: a
 //! shard dies mid-run (at a scheduled instant or a seeded pseudo-random
 //! one), its queued requests lose their affinity and re-place through the
-//! live balancer — optionally re-paying the identity weight fill on their
-//! new shard — and whatever cannot be re-placed is *lost*, a third terminal
-//! outcome next to completed and dropped.
+//! live balancer — re-paying the identity weight fill on their new shard
+//! unless it is still warming — and whatever cannot be re-placed is
+//! *lost*, a third terminal outcome next to completed and dropped.
 //!
 //! Both knobs are plain data carried by
 //! [`ServeSpec`](crate::ServeSpec); the no-op policy plus the empty
@@ -135,7 +135,7 @@ pub struct ScaleEvent {
 /// warms up, and when to drain an idle shard back out of the fleet.
 ///
 /// All triggers are evaluated at deterministic points of the event loop
-/// (scale-up after each admission and each dispatch completion, idle
+/// (the queue-depth scale-up after each arrival placed on a shard, idle
 /// retirement through scheduled idle checks), so an autoscaled run is as
 /// reproducible as a fixed-fleet one. [`Autoscaler::none`] disables every
 /// trigger and reproduces the fixed fleet bit for bit.
@@ -156,9 +156,6 @@ pub struct Autoscaler {
     /// Spawn a shard when the mean queue depth across active shards
     /// reaches this many requests (0 disables the queue trigger).
     pub scale_up_queue_depth: usize,
-    /// Spawn a shard when the rolling p99 over recent completions reaches
-    /// this many milliseconds (0.0 disables the latency trigger).
-    pub scale_up_p99_ms: f64,
     /// Warm-up a spawned shard pays before serving, µs: the time to stream
     /// identity weights into a cold accelerator.
     pub warmup_us: u64,
@@ -183,7 +180,6 @@ impl Autoscaler {
             min_shards: 0,
             max_shards: usize::MAX,
             scale_up_queue_depth: 0,
-            scale_up_p99_ms: 0.0,
             warmup_us: 0,
             cooldown_us: 0,
             idle_retire_us: 0,
@@ -204,7 +200,6 @@ impl Autoscaler {
             min_shards,
             max_shards,
             scale_up_queue_depth: 6,
-            scale_up_p99_ms: 0.0,
             warmup_us: 25_000,
             cooldown_us: 100_000,
             idle_retire_us: 400_000,
@@ -215,12 +210,6 @@ impl Autoscaler {
     /// Replaces the queue-pressure trigger depth (0 disables it).
     pub fn with_scale_up_queue_depth(mut self, depth: usize) -> Self {
         self.scale_up_queue_depth = depth;
-        self
-    }
-
-    /// Replaces the rolling-p99 trigger threshold (0.0 disables it).
-    pub fn with_scale_up_p99_ms(mut self, p99_ms: f64) -> Self {
-        self.scale_up_p99_ms = p99_ms;
         self
     }
 
@@ -247,12 +236,6 @@ impl Autoscaler {
         self.drains.push((at_us, shard));
         self
     }
-
-    /// Whether the rolling-p99 trigger is configured (a threshold of 0.0,
-    /// or NaN, disables it).
-    pub(crate) fn p99_trigger_on(&self) -> bool {
-        self.scale_up_p99_ms > 0.0
-    }
 }
 
 /// Which shard a kill hits.
@@ -275,22 +258,18 @@ pub(crate) struct Kill {
     pub target: KillTarget,
 }
 
-/// The failure injection plan: which shards die when, and whether their
-/// re-placed requests re-pay the identity weight fill on arrival at their
-/// new shard (the migrated session's decoder weights must be re-streamed).
+/// The failure injection plan: which shards die when. A re-placed request
+/// re-pays its branch's weight fill on a destination shard that is not
+/// warming (the migrated session's decoder weights must be re-streamed).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailurePlan {
     kills: Vec<Kill>,
-    repay_fill: bool,
 }
 
 impl FailurePlan {
     /// No failures: every shard survives the whole run.
     pub fn none() -> Self {
-        Self {
-            kills: Vec::new(),
-            repay_fill: true,
-        }
+        Self { kills: Vec::new() }
     }
 
     /// Kills the listed shards at the listed instants (µs since simulation
@@ -305,10 +284,7 @@ impl FailurePlan {
             })
             .collect();
         kills.sort_by_key(|k| k.at_us);
-        Self {
-            kills,
-            repay_fill: true,
-        }
+        Self { kills }
     }
 
     /// `count` seeded kills spread deterministically over the middle of
@@ -326,18 +302,7 @@ impl FailurePlan {
             })
             .collect();
         kills.sort_by_key(|k| k.at_us);
-        Self {
-            kills,
-            repay_fill: true,
-        }
-    }
-
-    /// Sets whether re-placed requests charge their branch's weight-fill
-    /// time to the destination shard's fabric (the migrated identity's
-    /// weights must be re-streamed). Defaults to `true`.
-    pub fn with_repay_fill(mut self, repay_fill: bool) -> Self {
-        self.repay_fill = repay_fill;
-        self
+        Self { kills }
     }
 
     /// Whether the plan injects no failure at all.
@@ -353,10 +318,6 @@ impl FailurePlan {
 
     pub(crate) fn kills(&self) -> &[Kill] {
         &self.kills
-    }
-
-    pub(crate) fn repay_fill(&self) -> bool {
-        self.repay_fill
     }
 }
 
@@ -382,7 +343,6 @@ mod tests {
         let policy = Autoscaler::none();
         assert_eq!(policy.min_shards, 0);
         assert_eq!(policy.scale_up_queue_depth, 0);
-        assert_eq!(policy.scale_up_p99_ms, 0.0);
         assert_eq!(policy.idle_retire_us, 0);
         assert!(policy.drains.is_empty());
     }
@@ -391,7 +351,6 @@ mod tests {
     fn reactive_policy_builders_replace_their_knobs() {
         let policy = Autoscaler::reactive(2, 6)
             .with_scale_up_queue_depth(3)
-            .with_scale_up_p99_ms(120.0)
             .with_warmup_us(10_000)
             .with_cooldown_us(5_000)
             .with_idle_retire_us(0)
@@ -399,7 +358,6 @@ mod tests {
         assert_eq!(policy.min_shards, 2);
         assert_eq!(policy.max_shards, 6);
         assert_eq!(policy.scale_up_queue_depth, 3);
-        assert_eq!(policy.scale_up_p99_ms, 120.0);
         assert_eq!(policy.warmup_us, 10_000);
         assert_eq!(policy.cooldown_us, 5_000);
         assert_eq!(policy.idle_retire_us, 0);
@@ -441,8 +399,6 @@ mod tests {
     fn empty_plan_has_no_split_point() {
         assert!(FailurePlan::none().is_empty());
         assert_eq!(FailurePlan::none().first_kill_us(), None);
-        assert!(FailurePlan::none().repay_fill());
-        assert!(!FailurePlan::none().with_repay_fill(false).repay_fill());
     }
 
     #[test]

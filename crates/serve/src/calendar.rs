@@ -112,14 +112,6 @@ impl<T> Calendar<T> {
         }
     }
 
-    /// Creates an empty calendar with room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `payload` under `(at_us, lane, a, b)`; the calendar
     /// appends its own insertion counter as the final tiebreak and
     /// returns the complete key.

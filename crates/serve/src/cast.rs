@@ -54,11 +54,6 @@ pub(crate) fn f64_to_u64(v: f64) -> u64 {
     v as u64 // fcad-lint: allow(lossy-cast): asserted finite, non-negative, ≤ 2^53 above
 }
 
-/// `f64 → usize` by truncation toward zero (via [`f64_to_u64`]).
-pub(crate) fn f64_to_usize(v: f64) -> usize {
-    u64_to_usize(f64_to_u64(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +65,7 @@ mod tests {
         }
         assert_eq!(usize_to_u64(usize::MIN), 0);
         assert_eq!(u64_to_usize(42), 42);
-        assert_eq!(f64_to_usize(3.9), 3, "truncation toward zero");
+        assert_eq!(f64_to_u64(3.9), 3, "truncation toward zero");
     }
 
     #[test]

@@ -42,8 +42,6 @@
 //! [`ShardState::Active`](crate::ShardState::Active) — and the single
 //! device ([`simulate`]) is the one-shard fleet.
 
-use std::collections::VecDeque;
-
 use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
@@ -51,7 +49,7 @@ use crate::autoscale::{
     Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
 };
 use crate::calendar::{Calendar, EventKey, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
-use crate::cast::{f64_to_usize, u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
+use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
 use crate::fleet::{Balancer, FleetConfig, LoadBalancerKind, ShardLoad};
 use crate::histogram::LatencyHistogram;
@@ -62,11 +60,6 @@ use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::window::{drive, WindowPlan};
-
-/// Rolling window of recent completion latencies feeding the autoscaler's
-/// p99 trigger, and the minimum fill before the trigger may fire.
-const P99_WINDOW: usize = 64;
-const P99_MIN_SAMPLES: usize = 16;
 
 /// The window length [`serve`] runs at. On a 2-core host, 100 ms windows
 /// ran the autoscaled 100k-session metropolis at one worker 7–12% slower
@@ -116,10 +109,10 @@ impl Default for ServeSpec {
 ///
 /// The engine chooses the execution path: shard-local spans run as
 /// 400 ms windows on `spec.workers` workers, and everything that couples
-/// shards (lifecycle events, autoscale triggers, load-aware placement)
-/// steps sequentially. Identical inputs produce a byte-identical report
-/// and trace stream at every worker count, and any sink produces the
-/// report the [`Off`] sink does.
+/// shards (lifecycle events, the queue-depth autoscale trigger,
+/// load-aware placement) steps sequentially. Identical inputs produce a
+/// byte-identical report and trace stream at every worker count, and any
+/// sink produces the report the [`Off`] sink does.
 pub fn serve(
     config: &FleetConfig,
     scenario: &Scenario,
@@ -176,27 +169,6 @@ pub(crate) enum CalEvent {
     Dispatch { shard: usize },
 }
 
-/// Pushes a lifecycle event under `(at_us, LANE_LIFECYCLE, rank, seq)`,
-/// advancing the shared lifecycle sequence counter that replicates the
-/// frozen loop's insertion-order tie-break.
-fn push_life(
-    calendar: &mut Calendar<CalEvent>,
-    life_seq: &mut u64,
-    at_us: u64,
-    shard: usize,
-    action: Action,
-) {
-    let rank = u64::from(action.rank());
-    calendar.push(
-        at_us,
-        LANE_LIFECYCLE,
-        rank,
-        *life_seq,
-        CalEvent::Life { shard, action },
-    );
-    *life_seq += 1;
-}
-
 /// One shard's full runtime state: its service model, scheduler, lifecycle
 /// phase, fabric timing and serving statistics. `free_at_us` is the
 /// instant the shard's fabric frees — its last dispatch completion or
@@ -224,9 +196,9 @@ pub(crate) struct Shard {
     /// `batch_service_us` calls.
     pub(crate) single_cost_us: Vec<u64>,
     /// Validity epoch for this shard's calendar dispatch entry: bumped by
-    /// [`refresh_dispatch`] whenever the dispatch instant could have
-    /// changed; calendar entries carrying an older epoch are stale and
-    /// discarded at pop time.
+    /// [`EngineCore::refresh_dispatch`] whenever the dispatch instant
+    /// could have changed; calendar entries carrying an older epoch are
+    /// stale and discarded at pop time.
     pub(crate) dispatch_epoch: u64,
     pub(crate) issued: u64,
     pub(crate) completed: u64,
@@ -374,8 +346,8 @@ impl Shard {
     /// occupies the fabric for its service time and every request in it
     /// completes at the end of it.
     ///
-    /// Returns the completion instant and the served batch, or `None`
-    /// when expiry drained the whole queue without touching the fabric.
+    /// Returns the completion instant, or `None` when expiry drained the
+    /// whole queue without touching the fabric.
     pub(crate) fn dispatch(
         &mut self,
         shard_id: usize,
@@ -384,7 +356,7 @@ impl Shard {
         split_us: Option<u64>,
         tally: &mut Tally,
         sink: &mut dyn TraceSink,
-    ) -> Option<(u64, Vec<Request>)> {
+    ) -> Option<u64> {
         let tracing = sink.enabled();
         let batch = loop {
             let mut popped = self.scheduler.next_batch(&self.model, now_us);
@@ -460,31 +432,7 @@ impl Shard {
             self.release(request);
         }
         self.free_at_us = done_us;
-        Some((done_us, batch))
-    }
-}
-
-/// Invalidates `shard`'s calendar dispatch entry (by bumping its epoch)
-/// and re-schedules it if the shard still has dispatchable work. Called
-/// after every mutation that can move a shard's dispatch instant:
-/// dispatch completion, enqueue into an empty queue, orphan re-placement
-/// (the repay fill moves `free_at_us` even with a non-empty queue),
-/// failure drain, and warm-up completion.
-pub(crate) fn refresh_dispatch(
-    calendar: &mut Calendar<CalEvent>,
-    shards: &mut [Shard],
-    shard: usize,
-) {
-    let s = &mut shards[shard];
-    s.dispatch_epoch += 1;
-    if s.phase.dispatches() && s.scheduler.queued() > 0 {
-        calendar.push(
-            s.dispatch_at(),
-            LANE_DISPATCH,
-            usize_to_u64(shard),
-            s.dispatch_epoch,
-            CalEvent::Dispatch { shard },
-        );
+        Some(done_us)
     }
 }
 
@@ -517,10 +465,9 @@ pub(crate) struct EngineCore<'b> {
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
     pub(crate) calendar: Calendar<CalEvent>,
-    pub(crate) life_seq: u64,
+    life_seq: u64,
     pub(crate) split_us: Option<u64>,
     pub(crate) last_scale_up: Option<u64>,
-    pub(crate) recent_latencies: VecDeque<u64>,
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
     /// check (the frozen loop re-summed every shard per iteration).
     pub(crate) queued_total: usize,
@@ -553,7 +500,7 @@ impl<'b> EngineCore<'b> {
         let capacity = scenario.queue_capacity;
         let tracing = sink.enabled();
 
-        let mut shards: Vec<Shard> = config
+        let shards: Vec<Shard> = config
             .shards
             .iter()
             .map(|model| {
@@ -567,42 +514,9 @@ impl<'b> EngineCore<'b> {
 
         let mut tally = Tally::new(branch_count);
         tally.count_arrivals(&arrivals);
-
-        let mut calendar: Calendar<CalEvent> = Calendar::new();
-        let mut life_seq = 0u64;
-        let policy = &spec.autoscaler;
-        for kill in spec.failures.kills() {
-            let shard = match kill.target {
-                KillTarget::Shard(s) => s,
-                KillTarget::Seeded(_) => usize::MAX, // resolved at fire time
-            };
-            push_life(
-                &mut calendar,
-                &mut life_seq,
-                kill.at_us,
-                shard,
-                Action::Fail(kill.target),
-            );
-        }
-        for &(at_us, shard) in &policy.drains {
-            push_life(&mut calendar, &mut life_seq, at_us, shard, Action::Drain);
-        }
-        if policy.idle_retire_us > 0 {
-            for (index, shard) in shards.iter_mut().enumerate() {
-                shard.idle_check_pending = true;
-                push_life(
-                    &mut calendar,
-                    &mut life_seq,
-                    policy.idle_retire_us,
-                    index,
-                    Action::IdleCheck,
-                );
-            }
-        }
-        let split_us = spec.failures.first_kill_us();
         let shard_count = shards.len();
 
-        Self {
+        let mut core = Self {
             scenario,
             balancer_kind: config.balancer,
             spec,
@@ -613,11 +527,10 @@ impl<'b> EngineCore<'b> {
             shards,
             balancer,
             capacity,
-            calendar,
-            life_seq,
-            split_us,
+            calendar: Calendar::new(),
+            life_seq: 0,
+            split_us: spec.failures.first_kill_us(),
             last_scale_up: None,
-            recent_latencies: VecDeque::with_capacity(P99_WINDOW),
             queued_total: 0,
             loads: Vec::with_capacity(shard_count),
             dense: matches!(
@@ -627,6 +540,60 @@ impl<'b> EngineCore<'b> {
             placeable_ids: (0..shard_count).collect(),
             placeable_dirty: false,
             tally,
+        };
+        for kill in spec.failures.kills() {
+            let shard = match kill.target {
+                KillTarget::Shard(s) => s,
+                KillTarget::Seeded(_) => usize::MAX, // resolved at fire time
+            };
+            core.push_life(kill.at_us, shard, Action::Fail(kill.target));
+        }
+        let policy = &spec.autoscaler;
+        for &(at_us, shard) in &policy.drains {
+            core.push_life(at_us, shard, Action::Drain);
+        }
+        if policy.idle_retire_us > 0 {
+            for shard in 0..shard_count {
+                core.shards[shard].idle_check_pending = true;
+                core.push_life(policy.idle_retire_us, shard, Action::IdleCheck);
+            }
+        }
+        core
+    }
+
+    /// Pushes a lifecycle event under `(at_us, LANE_LIFECYCLE, rank, seq)`,
+    /// advancing the lifecycle sequence counter that replicates the frozen
+    /// loop's insertion-order tie-break.
+    fn push_life(&mut self, at_us: u64, shard: usize, action: Action) {
+        let rank = u64::from(action.rank());
+        self.calendar.push(
+            at_us,
+            LANE_LIFECYCLE,
+            rank,
+            self.life_seq,
+            CalEvent::Life { shard, action },
+        );
+        self.life_seq += 1;
+    }
+
+    /// Invalidates `shard`'s calendar dispatch entry (by bumping its epoch)
+    /// and re-schedules it if the shard still has dispatchable work. Called
+    /// after every mutation that can move a shard's dispatch instant:
+    /// dispatch completion, enqueue into an empty queue, orphan
+    /// re-placement (the repay fill moves `free_at_us` even with a
+    /// non-empty queue), failure drain, warm-up completion and the window
+    /// edge.
+    pub(crate) fn refresh_dispatch(&mut self, shard: usize) {
+        let s = &mut self.shards[shard];
+        s.dispatch_epoch += 1;
+        if s.phase.dispatches() && s.scheduler.queued() > 0 {
+            self.calendar.push(
+                s.dispatch_at(),
+                LANE_DISPATCH,
+                usize_to_u64(shard),
+                s.dispatch_epoch,
+                CalEvent::Dispatch { shard },
+            );
         }
     }
 
@@ -711,15 +678,7 @@ impl<'b> EngineCore<'b> {
                 };
                 let Some(victim) = victim else { return };
                 self.shards[victim].phase = ShardState::Failed;
-                record(
-                    &mut self.tally.scale_events,
-                    &self.shards,
-                    now_us,
-                    ScaleEventKind::Fail,
-                    victim,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.log_scale_event(now_us, ScaleEventKind::Fail, victim);
                 let mut orphans: Vec<Request> = Vec::new();
                 {
                     let dead = &mut self.shards[victim];
@@ -734,23 +693,11 @@ impl<'b> EngineCore<'b> {
                     dead.issued -= usize_to_u64(orphans.len());
                 }
                 self.queued_total -= orphans.len();
-                refresh_dispatch(&mut self.calendar, &mut self.shards, victim);
+                self.refresh_dispatch(victim);
                 let policy = &self.spec.autoscaler;
-                while alive_count(&self.shards) < policy.min_shards
-                    && alive_count(&self.shards) < policy.max_shards
-                {
-                    do_spawn(
-                        now_us,
-                        self.spec.scheduler,
-                        policy,
-                        &mut self.shards,
-                        &mut self.calendar,
-                        &mut self.life_seq,
-                        &mut self.tally.scale_events,
-                        &mut *self.sink,
-                        self.tracing,
-                    );
-                    self.last_scale_up = Some(now_us);
+                let respawn_to = policy.min_shards.min(policy.max_shards);
+                while alive_count(&self.shards) < respawn_to {
+                    self.spawn(now_us);
                 }
                 for request in orphans {
                     collect_placeable(&mut self.loads, &self.shards);
@@ -774,7 +721,7 @@ impl<'b> EngineCore<'b> {
                     };
                     {
                         let target = &mut self.shards[dst];
-                        if self.spec.failures.repay_fill() && target.phase != ShardState::Warming {
+                        if target.phase != ShardState::Warming {
                             let fill = target.model.branches[request.branch].fill_time_us;
                             target.free_at_us = target.free_at_us.max(now_us) + fill;
                             target.busy_us += fill;
@@ -786,7 +733,7 @@ impl<'b> EngineCore<'b> {
                     // Unconditional: the repay fill can move
                     // `free_at_us` even when the queue was
                     // already non-empty.
-                    refresh_dispatch(&mut self.calendar, &mut self.shards, dst);
+                    self.refresh_dispatch(dst);
                     self.balancer.note_admitted(request.session, dst);
                     self.tally.replaced += 1;
                     if self.tracing {
@@ -808,24 +755,9 @@ impl<'b> EngineCore<'b> {
                     return;
                 }
                 self.shards[shard].phase = ShardState::Draining;
-                record(
-                    &mut self.tally.scale_events,
-                    &self.shards,
-                    now_us,
-                    ScaleEventKind::Drain,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.log_scale_event(now_us, ScaleEventKind::Drain, shard);
                 if self.shards[shard].scheduler.queued() == 0 {
-                    retire(
-                        &mut self.shards,
-                        &mut self.tally.scale_events,
-                        now_us,
-                        shard,
-                        &mut *self.sink,
-                        self.tracing,
-                    );
+                    self.retire(now_us, shard);
                 }
             }
             Action::Warm => {
@@ -833,19 +765,11 @@ impl<'b> EngineCore<'b> {
                 if self.shards[shard].phase == ShardState::Warming {
                     self.shards[shard].phase = ShardState::Active;
                     self.shards[shard].free_at_us = self.shards[shard].free_at_us.max(now_us);
-                    record(
-                        &mut self.tally.scale_events,
-                        &self.shards,
-                        now_us,
-                        ScaleEventKind::Warm,
-                        shard,
-                        &mut *self.sink,
-                        self.tracing,
-                    );
+                    self.log_scale_event(now_us, ScaleEventKind::Warm, shard);
                     // The warm-up raised `free_at_us`, and the
                     // shard may have queued work placed while
                     // warming — it becomes dispatchable now.
-                    refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+                    self.refresh_dispatch(shard);
                 }
             }
             Action::IdleCheck => {
@@ -859,29 +783,18 @@ impl<'b> EngineCore<'b> {
                 {
                     return;
                 }
-                if self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us > now_us {
+                let idle_until =
+                    self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us;
+                if idle_until > now_us {
                     self.shards[shard].idle_check_pending = true;
-                    push_life(
-                        &mut self.calendar,
-                        &mut self.life_seq,
-                        self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us,
-                        shard,
-                        Action::IdleCheck,
-                    );
+                    self.push_life(idle_until, shard, Action::IdleCheck);
                     return;
                 }
                 let floor = self.spec.autoscaler.min_shards.max(1);
                 if active_count(&self.shards) <= floor {
                     return;
                 }
-                retire(
-                    &mut self.shards,
-                    &mut self.tally.scale_events,
-                    now_us,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.retire(now_us, shard);
             }
         }
     }
@@ -889,7 +802,7 @@ impl<'b> EngineCore<'b> {
     fn dispatch_event(&mut self, now_us: u64, shard: usize) {
         let s = &mut self.shards[shard];
         let queued_before = s.scheduler.queued();
-        let served = s.dispatch(
+        let done_us = s.dispatch(
             shard,
             now_us,
             self.spec.deadline,
@@ -898,74 +811,21 @@ impl<'b> EngineCore<'b> {
             &mut *self.sink,
         );
         self.queued_total -= queued_before - s.scheduler.queued();
-        refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+        self.refresh_dispatch(shard);
         // The fabric frees when the batch completes, or right away when
         // expiry drained the whole queue; a shard left idle owes its drain
         // or idle-retirement housekeeping from that instant.
-        let free_us = served.as_ref().map_or(now_us, |(done_us, _)| *done_us);
-        if self.shards[shard].scheduler.queued() == 0 {
-            if self.shards[shard].phase == ShardState::Draining {
-                retire(
-                    &mut self.shards,
-                    &mut self.tally.scale_events,
-                    free_us,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
-            } else if self.shards[shard].phase == ShardState::Active
-                && self.spec.autoscaler.idle_retire_us > 0
-                && !self.shards[shard].idle_check_pending
-            {
-                self.shards[shard].idle_check_pending = true;
-                push_life(
-                    &mut self.calendar,
-                    &mut self.life_seq,
-                    free_us + self.spec.autoscaler.idle_retire_us,
-                    shard,
-                    Action::IdleCheck,
-                );
-            }
-        }
-        let Some((done_us, batch)) = served else {
-            return;
-        };
-        let policy = &self.spec.autoscaler;
-        if !policy.p99_trigger_on() {
+        let free_us = done_us.unwrap_or(now_us);
+        let idle_retire_us = self.spec.autoscaler.idle_retire_us;
+        let s = &mut self.shards[shard];
+        if s.scheduler.queued() > 0 {
             return;
         }
-        for request in &batch {
-            if self.recent_latencies.len() == P99_WINDOW {
-                self.recent_latencies.pop_front();
-            }
-            self.recent_latencies.push_back(request.latency_us(done_us));
-        }
-        if self.recent_latencies.len() >= P99_MIN_SAMPLES
-            && alive_count(&self.shards) < policy.max_shards
-            && self
-                .last_scale_up
-                .is_none_or(|t| done_us >= t.saturating_add(policy.cooldown_us))
-        {
-            let mut window: Vec<u64> = self.recent_latencies.iter().copied().collect();
-            window.sort_unstable();
-            let rank =
-                f64_to_usize((usize_to_f64(window.len()) * 0.99).ceil()).clamp(1, window.len());
-            let p99_ms = u64_to_f64(window[rank - 1]) / 1_000.0;
-            if p99_ms >= policy.scale_up_p99_ms {
-                do_spawn(
-                    done_us,
-                    self.spec.scheduler,
-                    policy,
-                    &mut self.shards,
-                    &mut self.calendar,
-                    &mut self.life_seq,
-                    &mut self.tally.scale_events,
-                    &mut *self.sink,
-                    self.tracing,
-                );
-                self.placeable_dirty = true;
-                self.last_scale_up = Some(done_us);
-            }
+        if s.phase == ShardState::Draining {
+            self.retire(free_us, shard);
+        } else if s.phase == ShardState::Active && idle_retire_us > 0 && !s.idle_check_pending {
+            s.idle_check_pending = true;
+            self.push_life(free_us + idle_retire_us, shard, Action::IdleCheck);
         }
     }
 
@@ -1027,7 +887,7 @@ impl<'b> EngineCore<'b> {
             self.queued_total += 1;
             self.balancer.note_admitted(request.session, shard);
             if into_empty {
-                refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+                self.refresh_dispatch(shard);
             }
         }
         let policy = &self.spec.autoscaler;
@@ -1046,20 +906,67 @@ impl<'b> EngineCore<'b> {
                     .last_scale_up
                     .is_none_or(|t| now_us >= t.saturating_add(policy.cooldown_us))
             {
-                do_spawn(
-                    now_us,
-                    self.spec.scheduler,
-                    policy,
-                    &mut self.shards,
-                    &mut self.calendar,
-                    &mut self.life_seq,
-                    &mut self.tally.scale_events,
-                    &mut *self.sink,
-                    self.tracing,
-                );
-                self.placeable_dirty = true;
-                self.last_scale_up = Some(now_us);
+                self.spawn(now_us);
             }
+        }
+    }
+
+    /// Spawns one warming shard cloned from shard 0's service model,
+    /// schedules its warm-up completion (plus its first idle check) and
+    /// restarts the trigger cooldown. The shard dispatches nothing until
+    /// the `Warm` event fires — the warm-up handler raises `free_at_us` to
+    /// the warm instant, so even work queued while warming cannot complete
+    /// before the weight fill ends.
+    fn spawn(&mut self, now_us: u64) {
+        let spec = self.spec;
+        let policy = &spec.autoscaler;
+        let shard = self.shards.len();
+        let template = self.shards[0].model.clone();
+        self.shards.push(Shard::new(
+            template,
+            spec.scheduler.build(),
+            ShardState::Warming,
+        ));
+        self.push_life(now_us + policy.warmup_us, shard, Action::Warm);
+        if policy.idle_retire_us > 0 {
+            self.shards[shard].idle_check_pending = true;
+            self.push_life(
+                now_us + policy.warmup_us + policy.idle_retire_us,
+                shard,
+                Action::IdleCheck,
+            );
+        }
+        self.log_scale_event(now_us, ScaleEventKind::Up, shard);
+        self.placeable_dirty = true;
+        self.last_scale_up = Some(now_us);
+    }
+
+    /// Decommissions a shard (from Draining, or straight from Active on
+    /// idle retirement — its queue is already empty) and logs the
+    /// retirement.
+    fn retire(&mut self, at_us: u64, shard: usize) {
+        self.shards[shard].phase = ShardState::Retired;
+        self.log_scale_event(at_us, ScaleEventKind::Retire, shard);
+    }
+
+    /// Appends a scale event with the post-event active-shard count,
+    /// mirrored as an instant on the trace timeline so fleet transitions
+    /// line up with the request spans they explain.
+    fn log_scale_event(&mut self, at_us: u64, kind: ScaleEventKind, shard: usize) {
+        let active_after = active_count(&self.shards);
+        self.tally.scale_events.push(ScaleEvent {
+            at_sec: u64_to_f64(at_us) / 1e6,
+            kind,
+            shard,
+            active_after,
+        });
+        if self.tracing {
+            self.sink.record(TraceEvent::Fleet(FleetEvent {
+                at_us,
+                shard,
+                kind: kind.fleet_kind(),
+                active_after,
+            }));
         }
     }
 
@@ -1374,106 +1281,6 @@ fn collect_placeable(loads: &mut Vec<(usize, ShardLoad)>, shards: &[Shard]) {
     loads.extend(placeable(shards).map(|index| (index, shards[index].load())));
 }
 
-/// Decommissions a shard (from Draining, or straight from Active on idle
-/// retirement — its queue is already empty) and logs the retirement.
-fn retire(
-    shards: &mut [Shard],
-    events: &mut Vec<ScaleEvent>,
-    at_us: u64,
-    shard: usize,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    shards[shard].phase = ShardState::Retired;
-    record(
-        events,
-        shards,
-        at_us,
-        ScaleEventKind::Retire,
-        shard,
-        sink,
-        tracing,
-    );
-}
-
-/// Appends a scale event with the post-event active-shard count, mirrored
-/// as an instant on the trace timeline so fleet transitions line up with
-/// the request spans they explain.
-#[allow(clippy::too_many_arguments)]
-fn record(
-    events: &mut Vec<ScaleEvent>,
-    shards: &[Shard],
-    at_us: u64,
-    kind: ScaleEventKind,
-    shard: usize,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    let active_after = active_count(shards);
-    events.push(ScaleEvent {
-        at_sec: u64_to_f64(at_us) / 1e6,
-        kind,
-        shard,
-        active_after,
-    });
-    if tracing {
-        sink.record(TraceEvent::Fleet(FleetEvent {
-            at_us,
-            shard,
-            kind: kind.fleet_kind(),
-            active_after,
-        }));
-    }
-}
-
-/// Spawns one warming shard cloned from shard 0's service model and
-/// schedules its warm-up completion (plus its first idle check). The
-/// shard dispatches nothing until the `Warm` event fires — the warm-up
-/// handler raises `free_at_us` to the warm instant, so even work queued
-/// while warming cannot complete before the weight fill ends.
-#[allow(clippy::too_many_arguments)]
-fn do_spawn(
-    now_us: u64,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    shards: &mut Vec<Shard>,
-    calendar: &mut Calendar<CalEvent>,
-    life_seq: &mut u64,
-    scale_events: &mut Vec<ScaleEvent>,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    let shard = shards.len();
-    let template = shards[0].model.clone();
-    shards.push(Shard::new(template, kind.build(), ShardState::Warming));
-    push_life(
-        calendar,
-        life_seq,
-        now_us + policy.warmup_us,
-        shard,
-        Action::Warm,
-    );
-    if policy.idle_retire_us > 0 {
-        shards[shard].idle_check_pending = true;
-        push_life(
-            calendar,
-            life_seq,
-            now_us + policy.warmup_us + policy.idle_retire_us,
-            shard,
-            Action::IdleCheck,
-        );
-    }
-    record(
-        scale_events,
-        shards,
-        now_us,
-        ScaleEventKind::Up,
-        shard,
-        sink,
-        tracing,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1664,6 +1471,36 @@ mod tests {
         );
         // The surviving shard carries strictly more than half the work.
         assert!(report.shards[0].completed > report.completed / 2);
+    }
+
+    #[test]
+    fn every_re_placement_charges_the_branch_fill_to_the_fabric() {
+        // One branch, so every re-placement pays the same fill; no
+        // autoscaler, so no destination is ever warming. The slowed model
+        // keeps queues non-empty when the kill fires.
+        let mut model = slow_model();
+        model.branches.truncate(1);
+        let fill_time_us = model.branches[0].fill_time_us;
+        let config = FleetConfig::uniform(model, 2).with_balancer(LoadBalancerKind::LeastLoaded);
+        let spec = ServeSpec {
+            failures: FailurePlan::scheduled(&[(1_300_000, 1)]),
+            ..ServeSpec::default()
+        };
+        let mut recorder = fcad_obs::Recorder::new();
+        let report = serve(&config, &Scenario::b2_failover(2), &spec, &mut recorder);
+        assert!(report.replaced > 0, "the kill orphaned no queued work");
+        let served_us: u64 = recorder
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Batch(batch) => Some(batch.service_us),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(
+            report.fabric_busy_us,
+            served_us + report.replaced * fill_time_us
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
 use crate::autoscale::{
     Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
 };
-use crate::cast::{f64_to_usize, u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
+use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::fleet::{Balancer, FleetConfig, ShardLoad};
 use crate::histogram::LatencyHistogram;
 use crate::model::ServiceModel;
@@ -33,9 +33,6 @@ use crate::report::{BranchServeStats, ClassServeStats, LatencySummary, ServeRepo
 use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerKind};
-
-const P99_WINDOW: usize = 64;
-const P99_MIN_SAMPLES: usize = 16;
 
 /// The frozen priority discipline's aging rate, score points per second of
 /// waiting.
@@ -558,7 +555,6 @@ fn run<'a>(
     let mut scale_events: Vec<ScaleEvent> = Vec::new();
     let mut replaced = 0u64;
     let mut last_scale_up: Option<u64> = None;
-    let mut recent_latencies: VecDeque<u64> = VecDeque::with_capacity(P99_WINDOW);
 
     let mut next_arrival = 0;
     let mut loads: Vec<(usize, ShardLoad)> = Vec::with_capacity(shards.len());
@@ -681,7 +677,7 @@ fn run<'a>(
                         if target.scheduler.queued() == 0 {
                             target.pending_since_us = now_us;
                         }
-                        if failures.repay_fill() && target.phase != ShardState::Warming {
+                        if target.phase != ShardState::Warming {
                             let fill = target.model.branches[request.branch].fill_time_us;
                             target.free_at_us = target.free_at_us.max(now_us) + fill;
                             target.busy_us += fill;
@@ -893,12 +889,6 @@ fn run<'a>(
                         post_failure.record(latency_us);
                     }
                 }
-                if spawn.is_some() && policy.scale_up_p99_ms > 0.0 {
-                    if recent_latencies.len() == P99_WINDOW {
-                        recent_latencies.pop_front();
-                    }
-                    recent_latencies.push_back(latency_us);
-                }
             }
             shards[shard].free_at_us = done_us;
             shards[shard].pending_since_us = 0;
@@ -924,32 +914,6 @@ fn run<'a>(
                     shard,
                     Action::IdleCheck,
                 );
-            }
-            if let Some(kind) = spawn.filter(|_| {
-                policy.scale_up_p99_ms > 0.0
-                    && recent_latencies.len() >= P99_MIN_SAMPLES
-                    && alive_count(&shards) < policy.max_shards
-                    && last_scale_up.is_none_or(|t| done_us >= t.saturating_add(policy.cooldown_us))
-            }) {
-                let mut window: Vec<u64> = recent_latencies.iter().copied().collect();
-                window.sort_unstable();
-                let rank =
-                    f64_to_usize((usize_to_f64(window.len()) * 0.99).ceil()).clamp(1, window.len());
-                let p99_ms = u64_to_f64(window[rank - 1]) / 1_000.0;
-                if p99_ms >= policy.scale_up_p99_ms {
-                    do_spawn(
-                        done_us,
-                        kind,
-                        policy,
-                        &mut shards,
-                        &mut lifecycle,
-                        &mut push_event,
-                        &mut scale_events,
-                        sink,
-                        tracing,
-                    );
-                    last_scale_up = Some(done_us);
-                }
             }
         }
     }

@@ -43,14 +43,11 @@
 //!   warm-up completion or idle check (idle-retirement runs disable
 //!   windows outright: in-window dispatches would need to *schedule* new
 //!   idle checks, a cross-shard calendar write);
-//! - an armed queue-depth autoscale trigger: windows may not extend past
-//!   `last_scale_up + cooldown`, the first instant the trigger could
-//!   fire again (before the first spawn no bound exists, so execution
-//!   stays sequential while the trigger is armed);
-//! - a configured p99 trigger pins everything — its rolling latency
-//!   window is global per-completion state — until the fleet is
-//!   provably terminal (at `max_shards` with no lifecycle pending), after
-//!   which the trigger is dead and windows reopen;
+//! - an armed queue-depth autoscale trigger — the only scale-up trigger:
+//!   windows may not extend past `last_scale_up + cooldown`, the first
+//!   instant the trigger could fire again (before the first spawn no
+//!   bound exists, so execution stays sequential while the trigger is
+//!   armed);
 //! - the plan's `window_us` chunk size, bounding memory and barrier
 //!   latency when no coupling event is pending at all.
 //!
@@ -74,7 +71,7 @@ use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
-use crate::engine::{refresh_dispatch, EngineCore, ServeSpec, Shard, Tally};
+use crate::engine::{EngineCore, ServeSpec, Shard, Tally};
 use crate::fleet::FleetConfig;
 use crate::report::ServeReport;
 use crate::request::Request;
@@ -255,12 +252,6 @@ impl EngineCore<'_> {
     ///   have to push new idle-check calendar entries, reordering the
     ///   shared lifecycle sequence;
     /// - the earliest pending lifecycle event bounds the horizon;
-    /// - a configured p99 trigger demands sequential execution until the
-    ///   fleet is terminal (`max_shards` reached, no lifecycle pending):
-    ///   its rolling latency window is global state written on *every*
-    ///   completion, and only in the terminal state is that write
-    ///   provably unobservable (the trigger is permanently gated on
-    ///   `alive < max_shards`, and alive can no longer change);
     /// - an armed queue-depth trigger (arrivals remain, `alive <
     ///   max_shards`) bounds the horizon by `last_scale_up + cooldown` —
     ///   the first instant it could fire again; before the first
@@ -281,12 +272,10 @@ impl EngineCore<'_> {
         if active == 0 {
             return None;
         }
-        let next_life = self.calendar.earliest_in_lane(LANE_LIFECYCLE);
-        let mut horizon = next_life.unwrap_or(u64::MAX);
-        let terminal = active >= policy.max_shards && next_life.is_none();
-        if policy.p99_trigger_on() && !terminal {
-            return None;
-        }
+        let mut horizon = self
+            .calendar
+            .earliest_in_lane(LANE_LIFECYCLE)
+            .unwrap_or(u64::MAX);
         let depth_armed = policy.scale_up_queue_depth > 0
             && active < policy.max_shards
             && self.next_arrival < self.arrivals.len();
@@ -390,7 +379,7 @@ impl EngineCore<'_> {
         // emission order, all strictly before any post-window event.
         self.queued_total = self.shards.iter().map(|s| s.scheduler.queued()).sum();
         for shard in 0..shard_count {
-            refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+            self.refresh_dispatch(shard);
         }
         if tracing {
             trace.sort_unstable_by_key(|(key, _)| *key);

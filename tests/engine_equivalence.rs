@@ -13,7 +13,9 @@
 //! any behavioural drift shows up as a byte diff here. Expiry culling has
 //! no reference twin, so the coupled grid also pins the windows-disabled
 //! driver's reports to digests recorded before the sequential `run()`
-//! loop was deleted.
+//! loop was deleted. The full coupled grid is `#[ignore]`d, with a strided
+//! sample of every regime in its place in the default run; CI runs it in
+//! release mode with `--include-ignored`.
 
 mod common;
 
@@ -249,17 +251,21 @@ fn stress_plan(workers: usize) -> WindowPlan {
         .with_min_parallel_events(8)
 }
 
-/// The coupled regimes the windowed engine must replay bit-identically:
-/// each is a (scenario, fleet size, autoscaler, failure plan, deadline)
-/// tuple exercising a different source of cross-shard coupling.
-fn coupled_regimes() -> Vec<(
+/// A coupled regime: (name, scenario, fleet size, autoscaler, failure
+/// plan, deadline policy).
+type Regime = (
     &'static str,
     Scenario,
     usize,
     Autoscaler,
     FailurePlan,
     DeadlinePolicy,
-)> {
+);
+
+/// The coupled regimes the windowed engine must replay bit-identically:
+/// each is a (scenario, fleet size, autoscaler, failure plan, deadline)
+/// tuple exercising a different source of cross-shard coupling.
+fn coupled_regimes() -> Vec<Regime> {
     vec![
         (
             "static",
@@ -340,65 +346,134 @@ const COUPLED_GRID_DIGESTS: [(&str, u64); 7] = [
     ("one-shard-scale-up", 0xeb8e_0756_d5c0_bd61),
 ];
 
+/// The tier-1 sample of the coupled grid: regime `r` checks every
+/// `SAMPLE_STRIDE`-th cell starting at cell `r`. The stride is coprime to
+/// the grid's 48 cells per regime and equals the regime count, so the
+/// seven samples together cover every scheduler × balancer × admission
+/// cell exactly once.
+const SAMPLE_STRIDE: usize = 7;
+const SAMPLE_WORKERS: [usize; 2] = [1, 8];
+
+/// The same digest over each regime's sample only, recorded on the
+/// windows-disabled driver at a commit that passes [`COUPLED_GRID_DIGESTS`].
+const SAMPLED_GRID_DIGESTS: [(&str, u64); 7] = [
+    ("static", 0x1767_4320_e4b5_e6d5),
+    ("autoscaled", 0xdb66_e004_d77d_396d),
+    ("autoscaled-idle", 0xc25e_c1df_a3c4_a856),
+    ("failure-injected", 0x4a52_ba85_2a63_a661),
+    ("failure-seeded", 0x8bd6_a297_a744_3b26),
+    ("deadline-culled", 0x1028_09ff_d46a_86c2),
+    ("one-shard-scale-up", 0x2b43_2cf8_5f8e_ac7b),
+];
+
+type GridCell = (SchedulerKind, LoadBalancerKind, AdmissionKind);
+
+/// Every scheduler × balancer × admission cell of a regime, in grid order.
+fn grid_cells() -> Vec<GridCell> {
+    let mut cells = Vec::new();
+    for &kind in SchedulerKind::all() {
+        for &balancer in LoadBalancerKind::all() {
+            for admission in ADMISSIONS {
+                cells.push((kind, balancer, admission));
+            }
+        }
+    }
+    cells
+}
+
 fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-#[test]
-fn windowed_engine_matches_the_sequential_engine_across_the_coupled_grid() {
-    let mut digests = Vec::new();
-    for (regime, scenario, shards, policy, failures, deadline) in coupled_regimes() {
-        let mut digest = 0xcbf2_9ce4_8422_2325;
-        for &kind in SchedulerKind::all() {
-            for &balancer in LoadBalancerKind::all() {
-                let config = fleet(shards, balancer);
-                for admission in ADMISSIONS {
-                    let spec = ServeSpec {
-                        scheduler: kind,
-                        admission,
-                        deadline,
-                        autoscaler: policy.clone(),
-                        failures: failures.clone(),
-                        workers: 1,
-                    };
-                    let sequential = serve_sequential(&config, &scenario, &spec, &mut Off);
-                    digest = fnv1a_extend(digest, sequential.to_json_line().as_bytes());
-                    digest = fnv1a_extend(digest, b"\n");
-                    for &workers in &WORKER_COUNTS {
-                        let windowed = simulate_windowed(
-                            &config,
-                            &scenario,
-                            kind,
-                            &policy,
-                            &failures,
-                            admission,
-                            deadline,
-                            &stress_plan(workers),
-                        );
-                        assert_eq!(
-                            sequential.to_json_line(),
-                            windowed.to_json_line(),
-                            "windowed engine diverged: {regime} × {kind:?} × {balancer:?} × \
-                             {admission:?} × {workers} workers"
-                        );
-                    }
-                }
-            }
+/// Runs each of `cells` of `regime` on the windows-disabled driver and on
+/// the stress plan at each of `workers`, asserts the windowed reports
+/// equal the sequential one, and returns the FNV-1a digest of the
+/// sequential JSON lines.
+fn regime_digest(regime: &Regime, cells: &[GridCell], workers: &[usize]) -> u64 {
+    let (name, scenario, shards, policy, failures, deadline) = regime;
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for &(kind, balancer, admission) in cells {
+        let config = fleet(*shards, balancer);
+        let spec = ServeSpec {
+            scheduler: kind,
+            admission,
+            deadline: *deadline,
+            autoscaler: policy.clone(),
+            failures: failures.clone(),
+            workers: 1,
+        };
+        let sequential = serve_sequential(&config, scenario, &spec, &mut Off).to_json_line();
+        digest = fnv1a_extend(digest, sequential.as_bytes());
+        digest = fnv1a_extend(digest, b"\n");
+        for &workers in workers {
+            let windowed = simulate_windowed(
+                &config,
+                scenario,
+                kind,
+                policy,
+                failures,
+                admission,
+                *deadline,
+                &stress_plan(workers),
+            );
+            assert_eq!(
+                sequential,
+                windowed.to_json_line(),
+                "windowed engine diverged: {name} × {kind:?} × {balancer:?} × \
+                 {admission:?} × {workers} workers"
+            );
         }
-        digests.push((regime, digest));
     }
+    digest
+}
+
+fn assert_digests(digests: &[(&str, u64)], golden: &[(&str, u64)]) {
     let mismatches: Vec<String> = digests
         .iter()
-        .zip(&COUPLED_GRID_DIGESTS)
+        .zip(golden)
         .filter(|(actual, golden)| actual != golden)
         .map(|((regime, digest), (name, want))| {
             format!("{regime}: {digest:#018x} (golden {name}: {want:#018x})")
         })
         .collect();
-    assert_eq!(digests.len(), COUPLED_GRID_DIGESTS.len(), "regime count");
+    assert_eq!(digests.len(), golden.len(), "regime count");
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// The tier-1 sample of the coupled grid: 48 cells, each run sequentially
+/// and windowed at 1 and 8 workers (144 `serve` calls).
+#[test]
+fn windowed_engine_matches_the_sequential_engine_across_the_coupled_grid() {
+    let cells = grid_cells();
+    let digests: Vec<(&str, u64)> = coupled_regimes()
+        .iter()
+        .enumerate()
+        .map(|(offset, regime)| {
+            let sample: Vec<GridCell> = cells
+                .iter()
+                .copied()
+                .skip(offset)
+                .step_by(SAMPLE_STRIDE)
+                .collect();
+            (regime.0, regime_digest(regime, &sample, &SAMPLE_WORKERS))
+        })
+        .collect();
+    assert_digests(&digests, &SAMPLED_GRID_DIGESTS);
+}
+
+/// The full coupled grid: 336 cells, each run sequentially and windowed at
+/// 1, 2, 4 and 8 workers (1,680 `serve` calls).
+#[test]
+#[ignore = "1,680 serve calls, slow in debug; run in release with --include-ignored"]
+fn windowed_engine_matches_the_sequential_engine_across_the_full_coupled_grid() {
+    let cells = grid_cells();
+    let digests: Vec<(&str, u64)> = coupled_regimes()
+        .iter()
+        .map(|regime| (regime.0, regime_digest(regime, &cells, &WORKER_COUNTS)))
+        .collect();
+    assert_digests(&digests, &COUPLED_GRID_DIGESTS);
 }
 
 #[test]
