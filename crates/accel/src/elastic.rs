@@ -103,12 +103,6 @@ impl ElasticAccelerator {
         &self.cost
     }
 
-    /// Replaces the cost model (e.g. for calibration).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Evaluates a full accelerator configuration.
     ///
     /// # Errors

@@ -82,15 +82,7 @@ impl ConvStage {
     /// Non-compute layers appearing before the first compute layer (e.g. the
     /// decoder's input reshape) are ignored: they carry no work.
     pub fn stages_of_branch(branch: &BranchProfile) -> Vec<ConvStage> {
-        let mut stages: Vec<ConvStage> = Vec::new();
-        for layer in &branch.layers {
-            if layer.is_compute {
-                stages.push(ConvStage::from_compute_layer(layer));
-            } else if let Some(stage) = stages.last_mut() {
-                stage.fuse_epilogue(layer);
-            }
-        }
-        stages
+        Self::stages_of_branch_from(branch, 0)
     }
 
     /// Builds the fused stage list for the suffix of a branch starting at

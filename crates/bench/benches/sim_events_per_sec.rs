@@ -180,10 +180,9 @@ fn bench(c: &mut Criterion) {
     // driver, whose fan-out threshold no window clears, so every event
     // steps through `EngineCore::step`: `serve` at one worker must clear
     // 2× (the window path's per-event advantage, no parallelism), and so
-    // must the windowed run at 8 workers (the floor `perf_trajectory` pins
-    // in BENCH_serve.json). The `parallel_speedup` row — 8 workers over
-    // one, same window shape — separates the parallel gain from the
-    // per-event one, next to the host's core count.
+    // must the windowed run at 8 workers. The `parallel_speedup` row — 8
+    // workers over one, same window shape — separates the parallel gain
+    // from the per-event one, next to the host's core count.
     let policy = Autoscaler::reactive(192, 256)
         .with_cooldown_us(0)
         .with_idle_retire_us(0);

@@ -16,7 +16,8 @@
 //!                            # fleet (the windowed engine's regime)
 //!   reproduce --workers N    # run every serving cell's windows on N
 //!                            # workers (default 1: every window on the
-//!                            # calling thread); every JSON line is
+//!                            # calling thread); the serving cells print
+//!                            # no wall-clock value, so their stdout is
 //!                            # byte-identical at every N
 //!   reproduce --trace t.json --metrics m.jsonl --trace-worst 8
 //!                            # trace the b2_qos × priority × budget-aware
@@ -246,8 +247,7 @@ fn main() {
         // pressure. The scale-up phase replays sequentially and the
         // terminal phase runs in windows — on the calling thread at one
         // worker, fanned out at `--workers N` — and its JSON line is
-        // byte-identical at every worker count (the perf-trajectory
-        // harness times it at 1 and 8).
+        // byte-identical at every worker count.
         let scenario = Scenario::metropolis().with_sessions(100_000);
         let config = result.fleet_config(192);
         let cell = ServeSpec {
@@ -256,18 +256,9 @@ fn main() {
                 .with_idle_retire_us(0),
             ..spec.clone()
         };
-        let start = std::time::Instant::now();
-        let report = serve(&config, &scenario, &cell, &mut Off);
-        let wall_sec = start.elapsed().as_secs_f64().max(1e-9);
-        println!("{}", report.to_json_line());
-        // A serving-only timing line (the report line above is identical
-        // at every worker count, so the wall time is the whole story):
-        // `perf_trajectory` records this as the windowed cells' throughput.
-        let sim_events = report.issued + report.completed;
         println!(
-            "{{\"bench\":\"windowed_serve\",\"workers\":{workers},\"sim_events\":{sim_events},\
-             \"wall_sec\":{wall_sec:.4},\"events_per_sec\":{:.0}}}",
-            sim_events as f64 / wall_sec,
+            "{}",
+            serve(&config, &scenario, &cell, &mut Off).to_json_line()
         );
     }
     if tracing {

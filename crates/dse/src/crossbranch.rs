@@ -390,27 +390,6 @@ impl DseEngine {
         })
     }
 
-    /// Runs `runs` independent explorations with different seeds (used for
-    /// the paper's convergence study).
-    pub fn explore_repeatedly(
-        &self,
-        accelerator: &ElasticAccelerator,
-        platform: &Platform,
-        customization: &Customization,
-        runs: usize,
-    ) -> Result<Vec<DseResult>> {
-        (0..runs.max(1))
-            .map(|i| {
-                DseEngine::new(
-                    self.params
-                        .with_seed(self.params.seed.wrapping_add(i as u64 * 7919)),
-                )
-                .with_timer(self.timer)
-                .explore(accelerator, platform, customization)
-            })
-            .collect()
-    }
-
     /// Builds and evaluates the configuration implied by one resource
     /// distribution (Algorithm 1, lines 7–11), with one optimizer per
     /// branch of `accelerator`.
@@ -577,19 +556,6 @@ mod tests {
             light_fps_when_favored >= light_fps_when_not,
             "favored branch must not get slower ({light_fps_when_favored} vs {light_fps_when_not})"
         );
-    }
-
-    #[test]
-    fn repeated_runs_vary_seed_but_all_converge() {
-        let acc = two_branch_accelerator();
-        let custom = Customization::uniform(2, Precision::Int8);
-        let results = DseEngine::new(DseParams::fast())
-            .explore_repeatedly(&acc, &Platform::z7045(), &custom, 3)
-            .unwrap();
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert!(r.best_report.fits(Platform::z7045().budget()));
-        }
     }
 
     #[test]
