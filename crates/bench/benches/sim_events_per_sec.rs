@@ -128,7 +128,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // The deadline cell: EDF dispatch on the mixed-class burst fleet.
-    // Culling off is byte-identical to the frozen reference rescan; the
+    // Culling off is byte-identical to the frozen reference loop; the
     // culling run has no reference twin (the frozen engine predates the
     // policy), so it prints throughput against the same baseline only.
     let qos = Scenario::b2_qos();

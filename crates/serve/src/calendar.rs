@@ -15,10 +15,10 @@
 //!    ([`LANE_DISPATCH`] = 2). This reproduces the frozen loop's
 //!    `life_at <= arrival_at.min(dispatch_at)` and
 //!    `arrival_at <= dispatch_at` tie rules exactly.
-//! 3. `a` / `b` — in-lane tiebreaks: `(rank, seq)` for lifecycle events
-//!    (Fail < Drain < Warm < IdleCheck, then scheduling order) and
-//!    `(shard, epoch)` for dispatches (lowest shard id wins a tie, as the
-//!    frozen `(dispatch_at, index).min()` scan did).
+//! 3. `a` / `b` — in-lane tiebreaks: `(rank, 0)` for lifecycle events
+//!    (Fail < Drain < Warm < IdleCheck; `seq` then keeps scheduling
+//!    order) and `(shard, epoch)` for dispatches (lowest shard id wins a
+//!    tie, as the frozen `(dispatch_at, index).min()` scan did).
 //! 4. `seq` — an insertion counter assigned by the calendar itself, making
 //!    the order *total*: entries that tie on all four caller-supplied
 //!    fields pop in push order. No comparison ever falls through to heap
@@ -54,7 +54,7 @@ pub struct EventKey {
     pub lane: u8,
     /// First in-lane tiebreak (lifecycle rank, or dispatch shard id).
     pub a: u64,
-    /// Second in-lane tiebreak (lifecycle seq, or dispatch epoch).
+    /// Second in-lane tiebreak (0 for lifecycle events, or dispatch epoch).
     pub b: u64,
     /// Calendar-assigned insertion counter; makes the order total and
     /// push-order stable under full ties.

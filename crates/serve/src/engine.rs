@@ -391,7 +391,9 @@ impl Shard {
         let branch = batch[0].branch;
         debug_assert!(batch.iter().all(|r| r.branch == branch));
         let service_us = self.model.batch_service_us(branch, batch.len());
-        let done_us = now_us + service_us;
+        let done_us = now_us
+            .checked_add(service_us)
+            .expect("a batch completes within the u64 microsecond clock");
         self.busy_us += service_us;
         if tracing {
             sink.record(TraceEvent::Batch(BatchEvent {
@@ -465,7 +467,6 @@ pub(crate) struct EngineCore<'b> {
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
     pub(crate) calendar: Calendar<CalEvent>,
-    life_seq: u64,
     pub(crate) split_us: Option<u64>,
     pub(crate) last_scale_up: Option<u64>,
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
@@ -528,7 +529,6 @@ impl<'b> EngineCore<'b> {
             balancer,
             capacity,
             calendar: Calendar::new(),
-            life_seq: 0,
             split_us: spec.failures.first_kill_us(),
             last_scale_up: None,
             queued_total: 0,
@@ -561,19 +561,45 @@ impl<'b> EngineCore<'b> {
         core
     }
 
-    /// Pushes a lifecycle event under `(at_us, LANE_LIFECYCLE, rank, seq)`,
-    /// advancing the lifecycle sequence counter that replicates the frozen
-    /// loop's insertion-order tie-break.
+    /// Pushes a lifecycle event under `(at_us, LANE_LIFECYCLE, rank, 0)`:
+    /// the calendar's own insertion counter orders events of the same
+    /// instant and rank in push order, the frozen loop's `seq` tie-break.
     fn push_life(&mut self, at_us: u64, shard: usize, action: Action) {
         let rank = u64::from(action.rank());
         self.calendar.push(
             at_us,
             LANE_LIFECYCLE,
             rank,
-            self.life_seq,
+            0,
             CalEvent::Life { shard, action },
         );
-        self.life_seq += 1;
+    }
+
+    /// The instant a shard whose fabric frees at `free_us` becomes idle
+    /// long enough to retire.
+    fn idle_until(&self, free_us: u64) -> u64 {
+        free_us
+            .checked_add(self.spec.autoscaler.idle_retire_us)
+            .expect("an idle check falls within the u64 microsecond clock")
+    }
+
+    /// Picks `request`'s shard among the [`placeable`] ones, or `None`
+    /// when none is placeable. Round-robin and branch-sharded place over
+    /// the placeable-id snapshot, rebuilt first if a lifecycle event
+    /// dirtied it; the load-aware balancers read every placeable shard's
+    /// live load.
+    fn place(&mut self, request: &Request, now_us: u64) -> Option<usize> {
+        if self.dense {
+            if self.placeable_dirty {
+                self.rebuild_placeable();
+            }
+            return self.balancer.place_dense(request, &self.placeable_ids);
+        }
+        collect_placeable(&mut self.loads, &self.shards);
+        (!self.loads.is_empty()).then(|| {
+            self.balancer
+                .place(request, &self.loads, now_us, self.capacity)
+        })
     }
 
     /// Invalidates `shard`'s calendar dispatch entry (by bumping its epoch)
@@ -700,12 +726,8 @@ impl<'b> EngineCore<'b> {
                     self.spawn(now_us);
                 }
                 for request in orphans {
-                    collect_placeable(&mut self.loads, &self.shards);
-                    let placed = (!self.loads.is_empty())
-                        .then(|| {
-                            self.balancer
-                                .place(&request, &self.loads, now_us, self.capacity)
-                        })
+                    let placed = self
+                        .place(&request, now_us)
                         .filter(|&dst| self.shards[dst].scheduler.queued() < self.capacity);
                     let Some(dst) = placed else {
                         self.tally.lost[request.branch] += 1;
@@ -723,7 +745,10 @@ impl<'b> EngineCore<'b> {
                         let target = &mut self.shards[dst];
                         if target.phase != ShardState::Warming {
                             let fill = target.model.branches[request.branch].fill_time_us;
-                            target.free_at_us = target.free_at_us.max(now_us) + fill;
+                            let refilled = target.free_at_us.max(now_us).checked_add(fill);
+                            target.free_at_us = refilled.expect(
+                                "a re-placement refill ends within the u64 microsecond clock",
+                            );
                             target.busy_us += fill;
                         }
                         target.enqueue(request, now_us);
@@ -783,8 +808,7 @@ impl<'b> EngineCore<'b> {
                 {
                     return;
                 }
-                let idle_until =
-                    self.shards[shard].free_at_us + self.spec.autoscaler.idle_retire_us;
+                let idle_until = self.idle_until(self.shards[shard].free_at_us);
                 if idle_until > now_us {
                     self.shards[shard].idle_check_pending = true;
                     self.push_life(idle_until, shard, Action::IdleCheck);
@@ -825,46 +849,21 @@ impl<'b> EngineCore<'b> {
             self.retire(free_us, shard);
         } else if s.phase == ShardState::Active && idle_retire_us > 0 && !s.idle_check_pending {
             s.idle_check_pending = true;
-            self.push_life(free_us + idle_retire_us, shard, Action::IdleCheck);
+            self.push_life(self.idle_until(free_us), shard, Action::IdleCheck);
         }
     }
 
     fn arrival_event(&mut self, request: Request) {
         let now_us = request.issued_at_us;
-        let placed = if self.dense {
-            if self.placeable_dirty {
-                self.rebuild_placeable();
-            }
-            (!self.placeable_ids.is_empty()).then(|| {
-                let dst = self
-                    .balancer
-                    .place_dense(&request, &self.placeable_ids)
-                    .expect("dense placement covers only load-oblivious balancers");
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, Some(dst), RequestEventKind::Arrival));
-                }
-                dst
-            })
-        } else {
-            collect_placeable(&mut self.loads, &self.shards);
-            (!self.loads.is_empty()).then(|| {
-                self.balancer.place_traced(
-                    &request,
-                    &self.loads,
-                    now_us,
-                    self.capacity,
-                    &mut *self.sink,
-                    self.tracing,
-                )
-            })
-        };
+        let placed = self.place(&request, now_us);
+        if self.tracing {
+            self.sink
+                .record(request.trace(now_us, placed, RequestEventKind::Arrival));
+        }
         let Some(shard) = placed else {
             self.tally.lost[request.branch] += 1;
             self.tally.class_lost[request.class.index()] += 1;
             if self.tracing {
-                self.sink
-                    .record(request.trace(now_us, None, RequestEventKind::Arrival));
                 self.sink.record(request.trace(
                     now_us,
                     None,
@@ -927,14 +926,13 @@ impl<'b> EngineCore<'b> {
             spec.scheduler.build(),
             ShardState::Warming,
         ));
-        self.push_life(now_us + policy.warmup_us, shard, Action::Warm);
+        let warm_at = now_us
+            .checked_add(policy.warmup_us)
+            .expect("a spawned shard warms within the u64 microsecond clock");
+        self.push_life(warm_at, shard, Action::Warm);
         if policy.idle_retire_us > 0 {
             self.shards[shard].idle_check_pending = true;
-            self.push_life(
-                now_us + policy.warmup_us + policy.idle_retire_us,
-                shard,
-                Action::IdleCheck,
-            );
+            self.push_life(self.idle_until(warm_at), shard, Action::IdleCheck);
         }
         self.log_scale_event(now_us, ScaleEventKind::Up, shard);
         self.placeable_dirty = true;
@@ -1308,6 +1306,26 @@ mod tests {
                 assert_eq!(report.imbalance, 0.0);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a batch completes within the u64 microsecond clock")]
+    fn a_dispatch_past_the_u64_clock_panics_on_the_invariant() {
+        let model = test_model();
+        let mut shard = Shard::new(model, SchedulerKind::Fifo.build(), ShardState::Active);
+        // Branch 0 serves in 5 ms, so a batch started 100 µs before the
+        // clock's end would complete past it.
+        let now_us = u64::MAX - 100;
+        let request = Request {
+            id: 0,
+            session: 0,
+            branch: 0,
+            issued_at_us: now_us,
+            class: QosClass::Standard,
+        };
+        shard.enqueue(request, now_us);
+        let mut tally = Tally::new(shard.model.branch_count());
+        shard.dispatch(0, now_us, DeadlinePolicy::Off, None, &mut tally, &mut Off);
     }
 
     #[test]

@@ -262,8 +262,12 @@ impl Balancer {
     /// and round-robin / branch-sharding place by the same cursor
     /// arithmetic [`Balancer::place`] applies to a candidate slice — the
     /// ids play the role of the `(id, load)` pairs, which these two kinds
-    /// never read. Load-aware kinds return `None`.
+    /// never read. An empty snapshot and the load-aware kinds return
+    /// `None`.
     pub(crate) fn place_dense(&mut self, request: &Request, ids: &[usize]) -> Option<usize> {
+        if ids.is_empty() {
+            return None;
+        }
         self.oblivious_index(request, ids.len())
             .map(|index| ids[index])
     }

@@ -32,7 +32,7 @@
 //! - **Availability** ([`Autoscaler`], [`FailurePlan`]): a dynamic-fleet
 //!   layer over the same loop — shards move through
 //!   warming/active/draining/retired/failed lifecycle states
-//!   ([`ShardState`]), the autoscaler spawns on queue or tail pressure
+//!   ([`ShardState`]), the autoscaler spawns on queue-depth pressure
 //!   (paying a warm-up weight fill) and drains idle shards, and the
 //!   failure injector kills shards mid-run, re-placing their orphaned
 //!   queues through the live balancer. The fixed fleet is the no-op

@@ -1,22 +1,21 @@
 //! The pre-rebuild serving engine, frozen as a differential baseline.
 //!
 //! PR 8 rebuilt the hot path of the discrete-event loop (indexed event
-//! calendar, heap-backed ready queues, pre-resolved service costs,
-//! parallel shard execution). This module keeps the *previous*
-//! implementation alive, verbatim: the linear event scan over shards, the
-//! `Vec`-of-FIFOs schedulers rescanned per dispatch, and the per-arrival
-//! `batch_service_us` calls. It exists for one purpose — the equivalence
-//! battery in `tests/engine_equivalence.rs` asserts that for every
-//! scheduler × balancer × scenario grid cell the rebuilt engine's
-//! [`ServeReport`] JSON line (and its [`Recorder`](fcad_obs::Recorder)
-//! trace stream) is **byte-identical** to this module's output.
+//! calendar, pre-resolved service costs, parallel shard execution). This
+//! module keeps the *previous* event loop alive, verbatim: the linear
+//! event scan over shards and the per-arrival `batch_service_us` calls.
+//! It runs the live schedulers, built through [`SchedulerKind::build`],
+//! so what it pins is the event loop around them. It exists for one
+//! purpose — the equivalence battery in `tests/engine_equivalence.rs`
+//! asserts that for every scheduler × balancer × scenario grid cell the
+//! rebuilt engine's [`ServeReport`] JSON line (and its
+//! [`Recorder`](fcad_obs::Recorder) trace stream) is **byte-identical**
+//! to this module's output.
 //!
 //! Nothing here is a template for new code: it is deliberately slow and
 //! deliberately frozen. Fix bugs in the live engine; only touch this file
 //! if a bug predates the rebuild and the fix must land on both sides to
 //! keep the battery meaningful.
-
-use std::collections::VecDeque;
 
 use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
@@ -34,11 +33,7 @@ use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerKind};
 
-/// The frozen priority discipline's aging rate, score points per second of
-/// waiting.
-const AGING_PER_SEC: f64 = 0.25;
-
-/// The frozen loop on a fixed fleet under admit-all, with frozen per-shard
+/// The frozen loop on a fixed fleet under admit-all, with per-shard
 /// schedulers of `kind`: the oracle for [`crate::serve`] with only the
 /// scheduler set.
 pub fn simulate_fleet(
@@ -57,7 +52,7 @@ pub fn simulate_fleet_qos(
     admission: AdmissionKind,
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| build(kind)).collect();
+        (0..config.shard_count()).map(|_| kind.build()).collect();
     run(
         config,
         scenario,
@@ -71,7 +66,7 @@ pub fn simulate_fleet_qos(
 }
 
 /// [`simulate_fleet_qos`] on a dynamic fleet: `policy` scales it (spawned
-/// shards run frozen schedulers of `kind`) and `failures` kills shards.
+/// shards run schedulers of `kind`) and `failures` kills shards.
 pub fn simulate_autoscaled_qos(
     config: &FleetConfig,
     scenario: &Scenario,
@@ -81,7 +76,7 @@ pub fn simulate_autoscaled_qos(
     admission: AdmissionKind,
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| build(kind)).collect();
+        (0..config.shard_count()).map(|_| kind.build()).collect();
     run(
         config,
         scenario,
@@ -106,7 +101,7 @@ pub fn simulate_traced(
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
     let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| build(kind)).collect();
+        (0..config.shard_count()).map(|_| kind.build()).collect();
     run(
         config,
         scenario,
@@ -117,234 +112,6 @@ pub fn simulate_traced(
         admission,
         sink,
     )
-}
-
-/// Instantiates the frozen (pre-rebuild) implementation of a discipline.
-pub fn build(kind: SchedulerKind) -> Box<dyn Scheduler> {
-    match kind {
-        SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
-        SchedulerKind::PriorityByBranch => Box::new(PriorityScheduler::new()),
-        SchedulerKind::BatchAggregating => Box::new(BatchScheduler::new()),
-        SchedulerKind::Deadline => Box::new(DeadlineScheduler::new()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frozen schedulers: the linear-rescan implementations the rebuilt
-// heap-backed disciplines in `scheduler.rs` must match decision for
-// decision.
-// ---------------------------------------------------------------------------
-
-/// Frozen strict-FIFO discipline (one global `VecDeque`).
-#[derive(Debug, Default)]
-pub struct FifoScheduler {
-    queue: VecDeque<Request>,
-}
-
-impl FifoScheduler {
-    /// Creates an empty frozen FIFO queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for FifoScheduler {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        self.queue.push_back(request);
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        self.queue.pop_front().into_iter().collect()
-    }
-}
-
-/// Frozen weighted-priority discipline: every `next_batch` rescans every
-/// `(branch, class)` queue head and recomputes its score from scratch.
-#[derive(Debug, Default)]
-pub struct PriorityScheduler {
-    queues: Vec<[VecDeque<Request>; CLASS_COUNT]>,
-    queued: usize,
-}
-
-impl PriorityScheduler {
-    /// Creates the frozen discipline with the 0.25/s aging rate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn score(&self, branch: usize, head: &Request, model: &ServiceModel, now_us: u64) -> f64 {
-        let wait_sec = u64_to_f64(head.latency_us(now_us)) / 1e6;
-        head.class.weight() * model.priority(branch) + AGING_PER_SEC * wait_sec
-    }
-
-    fn best_class(&self, branch: usize, model: &ServiceModel, now_us: u64) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (class, queue) in self.queues[branch].iter().enumerate() {
-            if let Some(head) = queue.front() {
-                let score = self.score(branch, head, model, now_us);
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((class, score));
-                }
-            }
-        }
-        best
-    }
-}
-
-impl Scheduler for PriorityScheduler {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues
-                .resize_with(request.branch + 1, Default::default);
-        }
-        self.queues[request.branch][request.class.index()].push_back(request);
-        self.queued += 1;
-    }
-
-    fn queued(&self) -> usize {
-        self.queued
-    }
-
-    fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for branch in 0..self.queues.len() {
-            let Some((class, score)) = self.best_class(branch, model, now_us) else {
-                continue;
-            };
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((branch, class, score));
-            }
-        }
-        match best {
-            Some((branch, class, _)) => {
-                self.queued -= 1;
-                self.queues[branch][class].pop_front().into_iter().collect()
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
-/// Frozen batch-aggregating discipline: every `next_batch` rescans every
-/// branch queue head for the oldest.
-#[derive(Debug, Default)]
-pub struct BatchScheduler {
-    queues: Vec<VecDeque<Request>>,
-    queued: usize,
-}
-
-impl BatchScheduler {
-    /// Creates the frozen discipline with empty per-branch queues.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for BatchScheduler {
-    fn name(&self) -> &'static str {
-        "batch"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues.resize_with(request.branch + 1, VecDeque::new);
-        }
-        self.queues[request.branch].push_back(request);
-        self.queued += 1;
-    }
-
-    fn queued(&self) -> usize {
-        self.queued
-    }
-
-    fn next_batch(&mut self, model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        let oldest = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter_map(|(branch, queue)| queue.front().map(|head| (head.issued_at_us, branch)))
-            .min();
-        match oldest {
-            Some((_, branch)) => {
-                let take = model.max_batch(branch).min(self.queues[branch].len());
-                let batch: Vec<Request> = self.queues[branch].drain(..take).collect();
-                self.queued -= batch.len();
-                batch
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
-/// Frozen earliest-deadline-first discipline: every `next_batch` rescans
-/// every `(branch, class)` queue head for the minimum
-/// `(class, deadline, branch)` key. The heap-indexed
-/// [`crate::DeadlineScheduler`] must match this rescan decision for
-/// decision.
-#[derive(Debug, Default)]
-pub struct DeadlineScheduler {
-    queues: Vec<[VecDeque<Request>; CLASS_COUNT]>,
-    queued: usize,
-}
-
-impl DeadlineScheduler {
-    /// Creates the frozen discipline with empty per-lane queues.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for DeadlineScheduler {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues
-                .resize_with(request.branch + 1, Default::default);
-        }
-        self.queues[request.branch][request.class.index()].push_back(request);
-        self.queued += 1;
-    }
-
-    fn queued(&self) -> usize {
-        self.queued
-    }
-
-    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        let tightest = self
-            .queues
-            .iter()
-            .enumerate()
-            .flat_map(|(branch, lanes)| {
-                lanes.iter().enumerate().filter_map(move |(class, queue)| {
-                    queue
-                        .front()
-                        .map(|head| (class, head.deadline_us(), branch))
-                })
-            })
-            .min();
-        match tightest {
-            Some((class, _, branch)) => {
-                self.queued -= 1;
-                self.queues[branch][class].pop_front().into_iter().collect()
-            }
-            None => Vec::new(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,9 +145,9 @@ impl Action {
     }
 }
 
-struct Shard<'a> {
+struct Shard {
     model: ServiceModel,
-    scheduler: Box<dyn Scheduler + 'a>,
+    scheduler: Box<dyn Scheduler>,
     phase: ShardState,
     free_at_us: u64,
     pending_since_us: u64,
@@ -396,8 +163,8 @@ struct Shard<'a> {
     idle_check_pending: bool,
 }
 
-impl<'a> Shard<'a> {
-    fn new(model: ServiceModel, scheduler: Box<dyn Scheduler + 'a>, phase: ShardState) -> Self {
+impl Shard {
+    fn new(model: ServiceModel, scheduler: Box<dyn Scheduler>, phase: ShardState) -> Self {
         let max_priority = model
             .branches
             .iter()
@@ -459,10 +226,10 @@ fn alive_count(shards: &[Shard]) -> usize {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run<'a>(
+fn run(
     config: &FleetConfig,
     scenario: &Scenario,
-    schedulers: Vec<Box<dyn Scheduler + 'a>>,
+    schedulers: Vec<Box<dyn Scheduler>>,
     spawn: Option<SchedulerKind>,
     policy: &Autoscaler,
     failures: &FailurePlan,
@@ -483,7 +250,7 @@ fn run<'a>(
     let capacity = scenario.queue_capacity;
     let tracing = sink.enabled();
 
-    let mut shards: Vec<Shard<'a>> = config
+    let mut shards: Vec<Shard> = config
         .shards
         .iter()
         .zip(schedulers)
@@ -1169,11 +936,11 @@ fn record(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn do_spawn<'a>(
+fn do_spawn(
     now_us: u64,
     kind: SchedulerKind,
     policy: &Autoscaler,
-    shards: &mut Vec<Shard<'a>>,
+    shards: &mut Vec<Shard>,
     lifecycle: &mut Vec<Lifecycle>,
     push_event: &mut impl FnMut(&mut Vec<Lifecycle>, u64, usize, Action),
     scale_events: &mut Vec<ScaleEvent>,
@@ -1182,7 +949,7 @@ fn do_spawn<'a>(
 ) {
     let shard = shards.len();
     let template = shards[0].model.clone();
-    shards.push(Shard::new(template, build(kind), ShardState::Warming));
+    shards.push(Shard::new(template, kind.build(), ShardState::Warming));
     push_event(lifecycle, now_us + policy.warmup_us, shard, Action::Warm);
     if policy.idle_retire_us > 0 {
         shards[shard].idle_check_pending = true;
@@ -1224,13 +991,6 @@ mod tests {
                 assert!(report.conserves_requests(), "{}", scenario.name);
                 assert!(report.latency.p99_ms >= report.latency.p50_ms);
             }
-        }
-    }
-
-    #[test]
-    fn frozen_build_names_match_the_live_disciplines() {
-        for &kind in SchedulerKind::all() {
-            assert_eq!(build(kind).name(), kind.build().name());
         }
     }
 }

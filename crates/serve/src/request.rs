@@ -32,9 +32,16 @@ pub struct Request {
 impl Request {
     /// Latency of this request if it completes at `done_us`, in
     /// microseconds.
+    ///
+    /// # Panics
+    ///
+    /// If `done_us` precedes the arrival: a request completes, and is
+    /// scored by a scheduler, only after it was issued.
     #[inline]
     pub fn latency_us(&self, done_us: u64) -> u64 {
-        done_us.saturating_sub(self.issued_at_us)
+        done_us
+            .checked_sub(self.issued_at_us)
+            .expect("a request completes no earlier than it was issued")
     }
 
     /// Builds the trace event describing what happened to this request at
@@ -87,8 +94,20 @@ mod tests {
             class: QosClass::Standard,
         };
         assert_eq!(r.latency_us(3_500), 2_500);
-        // Completion can never precede arrival; saturate rather than wrap.
-        assert_eq!(r.latency_us(500), 0);
+        assert_eq!(r.latency_us(1_000), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a request completes no earlier than it was issued")]
+    fn latency_before_arrival_panics_on_the_invariant() {
+        let r = Request {
+            id: 0,
+            session: 0,
+            branch: 1,
+            issued_at_us: 1_000,
+            class: QosClass::Standard,
+        };
+        r.latency_us(500);
     }
 
     #[test]

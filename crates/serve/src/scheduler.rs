@@ -7,43 +7,24 @@
 //! pick depends on the queue, the service model and the current instant
 //! alone.
 //!
-//! # Heap-backed ready queues
-//!
-//! The weighted-priority and batch-aggregating disciplines used to rescan
-//! every `(branch, class)` FIFO per dispatch — O(branches × classes) per
-//! pop. They now keep incrementally-maintained head indexes (binary heaps
-//! over the queue heads, invalidated lazily by per-queue stamps) so a pop
-//! is O(log queues), while reproducing the rescan's pick *bit for bit*:
-//!
-//! - [`BatchScheduler`] ordered purely by `(head arrival, branch)` — an
-//!   integer key, so one min-heap over the heads is exactly the rescan.
-//! - [`PriorityScheduler`] scores heads with floats
-//!   (`class weight × branch priority + aging · wait`), and *recomputing*
-//!   that score from a different algebraic form can differ in the last
-//!   ulp — enough to flip the rescan's tie-break. The index therefore
-//!   groups heads by the exact bit pattern of their
-//!   `class weight × branch priority` term: within a group the score is a
-//!   monotone function of arrival time alone, so an integer
-//!   `(arrival, branch, class)` heap reproduces the rescan's order
-//!   exactly, and only the ≤ groups (≤ branches × classes) group-best
-//!   heads ever have their scores evaluated — with the *same* expression
-//!   the rescan used.
-//!
-//! The differential battery in `tests/engine_equivalence.rs` and the
-//! pop-matching tests pin every index against [`crate::reference`].
+//! Every discipline but FIFO keeps one FIFO lane per branch (batch) or per
+//! `(branch, class)` (priority, deadline) and picks by scanning the lane
+//! heads: at most nine for the paper's three-branch decoder under the
+//! three QoS classes. Exact ties go to the lowest `(branch, class)`, the
+//! scan order. These are the only implementations: the frozen loop in
+//! [`crate::reference`] builds them through [`SchedulerKind::build`] too.
 
 use crate::cast::u64_to_f64;
 use crate::model::ServiceModel;
 use crate::qos::CLASS_COUNT;
 use crate::request::Request;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A scheduling discipline: accepts admitted requests and, whenever the
 /// shared weight-streaming DMA is free, picks the next same-branch batch
-/// to dispatch. The set is closed ([`SchedulerKind`]); the trait exists so
-/// the frozen rescans in [`crate::reference`] run behind the same
-/// interface as the heap-indexed disciplines they pin.
+/// to dispatch. The set is closed ([`SchedulerKind`]); a shard holds its
+/// discipline as the `Box<dyn Scheduler>` that [`SchedulerKind::build`]
+/// returns.
 ///
 /// `Send` is a supertrait because the parallel engines move live shards —
 /// scheduler included — onto scoped worker threads; every discipline is
@@ -140,11 +121,6 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// A head-index entry: `(arrival key, branch, class, stamp)`. The stamp
-/// must match the queue's current stamp for the entry to be live; stale
-/// entries are discarded lazily when they surface at the heap top.
-type HeadEntry = Reverse<(u64, usize, usize, u64)>;
-
 /// Score points a queued request gains per second of waiting under
 /// [`PriorityScheduler`]: a low-priority request overtakes a fresh
 /// priority-1.0 request after waiting `(1.0 - its priority) / 0.25`
@@ -152,26 +128,48 @@ type HeadEntry = Reverse<(u64, usize, usize, u64)>;
 /// dominate at frame timescales while starvation stays bounded.
 const AGING_PER_SEC: f64 = 0.25;
 
-/// One weight-product group of the priority head index: every queue whose
-/// head scores `wp + aging · wait` for this exact `wp` bit pattern. See
-/// the module docs for why grouping by bits is what makes the index
-/// bit-identical to the frozen rescan.
-#[derive(Debug)]
-struct WeightGroup {
-    /// `class weight × branch priority`, the exact `f64` the rescan's
-    /// score expression produces for every head in this group.
-    wp: f64,
-    /// Min-heap over the group's queue heads, keyed
-    /// `(arrival, branch, class)`: within a fixed `wp` the score is
-    /// monotone non-increasing in arrival time, and the rescan breaks
-    /// exact score ties on the lowest `(branch, class)` — so the heap
-    /// minimum *is* the rescan's pick restricted to this group.
-    heads: BinaryHeap<HeadEntry>,
+/// One FIFO lane per `(branch, class)`, branch-major, and their total
+/// length: the queue the priority and deadline disciplines pick from.
+#[derive(Debug, Default)]
+struct ClassLanes {
+    lanes: Vec<[VecDeque<Request>; CLASS_COUNT]>,
+    queued: usize,
 }
 
-/// Weighted cross-class priority: serves the `(branch, class)` queue whose
+impl ClassLanes {
+    fn push(&mut self, request: Request) {
+        if request.branch >= self.lanes.len() {
+            self.lanes.resize_with(request.branch + 1, Default::default);
+        }
+        self.lanes[request.branch][request.class.index()].push_back(request);
+        self.queued += 1;
+    }
+
+    /// Every non-empty lane's head as `(branch, class, head)`, in
+    /// ascending `(branch, class)` order.
+    fn heads(&self) -> impl Iterator<Item = (usize, usize, &Request)> {
+        self.lanes.iter().enumerate().flat_map(|(branch, lanes)| {
+            lanes
+                .iter()
+                .enumerate()
+                .filter_map(move |(class, lane)| lane.front().map(|head| (branch, class, head)))
+        })
+    }
+
+    /// Pops the head of the picked `(branch, class)` lane as a
+    /// one-request batch; no pick is the empty batch.
+    fn pop(&mut self, pick: Option<(usize, usize)>) -> Vec<Request> {
+        let Some((branch, class)) = pick else {
+            return Vec::new();
+        };
+        self.queued -= 1;
+        self.lanes[branch][class].pop_front().into_iter().collect()
+    }
+}
+
+/// Weighted cross-class priority: serves the `(branch, class)` lane whose
 /// head request has the highest `class weight × branch priority +
-/// 0.25/s · wait` score, FIFO within a queue, one request per dispatch.
+/// 0.25/s · wait` score, FIFO within a lane, one request per dispatch.
 ///
 /// The class weight multiplies the branch priority, so an interactive
 /// session's audio branch still yields to anyone's visual branch only as
@@ -182,68 +180,17 @@ struct WeightGroup {
 ///
 /// The aging term bounds starvation: a low-scoring head's score grows
 /// linearly with its waiting time until it overtakes the high-weight
-/// queues.
-///
-/// Picks are O(log queues) through the grouped head index (module docs).
-/// The index assumes simulation time is monotone (no queued request
-/// arrives after `now_us`) and that every pick passes the same model, the
-/// shard's own; the engine guarantees both by construction.
+/// lanes. An exact score tie goes to the lowest branch, then to the
+/// lowest class index.
 #[derive(Debug, Default)]
 pub struct PriorityScheduler {
-    /// One FIFO per `(branch, class)`, branch-major.
-    queues: Vec<[VecDeque<Request>; CLASS_COUNT]>,
-    queued: usize,
-    /// Per-`(branch, class)` head stamp, bumped on every pop so index
-    /// entries for superseded heads die lazily.
-    stamps: Vec<[u64; CLASS_COUNT]>,
-    /// The head index, grouped by weight-product bit pattern. At most
-    /// `branches × CLASS_COUNT` groups ever exist.
-    groups: Vec<WeightGroup>,
-    /// Queues that went empty → non-empty since the last `next_batch`.
-    /// Indexing needs the model (for the branch priority), which
-    /// `enqueue` does not receive, so it is deferred to the next pick.
-    dirty: Vec<(usize, usize)>,
+    lanes: ClassLanes,
 }
 
 impl PriorityScheduler {
-    /// Creates the discipline with empty per-`(branch, class)` queues.
+    /// Creates the discipline with empty per-`(branch, class)` lanes.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Inserts the current head of `(branch, class)` into its weight
-    /// group, creating the group on first sight of that bit pattern. The
-    /// in-group key is the head's arrival time: aging makes the score
-    /// strictly decrease as arrival time grows (consecutive microsecond
-    /// waits differ by ≥ 2.5e-7 score points, against a sub-1e-12 ulp at
-    /// simulated magnitudes), so arrival time orders the group.
-    fn index_head(&mut self, branch: usize, class: usize, model: &ServiceModel) {
-        let Some(head) = self.queues[branch][class].front() else {
-            return;
-        };
-        let wp = head.class.weight() * model.priority(branch);
-        let entry = Reverse((head.issued_at_us, branch, class, self.stamps[branch][class]));
-        match self
-            .groups
-            .iter_mut()
-            .find(|g| g.wp.to_bits() == wp.to_bits())
-        {
-            Some(group) => group.heads.push(entry),
-            None => self.groups.push(WeightGroup {
-                wp,
-                heads: BinaryHeap::from([entry]),
-            }),
-        }
-    }
-
-    /// Removes the head of `(branch, class)`, bumps its stamp (killing any
-    /// remaining index entries for the old head) and indexes the new head.
-    fn pop_front(&mut self, branch: usize, class: usize, model: &ServiceModel) -> Vec<Request> {
-        self.queued -= 1;
-        self.stamps[branch][class] += 1;
-        let popped = self.queues[branch][class].pop_front();
-        self.index_head(branch, class, model);
-        popped.into_iter().collect()
     }
 }
 
@@ -253,110 +200,44 @@ impl Scheduler for PriorityScheduler {
     }
 
     fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues
-                .resize_with(request.branch + 1, Default::default);
-            self.stamps.resize(request.branch + 1, [0; CLASS_COUNT]);
-        }
-        let class = request.class.index();
-        let queue = &mut self.queues[request.branch][class];
-        if queue.is_empty() {
-            self.dirty.push((request.branch, class));
-        }
-        queue.push_back(request);
-        self.queued += 1;
+        self.lanes.push(request);
     }
 
     fn queued(&self) -> usize {
-        self.queued
+        self.lanes.queued
     }
 
-    /// Pops the rescan-identical pick through the head index: index the
-    /// queues that went non-empty, then per group surface the live minimum
-    /// (discarding stale stamps), score only those group-best heads with
-    /// the rescan's own expression, and keep the strictly-greatest score
-    /// with ties to the lowest `(branch, class)` — the exact rescan rule.
+    /// Scores every lane head; the strict `>` keeps the first of exactly
+    /// tied heads in scan order, the lowest `(branch, class)`.
     fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request> {
-        while let Some((branch, class)) = self.dirty.pop() {
-            self.index_head(branch, class, model);
-        }
-        if self.queued == 0 {
-            return Vec::new();
-        }
-        let mut best: Option<(f64, usize, usize, usize)> = None;
-        for (index, group) in self.groups.iter_mut().enumerate() {
-            let candidate = loop {
-                match group.heads.peek() {
-                    Some(&Reverse((_, branch, class, stamp))) => {
-                        if stamp == self.stamps[branch][class] {
-                            break Some((branch, class));
-                        }
-                        group.heads.pop();
-                    }
-                    None => break None,
-                }
-            };
-            let Some((branch, class)) = candidate else {
-                continue;
-            };
-            let head = self.queues[branch][class]
-                .front()
-                .expect("live index entry for an empty queue");
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (branch, class, head) in self.lanes.heads() {
             let wait_sec = u64_to_f64(head.latency_us(now_us)) / 1e6;
-            let score = group.wp + AGING_PER_SEC * wait_sec;
-            let better = match best {
-                None => true,
-                Some((s, b, c, _)) => score > s || (score == s && (branch, class) < (b, c)),
-            };
-            if better {
-                best = Some((score, branch, class, index));
+            let score = head.class.weight() * model.priority(branch) + AGING_PER_SEC * wait_sec;
+            if best.is_none_or(|(top, _, _)| score > top) {
+                best = Some((score, branch, class));
             }
         }
-        let Some((_, branch, class, group)) = best else {
-            debug_assert!(false, "queued requests but no live index entry");
-            return Vec::new();
-        };
-        self.groups[group].heads.pop();
-        self.pop_front(branch, class, model)
+        self.lanes
+            .pop(best.map(|(_, branch, class)| (branch, class)))
     }
 }
 
 /// Batch-aggregating: serves the branch whose head has waited longest
 /// (FIFO across branches at batch granularity) and dispatches up to the
 /// DSE-chosen batch size of that branch in one go, paying pipeline fill
-/// once per batch.
-///
-/// The pick key `(head arrival, branch)` is pure integers, so a min-heap
-/// over the branch heads (stamp-invalidated like the priority index)
-/// reproduces the frozen rescan exactly.
+/// once per batch. Heads that arrived at the same instant go to the
+/// lowest branch.
 #[derive(Debug, Default)]
 pub struct BatchScheduler {
     queues: Vec<VecDeque<Request>>,
     queued: usize,
-    /// Per-branch head stamp; bumped per drain so superseded entries die.
-    stamps: Vec<u64>,
-    /// Min-heap of `(head arrival, branch, stamp)` over non-empty queues.
-    heads: BinaryHeap<Reverse<(u64, usize, u64)>>,
 }
 
 impl BatchScheduler {
     /// Creates the discipline with empty per-branch queues.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drains the batch for `branch`, bumps its stamp and re-indexes the
-    /// remaining head, if any.
-    fn drain_branch(&mut self, branch: usize, model: &ServiceModel) -> Vec<Request> {
-        let take = model.max_batch(branch).min(self.queues[branch].len());
-        let batch: Vec<Request> = self.queues[branch].drain(..take).collect();
-        self.queued -= batch.len();
-        self.stamps[branch] += 1;
-        if let Some(head) = self.queues[branch].front() {
-            self.heads
-                .push(Reverse((head.issued_at_us, branch, self.stamps[branch])));
-        }
-        batch
     }
 }
 
@@ -368,14 +249,8 @@ impl Scheduler for BatchScheduler {
     fn enqueue(&mut self, request: Request) {
         if request.branch >= self.queues.len() {
             self.queues.resize_with(request.branch + 1, VecDeque::new);
-            self.stamps.resize(request.branch + 1, 0);
         }
-        let branch = request.branch;
-        if self.queues[branch].is_empty() {
-            self.heads
-                .push(Reverse((request.issued_at_us, branch, self.stamps[branch])));
-        }
-        self.queues[branch].push_back(request);
+        self.queues[request.branch].push_back(request);
         self.queued += 1;
     }
 
@@ -383,68 +258,42 @@ impl Scheduler for BatchScheduler {
         self.queued
     }
 
-    /// The head heap's live minimum is exactly the rescan's
-    /// `(head arrival, branch)` minimum.
     fn next_batch(&mut self, model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        while let Some(Reverse((_, branch, stamp))) = self.heads.pop() {
-            if stamp == self.stamps[branch] {
-                return self.drain_branch(branch, model);
-            }
-        }
-        Vec::new()
+        let oldest = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter_map(|(branch, queue)| queue.front().map(|head| (head.issued_at_us, branch)))
+            .min();
+        let Some((_, branch)) = oldest else {
+            return Vec::new();
+        };
+        let take = model.max_batch(branch).min(self.queues[branch].len());
+        let batch: Vec<Request> = self.queues[branch].drain(..take).collect();
+        self.queued -= batch.len();
+        batch
     }
 }
 
 /// Earliest-deadline-first within class bands: serves the `(branch,
-/// class)` queue whose head minimizes `(class index, absolute deadline,
+/// class)` lane whose head minimizes `(class index, absolute deadline,
 /// branch)`, FIFO within a lane, one request per dispatch.
 ///
 /// The absolute deadline is [`Request::deadline_us`] — `arrival + class
 /// budget` — so within a class band the discipline is classic EDF over
-/// the queue heads; the class index as the outer key keeps interactive
+/// the lane heads; the class index as the outer key keeps interactive
 /// work ahead of best-effort even when the best-effort deadline happens
 /// to come sooner (its budget is 20× longer, so in practice it rarely
-/// does). The key is pure integers with no model dependence, so one
-/// stamp-invalidated min-heap over the lane heads reproduces the frozen
-/// rescan bit for bit.
+/// does).
 #[derive(Debug, Default)]
 pub struct DeadlineScheduler {
-    /// One FIFO per `(branch, class)`, branch-major.
-    queues: Vec<[VecDeque<Request>; CLASS_COUNT]>,
-    queued: usize,
-    /// Per-lane head stamp; bumped per pop so superseded entries die.
-    stamps: Vec<[u64; CLASS_COUNT]>,
-    /// Min-heap of `(class, deadline, branch, stamp)` over lane heads.
-    heads: BinaryHeap<Reverse<(usize, u64, usize, u64)>>,
+    lanes: ClassLanes,
 }
 
 impl DeadlineScheduler {
     /// Creates the discipline with empty per-lane queues.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pushes the current head of `(branch, class)` into the head index.
-    fn index_head(&mut self, branch: usize, class: usize) {
-        if let Some(head) = self.queues[branch][class].front() {
-            self.heads.push(Reverse((
-                class,
-                head.deadline_us(),
-                branch,
-                self.stamps[branch][class],
-            )));
-        }
-    }
-
-    /// Removes the head of `(branch, class)`, bumps its stamp (killing
-    /// any remaining index entries for the old head) and indexes the new
-    /// head.
-    fn pop_front(&mut self, branch: usize, class: usize) -> Vec<Request> {
-        self.queued -= 1;
-        self.stamps[branch][class] += 1;
-        let popped = self.queues[branch][class].pop_front();
-        self.index_head(branch, class);
-        popped.into_iter().collect()
     }
 }
 
@@ -454,34 +303,21 @@ impl Scheduler for DeadlineScheduler {
     }
 
     fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues
-                .resize_with(request.branch + 1, Default::default);
-            self.stamps.resize(request.branch + 1, [0; CLASS_COUNT]);
-        }
-        let branch = request.branch;
-        let class = request.class.index();
-        let was_empty = self.queues[branch][class].is_empty();
-        self.queues[branch][class].push_back(request);
-        self.queued += 1;
-        if was_empty {
-            self.index_head(branch, class);
-        }
+        self.lanes.push(request);
     }
 
     fn queued(&self) -> usize {
-        self.queued
+        self.lanes.queued
     }
 
-    /// The head heap's live minimum is exactly the rescan's
-    /// `(class, deadline, branch)` minimum.
     fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        while let Some(Reverse((class, _, branch, stamp))) = self.heads.pop() {
-            if stamp == self.stamps[branch][class] {
-                return self.pop_front(branch, class);
-            }
-        }
-        Vec::new()
+        let tightest = self
+            .lanes
+            .heads()
+            .map(|(branch, class, head)| (class, head.deadline_us(), branch))
+            .min();
+        self.lanes
+            .pop(tightest.map(|(class, _, branch)| (branch, class)))
     }
 }
 
@@ -528,12 +364,14 @@ mod tests {
         let model = test_model(); // branch 2 has priority 0.2
         let mut sched = PriorityScheduler::new();
         sched.enqueue(request(0, 2, 0));
-        sched.enqueue(request(1, 0, 0));
-        sched.enqueue(request(2, 1, 0));
+        sched.enqueue(request(1, 1, 0));
+        sched.enqueue(request(2, 0, 0));
         let first = sched.next_batch(&model, 0)[0];
         let second = sched.next_batch(&model, 0)[0];
         let third = sched.next_batch(&model, 0)[0];
-        assert_eq!(first.branch, 0); // priority 1.0, lowest index wins the tie
+        // Branches 0 and 1 tie at priority 1.0: the lowest branch wins,
+        // not the lane that filled first.
+        assert_eq!(first.branch, 0);
         assert_eq!(second.branch, 1);
         assert_eq!(third.branch, 2);
     }
@@ -657,80 +495,31 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
-    // --- Head indexes against the frozen rescans ---
-
-    /// Drives a rebuilt scheduler and its frozen counterpart through the
-    /// same monotone enqueue/pop stream and demands identical pops.
-    fn assert_pops_match_reference(
-        requests: &[Request],
-        mut rebuilt: impl Scheduler,
-        mut frozen: impl Scheduler,
-    ) {
+    #[test]
+    fn priority_breaks_in_branch_ties_on_the_lowest_class() {
         let model = test_model();
-        let mut now = 0;
-        for (step, request) in requests.iter().enumerate() {
-            now = now.max(request.issued_at_us);
-            rebuilt.enqueue(*request);
-            frozen.enqueue(*request);
-            // Interleave pops so head churn (not just bulk drain) is
-            // exercised.
-            if step % 2 == 1 {
-                let a = rebuilt.next_batch(&model, now);
-                let b = frozen.next_batch(&model, now);
-                assert_eq!(a, b, "pop diverged mid-stream at step {step}");
-            }
-        }
-        while frozen.queued() > 0 {
-            now += 1_000;
-            let a = rebuilt.next_batch(&model, now);
-            let b = frozen.next_batch(&model, now);
-            assert_eq!(a, b, "drain diverged at t={now}");
-        }
-        assert_eq!(rebuilt.queued(), 0);
-        assert!(rebuilt.next_batch(&model, now).is_empty());
-    }
-
-    fn churn_stream() -> Vec<Request> {
-        let classes = QosClass::all();
-        (0..60u64)
-            .map(|i| Request {
-                id: i,
-                session: u64_to_usize_for_test(i % 7),
-                branch: u64_to_usize_for_test(i % 3),
-                issued_at_us: i * 3_337,
-                class: classes[u64_to_usize_for_test(i % 3)],
-            })
-            .collect()
-    }
-
-    fn u64_to_usize_for_test(value: u64) -> usize {
-        usize::try_from(value).expect("test value fits usize")
+        let mut sched = PriorityScheduler::new();
+        // Best-effort geometry aged 3 s scores 0.25 + 0.25·3 = 1.0, exactly
+        // a fresh standard head's 1.0 × 1.0: the lower class index
+        // (standard) wins the tie, whichever lane filled first.
+        sched.enqueue(classed(0, 0, QosClass::BestEffort, 0));
+        sched.enqueue(classed(1, 0, QosClass::Standard, 3_000_000));
+        let order: Vec<u64> = (0..2)
+            .map(|_| sched.next_batch(&model, 3_000_000)[0].id)
+            .collect();
+        assert_eq!(order, vec![1, 0]);
     }
 
     #[test]
-    fn priority_index_matches_the_frozen_rescan() {
-        assert_pops_match_reference(
-            &churn_stream(),
-            PriorityScheduler::new(),
-            crate::reference::PriorityScheduler::new(),
-        );
-    }
-
-    #[test]
-    fn batch_index_matches_the_frozen_rescan() {
-        assert_pops_match_reference(
-            &churn_stream(),
-            BatchScheduler::new(),
-            crate::reference::BatchScheduler::new(),
-        );
-    }
-
-    #[test]
-    fn deadline_index_matches_the_frozen_rescan() {
-        assert_pops_match_reference(
-            &churn_stream(),
-            DeadlineScheduler::new(),
-            crate::reference::DeadlineScheduler::new(),
-        );
+    fn batch_breaks_same_instant_ties_on_the_lowest_branch() {
+        let model = test_model();
+        let mut sched = BatchScheduler::new();
+        sched.enqueue(request(0, 2, 100));
+        sched.enqueue(request(1, 0, 100));
+        sched.enqueue(request(2, 1, 100));
+        let order: Vec<usize> = (0..3)
+            .map(|_| sched.next_batch(&model, 200)[0].branch)
+            .collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 }

@@ -9,11 +9,11 @@
 //! mix.
 //!
 //! This battery is the contract that makes the indexed-calendar /
-//! heap-scheduler / windowed-shard rebuild a pure performance change:
-//! any behavioural drift shows up as a byte diff here. Expiry culling has
-//! no reference twin, so the coupled grid also pins the windows-disabled
-//! driver's reports to digests recorded before the sequential `run()`
-//! loop was deleted. The full coupled grid is `#[ignore]`d, with a strided
+//! windowed-shard rebuild a pure performance change: any behavioural
+//! drift shows up as a byte diff here. Expiry culling has no reference
+//! twin, so the coupled grid also pins the windows-disabled driver's
+//! reports to digests recorded before the sequential `run()` loop was
+//! deleted. The full coupled grid is `#[ignore]`d, with a strided
 //! sample of every regime in its place in the default run; CI runs it in
 //! release mode with `--include-ignored`.
 

@@ -1,7 +1,5 @@
-//! Property tests for the engine rebuild's three load-bearing mechanisms:
-//! the indexed event calendar's total, push-stable pop order; the
-//! heap-backed ready queues' batch-for-batch agreement with the frozen
-//! linear-rescan schedulers under random request streams; and the
+//! Property tests for the engine rebuild's two load-bearing mechanisms:
+//! the indexed event calendar's total, push-stable pop order, and the
 //! windowed engine's worker-count invariance on random seeds.
 
 mod common;
@@ -10,8 +8,8 @@ use common::{serve_sequential, three_branch_model};
 use fcad_serve::calendar::{Calendar, EventKey};
 use fcad_serve::{
     reference, simulate_windowed, AdmissionKind, ArrivalPattern, Autoscaler, ClassMix,
-    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, QosClass, Request, Scenario,
-    Scheduler, SchedulerKind, ServeSpec, WindowPlan,
+    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, Scenario, SchedulerKind,
+    ServeSpec, WindowPlan,
 };
 use proptest::prelude::*;
 
@@ -19,59 +17,6 @@ use proptest::prelude::*;
 /// actually occur.
 fn entry_strategy() -> impl Strategy<Value = (u64, u8, u64, u64)> {
     (0u64..16, 0u8..3, 0u64..4, 0u64..4)
-}
-
-/// A random request stream: per-request arrival-time increments plus a
-/// branch and class index, folded into strictly ordered requests.
-fn stream_strategy() -> impl Strategy<Value = Vec<(u64, usize, usize)>> {
-    proptest::collection::vec((0u64..30_000, 0usize..3, 0usize..3), 1..64)
-}
-
-fn build_stream(raw: &[(u64, usize, usize)]) -> Vec<Request> {
-    let mut at_us = 0u64;
-    raw.iter()
-        .enumerate()
-        .map(|(index, &(dt_us, branch, class))| {
-            at_us += dt_us;
-            Request {
-                id: index as u64,
-                session: index % 7,
-                branch,
-                issued_at_us: at_us,
-                class: QosClass::all()[class],
-            }
-        })
-        .collect()
-}
-
-/// Drains `rebuilt` and `frozen` over the same enqueue/dispatch
-/// interleaving and asserts every batch matches, request for request.
-fn assert_schedulers_agree(
-    mut rebuilt: Box<dyn Scheduler>,
-    mut frozen: Box<dyn Scheduler>,
-    stream: &[Request],
-    drain_every: usize,
-) {
-    let model = three_branch_model();
-    let mut now_us = 0;
-    for (index, request) in stream.iter().enumerate() {
-        now_us = request.issued_at_us;
-        rebuilt.enqueue(*request);
-        frozen.enqueue(*request);
-        assert_eq!(rebuilt.queued(), frozen.queued());
-        if index % drain_every == drain_every - 1 {
-            let a = rebuilt.next_batch(&model, now_us);
-            let b = frozen.next_batch(&model, now_us);
-            assert_eq!(a, b, "mid-stream batch diverged at arrival {index}");
-        }
-    }
-    while frozen.queued() > 0 {
-        now_us += 1_000;
-        let a = rebuilt.next_batch(&model, now_us);
-        let b = frozen.next_batch(&model, now_us);
-        assert_eq!(a, b, "drain batch diverged at {now_us} µs");
-    }
-    assert_eq!(rebuilt.queued(), 0);
 }
 
 proptest! {
@@ -106,38 +51,6 @@ proptest! {
                 prop_assert!(pa < pb, "tied entries must pop in push order");
             }
         }
-    }
-
-    /// The heap-backed priority scheduler's incrementally maintained
-    /// scores pick exactly the batches the frozen from-scratch rescan
-    /// picks, under random streams and random drain cadences.
-    #[test]
-    fn priority_heap_matches_the_frozen_rescan(
-        raw in stream_strategy(),
-        drain_every in 1usize..8,
-    ) {
-        let stream = build_stream(&raw);
-        assert_schedulers_agree(
-            Box::new(fcad_serve::PriorityScheduler::new()),
-            Box::new(reference::PriorityScheduler::new()),
-            &stream,
-            drain_every,
-        );
-    }
-
-    /// Same agreement for the batch-aggregating scheduler's integer heap.
-    #[test]
-    fn batch_heap_matches_the_frozen_rescan(
-        raw in stream_strategy(),
-        drain_every in 1usize..8,
-    ) {
-        let stream = build_stream(&raw);
-        assert_schedulers_agree(
-            Box::new(fcad_serve::BatchScheduler::new()),
-            Box::new(reference::BatchScheduler::new()),
-            &stream,
-            drain_every,
-        );
     }
 
     /// A static fleet is worker-count invariant: 1, 2, 4 and 8 workers
