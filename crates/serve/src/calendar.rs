@@ -25,11 +25,11 @@
 //!    internals, so the pop sequence is a pure function of the push
 //!    sequence.
 //!
-//! Arrivals never enter the heap: the scenario pre-sorts them, so the
-//! engine keeps a cursor and compares the heap front against the next
-//! arrival as an implicit `(issued_at_us, LANE_ARRIVAL)` key. Stale
-//! dispatch entries (superseded by a later queue change) are detected by
-//! their `epoch` field and discarded lazily at pop time.
+//! Arrivals never enter the heap: the scenario's arrival stream yields
+//! them in time order, so the engine compares the heap front against the
+//! stream's next arrival as an implicit `(issued_at_us, LANE_ARRIVAL)`
+//! key. Stale dispatch entries (superseded by a later queue change) are
+//! detected by their `epoch` field and discarded lazily at pop time.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -37,8 +37,8 @@ use std::collections::BinaryHeap;
 /// Lane for shard lifecycle events (fail / drain / warm / idle-check);
 /// wins every same-instant tie.
 pub const LANE_LIFECYCLE: u8 = 0;
-/// Implicit lane for arrivals; the arrival cursor is compared against the
-/// heap as `(issued_at_us, LANE_ARRIVAL, 0, 0)`.
+/// Implicit lane for arrivals; the arrival stream's next request is
+/// compared against the heap as `(issued_at_us, LANE_ARRIVAL, 0, 0)`.
 pub const LANE_ARRIVAL: u8 = 1;
 /// Lane for shard dispatch events; loses every same-instant tie.
 pub const LANE_DISPATCH: u8 = 2;

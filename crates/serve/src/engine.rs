@@ -13,8 +13,9 @@
 //! aggregation amortizes it over the DSE-chosen batch size.
 //!
 //! The loop is driven by an indexed event calendar
-//! ([`crate::calendar::Calendar`]): arrivals are pre-generated in time
-//! order and consumed through a cursor, while dispatch completions and
+//! ([`crate::calendar::Calendar`]): arrivals are drawn one at a time from
+//! the scenario's lazy arrival stream, already in time order, so no
+//! whole-trace vector is ever built, while dispatch completions and
 //! fleet *lifecycle* events (scheduled failures, forced drains, warm-up
 //! completions, idle checks) live in a binary min-heap keyed by
 //! `(time, lane, tiebreaks, seq)`. Every step pops the earliest event:
@@ -42,6 +43,8 @@
 //! [`ShardState::Active`](crate::ShardState::Active) — and the single
 //! device ([`simulate`]) is the one-shard fleet.
 
+use std::collections::VecDeque;
+
 use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
@@ -57,7 +60,7 @@ use crate::model::ServiceModel;
 use crate::qos::{QosClass, CLASS_COUNT};
 use crate::report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 use crate::request::Request;
-use crate::scenario::Scenario;
+use crate::scenario::{Arrivals, Scenario};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::window::{drive, WindowPlan};
 
@@ -461,8 +464,17 @@ pub(crate) struct EngineCore<'b> {
     pub(crate) spec: &'b ServeSpec,
     pub(crate) sink: &'b mut dyn TraceSink,
     pub(crate) tracing: bool,
-    pub(crate) arrivals: Vec<Request>,
-    pub(crate) next_arrival: usize,
+    /// The scenario's arrival stream, drawn in arrival order. Private:
+    /// every draw goes through [`EngineCore::draw_before`], which counts
+    /// the request issued.
+    arrivals: Arrivals<'b>,
+    /// Arrivals drawn ahead of the engine while [`EngineCore::run_window`]
+    /// weighs a window against the plan's fan-out threshold: never more
+    /// than that threshold, and empty whenever a window runs.
+    pub(crate) lookahead: VecDeque<Request>,
+    /// Per-shard arrival buffers of the current window, reused across
+    /// windows.
+    pub(crate) window_arrivals: Vec<Vec<Request>>,
     pub(crate) shards: Vec<Shard>,
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
@@ -495,7 +507,6 @@ impl<'b> EngineCore<'b> {
     ) -> Self {
         config.assert_valid();
         let branch_count = config.branch_count();
-        let arrivals = scenario.generate(branch_count);
         let mut balancer = Balancer::new(config.balancer);
         balancer.reserve_sessions(scenario.sessions);
         let capacity = scenario.queue_capacity;
@@ -513,8 +524,6 @@ impl<'b> EngineCore<'b> {
             })
             .collect();
 
-        let mut tally = Tally::new(branch_count);
-        tally.count_arrivals(&arrivals);
         let shard_count = shards.len();
 
         let mut core = Self {
@@ -523,8 +532,9 @@ impl<'b> EngineCore<'b> {
             spec,
             sink,
             tracing,
-            arrivals,
-            next_arrival: 0,
+            arrivals: scenario.arrivals(branch_count),
+            lookahead: VecDeque::new(),
+            window_arrivals: Vec::new(),
             shards,
             balancer,
             capacity,
@@ -539,7 +549,7 @@ impl<'b> EngineCore<'b> {
             ),
             placeable_ids: (0..shard_count).collect(),
             placeable_dirty: false,
-            tally,
+            tally: Tally::new(branch_count),
         };
         for kill in spec.failures.kills() {
             let shard = match kill.target {
@@ -632,6 +642,33 @@ impl<'b> EngineCore<'b> {
         self.placeable_dirty = false;
     }
 
+    /// The next arrival, without drawing it.
+    pub(crate) fn due_arrival(&self) -> Option<Request> {
+        self.lookahead
+            .front()
+            .copied()
+            .or_else(|| self.arrivals.peek())
+    }
+
+    /// Draws the stream's next arrival if it arrives strictly before
+    /// `cap`, counting it issued against its branch and class.
+    pub(crate) fn draw_before(&mut self, cap: u64) -> Option<Request> {
+        let request = self.arrivals.next_before(cap)?;
+        self.tally.issued[request.branch] += 1;
+        self.tally.class_issued[request.class.index()] += 1;
+        Some(request)
+    }
+
+    /// Takes the next arrival: the lookahead's head, which
+    /// [`EngineCore::run_window`] drew before the cap of the window it
+    /// weighed, or else a fresh draw strictly before `cap`.
+    pub(crate) fn take_before(&mut self, cap: u64) -> Option<Request> {
+        match self.lookahead.pop_front() {
+            Some(request) => Some(request),
+            None => self.draw_before(cap),
+        }
+    }
+
     /// The earliest *live* calendar entry, discarding stale dispatch
     /// entries (superseded epochs) on the way.
     pub(crate) fn live_front(&mut self) -> Option<EventKey> {
@@ -649,7 +686,7 @@ impl<'b> EngineCore<'b> {
     /// the run is complete (no arrival pending and no request queued) —
     /// the old loop's termination condition, verbatim.
     pub(crate) fn step(&mut self) -> bool {
-        let due_arrival = self.arrivals.get(self.next_arrival).copied();
+        let due_arrival = self.due_arrival();
         if due_arrival.is_none() && self.queued_total == 0 {
             return false;
         }
@@ -673,8 +710,9 @@ impl<'b> EngineCore<'b> {
                 CalEvent::Dispatch { shard } => self.dispatch_event(now_us, shard),
             }
         } else {
-            let request = due_arrival.expect("arrival_at is finite");
-            self.next_arrival += 1;
+            let request = self
+                .take_before(u64::MAX)
+                .expect("the due arrival was just peeked");
             self.arrival_event(request);
         }
         true
@@ -1030,15 +1068,6 @@ impl Tally {
             post_failure: LatencyHistogram::new(),
             scale_events: Vec::new(),
             replaced: 0,
-        }
-    }
-
-    /// Counts every arrival as issued against its branch and class (done
-    /// once, up front, exactly as the frozen loop did).
-    pub(crate) fn count_arrivals(&mut self, arrivals: &[Request]) {
-        for request in arrivals {
-            self.issued[request.branch] += 1;
-            self.class_issued[request.class.index()] += 1;
         }
     }
 

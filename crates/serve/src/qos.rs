@@ -165,17 +165,6 @@ impl ClassMix {
         let u = u64_to_f64(draw >> 11) / u64_to_f64(1u64 << 53);
         self.class_at(u)
     }
-
-    /// Interns the class draw for every session in `0..sessions` into one
-    /// index-by-session arena (entry `s` is exactly
-    /// [`ClassMix::class_for_session`]`(seed, s)`). The generators resolve
-    /// each session's class once through this table instead of re-mixing
-    /// the seed per request.
-    pub fn classes_for(&self, seed: u64, sessions: usize) -> Vec<QosClass> {
-        (0..sessions)
-            .map(|session| self.class_for_session(seed, session))
-            .collect()
-    }
 }
 
 impl Default for ClassMix {

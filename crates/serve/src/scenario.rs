@@ -4,7 +4,13 @@
 //! Arrival generation is fully deterministic: every stochastic pattern draws
 //! from a [`rand::rngs::StdRng`] seeded from the scenario seed and the
 //! session index, so the same scenario always produces the same request
-//! trace (the reproducibility idiom of the WIND bench harness).
+//! trace (the reproducibility idiom of the WIND bench harness). The engine
+//! draws that trace lazily, as a stream that merges the per-session
+//! generators in time order, so its memory does not grow with the number
+//! of requests.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::cast::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 use crate::qos::{ClassMix, QosClass};
@@ -288,98 +294,294 @@ impl Scenario {
         self.class_mix.class_for_session(self.seed, session)
     }
 
-    /// The interned per-session class table: entry `s` is exactly
-    /// [`Scenario::session_class`]`(s)`. One arena resolved up front so
-    /// million-session generation (and anything else that walks sessions)
-    /// indexes instead of re-mixing the seed per request.
-    pub fn session_classes(&self) -> Vec<QosClass> {
-        self.class_mix.classes_for(self.seed, self.sessions)
-    }
-
     /// Generates the full request trace for `branches` branches, sorted by
     /// arrival time (ties broken by session then branch) with ids assigned
-    /// in that order.
+    /// in that order: the arrival stream the engine draws lazily,
+    /// collected.
     pub fn generate(&self, branches: usize) -> Vec<Request> {
-        let classes = self.session_classes();
-        let mut requests: Vec<Request> = Vec::new();
-        for (session, &class) in classes.iter().enumerate() {
-            for tick_us in self.session_ticks(session) {
-                for branch in 0..branches {
-                    requests.push(Request {
-                        id: 0,
-                        session,
-                        branch,
-                        issued_at_us: tick_us,
-                        class,
-                    });
-                }
-            }
-        }
-        requests.sort_by_key(|r| (r.issued_at_us, r.session, r.branch));
-        for (id, request) in requests.iter_mut().enumerate() {
-            request.id = usize_to_u64(id);
-        }
-        requests
+        self.arrivals(branches).collect()
     }
 
-    /// Frame-arrival times of one session, µs, strictly within the
-    /// generation window.
-    fn session_ticks(&self, session: usize) -> Vec<u64> {
-        let horizon_us = f64_to_u64(self.duration_sec * 1e6);
-        let rate = self.frame_rate_hz;
-        if rate <= 0.0 || horizon_us == 0 {
-            return Vec::new();
+    /// The request trace for `branches` branches as a lazy stream, in the
+    /// order and with the ids [`Scenario::generate`] returns.
+    pub(crate) fn arrivals(&self, branches: usize) -> Arrivals<'_> {
+        Arrivals::new(self, branches)
+    }
+}
+
+/// A scenario's request trace, drawn one request at a time in
+/// `(issued_at_us, session, branch)` order with ids assigned in that order.
+///
+/// Sessions are admitted lazily, in index order. That is exact because
+/// every pattern's first tick is non-decreasing in the session index
+/// (Steady's stagger is monotone; the other patterns start at 0), so the
+/// next unadmitted session's first tick bounds every later session's.
+/// Only admitted sessions with a later tick still pending sit in a
+/// min-heap keyed on `(tick, session)`: a steady session that lands one
+/// frame in the window never enters it.
+pub(crate) struct Arrivals<'s> {
+    scenario: &'s Scenario,
+    /// The pattern's per-run constants; `None` when no session issues a
+    /// frame (no branches, a non-positive rate or an empty window).
+    pace: Option<Pace>,
+    horizon_us: u64,
+    branches: usize,
+    /// The first session not yet admitted, and its first tick (`None` once
+    /// no unadmitted session has a tick inside the window).
+    next_session: usize,
+    next_first_us: Option<u64>,
+    pending: BinaryHeap<Reverse<SessionCursor>>,
+    /// The next request the stream yields.
+    head: Option<Request>,
+}
+
+/// An admitted session and its next tick; its class is drawn once, at
+/// admission. Ordered by `(at_us, session)` alone.
+struct SessionCursor {
+    at_us: u64,
+    session: usize,
+    class: QosClass,
+    rng: StdRng,
+}
+
+impl SessionCursor {
+    fn key(&self) -> (u64, usize) {
+        (self.at_us, self.session)
+    }
+}
+
+impl PartialEq for SessionCursor {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for SessionCursor {}
+
+impl PartialOrd for SessionCursor {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SessionCursor {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// An arrival pattern with its per-run constants resolved once: Steady's
+/// tick interval and Burst's period, on-time and in-burst rate.
+#[derive(Clone, Copy)]
+enum Pace {
+    Steady {
+        sessions: f64,
+        rate: f64,
+        interval_us: u64,
+    },
+    Poisson {
+        rate: f64,
+    },
+    Burst {
+        period_us: u64,
+        on_us: u64,
+        rate: f64,
+    },
+    Ramp {
+        rate: f64,
+        start_factor: f64,
+        end_factor: f64,
+    },
+}
+
+impl Pace {
+    fn of(scenario: &Scenario) -> Self {
+        let rate = scenario.frame_rate_hz;
+        match scenario.arrival {
+            ArrivalPattern::Steady => Pace::Steady {
+                sessions: usize_to_f64(scenario.sessions.max(1)),
+                rate,
+                interval_us: secs_to_us(1.0 / rate),
+            },
+            ArrivalPattern::Poisson => Pace::Poisson { rate },
+            ArrivalPattern::Burst {
+                period_sec,
+                duty,
+                factor,
+            } => {
+                let period_us = secs_to_us(period_sec);
+                let on_us = f64_to_u64(u64_to_f64(period_us) * duty.clamp(0.0, 1.0));
+                Pace::Burst {
+                    period_us,
+                    on_us: on_us.max(1),
+                    rate: rate * factor.max(f64::MIN_POSITIVE),
+                }
+            }
+            ArrivalPattern::DiurnalRamp {
+                start_factor,
+                end_factor,
+            } => Pace::Ramp {
+                rate,
+                start_factor,
+                end_factor,
+            },
         }
-        // One independent deterministic stream per session. The session
-        // index is mixed through a SplitMix64-style finalizer: a plain
-        // `seed ^ session * GOLDEN` would collide with the RNG's own
-        // per-draw increment and turn sessions into shifted copies of one
-        // stream.
-        let mut rng = StdRng::seed_from_u64(session_seed(self.seed, session));
-        let mut ticks = Vec::new();
-        // Steady sessions start phase-staggered; stochastic ones at zero.
-        let mut t = match self.arrival {
-            ArrivalPattern::Steady => {
-                f64_to_u64(usize_to_f64(session) / usize_to_f64(self.sessions.max(1)) / rate * 1e6)
+    }
+
+    /// A session's first tick: steady sessions start phase-staggered,
+    /// stochastic ones at zero.
+    fn first_tick_us(&self, session: usize) -> u64 {
+        match *self {
+            Pace::Steady { sessions, rate, .. } => {
+                f64_to_u64(usize_to_f64(session) / sessions / rate * 1e6)
             }
             _ => 0,
-        };
-        while t < horizon_us {
-            let dt_us = match self.arrival {
-                ArrivalPattern::Steady => secs_to_us(1.0 / rate),
-                ArrivalPattern::Poisson => exponential_us(&mut rng, rate),
-                ArrivalPattern::Burst {
-                    period_sec,
-                    duty,
-                    factor,
-                } => {
-                    let period_us = secs_to_us(period_sec);
-                    let on_us = f64_to_u64(u64_to_f64(period_us) * duty.clamp(0.0, 1.0));
-                    let phase = t % period_us;
-                    if phase < on_us.max(1) {
-                        exponential_us(&mut rng, rate * factor.max(f64::MIN_POSITIVE))
-                    } else {
-                        // Silent until the next window opens; no request at
-                        // this tick.
-                        t += period_us - phase;
-                        continue;
-                    }
-                }
-                ArrivalPattern::DiurnalRamp {
-                    start_factor,
-                    end_factor,
-                } => {
-                    let progress = u64_to_f64(t) / u64_to_f64(horizon_us);
-                    let factor = start_factor + (end_factor - start_factor) * progress;
-                    secs_to_us(1.0 / (rate * factor.max(1e-3)))
-                }
-            };
-            if t < horizon_us {
-                ticks.push(t);
-            }
-            t = t.saturating_add(dt_us.max(1));
         }
-        ticks
+    }
+
+    /// The tick after a frame at `at_us`, or `None` at or past the
+    /// horizon: the pattern's gap, drawn from the session's own RNG where
+    /// the pattern is stochastic, then — in a burst's off-time — on to
+    /// the next on-window.
+    fn next_tick_us(&self, at_us: u64, horizon_us: u64, rng: &mut StdRng) -> Option<u64> {
+        let gap_us = match *self {
+            Pace::Steady { interval_us, .. } => interval_us,
+            Pace::Poisson { rate } | Pace::Burst { rate, .. } => exponential_us(rng, rate),
+            Pace::Ramp {
+                rate,
+                start_factor,
+                end_factor,
+            } => {
+                let progress = u64_to_f64(at_us) / u64_to_f64(horizon_us);
+                let factor = start_factor + (end_factor - start_factor) * progress;
+                secs_to_us(1.0 / (rate * factor.max(1e-3)))
+            }
+        };
+        let mut t = at_us.saturating_add(gap_us.max(1));
+        if let Pace::Burst {
+            period_us, on_us, ..
+        } = *self
+        {
+            while t < horizon_us && t % period_us >= on_us {
+                // Silent until the next on-window opens.
+                t += period_us - t % period_us;
+            }
+        }
+        (t < horizon_us).then_some(t)
+    }
+}
+
+impl<'s> Arrivals<'s> {
+    fn new(scenario: &'s Scenario, branches: usize) -> Self {
+        let horizon_us = f64_to_u64(scenario.duration_sec * 1e6);
+        let silent = branches == 0 || scenario.frame_rate_hz <= 0.0 || horizon_us == 0;
+        let mut stream = Self {
+            scenario,
+            pace: (!silent).then(|| Pace::of(scenario)),
+            horizon_us,
+            branches,
+            next_session: 0,
+            next_first_us: None,
+            pending: BinaryHeap::new(),
+            head: None,
+        };
+        stream.next_first_us = stream.first_tick_in_window(0);
+        stream.head = stream.next_frame(0);
+        stream
+    }
+
+    /// The next request, without drawing it.
+    pub(crate) fn peek(&self) -> Option<Request> {
+        self.head
+    }
+
+    /// Draws the next request if it arrives strictly before `cap_us`.
+    pub(crate) fn next_before(&mut self, cap_us: u64) -> Option<Request> {
+        if self.head?.issued_at_us >= cap_us {
+            return None;
+        }
+        self.next()
+    }
+
+    /// `session`'s first tick, if it is a session and the tick falls
+    /// inside the window.
+    fn first_tick_in_window(&self, session: usize) -> Option<u64> {
+        let pace = self.pace?;
+        if session >= self.scenario.sessions {
+            return None;
+        }
+        let at_us = pace.first_tick_us(session);
+        (at_us < self.horizon_us).then_some(at_us)
+    }
+
+    /// The first request, numbered `id`, of the earliest pending frame —
+    /// the heap's head or the next unadmitted session's first tick,
+    /// whichever has the lower `(tick, session)` — with that session's
+    /// following tick scheduled.
+    fn next_frame(&mut self, id: u64) -> Option<Request> {
+        let pace = self.pace?;
+        let mut cursor = match (self.next_first_us, self.pending.peek()) {
+            (Some(first_us), head)
+                if head.is_none_or(|Reverse(head)| (first_us, self.next_session) < head.key()) =>
+            {
+                self.admit(first_us)
+            }
+            _ => self.pending.pop()?.0,
+        };
+        let request = Request {
+            id,
+            session: cursor.session,
+            branch: 0,
+            issued_at_us: cursor.at_us,
+            class: cursor.class,
+        };
+        if let Some(next_us) = pace.next_tick_us(cursor.at_us, self.horizon_us, &mut cursor.rng) {
+            cursor.at_us = next_us;
+            self.pending.push(Reverse(cursor));
+        }
+        Some(request)
+    }
+
+    /// Admits the next session, whose first tick is `at_us`, drawing its
+    /// class.
+    fn admit(&mut self, at_us: u64) -> SessionCursor {
+        let session = self.next_session;
+        self.next_session += 1;
+        self.next_first_us = self.first_tick_in_window(self.next_session);
+        debug_assert!(
+            self.next_first_us.is_none_or(|next_us| next_us >= at_us),
+            "first ticks are non-decreasing in the session index"
+        );
+        SessionCursor {
+            at_us,
+            session,
+            class: self.scenario.session_class(session),
+            // One independent deterministic stream per session. The
+            // session index is mixed through a SplitMix64-style finalizer:
+            // a plain `seed ^ session * GOLDEN` would collide with the
+            // RNG's own per-draw increment and turn sessions into shifted
+            // copies of one stream.
+            rng: StdRng::seed_from_u64(session_seed(self.scenario.seed, session)),
+        }
+    }
+}
+
+impl Iterator for Arrivals<'_> {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let request = self.head?;
+        let id = request.id + 1;
+        self.head = if request.branch + 1 < self.branches {
+            Some(Request {
+                id,
+                branch: request.branch + 1,
+                ..request
+            })
+        } else {
+            self.next_frame(id)
+        };
+        Some(request)
     }
 }
 
@@ -531,21 +733,78 @@ mod tests {
     fn metropolis_sessions_issue_exactly_one_staggered_frame() {
         // Downscaled session count; the stagger math is identical. Every
         // steady 1 Hz session phase-staggered across the 1 s window lands
-        // exactly one frame, and the interned class table matches the
-        // per-session draw bit for bit.
+        // exactly one frame, carrying its session's class draw.
         let scenario = Scenario::metropolis().with_sessions(2_000);
         let requests = scenario.generate(3);
         assert_eq!(requests.len(), 2_000 * 3);
-        let classes = scenario.session_classes();
-        assert_eq!(classes.len(), 2_000);
         for request in &requests {
-            assert_eq!(request.class, classes[request.session]);
             assert_eq!(request.class, scenario.session_class(request.session));
         }
         assert!(!scenario.class_mix.is_standard_only());
         let full = Scenario::metropolis();
         assert_eq!(full.sessions, 1_050_000);
         assert_eq!(full.name, "metropolis");
+    }
+
+    #[test]
+    fn first_ticks_are_non_decreasing_in_the_session_index() {
+        // The stream admits sessions in index order on this invariant.
+        let patterns = [
+            ArrivalPattern::Steady,
+            ArrivalPattern::Poisson,
+            Scenario::b2().arrival,
+            Scenario::diurnal().arrival,
+        ];
+        for arrival in patterns {
+            for rate in [1.0 / 60.0, 0.3, 1.0, 7.5, 30.0] {
+                for sessions in [1usize, 3, 7, 40, 2_000] {
+                    let scenario = Scenario {
+                        arrival,
+                        frame_rate_hz: rate,
+                        ..Scenario::a1().with_sessions(sessions)
+                    };
+                    let pace = Pace::of(&scenario);
+                    let firsts: Vec<u64> = (0..sessions).map(|s| pace.first_tick_us(s)).collect();
+                    assert!(
+                        firsts.windows(2).all(|pair| pair[0] <= pair[1]),
+                        "{arrival:?} at {rate} Hz over {sessions} sessions"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stream_peeks_what_it_draws_and_stops_at_the_cap() {
+        let scenario = Scenario::b2_qos();
+        let mut stream = scenario.arrivals(3);
+        let cap_us = 1_000_000;
+        let mut drawn = Vec::new();
+        while let Some(peeked) = stream.peek() {
+            match stream.next_before(cap_us) {
+                Some(request) => {
+                    assert_eq!(request, peeked);
+                    drawn.push(request);
+                }
+                None => break,
+            }
+        }
+        assert!(drawn.iter().all(|r| r.issued_at_us < cap_us));
+        assert!(stream.peek().is_some_and(|r| r.issued_at_us >= cap_us));
+        drawn.extend(stream);
+        assert_eq!(drawn, scenario.generate(3));
+    }
+
+    #[test]
+    fn silent_scenarios_issue_nothing() {
+        let mut idle = Scenario::b1();
+        idle.frame_rate_hz = 0.0;
+        assert!(idle.generate(3).is_empty());
+        idle.frame_rate_hz = -1.0;
+        assert!(idle.generate(3).is_empty());
+        let mut instant = Scenario::a2(5);
+        instant.duration_sec = 0.0;
+        assert!(instant.generate(3).is_empty());
     }
 
     #[test]

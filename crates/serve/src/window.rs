@@ -21,14 +21,16 @@
 //!    pure cursor arithmetic over a frozen placeable snapshot, and no
 //!    autoscale trigger can fire ([`EngineCore::quiescent_horizon`]
 //!    proves all three). Within `[start, horizon)` every shard's events
-//!    are then independent, so the caller pre-places the window's
-//!    arrivals (advancing the real balancer cursor), advances each shard
-//!    through [`Shard::admit`] and [`Shard::dispatch`] — worker 0's
-//!    shards on the calling thread, the others' on `std::thread::scope`
-//!    threads, so a one-worker run spawns no thread — and at the window
-//!    edge re-derives exactly the cross-shard state the sequential engine
-//!    would hold: queue totals, refreshed dispatch calendar entries,
-//!    merged tallies and the sorted trace stream.
+//!    are then independent, so the caller drains the window's arrivals
+//!    from the arrival stream into per-shard buffers reused across
+//!    windows, placing each one (advancing the real balancer cursor),
+//!    advances each shard through [`Shard::admit`] and
+//!    [`Shard::dispatch`] — worker 0's shards on the calling thread, the
+//!    others' on `std::thread::scope` threads, so a one-worker run spawns
+//!    no thread — and at the window edge re-derives exactly the
+//!    cross-shard state the sequential engine would hold: queue totals,
+//!    refreshed dispatch calendar entries, merged tallies and the sorted
+//!    trace stream.
 //!
 //! A static fleet is the case with no pinning events at all: its windows
 //! end only at the plan's `window_us` chunk size. A plan whose fan-out
@@ -48,8 +50,8 @@
 //!   instant the trigger could fire again (before the first spawn no
 //!   bound exists, so execution stays sequential while the trigger is
 //!   armed);
-//! - the plan's `window_us` chunk size, bounding memory and barrier
-//!   latency when no coupling event is pending at all.
+//! - the plan's `window_us` chunk size, bounding the per-shard buffers and
+//!   barrier latency when no coupling event is pending at all.
 //!
 //! **What runs sequentially and why:** load-aware balancers
 //! (least-loaded, affinity-with-spill) read every shard's live load *per
@@ -94,7 +96,8 @@ pub struct WindowPlan {
     /// Minimum in-window workload (pending arrivals plus queued requests)
     /// worth a window's fixed cost — per-shard set-up, a dispatch refresh
     /// of every shard and the thread fan-out; smaller windows step
-    /// sequentially.
+    /// sequentially. Also the most arrivals the engine draws ahead of
+    /// itself to weigh a window.
     pub min_parallel_events: usize,
 }
 
@@ -208,10 +211,10 @@ pub(crate) fn drive(
 }
 
 impl EngineCore<'_> {
-    /// The earliest pending event instant (arrival cursor vs. live
-    /// calendar front), or `None` when the run is complete.
+    /// The earliest pending event instant (next arrival vs. live calendar
+    /// front), or `None` when the run is complete.
     pub(crate) fn next_instant(&mut self) -> Option<u64> {
-        let due_arrival = self.arrivals.get(self.next_arrival).map(|r| r.issued_at_us);
+        let due_arrival = self.due_arrival().map(|r| r.issued_at_us);
         if due_arrival.is_none() && self.queued_total == 0 {
             return None;
         }
@@ -278,7 +281,7 @@ impl EngineCore<'_> {
             .unwrap_or(u64::MAX);
         let depth_armed = policy.scale_up_queue_depth > 0
             && active < policy.max_shards
-            && self.next_arrival < self.arrivals.len();
+            && self.due_arrival().is_some();
         if depth_armed {
             match self.last_scale_up {
                 Some(last) => horizon = horizon.min(last.saturating_add(policy.cooldown_us)),
@@ -288,36 +291,40 @@ impl EngineCore<'_> {
         Some(horizon)
     }
 
-    /// Executes every event strictly before `cap` as one window:
-    /// pre-places the window's arrivals through the dense snapshot
-    /// (advancing the real balancer cursor), advances the shards on the
-    /// plan's workers — the calling thread is worker 0 — then re-derives
-    /// the cross-shard state at the window edge: queue totals, dispatch
-    /// calendar entries, merged tallies and the sorted trace stream.
+    /// Executes every event strictly before `cap` as one window: drains
+    /// the window's arrivals from the stream into the reused per-shard
+    /// buffers, placing each through the dense snapshot (advancing the
+    /// real balancer cursor), advances the shards on the plan's workers —
+    /// the calling thread is worker 0 — then re-derives the cross-shard
+    /// state at the window edge: queue totals, dispatch calendar entries,
+    /// merged tallies and the sorted trace stream.
     ///
+    /// Whether the window clears the plan's fan-out threshold is decided
+    /// first, by drawing at most that many arrivals into the lookahead.
     /// Returns the number of events processed; `0` means the window was
-    /// below the plan's fan-out threshold (nothing ran — the caller
-    /// advances sequentially instead).
+    /// below the threshold (nothing ran and the drawn arrivals wait in
+    /// the lookahead — the caller advances sequentially instead).
     pub(crate) fn run_window(&mut self, cap: u64, plan: &WindowPlan) -> usize {
-        let in_window =
-            self.arrivals[self.next_arrival..].partition_point(|r| r.issued_at_us < cap);
-        if in_window + self.queued_total < plan.min_parallel_events.max(1) {
-            return 0;
+        // Draw ahead only until the window is known to clear the threshold.
+        let threshold = plan.min_parallel_events.max(1);
+        while self.queued_total + self.lookahead.len() < threshold {
+            let Some(request) = self.draw_before(cap) else {
+                return 0;
+            };
+            self.lookahead.push_back(request);
         }
         if self.placeable_dirty {
             self.rebuild_placeable();
         }
         let shard_count = self.shards.len();
-        let mut per_shard: Vec<Vec<Request>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for index in self.next_arrival..self.next_arrival + in_window {
-            let request = self.arrivals[index];
+        self.window_arrivals.resize_with(shard_count, Vec::new);
+        while let Some(request) = self.take_before(cap) {
             let dst = self
                 .balancer
                 .place_dense(&request, &self.placeable_ids)
                 .expect("windowed execution covers only load-oblivious balancers");
-            per_shard[dst].push(request);
+            self.window_arrivals[dst].push(request);
         }
-        self.next_arrival += in_window;
 
         let capacity = self.capacity;
         let admission = self.spec.admission;
@@ -331,22 +338,23 @@ impl EngineCore<'_> {
         // straight into the run's accumulators; every other worker fills
         // a tally of its own, folded in afterwards (tally merges are
         // exact integer and fixed-bucket histogram adds).
-        let run_share = move |share: Vec<(usize, &mut Shard, Vec<Request>)>, tally: &mut Tally| {
+        let run_share = move |share: Vec<(usize, &mut Shard, &[Request])>, tally: &mut Tally| {
             let mut sink = StepSink::new(tracing);
             let mut steps = 0usize;
             for (shard_id, shard, arrivals) in share {
                 steps += advance_shard(
-                    shard_id, shard, admission, &arrivals, capacity, deadline, cap, split_us,
-                    tally, &mut sink,
+                    shard_id, shard, admission, arrivals, capacity, deadline, cap, split_us, tally,
+                    &mut sink,
                 );
             }
             (sink.events, steps)
         };
 
         let worker_count = plan.workers.clamp(1, shard_count);
-        let mut shares: Vec<Vec<(usize, &mut Shard, Vec<Request>)>> =
+        let mut shares: Vec<Vec<(usize, &mut Shard, &[Request])>> =
             (0..worker_count).map(|_| Vec::new()).collect();
-        for (shard_id, (shard, arrivals)) in self.shards.iter_mut().zip(per_shard).enumerate() {
+        let buffers = &self.window_arrivals;
+        for (shard_id, (shard, arrivals)) in self.shards.iter_mut().zip(buffers).enumerate() {
             shares[shard_id % worker_count].push((shard_id, shard, arrivals));
         }
         let mut shares = shares.into_iter();
@@ -370,6 +378,9 @@ impl EngineCore<'_> {
             }
             (trace, processed)
         });
+        for buffer in &mut self.window_arrivals {
+            buffer.clear();
+        }
 
         // Barrier: re-derive the cross-shard state the sequential engine
         // would hold at the window edge. Queue total is a plain re-sum;

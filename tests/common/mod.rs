@@ -3,10 +3,12 @@
 
 use fcad_serve::{
     simulate_windowed_traced, AdmissionKind, ArrivalPattern, BranchService, ClassMix, FleetConfig,
-    RequestEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel, TraceEvent,
-    TraceSink, WindowPlan,
+    Request, RequestEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel,
+    TraceEvent, TraceSink, WindowPlan,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The default spec under the discipline `kind`.
 #[allow(dead_code)]
@@ -330,4 +332,87 @@ pub fn prop_scenario(
         priorities: None,
         class_mix: ClassMix::standard_only(),
     }
+}
+
+/// The request trace a scenario promises, built by brute force and apart
+/// from the crate's generator: every session's ticks walked one by one
+/// with a `match` on the pattern, `branches` requests per tick, then one
+/// sort on `(issued_at_us, session, branch)` and ids in that order. Only
+/// the class draw comes from the crate, through the public
+/// [`Scenario::session_class`].
+#[allow(dead_code)]
+pub fn brute_force_trace(scenario: &Scenario, branches: usize) -> Vec<Request> {
+    let horizon_us = (scenario.duration_sec * 1e6) as u64;
+    let rate = scenario.frame_rate_hz;
+    let mut requests = Vec::new();
+    if rate <= 0.0 || horizon_us == 0 {
+        return requests;
+    }
+    let us = |seconds: f64| (seconds * 1e6).round().max(1.0) as u64;
+    let exponential_us = |rng: &mut StdRng, rate: f64| {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        us(-(1.0 - u).ln() / rate)
+    };
+    for session in 0..scenario.sessions {
+        let class = scenario.session_class(session);
+        let mut rng = StdRng::seed_from_u64(splitmix(scenario.seed, session as u64));
+        let mut t = match scenario.arrival {
+            ArrivalPattern::Steady => {
+                (session as f64 / scenario.sessions.max(1) as f64 / rate * 1e6) as u64
+            }
+            _ => 0,
+        };
+        while t < horizon_us {
+            let gap_us = match scenario.arrival {
+                ArrivalPattern::Steady => us(1.0 / rate),
+                ArrivalPattern::Poisson => exponential_us(&mut rng, rate),
+                ArrivalPattern::Burst {
+                    period_sec,
+                    duty,
+                    factor,
+                } => {
+                    let period_us = us(period_sec);
+                    let on_us = (period_us as f64 * duty.clamp(0.0, 1.0)) as u64;
+                    let phase = t % period_us;
+                    if phase >= on_us.max(1) {
+                        t += period_us - phase;
+                        continue;
+                    }
+                    exponential_us(&mut rng, rate * factor.max(f64::MIN_POSITIVE))
+                }
+                ArrivalPattern::DiurnalRamp {
+                    start_factor,
+                    end_factor,
+                } => {
+                    let progress = t as f64 / horizon_us as f64;
+                    let factor = start_factor + (end_factor - start_factor) * progress;
+                    us(1.0 / (rate * factor.max(1e-3)))
+                }
+            };
+            for branch in 0..branches {
+                requests.push(Request {
+                    id: 0,
+                    session,
+                    branch,
+                    issued_at_us: t,
+                    class,
+                });
+            }
+            t = t.saturating_add(gap_us.max(1));
+        }
+    }
+    requests.sort_by_key(|r| (r.issued_at_us, r.session, r.branch));
+    for (id, request) in requests.iter_mut().enumerate() {
+        request.id = id as u64;
+    }
+    requests
+}
+
+/// The SplitMix64 finalizer over `(seed, stream)` that seeds each
+/// session's RNG.
+fn splitmix(seed: u64, stream: u64) -> u64 {
+    let mut z = seed ^ (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 mod common;
 
 use common::{
-    admission_strategy, class_mix_strategy, pattern_strategy, prop_scenario as scenario,
-    scheduler_strategy, three_branch_model as model,
+    admission_strategy, brute_force_trace, class_mix_strategy, pattern_strategy,
+    prop_scenario as scenario, scheduler_strategy, three_branch_model as model,
 };
 
 /// `scenario` on one shard of the test model under `kind`, `admission`
@@ -209,5 +209,50 @@ proptest! {
         let steady_a = scenario(seed, 2, 20, 128, ArrivalPattern::Steady);
         let steady_b = scenario(seed + 1, 2, 20, 128, ArrivalPattern::Steady);
         prop_assert_eq!(steady_a.generate(3), steady_b.generate(3));
+    }
+}
+
+/// Every arrival pattern, burst and ramp shapes drawn at random. Bursts
+/// of a few milliseconds put many ticks on the edge of an on-window.
+fn any_pattern() -> impl Strategy<Value = ArrivalPattern> {
+    let period_sec = prop_oneof![0.000_5..0.005, 0.05..1.0];
+    prop_oneof![
+        Just(ArrivalPattern::Steady),
+        Just(ArrivalPattern::Poisson),
+        (period_sec, 0.0..1.0, 0.5..3.0).prop_map(|(period_sec, duty, factor)| {
+            ArrivalPattern::Burst {
+                period_sec,
+                duty,
+                factor,
+            }
+        }),
+        (0.1..2.0, 0.1..2.0).prop_map(|(start_factor, end_factor)| {
+            ArrivalPattern::DiurnalRamp {
+                start_factor,
+                end_factor,
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lazily merged arrival stream is the brute-force build-and-sort
+    /// trace: same requests, same order, same ids.
+    #[test]
+    fn generate_matches_the_brute_force_trace(
+        seed in 0u64..u64::MAX,
+        sessions in 0usize..41,
+        rate in 0.2..30.0,
+        duration_sec in 0.01..2.0,
+        arrival in any_pattern(),
+        mix in class_mix_strategy(),
+        branches in 0usize..5,
+    ) {
+        let mut scenario = scenario(seed, sessions, 1, 64, arrival).with_class_mix(mix);
+        scenario.frame_rate_hz = rate;
+        scenario.duration_sec = duration_sec;
+        prop_assert_eq!(scenario.generate(branches), brute_force_trace(&scenario, branches));
     }
 }
