@@ -441,15 +441,27 @@ impl Shard {
     }
 }
 
-fn active_count(shards: &[Shard]) -> usize {
-    shards
-        .iter()
-        .filter(|s| s.phase == ShardState::Active)
-        .count()
+/// Shards per lifecycle phase, indexed by [`phase_slot`].
+type PhaseCounts = [usize; 5];
+
+/// `phase`'s index into [`PhaseCounts`].
+fn phase_slot(phase: ShardState) -> usize {
+    match phase {
+        ShardState::Warming => 0,
+        ShardState::Active => 1,
+        ShardState::Draining => 2,
+        ShardState::Retired => 3,
+        ShardState::Failed => 4,
+    }
 }
 
-fn alive_count(shards: &[Shard]) -> usize {
-    shards.iter().filter(|s| s.phase.is_alive()).count()
+/// Counts `shards` per lifecycle phase by a full scan.
+fn count_phases(shards: &[Shard]) -> PhaseCounts {
+    let mut counts = PhaseCounts::default();
+    for shard in shards {
+        counts[phase_slot(shard.phase)] += 1;
+    }
+    counts
 }
 
 /// The steppable engine: the run's whole state, advanced one event at a
@@ -473,9 +485,15 @@ pub(crate) struct EngineCore<'b> {
     /// than that threshold, and empty whenever a window runs.
     pub(crate) lookahead: VecDeque<Request>,
     /// Per-shard arrival buffers of the current window, reused across
-    /// windows.
+    /// windows. A window buffers at most its arrival cap (16,384, or 64
+    /// per shard above 256 shards) plus the rest of the last arrival's
+    /// instant, so the buffers stay cache-sized.
     pub(crate) window_arrivals: Vec<Vec<Request>>,
     pub(crate) shards: Vec<Shard>,
+    /// Shards per lifecycle phase: written only by
+    /// [`EngineCore::set_phase`] and [`EngineCore::spawn`], so fleet
+    /// counts are reads rather than scans of `shards`.
+    phase_counts: PhaseCounts,
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
     pub(crate) calendar: Calendar<CalEvent>,
@@ -496,6 +514,11 @@ pub(crate) struct EngineCore<'b> {
     pub(crate) placeable_ids: Vec<usize>,
     pub(crate) placeable_dirty: bool,
     pub(crate) tally: Tally,
+    /// One tally per extra window worker (worker 0 tallies into `tally`),
+    /// kept across windows and absorbed once, by
+    /// [`EngineCore::finish`]: nothing reads a tally before then, and
+    /// every merge is an exact integer add.
+    pub(crate) worker_tallies: Vec<Tally>,
 }
 
 impl<'b> EngineCore<'b> {
@@ -535,6 +558,7 @@ impl<'b> EngineCore<'b> {
             arrivals: scenario.arrivals(branch_count),
             lookahead: VecDeque::new(),
             window_arrivals: Vec::new(),
+            phase_counts: count_phases(&shards),
             shards,
             balancer,
             capacity,
@@ -550,6 +574,7 @@ impl<'b> EngineCore<'b> {
             placeable_ids: (0..shard_count).collect(),
             placeable_dirty: false,
             tally: Tally::new(branch_count),
+            worker_tallies: Vec::new(),
         };
         for kill in spec.failures.kills() {
             let shard = match kill.target {
@@ -583,6 +608,29 @@ impl<'b> EngineCore<'b> {
             0,
             CalEvent::Life { shard, action },
         );
+    }
+
+    /// The number of shards in `phase`.
+    pub(crate) fn shards_in(&self, phase: ShardState) -> usize {
+        self.phase_counts[phase_slot(phase)]
+    }
+
+    /// The number of shards still in the fleet: the phases
+    /// [`ShardState::is_alive`] accepts.
+    fn alive_shards(&self) -> usize {
+        self.shards_in(ShardState::Warming)
+            + self.shards_in(ShardState::Active)
+            + self.shards_in(ShardState::Draining)
+    }
+
+    /// Moves `shard` into `phase`. Every phase write goes through here
+    /// (a spawned shard enters the counts in [`EngineCore::spawn`]), so
+    /// the phase counts always equal a recount of `shards` —
+    /// [`EngineCore::finish`] checks that in debug builds.
+    fn set_phase(&mut self, shard: usize, phase: ShardState) {
+        let old = std::mem::replace(&mut self.shards[shard].phase, phase);
+        self.phase_counts[phase_slot(old)] -= 1;
+        self.phase_counts[phase_slot(phase)] += 1;
     }
 
     /// The instant a shard whose fabric frees at `free_us` becomes idle
@@ -741,7 +789,7 @@ impl<'b> EngineCore<'b> {
                     }
                 };
                 let Some(victim) = victim else { return };
-                self.shards[victim].phase = ShardState::Failed;
+                self.set_phase(victim, ShardState::Failed);
                 self.log_scale_event(now_us, ScaleEventKind::Fail, victim);
                 let mut orphans: Vec<Request> = Vec::new();
                 {
@@ -760,7 +808,7 @@ impl<'b> EngineCore<'b> {
                 self.refresh_dispatch(victim);
                 let policy = &self.spec.autoscaler;
                 let respawn_to = policy.min_shards.min(policy.max_shards);
-                while alive_count(&self.shards) < respawn_to {
+                while self.alive_shards() < respawn_to {
                     self.spawn(now_us);
                 }
                 for request in orphans {
@@ -814,10 +862,10 @@ impl<'b> EngineCore<'b> {
                     return;
                 }
                 let floor = self.spec.autoscaler.min_shards.max(1);
-                if active_count(&self.shards) <= floor {
+                if self.shards_in(ShardState::Active) <= floor {
                     return;
                 }
-                self.shards[shard].phase = ShardState::Draining;
+                self.set_phase(shard, ShardState::Draining);
                 self.log_scale_event(now_us, ScaleEventKind::Drain, shard);
                 if self.shards[shard].scheduler.queued() == 0 {
                     self.retire(now_us, shard);
@@ -826,7 +874,7 @@ impl<'b> EngineCore<'b> {
             Action::Warm => {
                 let shard = life_shard;
                 if self.shards[shard].phase == ShardState::Warming {
-                    self.shards[shard].phase = ShardState::Active;
+                    self.set_phase(shard, ShardState::Active);
                     self.shards[shard].free_at_us = self.shards[shard].free_at_us.max(now_us);
                     self.log_scale_event(now_us, ScaleEventKind::Warm, shard);
                     // The warm-up raised `free_at_us`, and the
@@ -853,7 +901,7 @@ impl<'b> EngineCore<'b> {
                     return;
                 }
                 let floor = self.spec.autoscaler.min_shards.max(1);
-                if active_count(&self.shards) <= floor {
+                if self.shards_in(ShardState::Active) <= floor {
                     return;
                 }
                 self.retire(now_us, shard);
@@ -929,7 +977,7 @@ impl<'b> EngineCore<'b> {
         }
         let policy = &self.spec.autoscaler;
         if policy.scale_up_queue_depth > 0 {
-            let actives = active_count(&self.shards);
+            let actives = self.shards_in(ShardState::Active);
             let queued: usize = self
                 .shards
                 .iter()
@@ -938,7 +986,7 @@ impl<'b> EngineCore<'b> {
                 .sum();
             if actives > 0
                 && queued >= policy.scale_up_queue_depth * actives
-                && alive_count(&self.shards) < policy.max_shards
+                && self.alive_shards() < policy.max_shards
                 && self
                     .last_scale_up
                     .is_none_or(|t| now_us >= t.saturating_add(policy.cooldown_us))
@@ -964,6 +1012,7 @@ impl<'b> EngineCore<'b> {
             spec.scheduler.build(),
             ShardState::Warming,
         ));
+        self.phase_counts[phase_slot(ShardState::Warming)] += 1;
         let warm_at = now_us
             .checked_add(policy.warmup_us)
             .expect("a spawned shard warms within the u64 microsecond clock");
@@ -981,7 +1030,7 @@ impl<'b> EngineCore<'b> {
     /// idle retirement — its queue is already empty) and logs the
     /// retirement.
     fn retire(&mut self, at_us: u64, shard: usize) {
-        self.shards[shard].phase = ShardState::Retired;
+        self.set_phase(shard, ShardState::Retired);
         self.log_scale_event(at_us, ScaleEventKind::Retire, shard);
     }
 
@@ -989,7 +1038,7 @@ impl<'b> EngineCore<'b> {
     /// mirrored as an instant on the trace timeline so fleet transitions
     /// line up with the request spans they explain.
     fn log_scale_event(&mut self, at_us: u64, kind: ScaleEventKind, shard: usize) {
-        let active_after = active_count(&self.shards);
+        let active_after = self.shards_in(ShardState::Active);
         self.tally.scale_events.push(ScaleEvent {
             at_sec: u64_to_f64(at_us) / 1e6,
             kind,
@@ -1006,9 +1055,18 @@ impl<'b> EngineCore<'b> {
         }
     }
 
-    /// Consumes the core and folds the per-shard state into the final
-    /// report — the old loop's epilogue, verbatim.
-    pub(crate) fn finish(self) -> ServeReport {
+    /// Consumes the core: absorbs the window workers' tallies, then folds
+    /// the per-shard state into the final report — the old loop's
+    /// epilogue, verbatim.
+    pub(crate) fn finish(mut self) -> ServeReport {
+        debug_assert_eq!(
+            self.phase_counts,
+            count_phases(&self.shards),
+            "a shard changed phase outside set_phase"
+        );
+        for tally in &self.worker_tallies {
+            self.tally.absorb(tally);
+        }
         finalize(
             self.scenario,
             self.balancer_kind.name(),

@@ -29,12 +29,14 @@
 //!    others' on `std::thread::scope` threads, so a one-worker run spawns
 //!    no thread — and at the window edge re-derives exactly the
 //!    cross-shard state the sequential engine would hold: queue totals,
-//!    refreshed dispatch calendar entries, merged tallies and the sorted
-//!    trace stream.
+//!    refreshed dispatch calendar entries and the sorted trace stream.
+//!    Each extra worker tallies into a fleet-wide tally of its own, kept
+//!    across windows and folded into the run's by
+//!    [`EngineCore::finish`].
 //!
 //! A static fleet is the case with no pinning events at all: its windows
-//! end only at the plan's `window_us` chunk size. A plan whose fan-out
-//! threshold no window can clear
+//! end only at the arrival cap or the plan's `window_us` chunk size. A
+//! plan whose fan-out threshold no window can clear
 //! (`WindowPlan::new(1).with_min_parallel_events(usize::MAX)`) steps every
 //! event — the sequential comparator the equivalence battery checks the
 //! windows against.
@@ -50,8 +52,14 @@
 //!   instant the trigger could fire again (before the first spawn no
 //!   bound exists, so execution stays sequential while the trigger is
 //!   armed);
-//! - the plan's `window_us` chunk size, bounding the per-shard buffers and
-//!   barrier latency when no coupling event is pending at all.
+//! - the arrival cap: once a window has buffered [`WINDOW_ARRIVALS`]
+//!   arrivals ([`SHARD_ARRIVALS`] per shard on larger fleets) it takes the
+//!   rest of the last one's instant and ends at the next arrival, bounding
+//!   the per-shard buffers to what a core's L2 holds (any cap at or below
+//!   the horizon is exact);
+//! - the plan's `window_us` chunk size, bounding windows that hold fewer
+//!   arrivals than the cap, or none, when no coupling event is pending at
+//!   all.
 //!
 //! **What runs sequentially and why:** load-aware balancers
 //! (least-loaded, affinity-with-spill) read every shard's live load *per
@@ -80,6 +88,20 @@ use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::SchedulerKind;
 
+/// The most arrivals a window buffers before it ends at the next instant
+/// boundary: 640 KiB of 40-byte requests, a third of a 2 MiB L2, so the
+/// per-shard buffers are still cached when the shards read them back.
+/// Any cap at or below the quiescent horizon is exact, so this bound
+/// never changes a result.
+const WINDOW_ARRIVALS: usize = 16_384;
+
+/// The fewest arrivals per shard the cap may cut a window to, so fleets
+/// above 256 shards get a larger cap. Every window reloads every shard's
+/// queues and histograms, and on many shards that outweighs the cached
+/// buffers: on a 2-vCPU host a fixed 16,384 cap ran the 1,536-shard
+/// `tests/engine_memory.rs` shape about 18% slower.
+const SHARD_ARRIVALS: usize = 64;
+
 /// Tuning knobs for windowed execution. The plan never affects results —
 /// only how much of the run executes in windows versus sequential spans,
 /// and on how many threads.
@@ -91,7 +113,9 @@ pub struct WindowPlan {
     pub workers: usize,
     /// Maximum window length in microseconds of simulated time; windows
     /// end earlier at any pinned edge (lifecycle event, armed trigger
-    /// gate).
+    /// gate) and at the first instant boundary after 16,384 buffered
+    /// arrivals (64 per shard above 256 shards), so on a busy fleet this
+    /// bounds only the windows that hold few arrivals or none.
     pub window_us: u64,
     /// Minimum in-window workload (pending arrivals plus queued requests)
     /// worth a window's fixed cost — per-shard set-up, a dispatch refresh
@@ -264,15 +288,11 @@ impl EngineCore<'_> {
         if !self.dense || policy.idle_retire_us > 0 {
             return None;
         }
-        let mut active = 0usize;
-        for shard in &self.shards {
-            match shard.phase {
-                ShardState::Warming | ShardState::Draining => return None,
-                ShardState::Active => active += 1,
-                ShardState::Retired | ShardState::Failed => {}
-            }
-        }
-        if active == 0 {
+        let active = self.shards_in(ShardState::Active);
+        if active == 0
+            || self.shards_in(ShardState::Warming) > 0
+            || self.shards_in(ShardState::Draining) > 0
+        {
             return None;
         }
         let mut horizon = self
@@ -295,9 +315,17 @@ impl EngineCore<'_> {
     /// the window's arrivals from the stream into the reused per-shard
     /// buffers, placing each through the dense snapshot (advancing the
     /// real balancer cursor), advances the shards on the plan's workers —
-    /// the calling thread is worker 0 — then re-derives the cross-shard
-    /// state at the window edge: queue totals, dispatch calendar entries,
-    /// merged tallies and the sorted trace stream.
+    /// the calling thread is worker 0, each other worker tallies into its
+    /// kept tally — then re-derives the cross-shard state at the window
+    /// edge: queue totals, dispatch calendar entries and the sorted trace
+    /// stream.
+    ///
+    /// Once the arrival cap is buffered ([`WINDOW_ARRIVALS`], or
+    /// [`SHARD_ARRIVALS`] per shard if that is more) and the lookahead is
+    /// empty, the window draws on only while the next arrival shares the
+    /// last one's instant, then lowers `cap` to the next arrival: every
+    /// buffered arrival is strictly before the lowered cap, which still
+    /// lies at or below the horizon, so the window stays exact.
     ///
     /// Whether the window clears the plan's fan-out threshold is decided
     /// first, by drawing at most that many arrivals into the lookahead.
@@ -318,12 +346,28 @@ impl EngineCore<'_> {
         }
         let shard_count = self.shards.len();
         self.window_arrivals.resize_with(shard_count, Vec::new);
+        let arrival_cap = WINDOW_ARRIVALS.max(SHARD_ARRIVALS * shard_count);
+        let mut cap = cap;
+        let mut buffered = 0usize;
         while let Some(request) = self.take_before(cap) {
             let dst = self
                 .balancer
                 .place_dense(&request, &self.placeable_ids)
                 .expect("windowed execution covers only load-oblivious balancers");
             self.window_arrivals[dst].push(request);
+            buffered += 1;
+            if buffered < arrival_cap || !self.lookahead.is_empty() {
+                continue;
+            }
+            // Full: finish this instant, then end at the next arrival.
+            match self.due_arrival() {
+                Some(next) if next.issued_at_us == request.issued_at_us => {}
+                Some(next) => {
+                    cap = cap.min(next.issued_at_us);
+                    break;
+                }
+                None => break,
+            }
         }
 
         let capacity = self.capacity;
@@ -331,13 +375,13 @@ impl EngineCore<'_> {
         let deadline = self.spec.deadline;
         let split_us = self.split_us;
         let tracing = self.tracing;
-        let branch_count = self.tally.issued.len();
         // One step-keyed sink per worker: step keys sort into the
         // sequential emission order however shards are spread over
         // workers. Worker 0 runs on the calling thread and tallies
         // straight into the run's accumulators; every other worker fills
-        // a tally of its own, folded in afterwards (tally merges are
-        // exact integer and fixed-bucket histogram adds).
+        // a tally of its own, kept across windows and folded in by
+        // `finish` (tally merges are exact integer and fixed-bucket
+        // histogram adds).
         let run_share = move |share: Vec<(usize, &mut Shard, &[Request])>, tally: &mut Tally| {
             let mut sink = StepSink::new(tracing);
             let mut steps = 0usize;
@@ -351,6 +395,10 @@ impl EngineCore<'_> {
         };
 
         let worker_count = plan.workers.clamp(1, shard_count);
+        let branch_count = self.tally.issued.len();
+        while self.worker_tallies.len() + 1 < worker_count {
+            self.worker_tallies.push(Tally::new(branch_count));
+        }
         let mut shares: Vec<Vec<(usize, &mut Shard, &[Request])>> =
             (0..worker_count).map(|_| Vec::new()).collect();
         let buffers = &self.window_arrivals;
@@ -361,18 +409,12 @@ impl EngineCore<'_> {
         let own_share = shares.next().expect("a window has at least one worker");
         let (mut trace, processed) = std::thread::scope(|scope| {
             let handles: Vec<_> = shares
-                .map(|share| {
-                    scope.spawn(move || {
-                        let mut tally = Tally::new(branch_count);
-                        let (events, steps) = run_share(share, &mut tally);
-                        (tally, events, steps)
-                    })
-                })
+                .zip(self.worker_tallies.iter_mut())
+                .map(|(share, tally)| scope.spawn(move || run_share(share, tally)))
                 .collect();
             let (mut trace, mut processed) = run_share(own_share, &mut self.tally);
             for handle in handles {
-                let (tally, events, steps) = handle.join().expect("window worker thread panicked");
-                self.tally.absorb(&tally);
+                let (events, steps) = handle.join().expect("window worker thread panicked");
                 trace.extend(events);
                 processed += steps;
             }

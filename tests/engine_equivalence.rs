@@ -21,9 +21,9 @@ mod common;
 
 use common::{serve_sequential, spec_for, three_branch_model};
 use fcad_serve::{
-    reference, serve, simulate_windowed, simulate_windowed_traced, AdmissionKind, Autoscaler,
-    DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, Recorder, Scenario,
-    SchedulerKind, ServeSpec, WindowPlan,
+    reference, serve, simulate_windowed, simulate_windowed_traced, AdmissionKind, ArrivalPattern,
+    Autoscaler, DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, Recorder,
+    Scenario, SchedulerKind, ServeSpec, WindowPlan,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
@@ -570,6 +570,64 @@ fn parallel_trace_streams_match_the_sequential_recording() {
                     frozen_rec.events(),
                     parallel_rec.events(),
                     "parallel trace diverged: {kind:?} × {balancer:?} × {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn arrival_capped_windows_match_the_sequential_recording() {
+    // Both scenarios overflow a window's 16,384-arrival buffer. A 400 ms
+    // window of the 20k-session metropolis holds about 24k arrivals, so
+    // the cap ends every window early; the Poisson sessions all issue
+    // their first frame at t = 0, one instant of 18,000 arrivals that a
+    // window must take whole.
+    let poisson_instant = Scenario {
+        name: "poisson_instant".to_owned(),
+        sessions: 6_000,
+        frame_rate_hz: 5.0,
+        duration_sec: 0.3,
+        arrival: ArrivalPattern::Poisson,
+        queue_capacity: 64,
+        ..Scenario::b1()
+    };
+    let spec = spec_for(SchedulerKind::BatchAggregating);
+    for scenario in [
+        Scenario::metropolis().with_sessions(20_000),
+        poisson_instant,
+    ] {
+        for balancer in [
+            LoadBalancerKind::RoundRobin,
+            LoadBalancerKind::BranchSharded,
+        ] {
+            let config = fleet(8, balancer);
+            let mut sequential_rec = Recorder::new();
+            let sequential = serve_sequential(&config, &scenario, &spec, &mut sequential_rec);
+            for workers in [1, 2] {
+                let mut windowed_rec = Recorder::new();
+                let windowed = simulate_windowed_traced(
+                    &config,
+                    &scenario,
+                    spec.scheduler,
+                    &spec.autoscaler,
+                    &spec.failures,
+                    spec.admission,
+                    spec.deadline,
+                    &mut windowed_rec,
+                    &WindowPlan::new(workers).with_window_us(400_000),
+                );
+                assert_eq!(
+                    sequential.to_json_line(),
+                    windowed.to_json_line(),
+                    "capped windows diverged: {} × {balancer:?} × {workers} workers",
+                    scenario.name
+                );
+                assert_eq!(
+                    sequential_rec.events(),
+                    windowed_rec.events(),
+                    "capped-window trace diverged: {} × {balancer:?} × {workers} workers",
+                    scenario.name
                 );
             }
         }
