@@ -1,9 +1,7 @@
-//! Benchmark harness: regenerates every table and figure of the F-CAD paper.
+//! Experiment library: regenerates every table and figure of the F-CAD paper.
 //!
-//! Each experiment is a function returning both the structured data and a
-//! printable table so that the Criterion benches (which time the generation)
-//! and the `reproduce` binary (which prints the results for
-//! `EXPERIMENTS.md`) share the same code path.
+//! Each experiment is a function returning the structured data, a
+//! printable table, or both; the `reproduce` binary prints the tables.
 //!
 //! | Experiment | Function | Paper artefact |
 //! |------------|----------|----------------|
@@ -29,7 +27,7 @@ use fcad_profiler::{NetworkProfile, Table};
 
 /// DSE hyper-parameters used by the harness. The paper uses `P = 200`,
 /// `N = 20`; the harness defaults to a lighter setting that converges to the
-/// same designs on these workloads while keeping `cargo bench` quick. Pass
+/// same designs on these workloads while keeping `reproduce` quick. Pass
 /// `full = true` to use the paper's setting.
 pub fn dse_params(full: bool) -> DseParams {
     if full {
@@ -166,6 +164,10 @@ pub struct EstimationSample {
     pub estimated_fps: f64,
     /// Simulated ("measured") FPS.
     pub simulated_fps: f64,
+    /// Analytically estimated efficiency (fraction).
+    pub estimated_efficiency: f64,
+    /// Simulated ("measured") efficiency (fraction).
+    pub simulated_efficiency: f64,
 }
 
 /// Runs the Fig. 6/7 estimation-accuracy study: the eight benchmarks
@@ -196,45 +198,47 @@ pub fn estimation_study(full: bool) -> Vec<EstimationSample> {
                 efficiency_error: branch.efficiency_error(),
                 estimated_fps: branch.estimated_fps,
                 simulated_fps: branch.simulated_fps,
+                estimated_efficiency: branch.estimated_efficiency,
+                simulated_efficiency: branch.simulated_efficiency,
             });
         }
     }
     samples
 }
 
-fn estimation_table(samples: &[EstimationSample], which: &str) -> String {
+/// Renders one estimation figure: per sample, the estimated and the
+/// simulated value under `headers` and their relative error, all three
+/// read by `row`, then the error summary against the paper's `reference`.
+fn estimation_table(
+    samples: &[EstimationSample],
+    headers: [&str; 2],
+    row: fn(&EstimationSample) -> ([String; 2], f64),
+    reference: &str,
+) -> String {
+    let [estimated, simulated] = headers;
     let mut table = Table::new(vec![
         "Benchmark".into(),
         "Precision".into(),
-        "Estimated FPS".into(),
-        "Measured (sim) FPS".into(),
+        estimated.into(),
+        simulated.into(),
         "Error".into(),
     ]);
     let mut errors = Vec::new();
     for s in samples {
-        let error = if which == "fps" {
-            s.fps_error
-        } else {
-            s.efficiency_error
-        };
+        let ([estimated, simulated], error) = row(s);
         errors.push(error);
         table.add_row(vec![
             s.network.clone(),
             s.precision.to_string(),
-            format!("{:.1}", s.estimated_fps),
-            format!("{:.1}", s.simulated_fps),
+            estimated,
+            simulated,
             format!("{:.2}%", error * 100.0),
         ]);
     }
     let max = errors.iter().copied().fold(0.0, f64::max);
     let avg = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
-    let reference = if which == "fps" {
-        "paper reference: max 2.89%, average 2.02%"
-    } else {
-        "paper reference: max 3.96%, average 1.91%"
-    };
     format!(
-        "{}\nmax error {:.2}%  average error {:.2}%   ({reference})\n",
+        "{}\nmax error {:.2}%  average error {:.2}%   (paper reference: {reference})\n",
         table.render(),
         max * 100.0,
         avg * 100.0
@@ -246,7 +250,15 @@ fn estimation_table(samples: &[EstimationSample], which: &str) -> String {
 pub fn fig6(samples: &[EstimationSample]) -> String {
     format!(
         "Fig. 6 — FPS estimation error (analytical vs. cycle-level simulation)\n{}",
-        estimation_table(samples, "fps")
+        estimation_table(
+            samples,
+            ["Estimated FPS", "Measured (sim) FPS"],
+            |s| {
+                let fps = [s.estimated_fps, s.simulated_fps].map(|fps| format!("{fps:.1}"));
+                (fps, s.fps_error)
+            },
+            "max 2.89%, average 2.02%",
+        )
     )
 }
 
@@ -254,7 +266,16 @@ pub fn fig6(samples: &[EstimationSample]) -> String {
 pub fn fig7(samples: &[EstimationSample]) -> String {
     format!(
         "Fig. 7 — efficiency estimation error (analytical vs. cycle-level simulation)\n{}",
-        estimation_table(samples, "efficiency")
+        estimation_table(
+            samples,
+            ["Estimated efficiency", "Measured (sim) efficiency"],
+            |s| {
+                let efficiency = [s.estimated_efficiency, s.simulated_efficiency]
+                    .map(|e| format!("{:.2}%", e * 100.0));
+                (efficiency, s.efficiency_error)
+            },
+            "max 3.96%, average 1.91%",
+        )
     )
 }
 
@@ -506,6 +527,26 @@ mod tests {
             assert_eq!(layers.len(), 5);
         }
         assert!(text.contains("Fig. 3"));
+    }
+
+    #[test]
+    fn fig7_shows_efficiencies_not_fps() {
+        let sample = EstimationSample {
+            network: "net".into(),
+            precision: Precision::Int8,
+            fps_error: 0.5,
+            efficiency_error: 0.25,
+            estimated_fps: 123.4,
+            simulated_fps: 98.7,
+            estimated_efficiency: 0.875,
+            simulated_efficiency: 0.7,
+        };
+        let text = fig7(&[sample]);
+        assert!(text.contains("Estimated efficiency"), "{text}");
+        assert!(text.contains("87.50%") && text.contains("70.00%"), "{text}");
+        assert!(text.contains("25.00%"), "{text}");
+        assert!(!text.contains("FPS") && !text.contains("123.4"), "{text}");
+        assert!(!text.contains("98.7"), "{text}");
     }
 
     #[test]

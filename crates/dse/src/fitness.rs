@@ -35,8 +35,11 @@ impl Default for FitnessParams {
 }
 
 /// Computes the fitness of a candidate: the priority-weighted sum of
-/// per-branch throughput (normalized by the branch batch size, so the score
-/// reflects delivered avatar frame rate) minus the variance penalty.
+/// per-branch throughput minus the variance penalty.
+///
+/// Throughput is each branch's raw Eq. 5 FPS, `batch / max(Lat_i)`, which
+/// already counts every pipeline copy: the score reflects delivered avatar
+/// frame rate, and the batch size enters only through that FPS.
 pub fn fitness_score(
     report: &AcceleratorReport,
     customization: &Customization,
@@ -119,6 +122,20 @@ mod tests {
         let first_fast = fitness_score(&report(&[100.0, 10.0]), &custom, &params);
         let second_fast = fitness_score(&report(&[10.0, 100.0]), &custom, &params);
         assert!(first_fast > second_fast);
+    }
+
+    #[test]
+    fn batch_size_enters_only_through_the_fps() {
+        let params = FitnessParams::default();
+        let single = report(&[40.0, 80.0]);
+        let mut doubled = single.clone();
+        for b in &mut doubled.branches {
+            b.batch_size = 2;
+        }
+        assert_eq!(
+            fitness_score(&single, &customization(2), &params),
+            fitness_score(&doubled, &customization(2), &params)
+        );
     }
 
     #[test]

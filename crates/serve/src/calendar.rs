@@ -152,22 +152,12 @@ impl<T> Calendar<T> {
             .map(|Reverse(entry)| entry.key.at_us)
             .min()
     }
-
-    /// Number of pending entries (including any lazily-invalidated ones
-    /// the caller has yet to discard).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_key_order_across_lanes() {
@@ -213,5 +203,46 @@ mod tests {
         calendar.push(100, LANE_DISPATCH, 3, 0, 3usize);
         let order: Vec<usize> = std::iter::from_fn(|| calendar.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1, 3, 5]);
+    }
+
+    /// A random calendar entry: a bounded key so ties on every caller field
+    /// actually occur.
+    fn entry_strategy() -> impl Strategy<Value = (u64, u8, u64, u64)> {
+        (0u64..16, 0u8..3, 0u64..4, 0u64..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The calendar pops in exact lexicographic `(at_us, lane, a, b,
+        /// seq)` order — a *total* order: entries tying on every
+        /// caller-supplied field pop in push order (the calendar-assigned
+        /// `seq` breaks the tie), so the pop sequence is a pure function of
+        /// the push sequence.
+        #[test]
+        fn calendar_pop_order_is_total_and_push_stable(
+            entries in proptest::collection::vec(entry_strategy(), 1..128),
+        ) {
+            let mut calendar: Calendar<usize> = Calendar::new();
+            for (index, &(at_us, lane, a, b)) in entries.iter().enumerate() {
+                calendar.push(at_us, lane, a, b, index);
+            }
+            let mut popped: Vec<(EventKey, usize)> = Vec::new();
+            while let Some(item) = calendar.pop() {
+                popped.push(item);
+            }
+            prop_assert_eq!(popped.len(), entries.len());
+            for pair in popped.windows(2) {
+                let (ka, &pa) = (pair[0].0, &pair[0].1);
+                let (kb, &pb) = (pair[1].0, &pair[1].1);
+                prop_assert!(ka < kb, "pop order must strictly ascend: {ka:?} !< {kb:?}");
+                // Push-order stability under full caller-field ties: the
+                // payload (the push index) ascends whenever everything but
+                // the calendar-assigned seq ties.
+                if (ka.at_us, ka.lane, ka.a, ka.b) == (kb.at_us, kb.lane, kb.a, kb.b) {
+                    prop_assert!(pa < pb, "tied entries must pop in push order");
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ impl DeadlinePolicy {
         &[DeadlinePolicy::Off, DeadlinePolicy::CullExpired]
     }
 
-    /// Policy name (used in logs and benches).
+    /// Policy name, a stable label for logs and assertion messages.
     pub fn name(&self) -> &'static str {
         match self {
             DeadlinePolicy::Off => "off",

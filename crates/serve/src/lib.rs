@@ -15,11 +15,10 @@
 //!   sessions emit one request per branch per frame, under steady, Poisson,
 //!   bursty or diurnal-ramp arrival processes, all reproducible from a
 //!   fixed seed.
-//! - **Scheduling** ([`SchedulerKind`]): four disciplines, each behind
-//!   the [`Scheduler`] trait — FIFO, priority-by-branch (visual branches
-//!   outrank the audio-like stream, with aging to bound starvation),
-//!   batch-aggregation up to the DSE-chosen batch size, and
-//!   earliest-deadline-first.
+//! - **Scheduling** ([`SchedulerKind`]): four disciplines — FIFO,
+//!   priority-by-branch (visual branches outrank the audio-like stream,
+//!   with aging to bound starvation), batch-aggregation up to the
+//!   DSE-chosen batch size, and earliest-deadline-first.
 //! - **Service model** ([`ServiceModel`]): per-branch frame times taken
 //!   from the analytical [`fcad_accel::AcceleratorReport`] or, in the
 //!   calibrated mode, from the cycle-level simulator
@@ -53,10 +52,10 @@
 //!   out while queued as a fifth terminal outcome `expired` —
 //!   `completed + dropped + lost + shed + expired == issued`.
 //!   [`DeadlinePolicy::Off`] culls nothing.
-//! - **Scale** ([`calendar::Calendar`], [`ServeSpec::workers`]): the
-//!   loop is driven by an indexed event calendar (a binary min-heap with a
-//!   total, deterministic key order) instead of per-iteration linear
-//!   scans, and under a load-oblivious balancer the spans between
+//! - **Scale** ([`ServeSpec::workers`]): the loop is driven by an
+//!   indexed event calendar (a binary min-heap with a total,
+//!   deterministic key order) instead of per-iteration linear scans, and
+//!   under a load-oblivious balancer the spans between
 //!   cross-shard events run as time windows in which every shard advances
 //!   on its own, across worker threads (or inline on the calling thread
 //!   at one worker) with an exact-merge reduction — byte-identical to the
@@ -121,7 +120,7 @@
 
 mod admission;
 mod autoscale;
-pub mod calendar;
+mod calendar;
 mod cast;
 mod deadline;
 mod engine;
@@ -147,9 +146,7 @@ pub use qos::{ClassMix, QosClass, CLASS_COUNT};
 pub use report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 pub use request::Request;
 pub use scenario::{ArrivalPattern, Scenario};
-pub use scheduler::{
-    BatchScheduler, DeadlineScheduler, FifoScheduler, PriorityScheduler, Scheduler, SchedulerKind,
-};
+pub use scheduler::SchedulerKind;
 pub use window::{simulate_windowed, simulate_windowed_traced, WindowPlan};
 
 // The single-line JSON writer the report renders with.

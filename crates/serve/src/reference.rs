@@ -4,7 +4,7 @@
 //! calendar, pre-resolved service costs, parallel shard execution). This
 //! module keeps the *previous* event loop alive, verbatim: the linear
 //! event scan over shards and the per-arrival `batch_service_us` calls.
-//! It runs the live schedulers, built through [`SchedulerKind::build`],
+//! It runs the live schedulers, built through `SchedulerKind::build`,
 //! so what it pins is the event loop around them. It exists for one
 //! purpose — the equivalence battery in `tests/engine_equivalence.rs`
 //! asserts that for every scheduler × balancer × scenario grid cell the

@@ -200,7 +200,7 @@ impl Scenario {
     }
 
     /// The standard four-scenario suite (`a1`, `a2` with 5 sessions, `b1`,
-    /// `b2`) run by the example and the serving bench.
+    /// `b2`) run by the example and `reproduce --serve`.
     pub fn suite() -> Vec<Scenario> {
         vec![Self::a1(), Self::a2(5), Self::b1(), Self::b2()]
     }

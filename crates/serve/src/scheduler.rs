@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 /// `Send` is a supertrait because the parallel engines move live shards —
 /// scheduler included — onto scoped worker threads; every discipline is
 /// plain data, so the bound costs nothing.
-pub trait Scheduler: Send {
+pub(crate) trait Scheduler: Send {
     /// Discipline name (used in reports).
     fn name(&self) -> &'static str;
 
@@ -79,7 +79,7 @@ impl SchedulerKind {
     }
 
     /// Instantiates the discipline.
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    pub(crate) fn build(&self) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
             SchedulerKind::PriorityByBranch => Box::new(PriorityScheduler::new()),
@@ -92,7 +92,7 @@ impl SchedulerKind {
 /// Strict FIFO: one global queue, one request per dispatch (every dispatch
 /// pays the full pipeline-fill overhead).
 #[derive(Debug, Default)]
-pub struct FifoScheduler {
+pub(crate) struct FifoScheduler {
     queue: VecDeque<Request>,
 }
 
@@ -183,7 +183,7 @@ impl ClassLanes {
 /// lanes. An exact score tie goes to the lowest branch, then to the
 /// lowest class index.
 #[derive(Debug, Default)]
-pub struct PriorityScheduler {
+pub(crate) struct PriorityScheduler {
     lanes: ClassLanes,
 }
 
@@ -229,7 +229,7 @@ impl Scheduler for PriorityScheduler {
 /// once per batch. Heads that arrived at the same instant go to the
 /// lowest branch.
 #[derive(Debug, Default)]
-pub struct BatchScheduler {
+pub(crate) struct BatchScheduler {
     queues: Vec<VecDeque<Request>>,
     queued: usize,
 }
@@ -286,7 +286,7 @@ impl Scheduler for BatchScheduler {
 /// to come sooner (its budget is 20× longer, so in practice it rarely
 /// does).
 #[derive(Debug, Default)]
-pub struct DeadlineScheduler {
+pub(crate) struct DeadlineScheduler {
     lanes: ClassLanes,
 }
 

@@ -45,11 +45,9 @@ fn noop_policy_is_bit_identical_to_the_fixed_fleet_everywhere() {
                     assert_eq!(
                         fixed,
                         noop,
-                        "{} / {} / {} / {} shards: no-op autoscaler diverged from the fixed fleet",
+                        "{} / {} / {kind:?} / {shards} shards: no-op autoscaler diverged from the fixed fleet",
                         scenario.name,
                         balancer.name(),
-                        kind.build().name(),
-                        shards
                     );
                 }
             }
@@ -73,9 +71,8 @@ fn every_request_is_accounted_for_under_failure() {
             let report = serve(&config, &scenario, &spec, &mut Off);
             assert!(
                 report.conserves_requests(),
-                "{} / {}: {} completed + {} dropped + {} lost != {} issued",
+                "{} / {kind:?}: {} completed + {} dropped + {} lost != {} issued",
                 balancer.name(),
-                kind.build().name(),
                 report.completed,
                 report.dropped,
                 report.lost,
@@ -86,9 +83,8 @@ fn every_request_is_accounted_for_under_failure() {
             // non-empty: its sessions went *somewhere* (re-placed or lost).
             assert!(
                 report.replaced + report.lost > 0,
-                "{} / {}: the mid-burst kill orphaned nothing",
+                "{} / {kind:?}: the mid-burst kill orphaned nothing",
                 balancer.name(),
-                kind.build().name()
             );
             // availability + drop rate + loss rate partition the issued
             // requests.

@@ -14,8 +14,9 @@
 //! twin, so the coupled grid also pins the windows-disabled driver's
 //! reports to digests recorded before the sequential `run()` loop was
 //! deleted. The full coupled grid is `#[ignore]`d, with a strided
-//! sample of every regime in its place in the default run; CI runs it in
-//! release mode with `--include-ignored`.
+//! sample of every regime in its place in the default run, and so are the
+//! 64- and 256-shard cells; CI runs both in release mode with
+//! `--include-ignored`.
 
 mod common;
 
@@ -100,6 +101,101 @@ fn parallel_engine_matches_the_reference_at_every_worker_count() {
             }
         }
     }
+}
+
+/// The frozen reference against `serve` at one worker and the windowed
+/// engine at 8 workers on a static fleet under `BatchAggregating`.
+fn assert_static_cell_matches_the_reference(config: &FleetConfig, scenario: &Scenario) {
+    let kind = SchedulerKind::BatchAggregating;
+    let frozen = reference::simulate_fleet(config, scenario, kind).to_json_line();
+    let rebuilt = serve(config, scenario, &spec_for(kind), &mut Off);
+    assert_eq!(frozen, rebuilt.to_json_line(), "serve: {}", scenario.name);
+    let parallel = simulate_windowed(
+        config,
+        scenario,
+        kind,
+        &Autoscaler::none(),
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::Off,
+        &WindowPlan::new(8),
+    );
+    assert_eq!(
+        frozen,
+        parallel.to_json_line(),
+        "windowed8: {}",
+        scenario.name
+    );
+}
+
+/// Fleet-scale cells on round-robin fleets: the fleet suite and the QoS
+/// burst under EDF on 64 shards, where the reference's per-event shard
+/// scans dominate, and a 100k-session metropolis on 256 shards, static
+/// and coupled (192 → 256 shards under queue pressure, then windows).
+#[test]
+#[ignore = "64- and 256-shard runs of the frozen reference, slow in debug; run in release with --include-ignored"]
+fn fleet_scale_cells_match_the_reference() {
+    let config = fleet(64, LoadBalancerKind::RoundRobin);
+    for scenario in Scenario::fleet_suite(64) {
+        assert_static_cell_matches_the_reference(&config, &scenario);
+    }
+
+    // Culling off is the reference's loop; culling on has no reference
+    // twin, so it must conserve requests.
+    let qos = Scenario::b2_qos();
+    let edf = spec_for(SchedulerKind::Deadline);
+    let frozen = reference::simulate_fleet(&config, &qos, SchedulerKind::Deadline);
+    let off = serve(&config, &qos, &edf, &mut Off);
+    assert_eq!(
+        frozen.to_json_line(),
+        off.to_json_line(),
+        "EDF, culling off"
+    );
+    let cull = ServeSpec {
+        deadline: DeadlinePolicy::CullExpired,
+        ..edf
+    };
+    assert!(serve(&config, &qos, &cull, &mut Off).conserves_requests());
+
+    let metropolis = Scenario::metropolis().with_sessions(100_000);
+    assert_static_cell_matches_the_reference(
+        &fleet(256, LoadBalancerKind::RoundRobin),
+        &metropolis,
+    );
+
+    let kind = SchedulerKind::BatchAggregating;
+    let policy = Autoscaler::reactive(192, 256)
+        .with_cooldown_us(0)
+        .with_idle_retire_us(0);
+    let config = fleet(192, LoadBalancerKind::RoundRobin);
+    let frozen = reference::simulate_autoscaled_qos(
+        &config,
+        &metropolis,
+        kind,
+        &policy,
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+    )
+    .to_json_line();
+    let spec = ServeSpec {
+        autoscaler: policy.clone(),
+        ..spec_for(kind)
+    };
+    let rebuilt = serve(&config, &metropolis, &spec, &mut Off);
+    assert_eq!(frozen, rebuilt.to_json_line(), "autoscaled serve");
+    let sequential = serve_sequential(&config, &metropolis, &spec, &mut Off);
+    assert_eq!(frozen, sequential.to_json_line(), "autoscaled driver");
+    let windowed = simulate_windowed(
+        &config,
+        &metropolis,
+        kind,
+        &policy,
+        &FailurePlan::none(),
+        AdmissionKind::AdmitAll,
+        DeadlinePolicy::Off,
+        &WindowPlan::new(8).with_window_us(400_000),
+    );
+    assert_eq!(frozen, windowed.to_json_line(), "autoscaled windowed8");
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Property tests for the engine rebuild's two load-bearing mechanisms:
-//! the indexed event calendar's total, push-stable pop order, and the
-//! windowed engine's worker-count invariance on random seeds.
+//! Property tests for the windowed engine's worker-count invariance on
+//! random seeds: static fleets against the frozen reference, coupled
+//! fleets against the windows-disabled driver. The event calendar's
+//! pop-order property lives with the calendar, in its unit tests.
 
 mod common;
 
-use common::{serve_sequential, three_branch_model};
-use fcad_serve::calendar::{Calendar, EventKey};
+use common::{scheduler_strategy, serve_sequential, three_branch_model};
 use fcad_serve::{
     reference, simulate_windowed, AdmissionKind, ArrivalPattern, Autoscaler, ClassMix,
     DeadlinePolicy, FailurePlan, FleetConfig, LoadBalancerKind, Off, Scenario, SchedulerKind,
@@ -13,45 +13,8 @@ use fcad_serve::{
 };
 use proptest::prelude::*;
 
-/// A random calendar entry: a bounded key so ties on every caller field
-/// actually occur.
-fn entry_strategy() -> impl Strategy<Value = (u64, u8, u64, u64)> {
-    (0u64..16, 0u8..3, 0u64..4, 0u64..4)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The calendar pops in exact lexicographic `(at_us, lane, a, b, seq)`
-    /// order — a *total* order: entries tying on every caller-supplied
-    /// field pop in push order (the calendar-assigned `seq` breaks the
-    /// tie), so the pop sequence is a pure function of the push sequence.
-    #[test]
-    fn calendar_pop_order_is_total_and_push_stable(
-        entries in proptest::collection::vec(entry_strategy(), 1..128),
-    ) {
-        let mut calendar: Calendar<usize> = Calendar::new();
-        for (index, &(at_us, lane, a, b)) in entries.iter().enumerate() {
-            calendar.push(at_us, lane, a, b, index);
-        }
-        prop_assert_eq!(calendar.len(), entries.len());
-        let mut popped: Vec<(EventKey, usize)> = Vec::new();
-        while let Some(item) = calendar.pop() {
-            popped.push(item);
-        }
-        prop_assert_eq!(popped.len(), entries.len());
-        for pair in popped.windows(2) {
-            let (ka, &pa) = (pair[0].0, &pair[0].1);
-            let (kb, &pb) = (pair[1].0, &pair[1].1);
-            prop_assert!(ka < kb, "pop order must strictly ascend: {ka:?} !< {kb:?}");
-            // Push-order stability under full caller-field ties: the
-            // payload (the push index) ascends whenever everything but
-            // the calendar-assigned seq ties.
-            if (ka.at_us, ka.lane, ka.a, ka.b) == (kb.at_us, kb.lane, kb.a, kb.b) {
-                prop_assert!(pa < pb, "tied entries must pop in push order");
-            }
-        }
-    }
 
     /// A static fleet is worker-count invariant: 1, 2, 4 and 8 workers
     /// produce the byte-identical report of the frozen reference for
@@ -61,11 +24,10 @@ proptest! {
         seed in 0u64..10_000,
         sessions in 1usize..12,
         capacity in 4usize..96,
-        kind_sel in 0usize..3,
+        kind in scheduler_strategy(),
         branch_sharded in 0usize..2,
         mixed_classes in 0usize..2,
     ) {
-        let kind = SchedulerKind::all()[kind_sel];
         let mut scenario = Scenario::b2()
             .with_seed(seed)
             .with_sessions(sessions);

@@ -24,11 +24,9 @@ fn one_shard_fleet_is_bit_identical_to_the_single_device_engine() {
             let fleet =
                 reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
             assert_eq!(
-                single,
-                fleet,
-                "{} / {}: one-shard fleet diverged from the single device",
+                single, fleet,
+                "{} / {kind:?}: one-shard fleet diverged from the single device",
                 scenario.name,
-                kind.build().name()
             );
         }
     }
@@ -49,9 +47,8 @@ fn every_balancer_degenerates_to_the_single_device_on_one_shard() {
                 assert_eq!(
                     single,
                     fleet,
-                    "{} / {} / {}: balancer must be a no-op on one shard",
+                    "{} / {kind:?} / {}: balancer must be a no-op on one shard",
                     scenario.name,
-                    kind.build().name(),
                     balancer.name()
                 );
             }

@@ -99,8 +99,7 @@ fn least_loaded_beats_round_robin_p99_on_a_mixed_generation_fleet() {
             );
             assert!(
                 least_loaded.latency.p99_ms < round_robin.latency.p99_ms,
-                "{shards} shards / {}: least-loaded p99 {} !< round-robin p99 {}",
-                kind.build().name(),
+                "{shards} shards / {kind:?}: least-loaded p99 {} !< round-robin p99 {}",
                 least_loaded.latency.p99_ms,
                 round_robin.latency.p99_ms
             );
