@@ -19,16 +19,16 @@
 //! # Example
 //!
 //! ```
-//! use fcad_accel::{ConvStage, Parallelism, Platform, UnitModel};
+//! use fcad_accel::{ConvStage, CostModel, Parallelism, Platform, UnitCost};
 //! use fcad_nnir::Precision;
 //!
 //! // A 16->16 channel 3x3 convolution on a 512x512 map (branch-2 "Conv7").
 //! let stage = ConvStage::synthetic("conv7", 16, 16, 512, 512, 3, 1);
-//! let unit = UnitModel::new(&stage, Parallelism::new(16, 16, 4), Precision::Int8);
+//! let p = Parallelism::new(16, 16, 4);
+//! let unit = UnitCost::of(&stage, p, Precision::Int8, &CostModel::default());
 //! let platform = Platform::zu9cg();
-//! let cycles = unit.latency_cycles();
-//! assert!(cycles > 0);
-//! assert!(unit.dsp() <= platform.budget().dsp);
+//! assert!(unit.latency_cycles > 0);
+//! assert!(unit.dsp <= platform.budget().dsp);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +52,7 @@ pub use parallelism::{LaneTable, Parallelism};
 pub use pipeline::{BranchPipeline, BranchReport, StageEvaluation};
 pub use platform::{Platform, PlatformKind, ResourceBudget, ResourceUsage};
 pub use stage::ConvStage;
-pub use unit::{UnitCost, UnitModel};
+pub use unit::UnitCost;
 
 /// Computes hardware efficiency following Eq. 3 of the paper.
 ///

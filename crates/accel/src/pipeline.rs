@@ -8,7 +8,7 @@ use crate::error::{Error, Result};
 use crate::parallelism::Parallelism;
 use crate::platform::ResourceUsage;
 use crate::stage::ConvStage;
-use crate::unit::UnitModel;
+use crate::unit::UnitCost;
 use fcad_nnir::Precision;
 use serde::{Deserialize, Serialize};
 
@@ -127,17 +127,27 @@ impl BranchPipeline {
                 ),
             });
         }
-        let units: Vec<UnitModel> = self
+        let stages: Vec<StageEvaluation> = self
             .stages
             .iter()
             .zip(&config.stages)
-            .map(|(stage, cfg)| UnitModel::with_cost_model(stage, cfg.parallelism, precision, cost))
+            .map(|(stage, cfg)| {
+                let unit = UnitCost::of(stage, cfg.parallelism, precision, cost);
+                StageEvaluation {
+                    name: stage.name.clone(),
+                    parallelism: cfg.parallelism.clamped_to(stage),
+                    latency_cycles: unit.latency_cycles,
+                    dsp: unit.dsp,
+                    bram: unit.bram,
+                    weight_bytes_per_frame: unit.weight_bytes_per_frame,
+                }
+            })
             .collect();
 
-        let (critical_index, critical_latency) = units
+        let (critical_index, critical_latency) = stages
             .iter()
             .enumerate()
-            .map(|(i, u)| (i, u.latency_cycles()))
+            .map(|(i, s)| (i, s.latency_cycles))
             .max_by_key(|(_, lat)| *lat)
             .unwrap_or((0, 1));
 
@@ -149,9 +159,9 @@ impl BranchPipeline {
             config.batch_size as f64 * frequency_hz / critical_latency as f64
         };
 
-        let dsp: usize = units.iter().map(UnitModel::dsp).sum::<usize>() * config.batch_size;
-        let bram: usize = units.iter().map(UnitModel::bram).sum::<usize>() * config.batch_size;
-        let weight_bytes: u64 = units.iter().map(UnitModel::weight_bytes_per_frame).sum();
+        let dsp: usize = stages.iter().map(|s| s.dsp).sum::<usize>() * config.batch_size;
+        let bram: usize = stages.iter().map(|s| s.bram).sum::<usize>() * config.batch_size;
+        let weight_bytes: u64 = stages.iter().map(|s| s.weight_bytes_per_frame).sum();
         // `fps` already counts the frames produced by all copies, and each
         // frame requires one pass of the weights.
         let bandwidth = weight_bytes as f64 * fps / cost.dram_efficiency.max(1e-6);
@@ -163,18 +173,6 @@ impl BranchPipeline {
             precision.ops_per_multiplier(),
             frequency_hz,
         );
-
-        let stages = units
-            .iter()
-            .map(|u| StageEvaluation {
-                name: u.stage_name().to_owned(),
-                parallelism: u.parallelism(),
-                latency_cycles: u.latency_cycles(),
-                dsp: u.dsp(),
-                bram: u.bram(),
-                weight_bytes_per_frame: u.weight_bytes_per_frame(),
-            })
-            .collect();
 
         Ok(BranchReport {
             name: self.name.clone(),
@@ -253,7 +251,11 @@ mod tests {
         assert!((double.fps / single.fps - 2.0).abs() < 1e-9);
         assert_eq!(double.usage.dsp, 2 * single.usage.dsp);
         assert_eq!(double.usage.bram, 2 * single.usage.bram);
-        assert!(double.usage.bandwidth_bytes_per_sec > single.usage.bandwidth_bytes_per_sec);
+        // Every frame streams the weights once, so twice the frames need
+        // twice the bandwidth.
+        let bandwidth_ratio =
+            double.usage.bandwidth_bytes_per_sec / single.usage.bandwidth_bytes_per_sec;
+        assert!((bandwidth_ratio - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -205,18 +205,6 @@ impl Platform {
     pub fn frequency_mhz(&self) -> f64 {
         self.frequency_hz / 1e6
     }
-
-    /// Returns a copy of this platform with a different clock frequency.
-    pub fn with_frequency_mhz(mut self, frequency_mhz: f64) -> Self {
-        self.frequency_hz = frequency_mhz * 1e6;
-        self
-    }
-
-    /// Returns a copy of this platform with a different resource budget.
-    pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
-        self.budget = budget;
-        self
-    }
 }
 
 impl fmt::Display for Platform {

@@ -3,15 +3,20 @@
 
 use crate::cost::CostModel;
 use crate::parallelism::Parallelism;
-use crate::platform::ResourceUsage;
 use crate::stage::ConvStage;
 use fcad_nnir::Precision;
 use serde::{Deserialize, Serialize};
 
-/// Latency and resources of one basic architecture unit: the Eq. 4, DSP
-/// and BRAM formulas of Sec. V-B/C, written once. [`UnitModel`] wraps it
-/// with the stage's identity; the DSE's in-branch search evaluates it
-/// directly, since it is `Copy` and builds without allocating.
+/// Latency and resources of one basic architecture unit (Sec. V-B/C): the
+/// Eq. 4, DSP and BRAM formulas, written once.
+///
+/// A unit executes one fused Conv-like stage with `cpf × kpf × h` MAC lanes,
+/// an input line buffer, a double-buffered weight tile buffer and a port to
+/// external memory for streaming weights. [`UnitCost::of`] answers how long
+/// the stage takes (Eq. 4), how many DSPs and BRAMs it occupies and how many
+/// weight bytes it streams per frame. Branch pipelines, the DSE, the
+/// cycle-level simulator and the DNNBuilder baseline all cost their stages
+/// through it; it is `Copy` and builds without allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UnitCost {
     /// Stage latency in cycles for one input (Eq. 4 without the frequency
@@ -70,165 +75,79 @@ impl UnitCost {
     }
 }
 
-/// Analytical model of one basic architecture unit (Sec. V-B/C).
-///
-/// A unit executes one fused Conv-like stage with `cpf × kpf × h` MAC lanes,
-/// an input line buffer, a double-buffered weight tile buffer and a port to
-/// external memory for streaming weights. The model answers three questions:
-/// how long does the stage take (Eq. 4), how many DSPs / BRAMs does it
-/// occupy, and how much external bandwidth does it need to sustain its
-/// throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UnitModel {
-    stage_name: String,
-    parallelism: Parallelism,
-    precision: Precision,
-    cost: UnitCost,
-    macs: u64,
-    ops: u64,
-}
-
-impl UnitModel {
-    /// Builds the model for `stage` under `parallelism` (clamped to the
-    /// stage's limits) using the default FPGA cost model.
-    pub fn new(stage: &ConvStage, parallelism: Parallelism, precision: Precision) -> Self {
-        Self::with_cost_model(stage, parallelism, precision, &CostModel::default())
-    }
-
-    /// Builds the model with an explicit [`CostModel`].
-    pub fn with_cost_model(
-        stage: &ConvStage,
-        parallelism: Parallelism,
-        precision: Precision,
-        cost: &CostModel,
-    ) -> Self {
-        Self {
-            stage_name: stage.name.clone(),
-            parallelism: parallelism.clamped_to(stage),
-            precision,
-            cost: UnitCost::of(stage, parallelism, precision, cost),
-            macs: stage.macs,
-            ops: stage.ops,
-        }
-    }
-
-    /// Name of the stage this unit executes.
-    pub fn stage_name(&self) -> &str {
-        &self.stage_name
-    }
-
-    /// The (clamped) parallelism configuration of the unit.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Numeric precision of the unit.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Stage latency in cycles for one input (Eq. 4 without the frequency
-    /// term).
-    pub fn latency_cycles(&self) -> u64 {
-        self.cost.latency_cycles
-    }
-
-    /// Stage latency in seconds at `frequency_hz`.
-    pub fn latency_seconds(&self, frequency_hz: f64) -> f64 {
-        self.cost.latency_cycles as f64 / frequency_hz
-    }
-
-    /// DSP slices (or ASIC MAC units) occupied by the unit.
-    pub fn dsp(&self) -> usize {
-        self.cost.dsp
-    }
-
-    /// On-chip memory blocks occupied by the unit.
-    pub fn bram(&self) -> usize {
-        self.cost.bram
-    }
-
-    /// Bytes of weights streamed from external memory per frame.
-    pub fn weight_bytes_per_frame(&self) -> u64 {
-        self.cost.weight_bytes_per_frame
-    }
-
-    /// Operations executed per frame (including fused epilogue work).
-    pub fn ops_per_frame(&self) -> u64 {
-        self.ops
-    }
-
-    /// MACs executed per frame.
-    pub fn macs_per_frame(&self) -> u64 {
-        self.macs
-    }
-
-    /// External bandwidth (bytes/s) needed to stream this stage's weights at
-    /// `fps` frames per second, after derating by the DRAM efficiency of the
-    /// cost model.
-    pub fn bandwidth_bytes_per_sec(&self, fps: f64, cost: &CostModel) -> f64 {
-        self.cost.weight_bytes_per_frame as f64 * fps / cost.dram_efficiency.max(1e-6)
-    }
-
-    /// Resource usage of this unit at a given frame rate.
-    pub fn resource_usage(&self, fps: f64, cost: &CostModel) -> ResourceUsage {
-        ResourceUsage {
-            dsp: self.cost.dsp,
-            bram: self.cost.bram,
-            bandwidth_bytes_per_sec: self.bandwidth_bytes_per_sec(fps, cost),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{BranchConfig, StageConfig};
+    use crate::pipeline::{BranchPipeline, BranchReport};
 
     fn conv7() -> ConvStage {
         // Branch-2 "Conv7": 16 -> 16 channels, 3x3, 512x512 output.
         ConvStage::synthetic("conv7", 16, 16, 512, 512, 3, 1)
     }
 
+    fn int8(stage: &ConvStage, parallelism: Parallelism) -> UnitCost {
+        UnitCost::of(stage, parallelism, Precision::Int8, &CostModel::default())
+    }
+
+    /// Evaluates a one-stage, one-copy INT8 pipeline around `stage`.
+    fn alone(stage: &ConvStage, parallelism: Parallelism, frequency_hz: f64) -> BranchReport {
+        BranchPipeline::new("alone", vec![stage.clone()])
+            .evaluate(
+                &BranchConfig::new(1, vec![StageConfig::new(parallelism)]),
+                Precision::Int8,
+                frequency_hz,
+                &CostModel::default(),
+            )
+            .expect("one configuration per stage")
+    }
+
     #[test]
     fn latency_follows_eq4() {
         let stage = conv7();
-        let unit = UnitModel::new(&stage, Parallelism::new(16, 16, 1), Precision::Int8);
+        let unit = int8(&stage, Parallelism::new(16, 16, 1));
         let expected = 16u64 * 16 * 9 * 512 * 512 / (16 * 16);
-        assert_eq!(unit.latency_cycles(), expected);
+        assert_eq!(unit.latency_cycles, expected);
         // Doubling the H-partition halves the latency.
-        let unit2 = UnitModel::new(&stage, Parallelism::new(16, 16, 2), Precision::Int8);
-        assert_eq!(unit2.latency_cycles(), expected / 2);
+        let unit2 = int8(&stage, Parallelism::new(16, 16, 2));
+        assert_eq!(unit2.latency_cycles, expected / 2);
     }
 
     #[test]
     fn dsp_packing_depends_on_precision() {
         let stage = conv7();
         let p = Parallelism::new(16, 16, 2);
-        let int8 = UnitModel::new(&stage, p, Precision::Int8);
-        let int16 = UnitModel::new(&stage, p, Precision::Int16);
-        assert_eq!(int8.dsp(), 256);
-        assert_eq!(int16.dsp(), 512);
+        let cost = CostModel::default();
+        assert_eq!(UnitCost::of(&stage, p, Precision::Int8, &cost).dsp, 256);
+        assert_eq!(UnitCost::of(&stage, p, Precision::Int16, &cost).dsp, 512);
     }
 
     #[test]
     fn oversized_parallelism_is_clamped() {
         let stage = ConvStage::synthetic("small", 4, 4, 8, 8, 3, 1);
-        let unit = UnitModel::new(&stage, Parallelism::new(64, 64, 64), Precision::Int8);
-        assert_eq!(unit.parallelism(), Parallelism::new(4, 4, 8));
+        let oversized = Parallelism::new(64, 64, 64);
+        let max = Parallelism::new(4, 4, 8);
+        assert_eq!(oversized.clamped_to(&stage), max);
+        assert_eq!(int8(&stage, oversized), int8(&stage, max));
     }
 
     #[test]
     fn unit_cost_clamps_and_matches_the_model() {
+        // A pipeline stage under an oversized configuration reports the
+        // clamped parallelism and exactly the unit cost of the stage maximum.
         let stage = ConvStage::synthetic("small", 4, 4, 8, 8, 3, 1);
-        let cost = CostModel::default();
-        let oversized = UnitCost::of(&stage, Parallelism::new(64, 64, 64), Precision::Int8, &cost);
-        let max = UnitCost::of(&stage, Parallelism::new(4, 4, 8), Precision::Int8, &cost);
-        assert_eq!(oversized, max);
-        let unit = UnitModel::new(&stage, Parallelism::new(64, 64, 64), Precision::Int8);
-        assert_eq!(unit.latency_cycles(), max.latency_cycles);
-        assert_eq!(unit.dsp(), max.dsp);
-        assert_eq!(unit.bram(), max.bram);
-        assert_eq!(unit.weight_bytes_per_frame(), max.weight_bytes_per_frame);
+        let max = Parallelism::new(4, 4, 8);
+        let unit = int8(&stage, max);
+        let report = alone(&stage, Parallelism::new(64, 64, 64), 200e6);
+        let evaluated = &report.stages[0];
+        assert_eq!(evaluated.parallelism, max);
+        assert_eq!(evaluated.latency_cycles, unit.latency_cycles);
+        assert_eq!(evaluated.dsp, unit.dsp);
+        assert_eq!(evaluated.bram, unit.bram);
+        assert_eq!(
+            evaluated.weight_bytes_per_frame,
+            unit.weight_bytes_per_frame
+        );
     }
 
     #[test]
@@ -236,33 +155,41 @@ mod tests {
         let narrow = ConvStage::synthetic("narrow", 16, 16, 64, 64, 3, 1);
         let wide = ConvStage::synthetic("wide", 16, 16, 64, 1024, 3, 1);
         let p = Parallelism::new(4, 4, 1);
-        let narrow_unit = UnitModel::new(&narrow, p, Precision::Int8);
-        let wide_unit = UnitModel::new(&wide, p, Precision::Int8);
-        assert!(wide_unit.bram() > narrow_unit.bram());
+        let narrow_unit = int8(&narrow, p);
+        assert!(int8(&wide, p).bram > narrow_unit.bram);
 
-        let more_parallel = UnitModel::new(&narrow, Parallelism::new(16, 16, 8), Precision::Int8);
-        assert!(more_parallel.bram() >= narrow_unit.bram());
+        let more_parallel = int8(&narrow, Parallelism::new(16, 16, 8));
+        assert!(more_parallel.bram >= narrow_unit.bram);
     }
 
     #[test]
     fn bandwidth_scales_with_fps() {
+        // A unit streams its weights once per frame: its bandwidth is the
+        // weight bytes times the frame rate, derated by the DRAM efficiency,
+        // so twice the clock gives twice the frames and twice the traffic.
         let stage = conv7();
-        let unit = UnitModel::new(&stage, Parallelism::new(16, 16, 1), Precision::Int8);
-        let cost = CostModel::default();
-        let bw30 = unit.bandwidth_bytes_per_sec(30.0, &cost);
-        let bw60 = unit.bandwidth_bytes_per_sec(60.0, &cost);
-        assert!((bw60 / bw30 - 2.0).abs() < 1e-9);
+        let p = Parallelism::new(16, 16, 1);
+        let weight_bytes = int8(&stage, p).weight_bytes_per_frame as f64;
+        let dram_efficiency = CostModel::default().dram_efficiency;
+        let at100 = alone(&stage, p, 100e6);
+        let at200 = alone(&stage, p, 200e6);
+        assert!((at200.fps / at100.fps - 2.0).abs() < 1e-9);
+        for report in [&at100, &at200] {
+            let expected = weight_bytes * report.fps / dram_efficiency;
+            assert!((report.usage.bandwidth_bytes_per_sec / expected - 1.0).abs() < 1e-12);
+        }
+        let ratio = at200.usage.bandwidth_bytes_per_sec / at100.usage.bandwidth_bytes_per_sec;
+        assert!((ratio - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn sixteen_bit_weights_double_the_streaming_traffic() {
         let stage = conv7();
         let p = Parallelism::new(16, 16, 1);
-        let int8 = UnitModel::new(&stage, p, Precision::Int8);
-        let int16 = UnitModel::new(&stage, p, Precision::Int16);
+        let cost = CostModel::default();
         assert_eq!(
-            int16.weight_bytes_per_frame(),
-            2 * int8.weight_bytes_per_frame()
+            UnitCost::of(&stage, p, Precision::Int16, &cost).weight_bytes_per_frame,
+            2 * UnitCost::of(&stage, p, Precision::Int8, &cost).weight_bytes_per_frame
         );
     }
 }

@@ -2,7 +2,7 @@
 //! parallelism.
 
 use crate::result::{BaselineResult, LayerLatency};
-use fcad_accel::{efficiency, ConvStage, CostModel, Parallelism, Platform, UnitModel};
+use fcad_accel::{efficiency, ConvStage, CostModel, Parallelism, Platform, UnitCost};
 use fcad_nnir::{Network, Precision};
 use fcad_profiler::NetworkProfile;
 
@@ -66,13 +66,13 @@ impl DnnBuilder {
         let mut max_latency = 1u64;
         for (stage, &stage_lanes) in stages.iter().zip(&lanes) {
             let parallelism = two_level_parallelism(stage, stage_lanes);
-            let unit = UnitModel::with_cost_model(stage, parallelism, self.precision, &self.cost);
-            dsp += unit.dsp();
-            bram += unit.bram();
-            max_latency = max_latency.max(unit.latency_cycles());
+            let unit = UnitCost::of(stage, parallelism, self.precision, &self.cost);
+            dsp += unit.dsp;
+            bram += unit.bram;
+            max_latency = max_latency.max(unit.latency_cycles);
             layer_latencies.push(LayerLatency {
                 name: stage.name.clone(),
-                cycles: unit.latency_cycles(),
+                cycles: unit.latency_cycles,
                 lanes: parallelism.total(),
                 at_parallelism_cap: parallelism.total() >= stage.channel_parallelism_limit(),
             });

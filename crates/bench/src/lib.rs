@@ -453,18 +453,10 @@ pub fn convergence(runs: usize, full: bool) -> String {
     )
 }
 
-/// Machine-readable run summary: one F-CAD case (ZU17EG, 8-bit) plus the
-/// four-scenario serving suite, rendered as a single JSON line — the
+/// Machine-readable run summary of an already-optimized F-CAD case plus
+/// the four-scenario serving suite, rendered as a single JSON line — the
 /// machine-readable-output idiom of the WIND bench harness (`reproduce`
-/// prints this as its final line).
-pub fn summary(full: bool) -> String {
-    let platform = Platform::zu17eg();
-    summary_of(&run_case(&platform, Precision::Int8, full), &platform)
-}
-
-/// [`summary`] over an already-optimized design, so callers that ran the
-/// case for other output (e.g. `reproduce --serve`) don't pay for the DSE
-/// twice.
+/// prints this as its final line, for the ZU17EG 8-bit case).
 pub fn summary_of(result: &FcadResult, platform: &Platform) -> String {
     use fcad_serve::json::{array, JsonObject};
     use fcad_serve::{Off, Scenario, ServeSpec};

@@ -67,7 +67,7 @@ pub use validate::{BranchValidation, ValidationReport};
 pub use fcad_dse::{Customization, DseParams, DseResult, ElapsedTimer};
 pub use fcad_serve::{
     chrome_trace, serve, validate_json, AdmissionKind, Autoscaler, ClassMix, ClassServeStats,
-    FailurePlan, FleetConfig, FlightRecorder, LoadBalancerKind, Off, QosClass, Recorder,
-    ScaleEvent, ScaleEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel,
-    ShardState, ShardStats, TraceSink, Windowed,
+    FailurePlan, FleetConfig, FleetEvent, FleetEventKind, FlightRecorder, LoadBalancerKind, Off,
+    QosClass, Recorder, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel, ShardState,
+    ShardStats, TraceSink, Windowed,
 };

@@ -159,7 +159,7 @@ mod tests {
             failed
                 .scale_events
                 .iter()
-                .any(|e| e.kind == fcad_serve::ScaleEventKind::Fail),
+                .any(|e| e.kind == fcad_serve::FleetEventKind::Fail),
             "the scheduled kill must fire"
         );
         assert!(failed.replaced + failed.lost > 0 || failed.shards[1].issued == 0);

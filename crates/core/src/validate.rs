@@ -82,22 +82,12 @@ impl ValidationReport {
             .fold(0.0, f64::max)
     }
 
-    /// Average relative FPS error across branches.
-    pub fn mean_fps_error(&self) -> f64 {
-        mean(self.branches.iter().map(BranchValidation::fps_error))
-    }
-
     /// Maximum relative efficiency error across branches.
     pub fn max_efficiency_error(&self) -> f64 {
         self.branches
             .iter()
             .map(BranchValidation::efficiency_error)
             .fold(0.0, f64::max)
-    }
-
-    /// Average relative efficiency error across branches.
-    pub fn mean_efficiency_error(&self) -> f64 {
-        mean(self.branches.iter().map(BranchValidation::efficiency_error))
     }
 }
 
@@ -106,15 +96,6 @@ fn relative_error(estimated: f64, reference: f64) -> f64 {
         0.0
     } else {
         ((estimated - reference) / reference).abs()
-    }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let collected: Vec<f64> = values.collect();
-    if collected.is_empty() {
-        0.0
-    } else {
-        collected.iter().sum::<f64>() / collected.len() as f64
     }
 }
 
@@ -177,7 +158,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.branches.len(), 3);
-        assert!(report.mean_fps_error() <= report.max_fps_error());
         for b in &report.branches {
             assert!(b.estimated_fps >= b.simulated_fps * 0.99);
         }

@@ -10,7 +10,7 @@
 
 use crate::memory::MemoryModel;
 use crate::result::StageSim;
-use fcad_accel::{ConvStage, Parallelism, UnitModel};
+use fcad_accel::{ConvStage, CostModel, Parallelism, UnitCost};
 use fcad_nnir::Precision;
 
 /// Fixed control overhead charged per row pass (loop prologue/epilogue of
@@ -61,7 +61,7 @@ impl StageTiming {
         } else {
             (stage.in_height * (p.h - 1) / p.h + stage.kernel).min(stage.in_height)
         };
-        let unit = UnitModel::new(stage, p, precision);
+        let unit = UnitCost::of(stage, p, precision, &CostModel::default());
         Self {
             name: stage.name.clone(),
             passes,
@@ -69,7 +69,7 @@ impl StageTiming {
             input_rows_needed_to_start,
             output_rows_total: stage.upsampled_height(),
             weight_bytes: stage.params * precision.bytes() as u64,
-            dsp: unit.dsp() + ADDRESS_GEN_DSP_PER_STAGE,
+            dsp: unit.dsp + ADDRESS_GEN_DSP_PER_STAGE,
             ops: stage.ops,
         }
     }

@@ -208,11 +208,6 @@ impl Network {
         self.branch_layers(id).iter().map(|l| l.ops()).sum()
     }
 
-    /// MACs of one branch, including its shared prefix.
-    pub fn branch_macs(&self, id: BranchId) -> u64 {
-        self.branch_layers(id).iter().map(|l| l.macs()).sum()
-    }
-
     /// Parameters of one branch, including its shared prefix.
     pub fn branch_params(&self, id: BranchId) -> u64 {
         self.branch_layers(id).iter().map(|l| l.params()).sum()

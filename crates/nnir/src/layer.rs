@@ -404,16 +404,6 @@ impl Layer {
         self.params() * precision.bytes() as u64
     }
 
-    /// Bytes of the input feature map at the given precision.
-    pub fn input_bytes(&self, precision: Precision) -> u64 {
-        self.input.bytes(precision) as u64
-    }
-
-    /// Bytes of the output feature map at the given precision.
-    pub fn output_bytes(&self, precision: Precision) -> u64 {
-        self.output.bytes(precision) as u64
-    }
-
     /// Kernel size for Conv-like layers, 1 otherwise.
     pub fn kernel(&self) -> usize {
         match *self.kind() {

@@ -113,7 +113,8 @@ pub struct BatchEvent {
     pub service_us: u64,
 }
 
-/// Fleet-level lifecycle transitions, mirroring `ScaleEventKind`.
+/// Fleet-level lifecycle transitions: the kinds of the serve report's
+/// `scale_events` log and of the trace's fleet instants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEventKind {
     /// A new shard was spawned (warming).
@@ -129,7 +130,7 @@ pub enum FleetEventKind {
 }
 
 impl FleetEventKind {
-    /// Stable lowercase name, identical to `ScaleEventKind::name()`.
+    /// Stable lowercase name, used in the report's JSON and trace exports.
     pub fn name(self) -> &'static str {
         match self {
             FleetEventKind::Up => "up",
@@ -141,7 +142,8 @@ impl FleetEventKind {
     }
 }
 
-/// One fleet lifecycle event on the trace timeline.
+/// One fleet lifecycle event: an entry of the serve report's
+/// `scale_events` log and, when tracing, an instant on the trace timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetEvent {
     /// Sim-time of the transition, microseconds.

@@ -106,15 +106,6 @@ impl BranchProfile {
         self.layers.iter().filter(|l| l.is_compute).count()
     }
 
-    /// Largest feature map produced inside the branch, in elements.
-    pub fn max_feature_elements(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.output.elements())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The compute layers of the branch only (the units the accelerator
     /// instantiates pipeline stages for).
     pub fn compute_layers(&self) -> impl Iterator<Item = &LayerProfile> {

@@ -73,64 +73,6 @@ impl ShardState {
     }
 }
 
-/// What happened to the fleet at one instant of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScaleEventKind {
-    /// The autoscaler spawned a shard (it enters warm-up).
-    Up,
-    /// A spawned shard finished its weight-fill warm-up and went active.
-    Warm,
-    /// A shard stopped accepting placements and began draining.
-    Drain,
-    /// A draining shard emptied its queue and left the fleet.
-    Retire,
-    /// The failure injector killed a shard.
-    Fail,
-}
-
-impl ScaleEventKind {
-    /// Event name (used in reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScaleEventKind::Up => "up",
-            ScaleEventKind::Warm => "warm",
-            ScaleEventKind::Drain => "drain",
-            ScaleEventKind::Retire => "retire",
-            ScaleEventKind::Fail => "fail",
-        }
-    }
-
-    /// The trace-timeline mirror of this kind: every scale event the
-    /// report logs is also emitted as an instant on the trace, so
-    /// autoscale decisions line up visually with the latency series they
-    /// caused.
-    pub(crate) fn fleet_kind(self) -> fcad_obs::FleetEventKind {
-        match self {
-            ScaleEventKind::Up => fcad_obs::FleetEventKind::Up,
-            ScaleEventKind::Warm => fcad_obs::FleetEventKind::Warm,
-            ScaleEventKind::Drain => fcad_obs::FleetEventKind::Drain,
-            ScaleEventKind::Retire => fcad_obs::FleetEventKind::Retire,
-            ScaleEventKind::Fail => fcad_obs::FleetEventKind::Fail,
-        }
-    }
-}
-
-/// One entry of the report's fleet-lifecycle log: together the entries give
-/// the shard count over time (every `up` adds an alive shard, every
-/// `retire`/`fail` removes one, `warm` moves one from warming to active).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScaleEvent {
-    /// When the event happened, seconds since simulation start.
-    pub at_sec: f64,
-    /// What happened.
-    pub kind: ScaleEventKind,
-    /// The shard the event concerns (its index in the report's shard
-    /// list, which covers every shard that ever existed, in spawn order).
-    pub shard: usize,
-    /// Number of [`ShardState::Active`] shards right after the event.
-    pub active_after: usize,
-}
-
 /// The autoscaling policy: when to spawn a shard, how long a spawned shard
 /// warms up, and when to drain an idle shard back out of the fleet.
 ///
@@ -337,6 +279,7 @@ pub(crate) fn mix(seed: u64, stream: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcad_obs::FleetEventKind;
 
     #[test]
     fn the_noop_policy_disables_every_trigger() {
@@ -408,11 +351,11 @@ mod tests {
         assert_eq!(ShardState::Draining.name(), "draining");
         assert_eq!(ShardState::Retired.name(), "retired");
         assert_eq!(ShardState::Failed.name(), "failed");
-        assert_eq!(ScaleEventKind::Up.name(), "up");
-        assert_eq!(ScaleEventKind::Warm.name(), "warm");
-        assert_eq!(ScaleEventKind::Drain.name(), "drain");
-        assert_eq!(ScaleEventKind::Retire.name(), "retire");
-        assert_eq!(ScaleEventKind::Fail.name(), "fail");
+        assert_eq!(FleetEventKind::Up.name(), "up");
+        assert_eq!(FleetEventKind::Warm.name(), "warm");
+        assert_eq!(FleetEventKind::Drain.name(), "drain");
+        assert_eq!(FleetEventKind::Retire.name(), "retire");
+        assert_eq!(FleetEventKind::Fail.name(), "fail");
     }
 
     #[test]

@@ -45,12 +45,12 @@
 
 use std::collections::VecDeque;
 
-use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
+use fcad_obs::{
+    BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
+};
 
 use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
-use crate::autoscale::{
-    Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
-};
+use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
 use crate::calendar::{Calendar, EventKey, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
@@ -790,7 +790,7 @@ impl<'b> EngineCore<'b> {
                 };
                 let Some(victim) = victim else { return };
                 self.set_phase(victim, ShardState::Failed);
-                self.log_scale_event(now_us, ScaleEventKind::Fail, victim);
+                self.log_scale_event(now_us, FleetEventKind::Fail, victim);
                 let mut orphans: Vec<Request> = Vec::new();
                 {
                     let dead = &mut self.shards[victim];
@@ -866,7 +866,7 @@ impl<'b> EngineCore<'b> {
                     return;
                 }
                 self.set_phase(shard, ShardState::Draining);
-                self.log_scale_event(now_us, ScaleEventKind::Drain, shard);
+                self.log_scale_event(now_us, FleetEventKind::Drain, shard);
                 if self.shards[shard].scheduler.queued() == 0 {
                     self.retire(now_us, shard);
                 }
@@ -876,7 +876,7 @@ impl<'b> EngineCore<'b> {
                 if self.shards[shard].phase == ShardState::Warming {
                     self.set_phase(shard, ShardState::Active);
                     self.shards[shard].free_at_us = self.shards[shard].free_at_us.max(now_us);
-                    self.log_scale_event(now_us, ScaleEventKind::Warm, shard);
+                    self.log_scale_event(now_us, FleetEventKind::Warm, shard);
                     // The warm-up raised `free_at_us`, and the
                     // shard may have queued work placed while
                     // warming — it becomes dispatchable now.
@@ -1021,7 +1021,7 @@ impl<'b> EngineCore<'b> {
             self.shards[shard].idle_check_pending = true;
             self.push_life(self.idle_until(warm_at), shard, Action::IdleCheck);
         }
-        self.log_scale_event(now_us, ScaleEventKind::Up, shard);
+        self.log_scale_event(now_us, FleetEventKind::Up, shard);
         self.placeable_dirty = true;
         self.last_scale_up = Some(now_us);
     }
@@ -1031,27 +1031,23 @@ impl<'b> EngineCore<'b> {
     /// retirement.
     fn retire(&mut self, at_us: u64, shard: usize) {
         self.set_phase(shard, ShardState::Retired);
-        self.log_scale_event(at_us, ScaleEventKind::Retire, shard);
+        self.log_scale_event(at_us, FleetEventKind::Retire, shard);
     }
 
-    /// Appends a scale event with the post-event active-shard count,
-    /// mirrored as an instant on the trace timeline so fleet transitions
-    /// line up with the request spans they explain.
-    fn log_scale_event(&mut self, at_us: u64, kind: ScaleEventKind, shard: usize) {
-        let active_after = self.shards_in(ShardState::Active);
-        self.tally.scale_events.push(ScaleEvent {
-            at_sec: u64_to_f64(at_us) / 1e6,
-            kind,
+    /// Appends a fleet event with the post-event active-shard count to the
+    /// report's log and, when tracing, records the same event as an
+    /// instant on the trace timeline so fleet transitions line up with the
+    /// request spans they explain.
+    fn log_scale_event(&mut self, at_us: u64, kind: FleetEventKind, shard: usize) {
+        let event = FleetEvent {
+            at_us,
             shard,
-            active_after,
-        });
+            kind,
+            active_after: self.shards_in(ShardState::Active),
+        };
+        self.tally.scale_events.push(event);
         if self.tracing {
-            self.sink.record(TraceEvent::Fleet(FleetEvent {
-                at_us,
-                shard,
-                kind: kind.fleet_kind(),
-                active_after,
-            }));
+            self.sink.record(TraceEvent::Fleet(event));
         }
     }
 
@@ -1100,7 +1096,7 @@ pub(crate) struct Tally {
     pub(crate) class_histograms: [LatencyHistogram; CLASS_COUNT],
     pub(crate) pre_failure: LatencyHistogram,
     pub(crate) post_failure: LatencyHistogram,
-    pub(crate) scale_events: Vec<ScaleEvent>,
+    pub(crate) scale_events: Vec<FleetEvent>,
     pub(crate) replaced: u64,
 }
 
@@ -1186,9 +1182,7 @@ fn finalize(
     mut tally: Tally,
     shards: &[Shard],
 ) -> ServeReport {
-    tally
-        .scale_events
-        .sort_by(|a, b| a.at_sec.total_cmp(&b.at_sec));
+    tally.scale_events.sort_by_key(|e| e.at_us);
 
     let shard_count = shards.len();
     let total_issued: u64 = tally.issued.iter().sum();
@@ -1570,7 +1564,7 @@ mod tests {
             report
                 .scale_events
                 .iter()
-                .any(|e| e.kind == ScaleEventKind::Fail && e.shard == 1),
+                .any(|e| e.kind == FleetEventKind::Fail && e.shard == 1),
             "missing fail event: {:?}",
             report.scale_events
         );
@@ -1757,7 +1751,7 @@ mod tests {
         let ups = report
             .scale_events
             .iter()
-            .filter(|e| e.kind == ScaleEventKind::Up)
+            .filter(|e| e.kind == FleetEventKind::Up)
             .count();
         assert!(
             ups >= 1,

@@ -69,7 +69,7 @@
 //!   and p50/p95/p99 latency from a fixed-bucket histogram
 //!   ([`LatencyHistogram`]), plus per-shard utilization/imbalance
 //!   ([`ShardStats`]), availability (completed/issued with re-placed and
-//!   lost counts, pre/post-failure tails, the [`ScaleEvent`] lifecycle
+//!   lost counts, pre/post-failure tails, the [`FleetEvent`] lifecycle
 //!   log), per-class latency/shed statistics with `slo_attainment` (the
 //!   fraction of completions inside their class budget,
 //!   [`ClassServeStats`]) and a merged fleet-wide latency histogram,
@@ -136,7 +136,7 @@ mod scheduler;
 mod window;
 
 pub use admission::{AdmissionKind, AdmissionView};
-pub use autoscale::{Autoscaler, FailurePlan, ScaleEvent, ScaleEventKind, ShardState};
+pub use autoscale::{Autoscaler, FailurePlan, ShardState};
 pub use deadline::DeadlinePolicy;
 pub use engine::{serve, simulate, ServeSpec};
 pub use fleet::{FleetConfig, LoadBalancerKind};

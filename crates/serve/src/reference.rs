@@ -17,12 +17,12 @@
 //! if a bug predates the rebuild and the fix must land on both sides to
 //! keep the battery meaningful.
 
-use fcad_obs::{BatchEvent, FleetEvent, Off, RequestEventKind, TraceEvent, TraceSink};
+use fcad_obs::{
+    BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
+};
 
 use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
-use crate::autoscale::{
-    Autoscaler, FailurePlan, KillTarget, ScaleEvent, ScaleEventKind, ShardState,
-};
+use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::fleet::{Balancer, FleetConfig, ShardLoad};
 use crate::histogram::LatencyHistogram;
@@ -319,7 +319,7 @@ fn run(
     let split_us = failures.first_kill_us();
     let mut pre_failure = LatencyHistogram::new();
     let mut post_failure = LatencyHistogram::new();
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
+    let mut scale_events: Vec<FleetEvent> = Vec::new();
     let mut replaced = 0u64;
     let mut last_scale_up: Option<u64> = None;
 
@@ -377,7 +377,7 @@ fn run(
                         &mut scale_events,
                         &shards,
                         now_us,
-                        ScaleEventKind::Fail,
+                        FleetEventKind::Fail,
                         victim,
                         sink,
                         tracing,
@@ -479,7 +479,7 @@ fn run(
                         &mut scale_events,
                         &shards,
                         now_us,
-                        ScaleEventKind::Drain,
+                        FleetEventKind::Drain,
                         shard,
                         sink,
                         tracing,
@@ -497,7 +497,7 @@ fn run(
                             &mut scale_events,
                             &shards,
                             now_us,
-                            ScaleEventKind::Warm,
+                            FleetEventKind::Warm,
                             shard,
                             sink,
                             tracing,
@@ -685,7 +685,7 @@ fn run(
         }
     }
 
-    scale_events.sort_by(|a, b| a.at_sec.total_cmp(&b.at_sec));
+    scale_events.sort_by_key(|e| e.at_us);
 
     let shard_count = shards.len();
     let total_issued: u64 = issued.iter().sum();
@@ -890,7 +890,7 @@ fn collect_placeable(loads: &mut Vec<(usize, ShardLoad)>, shards: &[Shard]) {
 
 fn retire(
     shards: &mut [Shard],
-    events: &mut Vec<ScaleEvent>,
+    events: &mut Vec<FleetEvent>,
     at_us: u64,
     shard: usize,
     sink: &mut dyn TraceSink,
@@ -901,7 +901,7 @@ fn retire(
         events,
         shards,
         at_us,
-        ScaleEventKind::Retire,
+        FleetEventKind::Retire,
         shard,
         sink,
         tracing,
@@ -910,28 +910,23 @@ fn retire(
 
 #[allow(clippy::too_many_arguments)]
 fn record(
-    events: &mut Vec<ScaleEvent>,
+    events: &mut Vec<FleetEvent>,
     shards: &[Shard],
     at_us: u64,
-    kind: ScaleEventKind,
+    kind: FleetEventKind,
     shard: usize,
     sink: &mut dyn TraceSink,
     tracing: bool,
 ) {
-    let active_after = active_count(shards);
-    events.push(ScaleEvent {
-        at_sec: u64_to_f64(at_us) / 1e6,
-        kind,
+    let event = FleetEvent {
+        at_us,
         shard,
-        active_after,
-    });
+        kind,
+        active_after: active_count(shards),
+    };
+    events.push(event);
     if tracing {
-        sink.record(TraceEvent::Fleet(FleetEvent {
-            at_us,
-            shard,
-            kind: kind.fleet_kind(),
-            active_after,
-        }));
+        sink.record(TraceEvent::Fleet(event));
     }
 }
 
@@ -943,7 +938,7 @@ fn do_spawn(
     shards: &mut Vec<Shard>,
     lifecycle: &mut Vec<Lifecycle>,
     push_event: &mut impl FnMut(&mut Vec<Lifecycle>, u64, usize, Action),
-    scale_events: &mut Vec<ScaleEvent>,
+    scale_events: &mut Vec<FleetEvent>,
     sink: &mut dyn TraceSink,
     tracing: bool,
 ) {
@@ -964,7 +959,7 @@ fn do_spawn(
         scale_events,
         shards,
         now_us,
-        ScaleEventKind::Up,
+        FleetEventKind::Up,
         shard,
         sink,
         tracing,

@@ -1,12 +1,12 @@
 //! Serving-run reports: throughput, utilization, drops and latency
 //! percentiles, per accelerator and per branch.
 
-use crate::autoscale::{ScaleEvent, ShardState};
-use crate::cast::usize_to_u64;
+use crate::autoscale::ShardState;
+use crate::cast::{u64_to_f64, usize_to_u64};
 use crate::histogram::LatencyHistogram;
 use crate::json::{array, JsonObject};
 use crate::qos::QosClass;
-use fcad_obs::TraceSummary;
+use fcad_obs::{FleetEvent, TraceSummary};
 use serde::{Deserialize, Serialize};
 
 /// Latency summary extracted from a fixed-bucket histogram, milliseconds.
@@ -182,8 +182,11 @@ pub struct ServeReport {
     /// (all zeros when the run injects no failure).
     pub latency_post_failure: LatencySummary,
     /// Fleet lifecycle log — spawns, warm-ups, drains, retirements and
-    /// failures in time order; empty for a fixed fleet.
-    pub scale_events: Vec<ScaleEvent>,
+    /// failures in time order, the same events a tracing run records;
+    /// empty for a fixed fleet. Each event's `shard` indexes
+    /// [`shards`](Self::shards): every `up` adds an alive shard, every
+    /// `retire`/`fail` removes one, `warm` moves one to active.
+    pub scale_events: Vec<FleetEvent>,
     /// Requests shed by the admission policy — the fourth terminal
     /// outcome: `completed + dropped + lost + shed == issued`. Always 0
     /// under admit-all (the legacy paths).
@@ -342,7 +345,7 @@ impl ServeReport {
             .iter()
             .map(|e| {
                 JsonObject::new()
-                    .f64("at_sec", e.at_sec)
+                    .f64("at_sec", u64_to_f64(e.at_us) / 1e6)
                     .str("kind", e.kind.name())
                     .u64("shard", usize_to_u64(e.shard))
                     .u64("active_after", usize_to_u64(e.active_after))

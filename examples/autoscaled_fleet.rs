@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for event in &elastic_failed.scale_events {
         println!(
             "  t={:>6.3}s {:<6} shard {} ({} active)",
-            event.at_sec,
+            event.at_us as f64 / 1e6,
             event.kind.name(),
             event.shard,
             event.active_after

@@ -5,7 +5,7 @@
 //! weight fill completes.
 
 use fcad_serve::{
-    reference, serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, ScaleEventKind,
+    reference, serve, Autoscaler, FailurePlan, FleetConfig, FleetEventKind, LoadBalancerKind, Off,
     Scenario, SchedulerKind, ServeReport, ServeSpec, ShardState,
 };
 
@@ -111,7 +111,7 @@ fn a_draining_shard_accepts_no_new_placements() {
     assert!(report
         .scale_events
         .iter()
-        .any(|e| e.kind == ScaleEventKind::Retire && e.shard == 1));
+        .any(|e| e.kind == FleetEventKind::Retire && e.shard == 1));
 }
 
 /// A mid-run drain stops the flow into the drained shard but lets it
@@ -136,15 +136,15 @@ fn a_mid_run_drain_finishes_the_queue_then_retires() {
     let drain_at = drained
         .scale_events
         .iter()
-        .find(|e| e.kind == ScaleEventKind::Drain)
+        .find(|e| e.kind == FleetEventKind::Drain)
         .expect("drain event")
-        .at_sec;
+        .at_us;
     let retire_at = drained
         .scale_events
         .iter()
-        .find(|e| e.kind == ScaleEventKind::Retire)
+        .find(|e| e.kind == FleetEventKind::Retire)
         .expect("retire event")
-        .at_sec;
+        .at_us;
     assert!(retire_at >= drain_at);
 }
 
@@ -212,16 +212,16 @@ fn a_warmed_shard_serves_and_cuts_the_tail() {
     let up_at = report
         .scale_events
         .iter()
-        .find(|e| e.kind == ScaleEventKind::Up)
+        .find(|e| e.kind == FleetEventKind::Up)
         .expect("up event")
-        .at_sec;
+        .at_us;
     let warm_at = report
         .scale_events
         .iter()
-        .find(|e| e.kind == ScaleEventKind::Warm)
+        .find(|e| e.kind == FleetEventKind::Warm)
         .expect("warm event")
-        .at_sec;
-    assert!((warm_at - up_at - 0.03).abs() < 1e-9, "warm-up is the knob");
+        .at_us;
+    assert_eq!(warm_at - up_at, 30_000, "warm-up is the knob");
 }
 
 /// Idle retirement drains the fleet back down once a quiet tail follows
@@ -272,13 +272,13 @@ fn failures_trigger_replacement_spawns_back_to_the_floor() {
     assert_eq!(report.shards[2].state, ShardState::Active);
     assert!(report.shards[2].completed > 0, "the replacement must serve");
     // Fail, up and warm appear in order in the lifecycle log.
-    let kinds: Vec<ScaleEventKind> = report.scale_events.iter().map(|e| e.kind).collect();
+    let kinds: Vec<FleetEventKind> = report.scale_events.iter().map(|e| e.kind).collect();
     assert_eq!(
         kinds,
         vec![
-            ScaleEventKind::Fail,
-            ScaleEventKind::Up,
-            ScaleEventKind::Warm
+            FleetEventKind::Fail,
+            FleetEventKind::Up,
+            FleetEventKind::Warm
         ]
     );
 }
@@ -322,10 +322,10 @@ fn orphans_on_a_warming_replacement_wait_out_the_weight_fill() {
     let warm_at = |r: &ServeReport| {
         r.scale_events
             .iter()
-            .find(|e| e.kind == ScaleEventKind::Warm)
+            .find(|e| e.kind == FleetEventKind::Warm)
             .expect("warm event")
-            .at_sec
+            .at_us
     };
-    assert!((warm_at(&quick) - 1.101).abs() < 1e-9);
-    assert!((warm_at(&slow) - 1.5).abs() < 1e-9);
+    assert_eq!(warm_at(&quick), 1_101_000);
+    assert_eq!(warm_at(&slow), 1_500_000);
 }

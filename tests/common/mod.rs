@@ -3,8 +3,8 @@
 
 use fcad_serve::{
     simulate_windowed_traced, AdmissionKind, ArrivalPattern, BranchService, ClassMix, FleetConfig,
-    Request, RequestEventKind, Scenario, SchedulerKind, ServeReport, ServeSpec, ServiceModel,
-    TraceEvent, TraceSink, WindowPlan,
+    FleetEvent, FleetEventKind, Request, RequestEventKind, Scenario, SchedulerKind, ServeReport,
+    ServeSpec, ServiceModel, TraceEvent, TraceSink, WindowPlan,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -138,8 +138,8 @@ pub fn class_mix_strategy() -> impl Strategy<Value = ClassMix> {
 /// - every batch dispatch lands inside its shard's live lifecycle
 ///   interval: after the warm-up of a spawned shard, before any
 ///   failure/retirement;
-/// - the fleet events on the trace are exactly the report's
-///   `scale_events`, timestamp included.
+/// - the fleet events on the trace are the report's `scale_events`, in
+///   the same order.
 ///
 /// Panics with a labelled assertion on the first violation.
 #[allow(dead_code)]
@@ -241,30 +241,29 @@ pub fn check_trace_against_report(events: &[TraceEvent], report: &ServeReport) {
         assert_eq!(per_shard[index][2], 0, "no lost event names a shard");
     }
 
+    let fleet_events: Vec<FleetEvent> = events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Fleet(f) => Some(*f),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        fleet_events, report.scale_events,
+        "trace fleet events must be the report's scale_events, in order"
+    );
+
     // Lifecycle intervals: a spawned shard dispatches only once warm, and
     // no shard dispatches at or after its failure/retirement instant.
+    let mut up_at = vec![None; shards];
     let mut warm_at = vec![None; shards];
     let mut dead_at = vec![None; shards];
-    let mut fleet_seen = Vec::new();
-    for event in events {
-        let TraceEvent::Fleet(f) = event else {
-            continue;
-        };
+    for f in &fleet_events {
         match f.kind {
-            fcad_serve::FleetEventKind::Warm => warm_at[f.shard] = Some(f.at_us),
-            fcad_serve::FleetEventKind::Fail | fcad_serve::FleetEventKind::Retire => {
-                dead_at[f.shard] = Some(f.at_us);
-            }
-            _ => {}
-        }
-        fleet_seen.push((f.at_us, f.kind.name(), f.shard, f.active_after));
-    }
-    let mut up_at = vec![None; shards];
-    for event in events {
-        if let TraceEvent::Fleet(f) = event {
-            if f.kind == fcad_serve::FleetEventKind::Up {
-                up_at[f.shard] = Some(f.at_us);
-            }
+            FleetEventKind::Up => up_at[f.shard] = Some(f.at_us),
+            FleetEventKind::Warm => warm_at[f.shard] = Some(f.at_us),
+            FleetEventKind::Fail | FleetEventKind::Retire => dead_at[f.shard] = Some(f.at_us),
+            FleetEventKind::Drain => {}
         }
     }
     for event in events {
@@ -293,23 +292,6 @@ pub fn check_trace_against_report(events: &[TraceEvent], report: &ServeReport) {
             );
         }
     }
-
-    // The fleet events mirror the scale-event log one-for-one (the log is
-    // re-sorted by time at report assembly, so compare as multisets).
-    let mut scale_log: Vec<(u64, &str, usize, usize)> = report
-        .scale_events
-        .iter()
-        .map(|e| {
-            let at_us = (e.at_sec * 1e6).round() as u64;
-            (at_us, e.kind.name(), e.shard, e.active_after)
-        })
-        .collect();
-    scale_log.sort_unstable();
-    fleet_seen.sort_unstable();
-    assert_eq!(
-        fleet_seen, scale_log,
-        "trace fleet events must mirror scale_events"
-    );
 }
 
 /// One-second scenario from randomized property-test parameters.

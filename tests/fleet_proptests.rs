@@ -7,7 +7,7 @@
 //! post-failure tail still monotone).
 
 use fcad_serve::{
-    serve, Autoscaler, FailurePlan, FleetConfig, LoadBalancerKind, Off, ScaleEventKind, ServeSpec,
+    serve, Autoscaler, FailurePlan, FleetConfig, FleetEventKind, LoadBalancerKind, Off, ServeSpec,
 };
 use proptest::prelude::*;
 
@@ -198,24 +198,24 @@ proptest! {
         let mut index = 0;
         let events = &a.scale_events;
         while index < events.len() {
-            let at_sec = events[index].at_sec;
-            while index < events.len() && events[index].at_sec == at_sec {
+            let at_us = events[index].at_us;
+            while index < events.len() && events[index].at_us == at_us {
                 match events[index].kind {
-                    ScaleEventKind::Up => alive += 1,
-                    ScaleEventKind::Fail | ScaleEventKind::Retire => alive -= 1,
-                    ScaleEventKind::Warm | ScaleEventKind::Drain => {}
+                    FleetEventKind::Up => alive += 1,
+                    FleetEventKind::Fail | FleetEventKind::Retire => alive -= 1,
+                    FleetEventKind::Warm | FleetEventKind::Drain => {}
                 }
                 index += 1;
             }
             prop_assert!(
                 alive <= max_shards as i64,
-                "alive {} exceeded max_shards {} at {} s",
-                alive, max_shards, at_sec
+                "alive {} exceeded max_shards {} at {} µs",
+                alive, max_shards, at_us
             );
             prop_assert!(
                 alive >= shards as i64,
-                "alive {} dropped below min_shards {} at {} s",
-                alive, shards, at_sec
+                "alive {} dropped below min_shards {} at {} µs",
+                alive, shards, at_us
             );
         }
         // The post-failure percentile ladder stays monotone (it is all

@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and model invariants.
 
 use fcad_accel::{
-    BranchConfig, BranchPipeline, ConvStage, CostModel, Parallelism, StageConfig, UnitModel,
+    BranchConfig, BranchPipeline, ConvStage, CostModel, Parallelism, StageConfig, UnitCost,
 };
 use fcad_cyclesim::Simulator;
 use fcad_nnir::{BiasKind, ConvSpec, Layer, LayerKind, Precision, TensorShape};
@@ -81,10 +81,11 @@ proptest! {
     ) {
         let small = Parallelism::new(cpf, kpf, h).clamped_to(&stage);
         let large = Parallelism::new(cpf * 2, kpf * 2, h * 2).clamped_to(&stage);
-        let unit_small = UnitModel::new(&stage, small, precision);
-        let unit_large = UnitModel::new(&stage, large, precision);
-        prop_assert!(unit_large.latency_cycles() <= unit_small.latency_cycles());
-        prop_assert!(unit_large.dsp() >= unit_small.dsp());
+        let cost = CostModel::default();
+        let unit_small = UnitCost::of(&stage, small, precision, &cost);
+        let unit_large = UnitCost::of(&stage, large, precision, &cost);
+        prop_assert!(unit_large.latency_cycles <= unit_small.latency_cycles);
+        prop_assert!(unit_large.dsp >= unit_small.dsp);
     }
 
     /// `Parallelism::for_target` delivers close-to-target throughput: the
@@ -99,13 +100,14 @@ proptest! {
     ) {
         let max_lanes = Parallelism::max_for(&stage).total();
         let reachable = target.min(max_lanes);
-        let unit = UnitModel::new(&stage, Parallelism::for_target(&stage, target), precision);
+        let p = Parallelism::for_target(&stage, target);
+        let unit = UnitCost::of(&stage, p, precision, &CostModel::default());
         let ideal = (stage.macs as f64 / reachable as f64).ceil() as u64;
-        prop_assert!(unit.latency_cycles() >= (stage.macs as f64 / max_lanes as f64).floor() as u64);
+        prop_assert!(unit.latency_cycles >= (stage.macs as f64 / max_lanes as f64).floor() as u64);
         prop_assert!(
-            unit.latency_cycles() <= ideal.saturating_mul(3).max(3),
+            unit.latency_cycles <= ideal.saturating_mul(3).max(3),
             "latency {} vs ideal {} for target {}",
-            unit.latency_cycles(), ideal, target
+            unit.latency_cycles, ideal, target
         );
     }
 
@@ -116,9 +118,9 @@ proptest! {
         lanes in 1usize..512,
     ) {
         let p = Parallelism::for_target(&stage, lanes);
-        let unit = UnitModel::new(&stage, p, Precision::Int8);
+        let unit = UnitCost::of(&stage, p, Precision::Int8, &CostModel::default());
         let ideal = (stage.macs as f64 / p.total() as f64).ceil() as u64;
-        prop_assert!(unit.latency_cycles() >= ideal);
+        prop_assert!(unit.latency_cycles >= ideal);
     }
 
     /// `Parallelism::for_target` always produces a configuration that is

@@ -16,7 +16,7 @@
 
 use fcad_serve::{
     serve, AdmissionKind, Autoscaler, BranchServeStats, ClassServeStats, FailurePlan, FleetConfig,
-    LatencySummary, LoadBalancerKind, Off, QosClass, ScaleEvent, ScaleEventKind, Scenario,
+    FleetEvent, FleetEventKind, LatencySummary, LoadBalancerKind, Off, QosClass, Scenario,
     SchedulerKind, ServeReport, ServeSpec, ServiceModel, ShardState, ShardStats,
 };
 
@@ -236,21 +236,21 @@ fn autoscaled_report() -> ServeReport {
         },
         latency_post_failure: latency(),
         scale_events: vec![
-            ScaleEvent {
-                at_sec: 1.5,
-                kind: ScaleEventKind::Fail,
+            FleetEvent {
+                at_us: 1_500_000,
+                kind: FleetEventKind::Fail,
                 shard: 1,
                 active_after: 1,
             },
-            ScaleEvent {
-                at_sec: 1.5,
-                kind: ScaleEventKind::Up,
+            FleetEvent {
+                at_us: 1_500_000,
+                kind: FleetEventKind::Up,
                 shard: 2,
                 active_after: 1,
             },
-            ScaleEvent {
-                at_sec: 1.525,
-                kind: ScaleEventKind::Warm,
+            FleetEvent {
+                at_us: 1_525_000,
+                kind: FleetEventKind::Warm,
                 shard: 2,
                 active_after: 2,
             },
