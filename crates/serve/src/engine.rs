@@ -61,7 +61,7 @@ use crate::qos::{QosClass, CLASS_COUNT};
 use crate::report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 use crate::request::Request;
 use crate::scenario::{Arrivals, Scenario};
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::{Queue, SchedulerKind};
 use crate::window::{drive, WindowPlan};
 
 /// The window length [`serve`] runs at. On a 2-core host, 100 ms windows
@@ -122,8 +122,42 @@ pub fn serve(
     spec: &ServeSpec,
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
+    serve_counted(config, scenario, spec, sink).0
+}
+
+/// [`serve`], with the [`WorkCounts`] of the run beside its report.
+pub(crate) fn serve_counted(
+    config: &FleetConfig,
+    scenario: &Scenario,
+    spec: &ServeSpec,
+    sink: &mut dyn TraceSink,
+) -> (ServeReport, WorkCounts) {
     let plan = WindowPlan::new(spec.workers).with_window_us(SERVE_WINDOW_US);
     drive(config, scenario, spec, sink, &plan)
+}
+
+/// The work a run did, counted where it happens: a deterministic function
+/// of the run's inputs, kept beside the report and never inside its
+/// bytes. Only `tallies` depends on the worker count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkCounts {
+    /// Events processed one at a time by [`EngineCore::step`].
+    pub(crate) steps: usize,
+    /// Windows that cleared the fan-out threshold and ran.
+    pub(crate) windows: usize,
+    /// Events processed inside those windows.
+    pub(crate) window_events: usize,
+    /// Arrivals and orphans placed through the dense snapshot.
+    pub(crate) dense_placed: usize,
+    /// Shards read by cross-shard code: window-edge re-sums and dispatch
+    /// refreshes, placeable rebuilds and collections, seeded-kill scans.
+    pub(crate) shard_reads: usize,
+    /// [`Tally`]s built.
+    pub(crate) tallies: usize,
+    /// Calendar pushes.
+    pub(crate) calendar_pushes: usize,
+    /// Stale dispatch entries discarded at pop time.
+    pub(crate) stale_pops: usize,
 }
 
 /// [`serve`] on a single accelerator `model` under the discipline `kind`,
@@ -180,7 +214,7 @@ pub(crate) enum CalEvent {
 /// (a shard with queued work dispatches at `max(free_at, pending_since)`).
 pub(crate) struct Shard {
     pub(crate) model: ServiceModel,
-    pub(crate) scheduler: Box<dyn Scheduler>,
+    pub(crate) scheduler: Queue,
     pub(crate) phase: ShardState,
     pub(crate) free_at_us: u64,
     pub(crate) pending_since_us: u64,
@@ -216,11 +250,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(
-        model: ServiceModel,
-        scheduler: Box<dyn Scheduler>,
-        phase: ShardState,
-    ) -> Self {
+    pub(crate) fn new(model: ServiceModel, scheduler: Queue, phase: ShardState) -> Self {
         let max_priority = model
             .branches
             .iter()
@@ -502,6 +532,10 @@ pub(crate) struct EngineCore<'b> {
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
     /// check (the frozen loop re-summed every shard per iteration).
     pub(crate) queued_total: usize,
+    /// Requests sitting in Active shards' queues: the queue-depth
+    /// trigger's O(1) read, kept where work enters or leaves an Active
+    /// queue and re-summed at window edges.
+    pub(crate) active_queued: usize,
     pub(crate) loads: Vec<(usize, ShardLoad)>,
     /// Load-oblivious placement fast path: round-robin and branch-sharded
     /// placement are pure cursor arithmetic over the *placeable-id
@@ -519,6 +553,7 @@ pub(crate) struct EngineCore<'b> {
     /// [`EngineCore::finish`]: nothing reads a tally before then, and
     /// every merge is an exact integer add.
     pub(crate) worker_tallies: Vec<Tally>,
+    pub(crate) counts: WorkCounts,
 }
 
 impl<'b> EngineCore<'b> {
@@ -543,7 +578,7 @@ impl<'b> EngineCore<'b> {
                     Some(priorities) => model.clone().with_priorities(priorities),
                     None => model.clone(),
                 };
-                Shard::new(model, spec.scheduler.build(), ShardState::Active)
+                Shard::new(model, Queue::new(spec.scheduler), ShardState::Active)
             })
             .collect();
 
@@ -566,6 +601,7 @@ impl<'b> EngineCore<'b> {
             split_us: spec.failures.first_kill_us(),
             last_scale_up: None,
             queued_total: 0,
+            active_queued: 0,
             loads: Vec::with_capacity(shard_count),
             dense: matches!(
                 config.balancer,
@@ -575,6 +611,10 @@ impl<'b> EngineCore<'b> {
             placeable_dirty: false,
             tally: Tally::new(branch_count),
             worker_tallies: Vec::new(),
+            counts: WorkCounts {
+                tallies: 1,
+                ..WorkCounts::default()
+            },
         };
         for kill in spec.failures.kills() {
             let shard = match kill.target {
@@ -601,6 +641,7 @@ impl<'b> EngineCore<'b> {
     /// instant and rank in push order, the frozen loop's `seq` tie-break.
     fn push_life(&mut self, at_us: u64, shard: usize, action: Action) {
         let rank = u64::from(action.rank());
+        self.counts.calendar_pushes += 1;
         self.calendar.push(
             at_us,
             LANE_LIFECYCLE,
@@ -626,11 +667,34 @@ impl<'b> EngineCore<'b> {
     /// Moves `shard` into `phase`. Every phase write goes through here
     /// (a spawned shard enters the counts in [`EngineCore::spawn`]), so
     /// the phase counts always equal a recount of `shards` —
-    /// [`EngineCore::finish`] checks that in debug builds.
+    /// [`EngineCore::finish`] checks that in debug builds. A shard's
+    /// queue joins the Active total as it warms and leaves it as it
+    /// fails, drains or retires, before a failure drains it.
     fn set_phase(&mut self, shard: usize, phase: ShardState) {
         let old = std::mem::replace(&mut self.shards[shard].phase, phase);
         self.phase_counts[phase_slot(old)] -= 1;
         self.phase_counts[phase_slot(phase)] += 1;
+        let queued = self.shards[shard].scheduler.queued();
+        if old == ShardState::Active {
+            self.active_queued -= queued;
+        }
+        if phase == ShardState::Active {
+            self.active_queued += queued;
+        }
+    }
+
+    /// Checks [`EngineCore::active_queued`] against a recount of
+    /// `shards`, in debug builds.
+    fn debug_check_active_queued(&self) {
+        debug_assert_eq!(
+            self.active_queued,
+            self.shards
+                .iter()
+                .filter(|s| s.phase == ShardState::Active)
+                .map(|s| s.scheduler.queued())
+                .sum::<usize>(),
+            "the Active queue total drifted"
+        );
     }
 
     /// The instant a shard whose fabric frees at `free_us` becomes idle
@@ -651,8 +715,11 @@ impl<'b> EngineCore<'b> {
             if self.placeable_dirty {
                 self.rebuild_placeable();
             }
-            return self.balancer.place_dense(request, &self.placeable_ids);
+            let placed = self.balancer.place_dense(request, &self.placeable_ids);
+            self.counts.dense_placed += usize::from(placed.is_some());
+            return placed;
         }
+        self.counts.shard_reads += self.shards.len();
         collect_placeable(&mut self.loads, &self.shards);
         (!self.loads.is_empty()).then(|| {
             self.balancer
@@ -671,6 +738,7 @@ impl<'b> EngineCore<'b> {
         let s = &mut self.shards[shard];
         s.dispatch_epoch += 1;
         if s.phase.dispatches() && s.scheduler.queued() > 0 {
+            self.counts.calendar_pushes += 1;
             self.calendar.push(
                 s.dispatch_at(),
                 LANE_DISPATCH,
@@ -685,6 +753,7 @@ impl<'b> EngineCore<'b> {
     /// global ids of the [`placeable`] shards in ascending order, exactly
     /// the candidate set [`collect_placeable`] hands the general path.
     pub(crate) fn rebuild_placeable(&mut self) {
+        self.counts.shard_reads += self.shards.len();
         self.placeable_ids.clear();
         self.placeable_ids.extend(placeable(&self.shards));
         self.placeable_dirty = false;
@@ -725,6 +794,7 @@ impl<'b> EngineCore<'b> {
             {
                 return Some(key);
             }
+            self.counts.stale_pops += 1;
             self.calendar.pop();
         }
         None
@@ -747,6 +817,7 @@ impl<'b> EngineCore<'b> {
             return false;
         }
 
+        self.counts.steps += 1;
         if take_calendar {
             let (key, event) = self.calendar.pop().expect("calendar front was just peeked");
             let now_us = key.at_us;
@@ -754,7 +825,10 @@ impl<'b> EngineCore<'b> {
                 CalEvent::Life {
                     shard: life_shard,
                     action,
-                } => self.life_event(now_us, life_shard, action),
+                } => {
+                    self.life_event(now_us, life_shard, action);
+                    self.debug_check_active_queued();
+                }
                 CalEvent::Dispatch { shard } => self.dispatch_event(now_us, shard),
             }
         } else {
@@ -778,6 +852,7 @@ impl<'b> EngineCore<'b> {
                     }
                     KillTarget::Shard(_) => None,
                     KillTarget::Seeded(hash) => {
+                        self.counts.shard_reads += self.shards.len();
                         let actives: Vec<usize> = (0..self.shards.len())
                             .filter(|&s| self.shards[s].phase == ShardState::Active)
                             .collect();
@@ -839,6 +914,9 @@ impl<'b> EngineCore<'b> {
                         }
                         target.enqueue(request, now_us);
                         target.issued += 1;
+                        if target.phase == ShardState::Active {
+                            self.active_queued += 1;
+                        }
                     }
                     self.queued_total += 1;
                     // Unconditional: the repay fill can move
@@ -920,7 +998,11 @@ impl<'b> EngineCore<'b> {
             &mut self.tally,
             &mut *self.sink,
         );
-        self.queued_total -= queued_before - s.scheduler.queued();
+        let removed = queued_before - s.scheduler.queued();
+        self.queued_total -= removed;
+        if s.phase == ShardState::Active {
+            self.active_queued -= removed;
+        }
         self.refresh_dispatch(shard);
         // The fabric frees when the batch completes, or right away when
         // expiry drained the whole queue; a shard left idle owes its drain
@@ -970,6 +1052,9 @@ impl<'b> EngineCore<'b> {
             // A request queued alone makes the shard dispatchable.
             let into_empty = target.scheduler.queued() == 1;
             self.queued_total += 1;
+            if target.phase == ShardState::Active {
+                self.active_queued += 1;
+            }
             self.balancer.note_admitted(request.session, shard);
             if into_empty {
                 self.refresh_dispatch(shard);
@@ -978,14 +1063,8 @@ impl<'b> EngineCore<'b> {
         let policy = &self.spec.autoscaler;
         if policy.scale_up_queue_depth > 0 {
             let actives = self.shards_in(ShardState::Active);
-            let queued: usize = self
-                .shards
-                .iter()
-                .filter(|s| s.phase == ShardState::Active)
-                .map(|s| s.scheduler.queued())
-                .sum();
             if actives > 0
-                && queued >= policy.scale_up_queue_depth * actives
+                && self.active_queued >= policy.scale_up_queue_depth * actives
                 && self.alive_shards() < policy.max_shards
                 && self
                     .last_scale_up
@@ -1009,7 +1088,7 @@ impl<'b> EngineCore<'b> {
         let template = self.shards[0].model.clone();
         self.shards.push(Shard::new(
             template,
-            spec.scheduler.build(),
+            Queue::new(spec.scheduler),
             ShardState::Warming,
         ));
         self.phase_counts[phase_slot(ShardState::Warming)] += 1;
@@ -1053,23 +1132,25 @@ impl<'b> EngineCore<'b> {
 
     /// Consumes the core: absorbs the window workers' tallies, then folds
     /// the per-shard state into the final report — the old loop's
-    /// epilogue, verbatim.
-    pub(crate) fn finish(mut self) -> ServeReport {
+    /// epilogue, verbatim — and returns it with the run's work counts.
+    pub(crate) fn finish(mut self) -> (ServeReport, WorkCounts) {
         debug_assert_eq!(
             self.phase_counts,
             count_phases(&self.shards),
             "a shard changed phase outside set_phase"
         );
+        self.debug_check_active_queued();
         for tally in &self.worker_tallies {
             self.tally.absorb(tally);
         }
-        finalize(
+        let report = finalize(
             self.scenario,
             self.balancer_kind.name(),
             self.spec.admission.name(),
             self.tally,
             &self.shards,
-        )
+        );
+        (report, self.counts)
     }
 }
 
@@ -1393,7 +1474,7 @@ mod tests {
     #[should_panic(expected = "a batch completes within the u64 microsecond clock")]
     fn a_dispatch_past_the_u64_clock_panics_on_the_invariant() {
         let model = test_model();
-        let mut shard = Shard::new(model, SchedulerKind::Fifo.build(), ShardState::Active);
+        let mut shard = Shard::new(model, Queue::new(SchedulerKind::Fifo), ShardState::Active);
         // Branch 0 serves in 5 ms, so a batch started 100 µs before the
         // clock's end would complete past it.
         let now_us = u64::MAX - 100;

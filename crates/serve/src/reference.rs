@@ -4,8 +4,8 @@
 //! calendar, pre-resolved service costs, parallel shard execution). This
 //! module keeps the *previous* event loop alive, verbatim: the linear
 //! event scan over shards and the per-arrival `batch_service_us` calls.
-//! It runs the live schedulers, built through `SchedulerKind::build`,
-//! so what it pins is the event loop around them. It exists for one
+//! It queues through the live schedulers (each shard's `Queue`), so what
+//! it pins is the event loop around them. It exists for one
 //! purpose — the equivalence battery in `tests/engine_equivalence.rs`
 //! asserts that for every scheduler × balancer × scenario grid cell the
 //! rebuilt engine's [`ServeReport`] JSON line (and its
@@ -31,7 +31,7 @@ use crate::qos::{QosClass, CLASS_COUNT};
 use crate::report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 use crate::request::Request;
 use crate::scenario::Scenario;
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::{Queue, SchedulerKind};
 
 /// The frozen loop on a fixed fleet under admit-all, with per-shard
 /// schedulers of `kind`: the oracle for [`crate::serve`] with only the
@@ -51,12 +51,10 @@ pub fn simulate_fleet_qos(
     kind: SchedulerKind,
     admission: AdmissionKind,
 ) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
     run(
         config,
         scenario,
-        schedulers,
+        kind,
         None,
         &Autoscaler::none(),
         &FailurePlan::none(),
@@ -75,17 +73,8 @@ pub fn simulate_autoscaled_qos(
     failures: &FailurePlan,
     admission: AdmissionKind,
 ) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
-    run(
-        config,
-        scenario,
-        schedulers,
-        Some(kind),
-        policy,
-        failures,
-        admission,
-        &mut Off,
+    simulate_traced(
+        config, scenario, kind, policy, failures, admission, &mut Off,
     )
 }
 
@@ -100,12 +89,10 @@ pub fn simulate_traced(
     admission: AdmissionKind,
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        (0..config.shard_count()).map(|_| kind.build()).collect();
     run(
         config,
         scenario,
-        schedulers,
+        kind,
         Some(kind),
         policy,
         failures,
@@ -147,7 +134,7 @@ impl Action {
 
 struct Shard {
     model: ServiceModel,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Queue,
     phase: ShardState,
     free_at_us: u64,
     pending_since_us: u64,
@@ -164,7 +151,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(model: ServiceModel, scheduler: Box<dyn Scheduler>, phase: ShardState) -> Self {
+    fn new(model: ServiceModel, scheduler: Queue, phase: ShardState) -> Self {
         let max_priority = model
             .branches
             .iter()
@@ -229,7 +216,7 @@ fn alive_count(shards: &[Shard]) -> usize {
 fn run(
     config: &FleetConfig,
     scenario: &Scenario,
-    schedulers: Vec<Box<dyn Scheduler>>,
+    kind: SchedulerKind,
     spawn: Option<SchedulerKind>,
     policy: &Autoscaler,
     failures: &FailurePlan,
@@ -237,13 +224,6 @@ fn run(
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
     config.assert_valid();
-    assert_eq!(
-        schedulers.len(),
-        config.shard_count(),
-        "one scheduler per shard ({} shards, {} schedulers)",
-        config.shard_count(),
-        schedulers.len()
-    );
     let branch_count = config.branch_count();
     let arrivals = scenario.generate(branch_count);
     let mut balancer = Balancer::new(config.balancer);
@@ -253,13 +233,12 @@ fn run(
     let mut shards: Vec<Shard> = config
         .shards
         .iter()
-        .zip(schedulers)
-        .map(|(model, scheduler)| {
+        .map(|model| {
             let model = match &scenario.priorities {
                 Some(priorities) => model.clone().with_priorities(priorities),
                 None => model.clone(),
             };
-            Shard::new(model, scheduler, ShardState::Active)
+            Shard::new(model, Queue::new(kind), ShardState::Active)
         })
         .collect();
 
@@ -944,7 +923,7 @@ fn do_spawn(
 ) {
     let shard = shards.len();
     let template = shards[0].model.clone();
-    shards.push(Shard::new(template, kind.build(), ShardState::Warming));
+    shards.push(Shard::new(template, Queue::new(kind), ShardState::Warming));
     push_event(lifecycle, now_us + policy.warmup_us, shard, Action::Warm);
     if policy.idle_retire_us > 0 {
         shards[shard].idle_check_pending = true;

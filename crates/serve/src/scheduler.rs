@@ -11,39 +11,15 @@
 //! `(branch, class)` (priority, deadline) and picks by scanning the lane
 //! heads: at most nine for the paper's three-branch decoder under the
 //! three QoS classes. Exact ties go to the lowest `(branch, class)`, the
-//! scan order. These are the only implementations: the frozen loop in
-//! [`crate::reference`] builds them through [`SchedulerKind::build`] too.
+//! scan order. The set is closed, so a shard holds its discipline as one
+//! [`Queue`] value and every call is a static match; the frozen loop in
+//! [`crate::reference`] queues through [`Queue`] too.
 
 use crate::cast::u64_to_f64;
 use crate::model::ServiceModel;
 use crate::qos::CLASS_COUNT;
 use crate::request::Request;
 use std::collections::VecDeque;
-
-/// A scheduling discipline: accepts admitted requests and, whenever the
-/// shared weight-streaming DMA is free, picks the next same-branch batch
-/// to dispatch. The set is closed ([`SchedulerKind`]); a shard holds its
-/// discipline as the `Box<dyn Scheduler>` that [`SchedulerKind::build`]
-/// returns.
-///
-/// `Send` is a supertrait because the parallel engines move live shards —
-/// scheduler included — onto scoped worker threads; every discipline is
-/// plain data, so the bound costs nothing.
-pub(crate) trait Scheduler: Send {
-    /// Discipline name (used in reports).
-    fn name(&self) -> &'static str;
-
-    /// Accepts an admitted request.
-    fn enqueue(&mut self, request: Request);
-
-    /// Number of queued requests.
-    fn queued(&self) -> usize;
-
-    /// Removes and returns the next batch to dispatch at `now_us`. All
-    /// returned requests target the same branch; the batch is non-empty
-    /// whenever `queued() > 0`.
-    fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request>;
-}
 
 /// The scheduling disciplines, as a value users can pass around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,52 +53,10 @@ impl SchedulerKind {
             SchedulerKind::Deadline,
         ]
     }
-
-    /// Instantiates the discipline.
-    pub(crate) fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
-            SchedulerKind::PriorityByBranch => Box::new(PriorityScheduler::new()),
-            SchedulerKind::BatchAggregating => Box::new(BatchScheduler::new()),
-            SchedulerKind::Deadline => Box::new(DeadlineScheduler::new()),
-        }
-    }
-}
-
-/// Strict FIFO: one global queue, one request per dispatch (every dispatch
-/// pays the full pipeline-fill overhead).
-#[derive(Debug, Default)]
-pub(crate) struct FifoScheduler {
-    queue: VecDeque<Request>,
-}
-
-impl FifoScheduler {
-    /// Creates an empty FIFO queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for FifoScheduler {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        self.queue.push_back(request);
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        self.queue.pop_front().into_iter().collect()
-    }
 }
 
 /// Score points a queued request gains per second of waiting under
-/// [`PriorityScheduler`]: a low-priority request overtakes a fresh
+/// [`Queue::Priority`]: a low-priority request overtakes a fresh
 /// priority-1.0 request after waiting `(1.0 - its priority) / 0.25`
 /// seconds (≈ 3.4 s for the 0.15 audio-like branch), so priorities
 /// dominate at frame timescales while starvation stays bounded.
@@ -131,7 +65,7 @@ const AGING_PER_SEC: f64 = 0.25;
 /// One FIFO lane per `(branch, class)`, branch-major, and their total
 /// length: the queue the priority and deadline disciplines pick from.
 #[derive(Debug, Default)]
-struct ClassLanes {
+pub(crate) struct ClassLanes {
     lanes: Vec<[VecDeque<Request>; CLASS_COUNT]>,
     queued: usize,
 }
@@ -167,157 +101,147 @@ impl ClassLanes {
     }
 }
 
-/// Weighted cross-class priority: serves the `(branch, class)` lane whose
-/// head request has the highest `class weight × branch priority +
-/// 0.25/s · wait` score, FIFO within a lane, one request per dispatch.
-///
-/// The class weight multiplies the branch priority, so an interactive
-/// session's audio branch still yields to anyone's visual branch only as
-/// far as the weights say — and a run where every request is `Standard`
-/// (weight exactly 1.0) scores identically to the classless
-/// priority-by-branch discipline, which keeps the legacy path
-/// bit-identical.
-///
-/// The aging term bounds starvation: a low-scoring head's score grows
-/// linearly with its waiting time until it overtakes the high-weight
-/// lanes. An exact score tie goes to the lowest branch, then to the
-/// lowest class index.
-#[derive(Debug, Default)]
-pub(crate) struct PriorityScheduler {
-    lanes: ClassLanes,
+/// A shard's queue under its [`SchedulerKind`]: each variant holds its
+/// discipline's lanes directly. It accepts admitted requests and,
+/// whenever the shared weight-streaming DMA is free, yields the next
+/// same-branch batch to dispatch. Every variant is plain data, so live
+/// shards move onto the window workers' threads as they are.
+#[derive(Debug)]
+pub(crate) enum Queue {
+    /// Strict FIFO: one global queue, one request per dispatch (every
+    /// dispatch pays the full pipeline-fill overhead).
+    Fifo(VecDeque<Request>),
+    /// Weighted cross-class priority: serves the `(branch, class)` lane
+    /// whose head request has the highest
+    /// `class weight × branch priority + 0.25/s · wait` score, FIFO within
+    /// a lane, one request per dispatch.
+    ///
+    /// The class weight multiplies the branch priority, so an interactive
+    /// session's audio branch still yields to anyone's visual branch only
+    /// as far as the weights say — and a run where every request is
+    /// `Standard` (weight exactly 1.0) scores identically to the classless
+    /// priority-by-branch discipline, which keeps the legacy path
+    /// bit-identical.
+    ///
+    /// The aging term bounds starvation: a low-scoring head's score grows
+    /// linearly with its waiting time until it overtakes the high-weight
+    /// lanes. An exact score tie goes to the lowest branch, then to the
+    /// lowest class index.
+    Priority(ClassLanes),
+    /// Batch-aggregating: one FIFO lane per branch and their total length.
+    /// Serves the branch whose head has waited longest (FIFO across
+    /// branches at batch granularity) and dispatches up to the DSE-chosen
+    /// batch size of that branch in one go, paying pipeline fill once per
+    /// batch. Heads that arrived at the same instant go to the lowest
+    /// branch.
+    Batch {
+        lanes: Vec<VecDeque<Request>>,
+        queued: usize,
+    },
+    /// Earliest-deadline-first within class bands: serves the `(branch,
+    /// class)` lane whose head minimizes `(class index, absolute deadline,
+    /// branch)`, FIFO within a lane, one request per dispatch.
+    ///
+    /// The absolute deadline is [`Request::deadline_us`] — `arrival +
+    /// class budget` — so within a class band the discipline is classic
+    /// EDF over the lane heads; the class index as the outer key keeps
+    /// interactive work ahead of best-effort even when the best-effort
+    /// deadline happens to come sooner (its budget is 20× longer, so in
+    /// practice it rarely does).
+    Deadline(ClassLanes),
 }
 
-impl PriorityScheduler {
-    /// Creates the discipline with empty per-`(branch, class)` lanes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for PriorityScheduler {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        self.lanes.push(request);
+impl Queue {
+    /// An empty queue under `kind`.
+    pub(crate) fn new(kind: SchedulerKind) -> Self {
+        match kind {
+            SchedulerKind::Fifo => Queue::Fifo(VecDeque::new()),
+            SchedulerKind::PriorityByBranch => Queue::Priority(ClassLanes::default()),
+            SchedulerKind::BatchAggregating => Queue::Batch {
+                lanes: Vec::new(),
+                queued: 0,
+            },
+            SchedulerKind::Deadline => Queue::Deadline(ClassLanes::default()),
+        }
     }
 
-    fn queued(&self) -> usize {
-        self.lanes.queued
+    /// Discipline name (used in reports).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Queue::Fifo(_) => "fifo",
+            Queue::Priority(_) => "priority",
+            Queue::Batch { .. } => "batch",
+            Queue::Deadline(_) => "deadline",
+        }
     }
 
-    /// Scores every lane head; the strict `>` keeps the first of exactly
-    /// tied heads in scan order, the lowest `(branch, class)`.
-    fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request> {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (branch, class, head) in self.lanes.heads() {
-            let wait_sec = u64_to_f64(head.latency_us(now_us)) / 1e6;
-            let score = head.class.weight() * model.priority(branch) + AGING_PER_SEC * wait_sec;
-            if best.is_none_or(|(top, _, _)| score > top) {
-                best = Some((score, branch, class));
+    /// Accepts an admitted request.
+    pub(crate) fn enqueue(&mut self, request: Request) {
+        match self {
+            Queue::Fifo(queue) => queue.push_back(request),
+            Queue::Priority(lanes) | Queue::Deadline(lanes) => lanes.push(request),
+            Queue::Batch { lanes, queued } => {
+                if request.branch >= lanes.len() {
+                    lanes.resize_with(request.branch + 1, VecDeque::new);
+                }
+                lanes[request.branch].push_back(request);
+                *queued += 1;
             }
         }
-        self.lanes
-            .pop(best.map(|(_, branch, class)| (branch, class)))
-    }
-}
-
-/// Batch-aggregating: serves the branch whose head has waited longest
-/// (FIFO across branches at batch granularity) and dispatches up to the
-/// DSE-chosen batch size of that branch in one go, paying pipeline fill
-/// once per batch. Heads that arrived at the same instant go to the
-/// lowest branch.
-#[derive(Debug, Default)]
-pub(crate) struct BatchScheduler {
-    queues: Vec<VecDeque<Request>>,
-    queued: usize,
-}
-
-impl BatchScheduler {
-    /// Creates the discipline with empty per-branch queues.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for BatchScheduler {
-    fn name(&self) -> &'static str {
-        "batch"
     }
 
-    fn enqueue(&mut self, request: Request) {
-        if request.branch >= self.queues.len() {
-            self.queues.resize_with(request.branch + 1, VecDeque::new);
+    /// Number of queued requests.
+    pub(crate) fn queued(&self) -> usize {
+        match self {
+            Queue::Fifo(queue) => queue.len(),
+            Queue::Priority(lanes) | Queue::Deadline(lanes) => lanes.queued,
+            Queue::Batch { queued, .. } => *queued,
         }
-        self.queues[request.branch].push_back(request);
-        self.queued += 1;
     }
 
-    fn queued(&self) -> usize {
-        self.queued
-    }
-
-    fn next_batch(&mut self, model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        let oldest = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter_map(|(branch, queue)| queue.front().map(|head| (head.issued_at_us, branch)))
-            .min();
-        let Some((_, branch)) = oldest else {
-            return Vec::new();
-        };
-        let take = model.max_batch(branch).min(self.queues[branch].len());
-        let batch: Vec<Request> = self.queues[branch].drain(..take).collect();
-        self.queued -= batch.len();
-        batch
-    }
-}
-
-/// Earliest-deadline-first within class bands: serves the `(branch,
-/// class)` lane whose head minimizes `(class index, absolute deadline,
-/// branch)`, FIFO within a lane, one request per dispatch.
-///
-/// The absolute deadline is [`Request::deadline_us`] — `arrival + class
-/// budget` — so within a class band the discipline is classic EDF over
-/// the lane heads; the class index as the outer key keeps interactive
-/// work ahead of best-effort even when the best-effort deadline happens
-/// to come sooner (its budget is 20× longer, so in practice it rarely
-/// does).
-#[derive(Debug, Default)]
-pub(crate) struct DeadlineScheduler {
-    lanes: ClassLanes,
-}
-
-impl DeadlineScheduler {
-    /// Creates the discipline with empty per-lane queues.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for DeadlineScheduler {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn enqueue(&mut self, request: Request) {
-        self.lanes.push(request);
-    }
-
-    fn queued(&self) -> usize {
-        self.lanes.queued
-    }
-
-    fn next_batch(&mut self, _model: &ServiceModel, _now_us: u64) -> Vec<Request> {
-        let tightest = self
-            .lanes
-            .heads()
-            .map(|(branch, class, head)| (class, head.deadline_us(), branch))
-            .min();
-        self.lanes
-            .pop(tightest.map(|(class, _, branch)| (branch, class)))
+    /// Removes and returns the next batch to dispatch at `now_us`. All
+    /// returned requests target the same branch; the batch is non-empty
+    /// whenever `queued() > 0`.
+    pub(crate) fn next_batch(&mut self, model: &ServiceModel, now_us: u64) -> Vec<Request> {
+        match self {
+            Queue::Fifo(queue) => queue.pop_front().into_iter().collect(),
+            Queue::Priority(lanes) => {
+                // The strict `>` keeps the first of exactly tied heads in
+                // scan order, the lowest `(branch, class)`.
+                let mut best: Option<(f64, usize, usize)> = None;
+                for (branch, class, head) in lanes.heads() {
+                    let wait_sec = u64_to_f64(head.latency_us(now_us)) / 1e6;
+                    let score =
+                        head.class.weight() * model.priority(branch) + AGING_PER_SEC * wait_sec;
+                    if best.is_none_or(|(top, _, _)| score > top) {
+                        best = Some((score, branch, class));
+                    }
+                }
+                lanes.pop(best.map(|(_, branch, class)| (branch, class)))
+            }
+            Queue::Batch { lanes, queued } => {
+                let oldest = lanes
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(branch, lane)| {
+                        lane.front().map(|head| (head.issued_at_us, branch))
+                    })
+                    .min();
+                let Some((_, branch)) = oldest else {
+                    return Vec::new();
+                };
+                let take = model.max_batch(branch).min(lanes[branch].len());
+                *queued -= take;
+                lanes[branch].drain(..take).collect()
+            }
+            Queue::Deadline(lanes) => {
+                let tightest = lanes
+                    .heads()
+                    .map(|(branch, class, head)| (class, head.deadline_us(), branch))
+                    .min();
+                lanes.pop(tightest.map(|(class, _, branch)| (branch, class)))
+            }
+        }
     }
 }
 
@@ -347,7 +271,7 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order() {
         let model = test_model();
-        let mut fifo = FifoScheduler::new();
+        let mut fifo = Queue::new(SchedulerKind::Fifo);
         for (id, branch) in [(0, 2), (1, 0), (2, 1)] {
             fifo.enqueue(request(id, branch, id * 10));
         }
@@ -362,7 +286,7 @@ mod tests {
     #[test]
     fn priority_serves_visual_branches_before_audio() {
         let model = test_model(); // branch 2 has priority 0.2
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         sched.enqueue(request(0, 2, 0));
         sched.enqueue(request(1, 1, 0));
         sched.enqueue(request(2, 0, 0));
@@ -379,7 +303,7 @@ mod tests {
     #[test]
     fn aging_lets_a_starving_branch_overtake() {
         let model = test_model();
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         // Audio request waiting 4 s: score 0.2 + 0.25·4 = 1.2 beats a
         // fresh visual request's 1.0.
         sched.enqueue(request(0, 2, 0));
@@ -391,7 +315,7 @@ mod tests {
     #[test]
     fn class_weight_multiplies_the_branch_priority() {
         let model = test_model(); // branches 0/1 priority 1.0, branch 2: 0.2
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         // Interactive audio (4.0 × 0.2 = 0.8) still yields to standard
         // geometry (1.0 × 1.0), but best-effort geometry (0.25) yields to
         // both.
@@ -406,7 +330,7 @@ mod tests {
     #[test]
     fn same_branch_fifo_holds_within_a_class_and_weight_across_classes() {
         let model = test_model();
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         sched.enqueue(classed(0, 1, QosClass::Standard, 0));
         sched.enqueue(classed(1, 1, QosClass::Interactive, 10));
         sched.enqueue(classed(2, 1, QosClass::Interactive, 20));
@@ -418,7 +342,7 @@ mod tests {
     #[test]
     fn aging_lets_a_low_class_overtake_eventually() {
         let model = test_model();
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         // Best-effort geometry waiting 16 s: 0.25 + 0.25·16 = 4.25 beats a
         // fresh interactive request's 4.0.
         sched.enqueue(classed(0, 0, QosClass::BestEffort, 0));
@@ -430,7 +354,7 @@ mod tests {
     #[test]
     fn batch_scheduler_aggregates_up_to_the_dse_batch_size() {
         let model = test_model(); // branch 1 has max_batch 2
-        let mut sched = BatchScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::BatchAggregating);
         for id in 0..3 {
             sched.enqueue(request(id, 1, id * 5));
         }
@@ -446,7 +370,7 @@ mod tests {
     #[test]
     fn batch_scheduler_serves_the_oldest_head_first() {
         let model = test_model();
-        let mut sched = BatchScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::BatchAggregating);
         sched.enqueue(request(0, 1, 50));
         sched.enqueue(request(1, 0, 10));
         assert_eq!(sched.next_batch(&model, 60)[0].branch, 0);
@@ -456,7 +380,7 @@ mod tests {
     fn kinds_build_their_disciplines() {
         let names: Vec<&str> = SchedulerKind::all()
             .iter()
-            .map(|k| k.build().name())
+            .map(|&k| Queue::new(k).name())
             .collect();
         assert_eq!(names, vec!["fifo", "priority", "batch", "deadline"]);
     }
@@ -464,7 +388,7 @@ mod tests {
     #[test]
     fn deadline_serves_the_tightest_deadline_within_class_bands() {
         let model = test_model();
-        let mut sched = DeadlineScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::Deadline);
         // Standard issued at 0 → deadline 400 ms; interactive issued at
         // 350 ms → deadline 450 ms. The interactive band still wins even
         // with the later absolute deadline.
@@ -483,7 +407,7 @@ mod tests {
     #[test]
     fn deadline_breaks_exact_ties_on_the_lowest_branch() {
         let model = test_model();
-        let mut sched = DeadlineScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::Deadline);
         // Same class, same arrival ⇒ identical deadlines; the branch
         // index is the deterministic tie-break.
         sched.enqueue(request(0, 2, 100));
@@ -498,7 +422,7 @@ mod tests {
     #[test]
     fn priority_breaks_in_branch_ties_on_the_lowest_class() {
         let model = test_model();
-        let mut sched = PriorityScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::PriorityByBranch);
         // Best-effort geometry aged 3 s scores 0.25 + 0.25·3 = 1.0, exactly
         // a fresh standard head's 1.0 × 1.0: the lower class index
         // (standard) wins the tie, whichever lane filled first.
@@ -513,7 +437,7 @@ mod tests {
     #[test]
     fn batch_breaks_same_instant_ties_on_the_lowest_branch() {
         let model = test_model();
-        let mut sched = BatchScheduler::new();
+        let mut sched = Queue::new(SchedulerKind::BatchAggregating);
         sched.enqueue(request(0, 2, 100));
         sched.enqueue(request(1, 0, 100));
         sched.enqueue(request(2, 1, 100));

@@ -81,7 +81,7 @@ use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
-use crate::engine::{EngineCore, ServeSpec, Shard, Tally};
+use crate::engine::{EngineCore, ServeSpec, Shard, Tally, WorkCounts};
 use crate::fleet::FleetConfig;
 use crate::report::ServeReport;
 use crate::request::Request;
@@ -197,19 +197,20 @@ pub fn simulate_windowed_traced(
         failures: failures.clone(),
         workers: plan.workers,
     };
-    drive(config, scenario, &spec, sink, plan)
+    drive(config, scenario, &spec, sink, plan).0
 }
 
 /// Runs `spec` to completion, alternating sequential spans and windows
 /// as the module docs describe; `plan` (not `spec.workers`) sets the
-/// window shape and worker count.
+/// window shape and worker count. Returns the report and the run's work
+/// counts.
 pub(crate) fn drive(
     config: &FleetConfig,
     scenario: &Scenario,
     spec: &ServeSpec,
     sink: &mut dyn TraceSink,
     plan: &WindowPlan,
-) -> ServeReport {
+) -> (ServeReport, WorkCounts) {
     let mut core = EngineCore::new(config, scenario, spec, sink);
     while let Some(start) = core.next_instant() {
         match core.quiescent_horizon() {
@@ -341,6 +342,7 @@ impl EngineCore<'_> {
             };
             self.lookahead.push_back(request);
         }
+        self.counts.windows += 1;
         if self.placeable_dirty {
             self.rebuild_placeable();
         }
@@ -355,6 +357,7 @@ impl EngineCore<'_> {
                 .place_dense(&request, &self.placeable_ids)
                 .expect("windowed execution covers only load-oblivious balancers");
             self.window_arrivals[dst].push(request);
+            self.counts.dense_placed += 1;
             buffered += 1;
             if buffered < arrival_cap || !self.lookahead.is_empty() {
                 continue;
@@ -398,6 +401,7 @@ impl EngineCore<'_> {
         let branch_count = self.tally.issued.len();
         while self.worker_tallies.len() + 1 < worker_count {
             self.worker_tallies.push(Tally::new(branch_count));
+            self.counts.tallies += 1;
         }
         let mut shares: Vec<Vec<(usize, &mut Shard, &[Request])>> =
             (0..worker_count).map(|_| Vec::new()).collect();
@@ -425,15 +429,23 @@ impl EngineCore<'_> {
         }
 
         // Barrier: re-derive the cross-shard state the sequential engine
-        // would hold at the window edge. Queue total is a plain re-sum;
-        // dispatch entries are refreshed per shard in ascending id order
-        // (epoch bumps invalidate every pre-window entry lazily); window
-        // trace events sort by step key into exactly the sequential
-        // emission order, all strictly before any post-window event.
-        self.queued_total = self.shards.iter().map(|s| s.scheduler.queued()).sum();
+        // would hold at the window edge. One pass re-sums the queue totals
+        // and refreshes dispatch entries in ascending id order (epoch
+        // bumps invalidate every pre-window entry lazily); window trace
+        // events sort by step key into exactly the sequential emission
+        // order, all strictly before any post-window event.
+        self.queued_total = 0;
+        self.active_queued = 0;
         for shard in 0..shard_count {
+            self.counts.shard_reads += 1;
+            let s = &self.shards[shard];
+            self.queued_total += s.scheduler.queued();
+            if s.phase == ShardState::Active {
+                self.active_queued += s.scheduler.queued();
+            }
             self.refresh_dispatch(shard);
         }
+        self.counts.window_events += processed;
         if tracing {
             trace.sort_unstable_by_key(|(key, _)| *key);
             for (_, event) in trace {
@@ -547,5 +559,181 @@ impl TraceSink for StepSink {
         self.events
             .push(((self.at_us, self.lane, self.tie, self.seq), event));
         self.seq += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::serve_counted;
+    use crate::fleet::LoadBalancerKind;
+    use crate::model::{test_model, BranchService, ServiceModel};
+
+    /// The three-branch model of the integration suites' metropolis cells.
+    fn three_branch_model() -> ServiceModel {
+        let branch = |name: &str, frame_time_us, fill_time_us, max_batch, priority| BranchService {
+            name: name.to_owned(),
+            frame_time_us,
+            fill_time_us,
+            max_batch,
+            priority,
+        };
+        ServiceModel {
+            branches: vec![
+                branch("geometry", 9_000, 8_000, 1, 1.0),
+                branch("texture", 5_000, 7_000, 2, 1.0),
+                branch("audio", 1_500, 2_000, 4, 0.2),
+            ],
+        }
+    }
+
+    /// The engine's complexity promises on the coupled autoscaled
+    /// metropolis that `tests/engine_throughput.rs` times: 100k sessions
+    /// on a round-robin fleet that scales from 192 to 256 shards with no
+    /// cooldown (those spans step), then runs its terminal phase in
+    /// windows. Each regression the old 2x wall-clock ratios caught
+    /// fails a pin: a per-arrival fleet scan, a tally built per window,
+    /// the dense placement path turned off, or windows turned off.
+    #[test]
+    fn the_coupled_metropolis_keeps_cross_shard_work_off_the_arrival_path() {
+        const MAX_SHARDS: usize = 256;
+        let scenario = Scenario::metropolis().with_sessions(100_000);
+        let config = FleetConfig::uniform(three_branch_model(), 192);
+        let run = |workers| {
+            let spec = ServeSpec {
+                autoscaler: Autoscaler::reactive(192, MAX_SHARDS)
+                    .with_cooldown_us(0)
+                    .with_idle_retire_us(0),
+                workers,
+                ..ServeSpec::default()
+            };
+            serve_counted(&config, &scenario, &spec, &mut Off)
+        };
+        let (one_report, one) = run(1);
+        for workers in [1, 8] {
+            let (report, counts) = run(workers);
+            assert_eq!(report.to_json_line(), one_report.to_json_line());
+            assert_eq!(
+                WorkCounts {
+                    tallies: 1,
+                    ..counts
+                },
+                one,
+                "{workers} workers"
+            );
+            // At most two passes over the fleet per window edge and per
+            // lifecycle event, however many arrivals step.
+            let passes = 2 * (counts.windows + report.scale_events.len());
+            assert!(
+                counts.shard_reads <= passes * MAX_SHARDS,
+                "{workers} workers: {} shard reads, above {passes} passes over the fleet",
+                counts.shard_reads
+            );
+            assert_eq!(
+                counts.tallies, workers,
+                "one tally per worker for the whole run"
+            );
+            assert_eq!(
+                u64::try_from(counts.dense_placed).ok(),
+                Some(report.issued),
+                "every arrival is placed by the dense path"
+            );
+            let events = counts.steps + counts.window_events;
+            assert!(
+                counts.window_events * 10 >= events * 9,
+                "{workers} workers: {} of {events} events ran in windows",
+                counts.window_events
+            );
+        }
+    }
+
+    /// Small cells of each regime and their exact work counts under
+    /// `serve` at one worker, as `[steps, windows, window_events,
+    /// dense_placed, shard_reads, tallies, calendar_pushes, stale_pops]`.
+    /// Every cell accounts for the same events as the windows-disabled
+    /// driver; the load-aware balancers never open a window, so every
+    /// event steps and every placement reads the fleet.
+    #[test]
+    fn work_counts_per_regime() {
+        let cell = |shards, balancer, autoscaler, failures, scenario| {
+            let spec = ServeSpec {
+                autoscaler,
+                failures,
+                ..ServeSpec::default()
+            };
+            let config = FleetConfig::uniform(test_model(), shards).with_balancer(balancer);
+            (config, scenario, spec)
+        };
+        let burst = || Scenario::b2_qos().with_sessions(32);
+        let fixed = |balancer| {
+            cell(
+                4,
+                balancer,
+                Autoscaler::none(),
+                FailurePlan::none(),
+                burst(),
+            )
+        };
+        let goldens: [(&str, _, [usize; 8]); 6] = [
+            (
+                "round-robin",
+                fixed(LoadBalancerKind::RoundRobin),
+                [76, 5, 3766, 2298, 20, 1, 80, 4],
+            ),
+            (
+                "branch-sharded",
+                fixed(LoadBalancerKind::BranchSharded),
+                [94, 6, 3593, 2298, 24, 1, 105, 11],
+            ),
+            (
+                "autoscaled",
+                cell(
+                    2,
+                    LoadBalancerKind::RoundRobin,
+                    Autoscaler::reactive(2, 6).with_idle_retire_us(0),
+                    FailurePlan::none(),
+                    burst(),
+                ),
+                [499, 7, 3552, 2298, 72, 1, 199, 15],
+            ),
+            (
+                "failure-injected",
+                cell(
+                    3,
+                    LoadBalancerKind::RoundRobin,
+                    Autoscaler::reactive(2, 5).with_idle_retire_us(0),
+                    FailurePlan::scheduled(&[(600_000, 0), (1_400_000, 2)]),
+                    Scenario::b2_failover(3),
+                ),
+                [985, 6, 2313, 1746, 96, 1, 429, 8],
+            ),
+            (
+                "least-loaded",
+                fixed(LoadBalancerKind::LeastLoaded),
+                [3838, 0, 0, 0, 9192, 1, 1540, 0],
+            ),
+            (
+                "affinity",
+                fixed(LoadBalancerKind::AffinityFirst),
+                [3836, 0, 0, 0, 9192, 1, 1538, 0],
+            ),
+        ];
+        let sequential = WindowPlan::new(1).with_min_parallel_events(usize::MAX);
+        for (name, (config, scenario, spec), golden) in goldens {
+            let (_, c) = serve_counted(&config, &scenario, &spec, &mut Off);
+            let counts = [
+                c.steps,
+                c.windows,
+                c.window_events,
+                c.dense_placed,
+                c.shard_reads,
+                c.tallies,
+                c.calendar_pushes,
+                c.stale_pops,
+            ];
+            assert_eq!(counts, golden, "{name}");
+            let (_, stepped) = drive(&config, &scenario, &spec, &mut Off, &sequential);
+            assert_eq!(c.steps + c.window_events, stepped.steps, "{name}");
+        }
     }
 }
