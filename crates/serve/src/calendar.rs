@@ -30,6 +30,10 @@
 //! stream's next arrival as an implicit `(issued_at_us, LANE_ARRIVAL)`
 //! key. Stale dispatch entries (superseded by a later queue change) are
 //! detected by their `epoch` field and discarded lazily at pop time.
+//!
+//! Beside the heap, the calendar keeps a min-heap of the pending lifecycle
+//! instants alone, so the windowed engine's question "when is the next
+//! lifecycle event?" costs O(1) instead of a scan of every entry.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -94,6 +98,8 @@ impl<T> Ord for Entry<T> {
 #[derive(Debug)]
 pub struct Calendar<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// The `at_us` of every pending [`LANE_LIFECYCLE`] entry in `heap`.
+    lifecycle: BinaryHeap<Reverse<u64>>,
     next_seq: u64,
 }
 
@@ -108,6 +114,7 @@ impl<T> Calendar<T> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            lifecycle: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -124,6 +131,9 @@ impl<T> Calendar<T> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
+        if lane == LANE_LIFECYCLE {
+            self.lifecycle.push(Reverse(at_us));
+        }
         self.heap.push(Reverse(Entry { key, payload }));
         key
     }
@@ -135,22 +145,22 @@ impl<T> Calendar<T> {
 
     /// Removes and returns the earliest pending entry.
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        self.heap
-            .pop()
-            .map(|Reverse(entry)| (entry.key, entry.payload))
+        let Reverse(entry) = self.heap.pop()?;
+        if entry.key.lane == LANE_LIFECYCLE {
+            // The heap pops in `at_us` order first, so a popped lifecycle
+            // entry carries the earliest pending lifecycle instant.
+            let earliest = self.lifecycle.pop();
+            debug_assert_eq!(earliest, Some(Reverse(entry.key.at_us)));
+        }
+        Some((entry.key, entry.payload))
     }
 
-    /// The earliest `at_us` among pending entries in `lane`, if any — an
-    /// O(n) scan over the heap's backing storage. The windowed parallel
-    /// engine calls this once per window to find the next lifecycle
-    /// coupling point; lifecycle entries are never lazily invalidated, so
-    /// the answer needs no epoch filtering for [`LANE_LIFECYCLE`].
-    pub fn earliest_in_lane(&self, lane: u8) -> Option<u64> {
-        self.heap
-            .iter()
-            .filter(|Reverse(entry)| entry.key.lane == lane)
-            .map(|Reverse(entry)| entry.key.at_us)
-            .min()
+    /// The earliest `at_us` among pending [`LANE_LIFECYCLE`] entries, if
+    /// any, in O(1). The windowed parallel engine asks it for the next
+    /// lifecycle coupling point before each window; lifecycle entries are
+    /// never lazily invalidated, so the answer needs no epoch filtering.
+    pub fn earliest_lifecycle(&self) -> Option<u64> {
+        self.lifecycle.peek().map(|&Reverse(at_us)| at_us)
     }
 }
 
@@ -242,6 +252,32 @@ mod tests {
                 if (ka.at_us, ka.lane, ka.a, ka.b) == (kb.at_us, kb.lane, kb.a, kb.b) {
                     prop_assert!(pa < pb, "tied entries must pop in push order");
                 }
+            }
+        }
+
+        /// Over any sequence of pushes and pops, the lifecycle heap answers
+        /// what a scan of every pending entry for the earliest
+        /// [`LANE_LIFECYCLE`] instant answers.
+        #[test]
+        fn earliest_lifecycle_matches_a_scan_of_the_heap(
+            ops in proptest::collection::vec((0u8..3, entry_strategy()), 1..256),
+        ) {
+            let mut calendar: Calendar<()> = Calendar::new();
+            for (op, (at_us, lane, a, b)) in ops {
+                // One op in three pops, the rest push.
+                if op == 0 {
+                    calendar.pop();
+                } else {
+                    calendar.push(at_us, lane, a, b, ());
+                }
+                let pending: Vec<u64> = calendar
+                    .heap
+                    .iter()
+                    .filter(|Reverse(entry)| entry.key.lane == LANE_LIFECYCLE)
+                    .map(|Reverse(entry)| entry.key.at_us)
+                    .collect();
+                prop_assert_eq!(calendar.earliest_lifecycle(), pending.iter().copied().min());
+                prop_assert_eq!(calendar.lifecycle.len(), pending.len());
             }
         }
     }

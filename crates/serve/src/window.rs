@@ -78,7 +78,7 @@ use fcad_obs::{Off, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::AdmissionKind;
 use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
-use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
+use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH};
 use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
 use crate::engine::{EngineCore, ServeSpec, Shard, Tally, WorkCounts};
@@ -296,10 +296,7 @@ impl EngineCore<'_> {
         {
             return None;
         }
-        let mut horizon = self
-            .calendar
-            .earliest_in_lane(LANE_LIFECYCLE)
-            .unwrap_or(u64::MAX);
+        let mut horizon = self.calendar.earliest_lifecycle().unwrap_or(u64::MAX);
         let depth_armed = policy.scale_up_queue_depth > 0
             && active < policy.max_shards
             && self.due_arrival().is_some();
