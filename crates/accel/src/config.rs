@@ -3,12 +3,11 @@
 
 use crate::parallelism::Parallelism;
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of one pipeline stage: the 3D-parallelism factors of its
 /// basic architecture unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageConfig {
     /// Parallelism of the stage's basic architecture unit.
     pub parallelism: Parallelism,
@@ -28,7 +27,7 @@ impl StageConfig {
 
 /// Configuration of one branch pipeline (`config_j` in Table III): a batch
 /// size (pipeline replication factor) plus one [`StageConfig`] per stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchConfig {
     /// Number of pipeline copies instantiated for the branch (the paper's
     /// per-branch `batchsize`); each copy processes a different frame.
@@ -65,7 +64,7 @@ impl BranchConfig {
 
 /// A complete accelerator configuration: one [`BranchConfig`] per branch
 /// plus the quantization (`Q` in Table III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Per-branch configurations, in branch order.
     pub branches: Vec<BranchConfig>,

@@ -1,7 +1,5 @@
 //! Tunable constants of the resource cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Constants used by the DSP / BRAM / bandwidth estimators.
 ///
 /// The defaults model Xilinx-style FPGAs: 18 Kb BRAM blocks with two ports
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// They are exposed so that ASIC-style memories (or calibration against a
 /// particular board) can adjust the model without touching the estimator
 /// code.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Capacity of one on-chip memory block in bits (BRAM18K by default).
     pub bram_bits: u64,

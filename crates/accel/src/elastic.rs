@@ -7,10 +7,9 @@ use crate::efficiency;
 use crate::error::{Error, Result};
 use crate::pipeline::{BranchPipeline, BranchReport};
 use crate::platform::{Platform, ResourceBudget, ResourceUsage};
-use serde::{Deserialize, Serialize};
 
 /// Evaluation of a complete accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorReport {
     /// Per-branch reports in branch order.
     pub branches: Vec<BranchReport>,
@@ -40,7 +39,7 @@ impl AcceleratorReport {
 ///
 /// The structure is fixed by the Construction step; evaluation under
 /// different [`AcceleratorConfig`]s is what the DSE engine iterates on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticAccelerator {
     name: String,
     branches: Vec<BranchPipeline>,

@@ -2,7 +2,6 @@
 
 use crate::error::{Error, Result};
 use crate::stage::ConvStage;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 3D parallelism of one basic architecture unit (Sec. V-C):
@@ -14,7 +13,7 @@ use std::fmt;
 ///   sections processed by independent engine groups.
 ///
 /// The total number of MAC lanes is `cpf × kpf × h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// Input-channel unroll factor.
     pub cpf: usize,

@@ -10,10 +10,9 @@ use crate::platform::ResourceUsage;
 use crate::stage::ConvStage;
 use crate::unit::UnitCost;
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation of a single pipeline stage under its configured parallelism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageEvaluation {
     /// Stage name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct StageEvaluation {
 /// Evaluation of one branch pipeline: per-stage results plus branch-level
 /// throughput, efficiency and resource usage (including the `batch_size`
 /// pipeline copies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchReport {
     /// Branch name.
     pub name: String,
@@ -56,7 +55,7 @@ pub struct BranchReport {
 
 /// One branch of the elastic architecture: an ordered chain of fused
 /// Conv-like stages executed as a fine-grained pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchPipeline {
     name: String,
     stages: Vec<ConvStage>,

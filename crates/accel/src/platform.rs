@@ -1,12 +1,11 @@
 //! Hardware platform descriptions and resource budgets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three resource budgets F-CAD optimizes under (Table III):
 /// compute (`Cmax`, DSP slices or MAC units), on-chip memory (`Mmax`,
 /// BRAM18K blocks or KiB of SRAM), and external memory bandwidth (`BWmax`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceBudget {
     /// Available DSP slices (FPGA) or MAC units (ASIC).
     pub dsp: usize,
@@ -46,7 +45,7 @@ impl ResourceBudget {
 }
 
 /// Resources actually consumed by a design (same axes as [`ResourceBudget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceUsage {
     /// DSP slices (or MAC units) used.
     pub dsp: usize,
@@ -68,7 +67,7 @@ impl ResourceUsage {
 }
 
 /// Whether a platform is an FPGA or an ASIC-style budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// FPGA device: `dsp` counts DSP slices, `bram` counts BRAM18K blocks.
     Fpga,
@@ -77,7 +76,7 @@ pub enum PlatformKind {
 }
 
 /// A target hardware platform: a resource budget plus a clock frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     kind: PlatformKind,

@@ -8,13 +8,12 @@
 //! need.
 
 use fcad_profiler::{BranchProfile, LayerProfile};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One pipeline stage: a convolution (or dense layer treated as a 1×1
 /// convolution on a 1×1 map) together with its fused activation and
 /// up-sampling epilogue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvStage {
     /// Stage name (taken from the compute layer it wraps).
     pub name: String,

@@ -5,7 +5,6 @@ use crate::cost::CostModel;
 use crate::parallelism::Parallelism;
 use crate::stage::ConvStage;
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Latency and resources of one basic architecture unit (Sec. V-B/C): the
 /// Eq. 4, DSP and BRAM formulas, written once.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// weight bytes it streams per frame. Branch pipelines, the DSE, the
 /// cycle-level simulator and the DNNBuilder baseline all cost their stages
 /// through it; it is `Copy` and builds without allocating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitCost {
     /// Stage latency in cycles for one input (Eq. 4 without the frequency
     /// term).

@@ -1,9 +1,7 @@
 //! Common result type for all baseline accelerators.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency of one layer under a baseline accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerLatency {
     /// Layer name.
     pub name: String,
@@ -17,7 +15,7 @@ pub struct LayerLatency {
 }
 
 /// Evaluation of a baseline accelerator on a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineResult {
     /// Baseline name (e.g. "DNNBuilder (8-bit)").
     pub name: String,

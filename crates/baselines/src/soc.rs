@@ -5,7 +5,6 @@ use crate::result::{BaselineResult, LayerLatency};
 use fcad_accel::{efficiency, ConvStage};
 use fcad_nnir::{Network, Precision};
 use fcad_profiler::NetworkProfile;
-use serde::{Deserialize, Serialize};
 
 /// Model of a flagship mobile SoC running the decoder on its AI engine
 /// (the Snapdragon 865 row of Table II).
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// several times because of tiling. The paper measures 35.8 FPS and 16.9 %
 /// efficiency — the decoder's HD texture branch is exactly the spilling
 /// case.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobileSoc {
     /// Number of MAC units in the AI engine.
     pub mac_units: usize,

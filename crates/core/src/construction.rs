@@ -4,10 +4,9 @@
 use fcad_accel::{BranchPipeline, ConvStage, ElasticAccelerator, Platform};
 use fcad_nnir::Network;
 use fcad_profiler::NetworkProfile;
-use serde::{Deserialize, Serialize};
 
 /// How one branch was mapped onto the elastic architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchConstruction {
     /// Branch name.
     pub name: String,
@@ -24,7 +23,7 @@ pub struct BranchConstruction {
 
 /// Result of the Construction step: the per-branch mapping plus the fused
 /// stage lists that become the accelerator's branch pipelines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Construction {
     branches: Vec<BranchConstruction>,
     pipelines: Vec<(String, Vec<ConvStage>)>,

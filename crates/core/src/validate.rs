@@ -3,10 +3,9 @@
 
 use fcad_accel::{AcceleratorConfig, ElasticAccelerator};
 use fcad_cyclesim::Simulator;
-use serde::{Deserialize, Serialize};
 
 /// Estimated-vs-simulated numbers for one branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchValidation {
     /// Branch name.
     pub name: String,
@@ -35,7 +34,7 @@ impl BranchValidation {
 
 /// Comparison of the analytical model against the cycle-level simulator for
 /// a complete accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// Per-branch comparisons.
     pub branches: Vec<BranchValidation>,

@@ -1,7 +1,5 @@
 //! Shared external-memory model.
 
-use serde::{Deserialize, Serialize};
-
 /// A bandwidth-limited external memory shared by every pipeline stage.
 ///
 /// Weight streams are the dominant external traffic of the layer-pipelined
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// tracks how many bytes each consumer moves per frame and charges transfer
 /// cycles at the effective per-cycle bandwidth. Contention is modeled by
 /// derating each consumer's share proportionally to the total demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Peak bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: f64,

@@ -1,9 +1,7 @@
 //! Simulation result types.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-stage simulation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSim {
     /// Stage name.
     pub name: String,
@@ -28,7 +26,7 @@ impl StageSim {
 }
 
 /// Simulation outcome of one branch pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchSim {
     /// Branch name.
     pub name: String,
@@ -55,7 +53,7 @@ pub struct BranchSim {
 }
 
 /// Simulation outcome of a complete multi-branch accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorSim {
     /// Per-branch results in branch order.
     pub branches: Vec<BranchSim>,

@@ -7,7 +7,6 @@ use fcad_accel::{
     efficiency, AcceleratorConfig, BranchConfig, ConvStage, ElasticAccelerator, Parallelism,
 };
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Cycle-level simulator for layer-pipelined accelerators.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// memory bandwidth of the target platform; it then executes branch
 /// pipelines under concrete configurations and reports measured throughput
 /// and efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Simulator {
     frequency_hz: f64,
     memory: MemoryModel,

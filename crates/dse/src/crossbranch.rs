@@ -12,13 +12,12 @@ use fcad_accel::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How one candidate splits the platform's resources across branches: a
 /// share in `[0, 1]` per branch and per resource dimension (compute, on-chip
 /// memory, bandwidth). Shares are kept normalized so each dimension sums to
 /// one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDistribution {
     /// `shares[b] = [dsp_share, bram_share, bandwidth_share]` for branch `b`.
     pub shares: Vec<[f64; 3]>,
@@ -126,7 +125,7 @@ impl ResourceDistribution {
 }
 
 /// Hyper-parameters of the cross-branch stochastic search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseParams {
     /// Population size `P` (the paper uses 200).
     pub population: usize,

@@ -1,7 +1,6 @@
 //! User customization of the exploration (the `U` inputs of Algorithm 1).
 
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Application-specific customization: quantization `Q`, per-branch target
 /// batch sizes and per-branch priorities (Table III, "Customization" row).
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// For the codec avatar decoder the paper uses batch sizes `{1, 2, 2}` —
 /// the texture and warp-field branches render one output per eye while the
 /// facial geometry is shared by both eyes — and uniform priorities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Customization {
     /// Numeric precision (`Q`).
     pub precision: Precision,

@@ -2,10 +2,9 @@
 
 use crate::customization::Customization;
 use fcad_accel::AcceleratorReport;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the fitness function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitnessParams {
     /// Weight `α` of the branch-performance variance penalty `P = α·σ²`.
     ///

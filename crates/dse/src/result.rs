@@ -1,10 +1,9 @@
 //! Exploration results and convergence statistics.
 
 use fcad_accel::{AcceleratorConfig, AcceleratorReport};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one design-space exploration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DseResult {
     /// The best configuration found.
     pub best_config: AcceleratorConfig,
@@ -37,7 +36,7 @@ impl DseResult {
 
 /// Aggregate convergence statistics over several independent searches
 /// (the paper reports mean 9.2, min 6.8, max 13.6 over 10 runs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceStats {
     /// Number of independent runs aggregated.
     pub runs: usize,

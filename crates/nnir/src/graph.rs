@@ -10,12 +10,11 @@
 use crate::error::{Error, Result};
 use crate::layer::Layer;
 use crate::tensor::{Precision, TensorShape};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a layer within a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LayerId(pub(crate) usize);
 
 impl LayerId {
@@ -32,7 +31,7 @@ impl fmt::Display for LayerId {
 }
 
 /// Identifier of a branch within a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BranchId(pub(crate) usize);
 
 impl BranchId {
@@ -50,7 +49,7 @@ impl fmt::Display for BranchId {
 
 /// One branch of a multi-branch network: an ordered chain of layers from the
 /// branch input to the branch output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Branch {
     pub(crate) name: String,
     pub(crate) input: TensorShape,
@@ -103,7 +102,7 @@ impl Branch {
 ///
 /// Construct one through [`crate::NetworkBuilder`] or pick a ready-made model
 /// from [`crate::models`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     pub(crate) name: String,
     pub(crate) layers: Vec<Layer>,

@@ -16,11 +16,10 @@
 
 use crate::error::{Error, Result};
 use crate::tensor::{Precision, TensorShape};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a convolution or dense layer applies its bias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BiasKind {
     /// No bias term.
     None,
@@ -53,7 +52,7 @@ impl fmt::Display for BiasKind {
 }
 
 /// Activation functions that appear in the decoder and the classic benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationKind {
     /// Rectified linear unit.
     Relu,
@@ -77,7 +76,7 @@ impl fmt::Display for ActivationKind {
 }
 
 /// Pooling flavours used by the classic single-branch benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -86,7 +85,7 @@ pub enum PoolKind {
 }
 
 /// Configuration of a convolution layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvSpec {
     /// Number of output channels.
     pub out_channels: usize,
@@ -131,7 +130,7 @@ impl ConvSpec {
 }
 
 /// The operation a [`Layer`] performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum LayerKind {
     /// 2-D convolution. With [`BiasKind::Untied`] this is the paper's
@@ -209,7 +208,7 @@ impl LayerKind {
 /// assert_eq!(conv.macs(), 16 * 8 * 9 * 64 * 64);
 /// # Ok::<(), fcad_nnir::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     name: String,
     kind: LayerKind,

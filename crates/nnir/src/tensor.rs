@@ -1,6 +1,5 @@
 //! Feature-map geometry and numeric precision.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of a feature map in channels × height × width (CHW) order.
@@ -15,7 +14,7 @@ use std::fmt;
 /// let latent = TensorShape::chw(4, 8, 8);
 /// assert_eq!(latent.elements(), 256);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Number of channels.
     pub channels: usize,
@@ -93,9 +92,7 @@ impl fmt::Display for TensorShape {
 /// The paper evaluates 8-bit and 16-bit fixed-point accelerators; `Fp32` is
 /// provided as a software-reference format (e.g. for the SoC baseline before
 /// quantization).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Precision {
     /// 8-bit fixed point (the paper's most efficient FPGA configuration).
     #[default]

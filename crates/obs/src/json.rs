@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON emission and a structural validity checker.
 //!
-//! The workspace's offline `serde` stand-in only provides marker traits, so
-//! the exporters render JSON with this tiny writer, and `fcad-serve`
-//! re-exports it for its report line. Output is deterministic: fields
-//! appear in insertion order and floats use fixed four-decimal formatting.
-//! [`validate_json`] is the round-trip checker the CI smoke uses to assert
-//! exported traces are well-formed.
+//! The workspace has no serialization dependency, so the exporters render
+//! JSON with this tiny writer, and `fcad-serve` re-exports it for its
+//! report line. Output is deterministic: fields appear in insertion order
+//! and floats use fixed four-decimal formatting. [`validate_json`] is the
+//! round-trip checker the CI smoke uses to assert exported traces are
+//! well-formed.
 
 /// Builds one JSON object as a single-line string.
 #[derive(Debug, Default)]
@@ -19,7 +19,8 @@ impl JsonObject {
         Self::default()
     }
 
-    /// Adds a string field (escapes quotes and backslashes).
+    /// Adds a string field (escapes quotes, backslashes and control
+    /// characters).
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.fields
             .push(format!("\"{}\":\"{}\"", escape(key), escape(value)));
@@ -56,8 +57,23 @@ pub fn array(elements: &[String]) -> String {
     format!("[{}]", elements.join(","))
 }
 
+/// Escapes `text` for a JSON string: quotes, backslashes and the control
+/// characters U+0000–U+001F, which JSON forbids raw. `\n`, `\r` and `\t`
+/// are written by name, the other control characters as `\u00XX`.
 fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut escaped = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => escaped.push_str("\\\""),
+            '\\' => escaped.push_str("\\\\"),
+            '\n' => escaped.push_str("\\n"),
+            '\r' => escaped.push_str("\\r"),
+            '\t' => escaped.push_str("\\t"),
+            c if c < ' ' => escaped.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => escaped.push(c),
+        }
+    }
+    escaped
 }
 
 /// Maximum nesting depth [`validate_json`] accepts, guarding the
@@ -268,6 +284,15 @@ mod tests {
             .render();
         assert_eq!(line, "{\"k\":\"say \\\"hi\\\"\",\"bad\":0.0000}");
         validate_json(&line).expect("escaped output is valid JSON");
+    }
+
+    #[test]
+    fn escapes_control_characters() {
+        let line = JsonObject::new()
+            .str("two\nlines", "a\r\tb\u{0}\u{1b}\u{1f} ")
+            .render();
+        assert_eq!(line, "{\"two\\nlines\":\"a\\r\\tb\\u0000\\u001b\\u001f \"}");
+        validate_json(&line).expect("escaped control characters are valid JSON");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::profile::NetworkProfile;
 use fcad_nnir::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Memory demand of a network at a given precision.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (up to 16×1024×1024 elements) are what break cache-limited SoCs and
 /// BRAM-limited FPGA baselines in Sec. III, so the footprint is split into
 /// the two components the accelerator has to place somewhere.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryFootprint {
     /// Precision the footprint was computed at.
     pub precision: Precision,

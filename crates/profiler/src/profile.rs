@@ -1,10 +1,9 @@
 //! Layer-, branch- and network-level demand statistics.
 
 use fcad_nnir::{BranchId, LayerId, LayerKind, Network, Precision, TensorShape};
-use serde::{Deserialize, Serialize};
 
 /// Compute and memory demand of a single layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Id of the layer inside the profiled network.
     pub layer_id: LayerId,
@@ -64,7 +63,7 @@ impl LayerProfile {
 }
 
 /// Demand statistics of one branch (including its shared prefix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchProfile {
     /// Id of the branch inside the profiled network.
     pub branch_id: BranchId,
@@ -114,7 +113,7 @@ impl BranchProfile {
 }
 
 /// Full profile of a multi-branch network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkProfile {
     network_name: String,
     branches: Vec<BranchProfile>,

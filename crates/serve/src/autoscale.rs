@@ -23,12 +23,11 @@
 //! failure plan — the spec's default — are the fixed fleet.
 
 use crate::cast::usize_to_u64;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle state of one fleet shard. A fixed fleet keeps every shard
 /// [`ShardState::Active`] for the whole run; the autoscaler and the failure
 /// injector move shards through the other states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardState {
     /// Spawned but still streaming identity weights (the warm-up fill
     /// penalty): receives placements only if no active shard exists and
@@ -87,7 +86,7 @@ impl ShardState {
 /// queue-depth trigger — an admission policy that protects the SLO by
 /// rejecting load and a scaling policy that protects it by buying capacity
 /// are deliberately independent knobs of the same run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Autoscaler {
     /// Fewest alive shards the policy tolerates: scale-down never drains
     /// below it, and a failure triggers replacement spawns back up to it.
@@ -181,7 +180,7 @@ impl Autoscaler {
 }
 
 /// Which shard a kill hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum KillTarget {
     /// An explicit shard index; the kill is skipped if that shard does not
     /// exist or is already dead at fire time.
@@ -192,7 +191,7 @@ pub(crate) enum KillTarget {
 }
 
 /// One scheduled kill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Kill {
     /// When the shard dies, µs since simulation start.
     pub at_us: u64,
@@ -203,7 +202,7 @@ pub(crate) struct Kill {
 /// The failure injection plan: which shards die when. A re-placed request
 /// re-pays its branch's weight fill on a destination shard that is not
 /// warming (the migrated session's decoder weights must be re-streamed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePlan {
     kills: Vec<Kill>,
 }

@@ -12,21 +12,22 @@
 //! priority-by-branch spends it on the visual branches first, and batch
 //! aggregation amortizes it over the DSE-chosen batch size.
 //!
-//! The loop is driven by an indexed event calendar
-//! ([`crate::calendar::Calendar`]): arrivals are drawn one at a time from
-//! the scenario's lazy arrival stream, already in time order, so no
-//! whole-trace vector is ever built, while dispatch completions and
-//! fleet *lifecycle* events (scheduled failures, forced drains, warm-up
-//! completions, idle checks) live in a binary min-heap keyed by
-//! `(time, lane, tiebreaks, seq)`. Every step pops the earliest event:
-//! lifecycle events win ties (a shard that dies at `t` cannot admit the
-//! arrival at `t`), arrivals win ties against dispatches, and dispatches
-//! tie-break on the lowest shard index — so the whole simulation is a
-//! deterministic function of its inputs, and bit-identical to the frozen
-//! linear-scan loop in [`crate::reference`] (the equivalence battery pins
-//! this). Shard dispatch entries are *lazily invalidated*: each shard
-//! carries an epoch that bumps whenever its dispatch instant could have
-//! changed, and stale calendar entries are discarded at pop time.
+//! Events come from three sources, each already in its own order:
+//! arrivals are drawn one at a time from the scenario's lazy arrival
+//! stream, so no whole-trace vector is ever built; fleet *lifecycle*
+//! events (scheduled failures, forced drains, warm-up completions, idle
+//! checks) wait in a min-heap ordered by `(time, rank, push order)`; and
+//! each shard's next dispatch waits in a min-heap ordered by
+//! `(time, shard)`. [`EngineCore::next_event`] takes the earliest of the
+//! three heads, and the lane order breaks a tie on the instant:
+//! lifecycle events first (a shard that dies at `t` cannot admit the
+//! arrival at `t`), then arrivals, then dispatches, lowest shard first —
+//! so the whole simulation is a deterministic function of its inputs,
+//! and bit-identical to the frozen linear-scan loop in
+//! [`crate::reference`] (the equivalence battery pins this). Dispatch
+//! entries are *lazily invalidated*: each shard carries an epoch that
+//! bumps whenever its dispatch instant could have changed, and stale
+//! entries are discarded when they reach the head.
 //! Admission happens in arrival order against the chosen shard's live
 //! state: the balancer picks among the *placeable* shards, the admission
 //! policy accepts or sheds the request at that shard's front door, and
@@ -43,7 +44,8 @@
 //! [`ShardState::Active`](crate::ShardState::Active) — and the single
 //! device ([`simulate`]) is the one-shard fleet.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use fcad_obs::{
     BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
@@ -51,7 +53,6 @@ use fcad_obs::{
 
 use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
 use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
-use crate::calendar::{Calendar, EventKey, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
 use crate::fleet::{Balancer, FleetConfig, LoadBalancerKind, ShardLoad};
@@ -154,9 +155,9 @@ pub(crate) struct WorkCounts {
     pub(crate) shard_reads: usize,
     /// [`Tally`]s built.
     pub(crate) tallies: usize,
-    /// Calendar pushes.
+    /// Pushes onto the lifecycle and dispatch heaps.
     pub(crate) calendar_pushes: usize,
-    /// Stale dispatch entries discarded at pop time.
+    /// Stale dispatch entries discarded at the dispatch heap's head.
     pub(crate) stale_pops: usize,
 }
 
@@ -175,11 +176,15 @@ pub fn simulate(model: &ServiceModel, scenario: &Scenario, kind: SchedulerKind) 
     )
 }
 
-/// A fleet lifecycle action carried in the calendar payload. Ordering
-/// lives in the calendar key — `(at_us, LANE_LIFECYCLE, rank, seq)`:
-/// failures before drains before warm-ups before idle checks at the same
-/// instant, insertion order as the final tie-break — all deterministic
-/// and identical to the frozen loop's `(at_us, rank, seq)` linear scan.
+/// The lane of shard lifecycle events, which win every same-instant tie.
+pub(crate) const LANE_LIFECYCLE: u8 = 0;
+/// The lane of arrivals, which win same-instant ties against dispatches.
+pub(crate) const LANE_ARRIVAL: u8 = 1;
+/// The lane of shard dispatches, which lose every same-instant tie.
+pub(crate) const LANE_DISPATCH: u8 = 2;
+
+/// A fleet lifecycle action against a shard.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Action {
     Fail(KillTarget),
     Drain,
@@ -198,12 +203,17 @@ impl Action {
     }
 }
 
-/// A calendar payload: a lifecycle action against a shard, or a shard's
-/// pending dispatch completion (validated against the shard's epoch at
-/// pop time).
-pub(crate) enum CalEvent {
-    Life { shard: usize, action: Action },
-    Dispatch { shard: usize },
+/// A pending lifecycle event. The derived order is the frozen loop's
+/// `(at_us, rank, seq)`: failures before drains before warm-ups before
+/// idle checks at the same instant, push order last. `seq` is unique, so
+/// the order never reaches `shard` or `action`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct LifeEvent {
+    pub(crate) at_us: u64,
+    rank: u8,
+    seq: u64,
+    shard: usize,
+    action: Action,
 }
 
 /// One shard's full runtime state: its service model, scheduler, lifecycle
@@ -219,10 +229,10 @@ pub(crate) struct Shard {
     pub(crate) free_at_us: u64,
     pub(crate) pending_since_us: u64,
     pub(crate) busy_us: u64,
-    pub(crate) backlog_us: u64,
     /// The queued backlog split by QoS class (each request at its
     /// unbatched single-request cost) — the admission policy's view
     /// of how much work that can outrank a new arrival it waits behind.
+    /// Its sum is the backlog the load-aware balancers read.
     pub(crate) class_backlog_us: [u64; CLASS_COUNT],
     /// Highest branch priority of this shard's model (fixed for the
     /// run), feeding the admission projection's worst-case score.
@@ -232,10 +242,10 @@ pub(crate) struct Shard {
     /// backlog accounting are table lookups instead of recomputed
     /// `batch_service_us` calls.
     pub(crate) single_cost_us: Vec<u64>,
-    /// Validity epoch for this shard's calendar dispatch entry: bumped by
+    /// Validity epoch for this shard's dispatch entry: bumped by
     /// [`EngineCore::refresh_dispatch`] whenever the dispatch instant
-    /// could have changed; calendar entries carrying an older epoch are
-    /// stale and discarded at pop time.
+    /// could have changed; entries carrying an older epoch are stale and
+    /// discarded when they reach the dispatch heap's head.
     pub(crate) dispatch_epoch: u64,
     pub(crate) issued: u64,
     pub(crate) completed: u64,
@@ -264,7 +274,6 @@ impl Shard {
             free_at_us: 0,
             pending_since_us: 0,
             busy_us: 0,
-            backlog_us: 0,
             class_backlog_us: [0; CLASS_COUNT],
             max_priority,
             single_cost_us,
@@ -295,7 +304,7 @@ impl Shard {
         ShardLoad {
             queued: self.scheduler.queued(),
             free_at_us: self.free_at_us,
-            backlog_us: self.backlog_us,
+            backlog_us: self.class_backlog_us.iter().sum(),
         }
     }
 
@@ -311,7 +320,6 @@ impl Shard {
             self.pending_since_us = now_us;
         }
         let single_us = self.single_cost_us[request.branch];
-        self.backlog_us += single_us;
         self.class_backlog_us[request.class.index()] += single_us;
         self.scheduler.enqueue(request);
     }
@@ -321,10 +329,6 @@ impl Shard {
     fn release(&mut self, request: &Request) {
         let single_us = self.single_cost_us[request.branch];
         let class = request.class.index();
-        self.backlog_us = self
-            .backlog_us
-            .checked_sub(single_us)
-            .expect("the backlog holds the cost of every request queued on its shard");
         self.class_backlog_us[class] = self.class_backlog_us[class]
             .checked_sub(single_us)
             .expect("the class backlog holds the cost of every queued request of its class");
@@ -526,7 +530,15 @@ pub(crate) struct EngineCore<'b> {
     phase_counts: PhaseCounts,
     pub(crate) balancer: Balancer,
     pub(crate) capacity: usize,
-    pub(crate) calendar: Calendar<CalEvent>,
+    /// Pending lifecycle events, earliest first.
+    pub(crate) life: BinaryHeap<Reverse<LifeEvent>>,
+    /// The `seq` of the next lifecycle event pushed.
+    life_seq: u64,
+    /// Dispatch entries `(at_us, shard, epoch)`, earliest first and lowest
+    /// shard first at one instant. An entry is live while `epoch` is its
+    /// shard's [`Shard::dispatch_epoch`]; each shard has at most one live
+    /// entry.
+    pub(crate) dispatches: BinaryHeap<Reverse<(u64, usize, u64)>>,
     pub(crate) split_us: Option<u64>,
     pub(crate) last_scale_up: Option<u64>,
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
@@ -597,7 +609,9 @@ impl<'b> EngineCore<'b> {
             shards,
             balancer,
             capacity,
-            calendar: Calendar::new(),
+            life: BinaryHeap::new(),
+            life_seq: 0,
+            dispatches: BinaryHeap::new(),
             split_us: spec.failures.first_kill_us(),
             last_scale_up: None,
             queued_total: 0,
@@ -636,19 +650,17 @@ impl<'b> EngineCore<'b> {
         core
     }
 
-    /// Pushes a lifecycle event under `(at_us, LANE_LIFECYCLE, rank, 0)`:
-    /// the calendar's own insertion counter orders events of the same
-    /// instant and rank in push order, the frozen loop's `seq` tie-break.
+    /// Schedules `action` against `shard` at `at_us`.
     fn push_life(&mut self, at_us: u64, shard: usize, action: Action) {
-        let rank = u64::from(action.rank());
         self.counts.calendar_pushes += 1;
-        self.calendar.push(
+        self.life.push(Reverse(LifeEvent {
             at_us,
-            LANE_LIFECYCLE,
-            rank,
-            0,
-            CalEvent::Life { shard, action },
-        );
+            rank: action.rank(),
+            seq: self.life_seq,
+            shard,
+            action,
+        }));
+        self.life_seq += 1;
     }
 
     /// The number of shards in `phase`.
@@ -727,8 +739,8 @@ impl<'b> EngineCore<'b> {
         })
     }
 
-    /// Invalidates `shard`'s calendar dispatch entry (by bumping its epoch)
-    /// and re-schedules it if the shard still has dispatchable work. Called
+    /// Invalidates `shard`'s dispatch entry (by bumping its epoch) and
+    /// re-schedules it if the shard still has dispatchable work. Called
     /// after every mutation that can move a shard's dispatch instant:
     /// dispatch completion, enqueue into an empty queue, orphan
     /// re-placement (the repay fill moves `free_at_us` even with a
@@ -739,13 +751,8 @@ impl<'b> EngineCore<'b> {
         s.dispatch_epoch += 1;
         if s.phase.dispatches() && s.scheduler.queued() > 0 {
             self.counts.calendar_pushes += 1;
-            self.calendar.push(
-                s.dispatch_at(),
-                LANE_DISPATCH,
-                usize_to_u64(shard),
-                s.dispatch_epoch,
-                CalEvent::Dispatch { shard },
-            );
+            self.dispatches
+                .push(Reverse((s.dispatch_at(), shard, s.dispatch_epoch)));
         }
     }
 
@@ -786,56 +793,67 @@ impl<'b> EngineCore<'b> {
         }
     }
 
-    /// The earliest *live* calendar entry, discarding stale dispatch
+    /// The instant of the earliest live dispatch entry, discarding stale
     /// entries (superseded epochs) on the way.
-    pub(crate) fn live_front(&mut self) -> Option<EventKey> {
-        while let Some(key) = self.calendar.peek_key() {
-            if key.lane != LANE_DISPATCH || key.b == self.shards[u64_to_usize(key.a)].dispatch_epoch
-            {
-                return Some(key);
+    fn live_dispatch(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at_us, shard, epoch))) = self.dispatches.peek() {
+            if epoch == self.shards[shard].dispatch_epoch {
+                return Some(at_us);
             }
             self.counts.stale_pops += 1;
-            self.calendar.pop();
+            self.dispatches.pop();
         }
         None
     }
 
-    /// Processes the single earliest pending event. Returns `false` when
-    /// the run is complete (no arrival pending and no request queued) —
-    /// the old loop's termination condition, verbatim.
-    pub(crate) fn step(&mut self) -> bool {
-        let due_arrival = self.due_arrival();
-        if due_arrival.is_none() && self.queued_total == 0 {
-            return false;
+    /// The earliest pending event as `(at_us, lane)`: the least of the
+    /// lifecycle head, the next arrival and the live dispatch head, a tie
+    /// on the instant going to the lower lane. `None` when the run is
+    /// complete (no arrival pending and no request queued) — the frozen
+    /// loop's termination condition, verbatim.
+    pub(crate) fn next_event(&mut self) -> Option<(u64, u8)> {
+        let arrival = self
+            .due_arrival()
+            .map(|request| (request.issued_at_us, LANE_ARRIVAL));
+        if arrival.is_none() && self.queued_total == 0 {
+            return None;
         }
-        let arrival_at = due_arrival.map_or(u64::MAX, |r| r.issued_at_us);
-        let front = self.live_front();
-        let take_calendar =
-            front.is_some_and(|key| (key.at_us, key.lane) < (arrival_at, LANE_ARRIVAL));
-        if !take_calendar && due_arrival.is_none() {
-            debug_assert!(false, "stranded queued work with no pending event");
-            return false;
-        }
+        let life = self
+            .life
+            .peek()
+            .map(|Reverse(event)| (event.at_us, LANE_LIFECYCLE));
+        let dispatch = self.live_dispatch().map(|at_us| (at_us, LANE_DISPATCH));
+        let next = life.into_iter().chain(arrival).chain(dispatch).min();
+        debug_assert!(next.is_some(), "stranded queued work with no pending event");
+        next
+    }
 
+    /// Processes the single earliest pending event. Returns `false` when
+    /// the run is complete.
+    pub(crate) fn step(&mut self) -> bool {
+        let Some((now_us, lane)) = self.next_event() else {
+            return false;
+        };
         self.counts.steps += 1;
-        if take_calendar {
-            let (key, event) = self.calendar.pop().expect("calendar front was just peeked");
-            let now_us = key.at_us;
-            match event {
-                CalEvent::Life {
-                    shard: life_shard,
-                    action,
-                } => {
-                    self.life_event(now_us, life_shard, action);
-                    self.debug_check_active_queued();
-                }
-                CalEvent::Dispatch { shard } => self.dispatch_event(now_us, shard),
+        match lane {
+            LANE_LIFECYCLE => {
+                let Reverse(event) = self.life.pop().expect("the lifecycle head was just peeked");
+                self.life_event(now_us, event.shard, event.action);
+                self.debug_check_active_queued();
             }
-        } else {
-            let request = self
-                .take_before(u64::MAX)
-                .expect("the due arrival was just peeked");
-            self.arrival_event(request);
+            LANE_ARRIVAL => {
+                let request = self
+                    .take_before(u64::MAX)
+                    .expect("the due arrival was just peeked");
+                self.arrival_event(request);
+            }
+            _ => {
+                let Reverse((_, shard, _)) = self
+                    .dispatches
+                    .pop()
+                    .expect("the live dispatch head was just peeked");
+                self.dispatch_event(now_us, shard);
+            }
         }
         true
     }
@@ -874,7 +892,6 @@ impl<'b> EngineCore<'b> {
                         debug_assert!(!batch.is_empty(), "scheduler returned an empty batch");
                         orphans.extend(batch);
                     }
-                    dead.backlog_us = 0;
                     dead.class_backlog_us = [0; CLASS_COUNT];
                     dead.pending_since_us = 0;
                     dead.issued -= usize_to_u64(orphans.len());
@@ -1490,6 +1507,90 @@ mod tests {
         shard.dispatch(0, now_us, DeadlinePolicy::Off, None, &mut tally, &mut Off);
     }
 
+    /// Queues one branch-0 request on `shard` at `now_us`, as an arrival
+    /// into an empty queue would.
+    fn queue_at(core: &mut EngineCore, shard: usize, now_us: u64) {
+        let request = Request {
+            id: 0,
+            session: 0,
+            branch: 0,
+            issued_at_us: now_us,
+            class: QosClass::Standard,
+        };
+        core.shards[shard].enqueue(request, now_us);
+        core.queued_total += 1;
+        core.active_queued += 1;
+        core.refresh_dispatch(shard);
+    }
+
+    #[test]
+    fn one_instant_steps_lifecycle_then_arrivals_then_dispatch() {
+        let config = FleetConfig::uniform(test_model(), 1);
+        let scenario = Scenario::a1();
+        let spec = ServeSpec::default();
+        let mut sink = Off;
+        let mut core = EngineCore::new(&config, &scenario, &spec, &mut sink);
+        let now_us = core.due_arrival().expect("a1 issues requests").issued_at_us;
+        // A drain of a shard that does not exist: a no-op at the instant
+        // of the first arrivals. The first arrival schedules a dispatch at
+        // that instant too, ahead of the other branches' arrivals.
+        core.push_life(now_us, 9, Action::Drain);
+        let mut lanes = Vec::new();
+        while let Some((_, lane)) = core.next_event().filter(|&(at_us, _)| at_us == now_us) {
+            lanes.push(lane);
+            assert!(core.step());
+        }
+        assert_eq!(lanes.len(), 5, "{lanes:?}");
+        lanes.dedup();
+        assert_eq!(lanes, [LANE_LIFECYCLE, LANE_ARRIVAL, LANE_DISPATCH]);
+    }
+
+    #[test]
+    fn lifecycle_events_at_one_instant_pop_by_rank_then_push_order() {
+        let config = FleetConfig::uniform(test_model(), 1);
+        let scenario = Scenario::a1();
+        let spec = ServeSpec::default();
+        let mut sink = Off;
+        let mut core = EngineCore::new(&config, &scenario, &spec, &mut sink);
+        // Pushed in reverse rank order, each labelled by its shard field,
+        // the labels descending so that they cannot stand in for push order.
+        core.push_life(7, 6, Action::IdleCheck);
+        core.push_life(7, 5, Action::Warm);
+        core.push_life(7, 4, Action::Drain);
+        core.push_life(7, 3, Action::Fail(KillTarget::Shard(0)));
+        core.push_life(7, 2, Action::IdleCheck);
+        core.push_life(7, 1, Action::Fail(KillTarget::Seeded(0)));
+        core.push_life(7, 0, Action::Fail(KillTarget::Shard(9)));
+        let order: Vec<usize> = std::iter::from_fn(|| core.life.pop())
+            .map(|Reverse(event)| event.shard)
+            .collect();
+        assert_eq!(order, [3, 1, 0, 4, 5, 6, 2]);
+    }
+
+    #[test]
+    fn dispatches_at_one_instant_go_lowest_shard_first() {
+        let config = FleetConfig::uniform(test_model(), 3);
+        let scenario = Scenario::a1().with_sessions(0);
+        let spec = ServeSpec::default();
+        let mut sink = Off;
+        let mut core = EngineCore::new(&config, &scenario, &spec, &mut sink);
+        // Live entries pushed highest shard first, with shard 0's entry
+        // refreshed once more: neither push order nor epoch picks 0, 1, 2.
+        for shard in [2, 0, 1] {
+            queue_at(&mut core, shard, 5_000);
+        }
+        core.refresh_dispatch(0);
+        let mut order = Vec::new();
+        while let Some(event) = core.next_event() {
+            assert_eq!(event, (5_000, LANE_DISPATCH));
+            let &Reverse((_, shard, _)) = core.dispatches.peek().expect("a live dispatch");
+            order.push(shard);
+            assert!(core.step());
+        }
+        assert_eq!(order, [0, 1, 2]);
+        assert_eq!(core.counts.stale_pops, 1, "shard 0's first entry");
+    }
+
     #[test]
     fn identical_inputs_give_identical_reports() {
         let model = test_model();
@@ -1525,6 +1626,18 @@ mod tests {
         // no later (and strictly earlier whenever any batch formed).
         assert!(batch.makespan_sec <= fifo.makespan_sec);
         assert!(batch.latency.p99_ms <= fifo.latency.p99_ms);
+    }
+
+    #[test]
+    fn a_scenario_name_with_control_characters_stays_one_valid_json_line() {
+        let scenario = Scenario {
+            name: "a1\nsecond line\t\u{1}".to_owned(),
+            ..Scenario::a1()
+        };
+        let line = simulate(&test_model(), &scenario, SchedulerKind::Fifo).to_json_line();
+        assert!(!line.contains('\n'), "{line}");
+        fcad_obs::validate_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(line.starts_with("{\"scenario\":\"a1\\nsecond line\\t\\u0001\","));
     }
 
     #[test]

@@ -22,10 +22,9 @@
 
 use crate::model::ServiceModel;
 use crate::request::Request;
-use serde::{Deserialize, Serialize};
 
 /// How the fleet front end places arriving requests on shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancerKind {
     /// Static rotation over the shards, one request at a time. Ignores
     /// load entirely — the baseline every adaptive policy must beat.
@@ -77,7 +76,7 @@ impl LoadBalancerKind {
 /// request per branch per frame), but shards may differ in speed: a
 /// heterogeneous fleet mixes, say, a ZU17EG shard with a smaller ZCU104
 /// one, and the balancer sees the difference through each shard's backlog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Per-shard service models, in shard order.
     pub shards: Vec<ServiceModel>,

@@ -2,7 +2,6 @@
 //! tail-behaviour bookkeeping idiom of the WIND bench harness).
 
 use crate::cast::{f64_to_u64, u64_to_f64, u64_to_usize, usize_to_u64};
-use serde::{Deserialize, Serialize};
 
 /// Number of fixed-width buckets; latencies beyond the last bucket land in
 /// an overflow bucket and are reported as the observed maximum.
@@ -18,7 +17,7 @@ const BUCKET_WIDTH_US: u64 = 2_000;
 /// Percentiles are read from the cumulative distribution and reported as
 /// the upper edge of the bucket where the requested rank falls, which makes
 /// `percentile(p)` monotone in `p` by construction (p99 ≥ p95 ≥ p50).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     overflow: u64,

@@ -52,9 +52,10 @@
 //!   out while queued as a fifth terminal outcome `expired` —
 //!   `completed + dropped + lost + shed + expired == issued`.
 //!   [`DeadlinePolicy::Off`] culls nothing.
-//! - **Scale** ([`ServeSpec::workers`]): the loop is driven by an
-//!   indexed event calendar (a binary min-heap with a total,
-//!   deterministic key order) instead of per-iteration linear scans, and
+//! - **Scale** ([`ServeSpec::workers`]): the loop takes the earliest of
+//!   three heads — a lifecycle-event heap, the time-ordered arrival
+//!   stream and a dispatch heap — under one fixed tie order instead of
+//!   per-iteration linear scans, and
 //!   under a load-oblivious balancer the spans between
 //!   cross-shard events run as time windows in which every shard advances
 //!   on its own, across worker threads (or inline on the calling thread
@@ -120,7 +121,6 @@
 
 mod admission;
 mod autoscale;
-mod calendar;
 mod cast;
 mod deadline;
 mod engine;

@@ -17,10 +17,9 @@
 use crate::cast::{f64_to_u64, u64_to_f64, usize_to_u64};
 use fcad_accel::AcceleratorReport;
 use fcad_cyclesim::AcceleratorSim;
-use serde::{Deserialize, Serialize};
 
 /// Service parameters of one branch pipeline of the accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchService {
     /// Branch name (matches the network / report branch name).
     pub name: String,
@@ -37,7 +36,7 @@ pub struct BranchService {
 }
 
 /// Service parameters for every branch of the accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceModel {
     /// Per-branch service parameters, in branch order.
     pub branches: Vec<BranchService>,

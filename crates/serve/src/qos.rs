@@ -18,14 +18,13 @@
 //! bit-identical to the pre-QoS engine under the admit-all policy.
 
 use crate::cast::{u64_to_f64, usize_to_u64};
-use serde::{Deserialize, Serialize};
 
 /// Number of QoS classes (the length of every per-class array).
 pub const CLASS_COUNT: usize = 3;
 
 /// A session's quality-of-service class: its latency budget (the SLO) and
 /// its scheduling weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosClass {
     /// Live telepresence: a tight frame deadline and the highest
     /// scheduling weight (a paying, latency-critical tier).
@@ -102,7 +101,7 @@ const CLASS_STREAM: u64 = 0xC1A5_55E5;
 
 /// The per-scenario class mix: relative fractions of sessions per class,
 /// drawn deterministically from the scenario seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
     /// Relative (unnormalized) session fractions, indexed by
     /// [`QosClass::index`]. Negative entries are treated as 0; an

@@ -7,10 +7,9 @@ use crate::histogram::LatencyHistogram;
 use crate::json::{array, JsonObject};
 use crate::qos::QosClass;
 use fcad_obs::{FleetEvent, TraceSummary};
-use serde::{Deserialize, Serialize};
 
 /// Latency summary extracted from a fixed-bucket histogram, milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Median latency.
     pub p50_ms: f64,
@@ -38,7 +37,7 @@ impl LatencySummary {
 }
 
 /// Serving statistics of one branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchServeStats {
     /// Branch name.
     pub name: String,
@@ -64,7 +63,7 @@ pub struct BranchServeStats {
 }
 
 /// Serving statistics of one QoS class, scored against its own budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassServeStats {
     /// The class.
     pub class: QosClass,
@@ -94,7 +93,7 @@ pub struct ClassServeStats {
 }
 
 /// Serving statistics of one fleet shard (one accelerator device).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Requests the balancer routed to this shard (admitted + dropped).
     pub issued: u64,
@@ -118,7 +117,7 @@ pub struct ShardStats {
 
 /// The outcome of one serving simulation: one scenario, one scheduler, one
 /// fleet of accelerator shards (a single device is the one-shard fleet).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Scenario name.
     pub scenario: String,

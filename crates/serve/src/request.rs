@@ -1,7 +1,6 @@
 //! Decode requests: the unit of work the serving simulator schedules.
 
 use crate::qos::QosClass;
-use serde::{Deserialize, Serialize};
 
 /// One branch-decode request: "produce the next frame of branch `branch` for
 /// avatar session `session`".
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// the class is a per-session property (assigned by the scenario's seeded
 /// class mix), stamped on each request so schedulers and admission
 /// policies can read it without a session table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Globally unique, assigned in arrival order (ties broken by session
     /// then branch, so ids are deterministic for a given scenario).

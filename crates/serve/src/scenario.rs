@@ -17,10 +17,9 @@ use crate::qos::{ClassMix, QosClass};
 use crate::request::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How session frame requests arrive over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
     /// Fixed inter-arrival time `1/rate`, sessions phase-staggered so N
     /// steady sessions do not all hit the accelerator in the same instant.
@@ -52,7 +51,7 @@ pub enum ArrivalPattern {
 
 /// One serving scenario: N concurrent avatar sessions generating
 /// branch-decode requests against a single shared accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name (used in reports and logs).
     pub name: String,
@@ -183,8 +182,8 @@ impl Scenario {
     /// session contributes exactly one frame (3.15 M requests on a
     /// three-branch model), drawing from the telepresence class mix.
     /// Steady generation draws no RNG samples, so building the trace is
-    /// pure arithmetic — the workload that exercises the indexed event
-    /// calendar and the windowed engine at fleet scale.
+    /// pure arithmetic — the workload that exercises the event heaps and
+    /// the windowed engine at fleet scale.
     pub fn metropolis() -> Self {
         Self {
             name: "metropolis".to_owned(),

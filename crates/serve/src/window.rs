@@ -1,6 +1,5 @@
 //! Time-windowed execution: the shard-local spans of a run advance shard
-//! by shard on worker threads, bit-identical to the sequential calendar
-//! engine.
+//! by shard on worker threads, bit-identical to stepping every event.
 //!
 //! Lifecycle events (spawn / warm / drain / fail), autoscale trigger
 //! evaluations and orphan re-placement all read or write **cross-shard**
@@ -29,7 +28,7 @@
 //!    others' on `std::thread::scope` threads, so a one-worker run spawns
 //!    no thread — and at the window edge re-derives exactly the
 //!    cross-shard state the sequential engine would hold: queue totals,
-//!    refreshed dispatch calendar entries and the sorted trace stream.
+//!    refreshed dispatch entries and the sorted trace stream.
 //!    Each extra worker tallies into a fleet-wide tally of its own, kept
 //!    across windows and folded into the run's by
 //!    [`EngineCore::finish`].
@@ -46,7 +45,7 @@
 //! - the earliest pending lifecycle event — scheduled kill, drain,
 //!   warm-up completion or idle check (idle-retirement runs disable
 //!   windows outright: in-window dispatches would need to *schedule* new
-//!   idle checks, a cross-shard calendar write);
+//!   idle checks, a write to the fleet's lifecycle heap);
 //! - an armed queue-depth autoscale trigger — the only scale-up trigger:
 //!   windows may not extend past `last_scale_up + cooldown`, the first
 //!   instant the trigger could fire again (before the first spawn no
@@ -78,10 +77,9 @@ use fcad_obs::{Off, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::AdmissionKind;
 use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
-use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH};
 use crate::cast::usize_to_u64;
 use crate::deadline::DeadlinePolicy;
-use crate::engine::{EngineCore, ServeSpec, Shard, Tally, WorkCounts};
+use crate::engine::{EngineCore, ServeSpec, Shard, Tally, WorkCounts, LANE_ARRIVAL, LANE_DISPATCH};
 use crate::fleet::FleetConfig;
 use crate::report::ServeReport;
 use crate::request::Request;
@@ -236,15 +234,10 @@ pub(crate) fn drive(
 }
 
 impl EngineCore<'_> {
-    /// The earliest pending event instant (next arrival vs. live calendar
-    /// front), or `None` when the run is complete.
+    /// The instant of [`EngineCore::next_event`], or `None` when the run
+    /// is complete.
     pub(crate) fn next_instant(&mut self) -> Option<u64> {
-        let due_arrival = self.due_arrival().map(|r| r.issued_at_us);
-        if due_arrival.is_none() && self.queued_total == 0 {
-            return None;
-        }
-        let front = self.live_front().map(|key| key.at_us);
-        due_arrival.into_iter().chain(front).min()
+        self.next_event().map(|(at_us, _)| at_us)
     }
 
     /// Runs sequential steps through every event strictly before `cap`,
@@ -277,8 +270,8 @@ impl EngineCore<'_> {
     ///   with in-window dispatches), and at least one must be Active
     ///   (otherwise arrivals take the global lost path);
     /// - idle retirement must be off — in-window dispatch-to-empty would
-    ///   have to push new idle-check calendar entries, reordering the
-    ///   shared lifecycle sequence;
+    ///   have to push new idle checks onto the lifecycle heap, reordering
+    ///   the shared lifecycle sequence;
     /// - the earliest pending lifecycle event bounds the horizon;
     /// - an armed queue-depth trigger (arrivals remain, `alive <
     ///   max_shards`) bounds the horizon by `last_scale_up + cooldown` —
@@ -296,7 +289,7 @@ impl EngineCore<'_> {
         {
             return None;
         }
-        let mut horizon = self.calendar.earliest_lifecycle().unwrap_or(u64::MAX);
+        let mut horizon = self.life.peek().map_or(u64::MAX, |event| event.0.at_us);
         let depth_armed = policy.scale_up_queue_depth > 0
             && active < policy.max_shards
             && self.due_arrival().is_some();
@@ -315,8 +308,7 @@ impl EngineCore<'_> {
     /// real balancer cursor), advances the shards on the plan's workers —
     /// the calling thread is worker 0, each other worker tallies into its
     /// kept tally — then re-derives the cross-shard state at the window
-    /// edge: queue totals, dispatch calendar entries and the sorted trace
-    /// stream.
+    /// edge: queue totals, dispatch entries and the sorted trace stream.
     ///
     /// Once the arrival cap is buffered ([`WINDOW_ARRIVALS`], or
     /// [`SHARD_ARRIVALS`] per shard if that is more) and the lookahead is
@@ -427,10 +419,13 @@ impl EngineCore<'_> {
 
         // Barrier: re-derive the cross-shard state the sequential engine
         // would hold at the window edge. One pass re-sums the queue totals
-        // and refreshes dispatch entries in ascending id order (epoch
-        // bumps invalidate every pre-window entry lazily); window trace
-        // events sort by step key into exactly the sequential emission
-        // order, all strictly before any post-window event.
+        // and refreshes dispatch entries in ascending id order. Its epoch
+        // bumps make every entry pushed before the window stale, and the
+        // window itself pushed none, so the dispatch heap is cleared
+        // first. Window trace events sort by step key into exactly the
+        // sequential emission order, all strictly before any post-window
+        // event.
+        self.dispatches.clear();
         self.queued_total = 0;
         self.active_queued = 0;
         for shard in 0..shard_count {
@@ -456,8 +451,8 @@ impl EngineCore<'_> {
 /// Runs one shard's discrete-event loop over `arrivals` until every event
 /// strictly before `horizon_us` is processed: the per-shard restriction
 /// of the engine's loop — only arrival and dispatch events exist, the
-/// shard never changes lifecycle phase, and arrivals win same-instant
-/// ties against dispatches exactly as the calendar's lane order dictates.
+/// shard never changes lifecycle phase, and the engine's lane order
+/// decides a same-instant tie between an arrival and a dispatch.
 /// Queued work whose dispatch instant lands at or past the horizon stays
 /// queued for the next window (or the sequential engine). Returns the
 /// number of events processed.
@@ -482,7 +477,9 @@ fn advance_shard(
             break;
         }
         let arrival_at = due_arrival.map_or(u64::MAX, |r| r.issued_at_us);
-        if shard.scheduler.queued() > 0 && shard.dispatch_at() < arrival_at {
+        if shard.scheduler.queued() > 0
+            && (shard.dispatch_at(), LANE_DISPATCH) < (arrival_at, LANE_ARRIVAL)
+        {
             let now_us = shard.dispatch_at();
             if now_us >= horizon_us {
                 break;
@@ -641,6 +638,13 @@ mod tests {
                 "{workers} workers: {} of {events} events ran in windows",
                 counts.window_events
             );
+            // A window edge makes every dispatch entry stale and clears
+            // the heap, so no stale entry is left to discard one by one.
+            assert_eq!(
+                (counts.calendar_pushes, counts.stale_pops),
+                (8_085, 0),
+                "{workers} workers"
+            );
         }
     }
 
@@ -675,12 +679,12 @@ mod tests {
             (
                 "round-robin",
                 fixed(LoadBalancerKind::RoundRobin),
-                [76, 5, 3766, 2298, 20, 1, 80, 4],
+                [76, 5, 3766, 2298, 20, 1, 80, 0],
             ),
             (
                 "branch-sharded",
                 fixed(LoadBalancerKind::BranchSharded),
-                [94, 6, 3593, 2298, 24, 1, 105, 11],
+                [94, 6, 3593, 2298, 24, 1, 105, 0],
             ),
             (
                 "autoscaled",
@@ -691,7 +695,7 @@ mod tests {
                     FailurePlan::none(),
                     burst(),
                 ),
-                [499, 7, 3552, 2298, 72, 1, 199, 15],
+                [499, 7, 3552, 2298, 72, 1, 199, 0],
             ),
             (
                 "failure-injected",
@@ -702,7 +706,7 @@ mod tests {
                     FailurePlan::scheduled(&[(600_000, 0), (1_400_000, 2)]),
                     Scenario::b2_failover(3),
                 ),
-                [985, 6, 2313, 1746, 96, 1, 429, 8],
+                [985, 6, 2313, 1746, 96, 1, 429, 0],
             ),
             (
                 "least-loaded",

@@ -1,7 +1,7 @@
 //! Property tests for the windowed engine's worker-count invariance on
 //! random seeds: static fleets against the frozen reference, coupled
-//! fleets against the windows-disabled driver. The event calendar's
-//! pop-order property lives with the calendar, in its unit tests.
+//! fleets against the windows-disabled driver. The engine's same-instant
+//! tie rules are unit tests in `crates/serve/src/engine.rs`.
 
 mod common;
 
