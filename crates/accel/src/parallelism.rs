@@ -182,6 +182,21 @@ impl LaneTable {
         self.scan(target_lanes).0
     }
 
+    /// Two-level unrolling within `lanes` MAC lanes, as DNNBuilder maps a
+    /// layer: the table's entry with the most channel lanes `cpf × kpf` at
+    /// or below `lanes` (the `(1, 1)` split when `lanes` is 0), with
+    /// `h = 1`. Among the pairs of that product it is the smallest-`cpf`
+    /// one, as in [`for_target`](Self::for_target).
+    pub fn channel_split_at_most(&self, lanes: usize) -> Parallelism {
+        let end = self
+            .splits
+            .partition_point(|split| split.channel_lanes() <= lanes.max(1));
+        let split = self.splits[..end]
+            .last()
+            .expect("the (1, 1) split fits any budget of at least one lane");
+        Parallelism::new(split.cpf as usize, split.kpf as usize, 1)
+    }
+
     /// [`for_target`](Self::for_target)'s choice and the number of table
     /// entries whose candidates it scored.
     ///
@@ -417,6 +432,32 @@ mod tests {
         // entries on this grid, and the deduplicated table without the
         // bound 16,139.
         assert_eq!((calls, visited), (807, 7_172));
+    }
+
+    #[test]
+    fn channel_split_at_most_matches_a_scan_of_every_divisor_pair() {
+        let divisors = |n: usize| (1..=n).filter(move |&d| n.is_multiple_of(d));
+        for (cin, cout) in [(16, 32), (72, 32), (3, 64), (12, 18), (64, 3), (1, 1)] {
+            let stage = ConvStage::synthetic("s", cin, cout, 32, 32, 3, 1);
+            let table = LaneTable::of(&stage);
+            for lanes in [0, 1, 2, 3, 5, 7, 16, 24, 100, 511, 512, 4096, usize::MAX] {
+                // The first pair in `(cpf, kpf)` order of the largest
+                // product at or below the budget.
+                let mut best = (1, 1);
+                for cpf in divisors(cin) {
+                    for kpf in divisors(cout) {
+                        if cpf * kpf <= lanes && cpf * kpf > best.0 * best.1 {
+                            best = (cpf, kpf);
+                        }
+                    }
+                }
+                assert_eq!(
+                    table.channel_split_at_most(lanes),
+                    Parallelism::new(best.0, best.1, 1),
+                    "{cin} x {cout} channels within {lanes} lanes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! parallelism.
 
 use crate::result::{BaselineResult, LayerLatency};
-use fcad_accel::{efficiency, ConvStage, CostModel, Parallelism, Platform, UnitCost};
+use fcad_accel::{efficiency, ConvStage, CostModel, LaneTable, Platform, UnitCost};
 use fcad_nnir::{Network, Precision};
 use fcad_profiler::NetworkProfile;
 
@@ -65,7 +65,7 @@ impl DnnBuilder {
         let mut bram = 0usize;
         let mut max_latency = 1u64;
         for (stage, &stage_lanes) in stages.iter().zip(&lanes) {
-            let parallelism = two_level_parallelism(stage, stage_lanes);
+            let parallelism = LaneTable::of(stage).channel_split_at_most(stage_lanes);
             let unit = UnitCost::of(stage, parallelism, self.precision, &self.cost);
             dsp += unit.dsp;
             bram += unit.bram;
@@ -141,43 +141,6 @@ fn unfolded_stages(network: &Network) -> Vec<ConvStage> {
         }
     }
     stages
-}
-
-/// DNNBuilder's two-level unrolling for a target lane count: the largest
-/// `cpf × kpf` product of channel divisors that does not exceed the target —
-/// never the feature-map height.
-fn two_level_parallelism(stage: &ConvStage, lanes: usize) -> Parallelism {
-    let target = lanes.min(stage.channel_parallelism_limit()).max(1);
-    let mut best = (1usize, 1usize);
-    for &cpf in &divisors(stage.in_channels) {
-        if cpf > target {
-            continue;
-        }
-        for &kpf in &divisors(stage.out_channels) {
-            let total = cpf * kpf;
-            if total <= target && total > best.0 * best.1 {
-                best = (cpf, kpf);
-            }
-        }
-    }
-    Parallelism::new(best.0, best.1, 1)
-}
-
-/// All divisors of `n` in ascending order.
-fn divisors(n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut i = 1;
-    while i * i <= n.max(1) {
-        if n.is_multiple_of(i) {
-            out.push(i);
-            if i != n / i {
-                out.push(n / i);
-            }
-        }
-        i += 1;
-    }
-    out.sort_unstable();
-    out
 }
 
 /// Largest power of two not exceeding `value` (1 for zero).

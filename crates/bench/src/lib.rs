@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fcad::{Customization, DseParams, Fcad, FcadResult, ValidationReport};
+use fcad::{BranchValidation, Customization, DseParams, Fcad, FcadResult, ValidationReport};
 use fcad_accel::Platform;
 use fcad_baselines::{BaselineResult, DnnBuilder, HybridDnn, LayerLatency, MobileSoc};
 use fcad_dse::{ConvergenceStats, DseResult};
@@ -156,18 +156,8 @@ pub struct EstimationSample {
     pub network: String,
     /// Precision of the run.
     pub precision: Precision,
-    /// Relative FPS estimation error (fraction).
-    pub fps_error: f64,
-    /// Relative efficiency estimation error (fraction).
-    pub efficiency_error: f64,
-    /// Analytically estimated FPS.
-    pub estimated_fps: f64,
-    /// Simulated ("measured") FPS.
-    pub simulated_fps: f64,
-    /// Analytically estimated efficiency (fraction).
-    pub estimated_efficiency: f64,
-    /// Simulated ("measured") efficiency (fraction).
-    pub simulated_efficiency: f64,
+    /// The network's one branch, estimated and simulated ("measured").
+    pub validation: BranchValidation,
 }
 
 /// Runs the Fig. 6/7 estimation-accuracy study: the eight benchmarks
@@ -184,22 +174,16 @@ pub fn estimation_study(full: bool) -> Vec<EstimationSample> {
                 .with_dse_params(dse_params(full))
                 .run()
                 .expect("classic benchmark flow succeeds");
-            let validation = ValidationReport::compare(
+            let mut report = ValidationReport::compare(
                 &result.accelerator,
                 &result.dse.best_config,
                 platform.budget().bandwidth_bytes_per_sec,
             )
             .expect("configuration matches the accelerator");
-            let branch = &validation.branches[0];
             samples.push(EstimationSample {
                 network: name,
                 precision,
-                fps_error: branch.fps_error(),
-                efficiency_error: branch.efficiency_error(),
-                estimated_fps: branch.estimated_fps,
-                simulated_fps: branch.simulated_fps,
-                estimated_efficiency: branch.estimated_efficiency,
-                simulated_efficiency: branch.simulated_efficiency,
+                validation: report.branches.swap_remove(0),
             });
         }
     }
@@ -254,8 +238,9 @@ pub fn fig6(samples: &[EstimationSample]) -> String {
             samples,
             ["Estimated FPS", "Measured (sim) FPS"],
             |s| {
-                let fps = [s.estimated_fps, s.simulated_fps].map(|fps| format!("{fps:.1}"));
-                (fps, s.fps_error)
+                let v = &s.validation;
+                let fps = [v.estimated_fps, v.simulated_fps].map(|fps| format!("{fps:.1}"));
+                (fps, v.fps_error())
             },
             "max 2.89%, average 2.02%",
         )
@@ -270,9 +255,10 @@ pub fn fig7(samples: &[EstimationSample]) -> String {
             samples,
             ["Estimated efficiency", "Measured (sim) efficiency"],
             |s| {
-                let efficiency = [s.estimated_efficiency, s.simulated_efficiency]
+                let v = &s.validation;
+                let efficiency = [v.estimated_efficiency, v.simulated_efficiency]
                     .map(|e| format!("{:.2}%", e * 100.0));
-                (efficiency, s.efficiency_error)
+                (efficiency, v.efficiency_error())
             },
             "max 3.96%, average 1.91%",
         )
@@ -542,19 +528,24 @@ mod tests {
         let sample = EstimationSample {
             network: "net".into(),
             precision: Precision::Int8,
-            fps_error: 0.5,
-            efficiency_error: 0.25,
-            estimated_fps: 123.4,
-            simulated_fps: 98.7,
-            estimated_efficiency: 0.875,
-            simulated_efficiency: 0.7,
+            validation: BranchValidation {
+                name: "net".into(),
+                estimated_fps: 123.4,
+                simulated_fps: 61.7,
+                estimated_efficiency: 0.875,
+                simulated_efficiency: 0.7,
+            },
         };
         let text = fig7(&[sample]);
         assert!(text.contains("Estimated efficiency"), "{text}");
         assert!(text.contains("87.50%") && text.contains("70.00%"), "{text}");
-        assert!(text.contains("25.00%"), "{text}");
+        // The efficiency error, not the 100% FPS error.
+        assert!(
+            text.contains("25.00%") && !text.contains("100.00%"),
+            "{text}"
+        );
         assert!(!text.contains("FPS") && !text.contains("123.4"), "{text}");
-        assert!(!text.contains("98.7"), "{text}");
+        assert!(!text.contains("61.7"), "{text}");
     }
 
     #[test]

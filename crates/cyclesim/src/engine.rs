@@ -68,7 +68,7 @@ impl StageTiming {
             cycles_per_pass,
             input_rows_needed_to_start,
             output_rows_total: stage.upsampled_height(),
-            weight_bytes: stage.params * precision.bytes() as u64,
+            weight_bytes: unit.weight_bytes_per_frame,
             dsp: unit.dsp + ADDRESS_GEN_DSP_PER_STAGE,
             ops: stage.ops,
         }

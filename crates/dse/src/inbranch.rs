@@ -118,7 +118,7 @@ impl<'a> InBranchOptimizer<'a> {
         let mut guard = 0usize;
         while growable.iter().any(|&g| g) && guard < 512 {
             guard += 1;
-            let Some(slowest) = self.slowest_growable_stage(&points, &growable) else {
+            let Some(slowest) = Self::slowest_growable_stage(&points, &growable) else {
                 break;
             };
             let max_lanes = Parallelism::max_for(&stages[slowest]).total();
@@ -182,18 +182,14 @@ impl<'a> InBranchOptimizer<'a> {
         copies_by_dsp.min(copies_by_bram).min(copies_by_bw)
     }
 
-    /// Index of the stage with the highest latency among those still allowed
-    /// to grow.
-    fn slowest_growable_stage(&self, points: &[StagePoint], growable: &[bool]) -> Option<usize> {
-        self.pipeline
-            .stages()
+    /// Index of the stage with the highest latency (Eq. 4, as its
+    /// [`UnitCost`] holds it) among those still allowed to grow.
+    fn slowest_growable_stage(points: &[StagePoint], growable: &[bool]) -> Option<usize> {
+        points
             .iter()
-            .zip(points)
             .enumerate()
             .filter(|(i, _)| growable[*i])
-            .max_by_key(|(_, (stage, point))| {
-                (stage.macs as f64 / point.parallelism.total() as f64).ceil() as u64
-            })
+            .max_by_key(|(_, point)| point.cost.latency_cycles)
             .map(|(i, _)| i)
     }
 }

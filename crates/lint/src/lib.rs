@@ -54,8 +54,23 @@ impl LintReport {
     }
 }
 
+/// Escapes `text` for a JSON string: `"` and `\` behind a backslash,
+/// `\n`, `\r` and `\t` by name, and every other control character
+/// (U+0000–U+001F), which JSON forbids raw inside a string, as `\u00XX`.
 fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut escaped = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => escaped.push_str("\\\""),
+            '\\' => escaped.push_str("\\\\"),
+            '\n' => escaped.push_str("\\n"),
+            '\r' => escaped.push_str("\\r"),
+            '\t' => escaped.push_str("\\t"),
+            c if c < ' ' => escaped.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => escaped.push(c),
+        }
+    }
+    escaped
 }
 
 /// Lints one in-memory source file under a virtual repo-relative path.

@@ -304,7 +304,7 @@ fn panic_policy(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
 
 /// `lossy-cast`: no bare `as` numeric casts in `crates/serve` or
 /// `crates/obs` — every conversion on a report or trace path must go
-/// through the checked helpers in the crate's `cast.rs` (which
+/// through the checked helpers in `fcad_obs::cast` (which
 /// debug-assert losslessness) or carry an annotation saying why the cast
 /// cannot lose information.
 fn lossy_cast(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
@@ -325,7 +325,7 @@ fn lossy_cast(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                 file: path.to_owned(),
                 line: token.line,
                 message: format!(
-                    "bare `as {}` cast — use the checked helpers in serve::cast (u64 → f64 is \
+                    "bare `as {}` cast — use the checked helpers in fcad_obs::cast (u64 → f64 is \
                      exact only below 2^53; float → int truncates) or annotate",
                     target.text
                 ),

@@ -234,6 +234,27 @@ fn json_line_is_byte_stable() {
 }
 
 #[test]
+fn json_line_escapes_control_characters() {
+    let diagnostics = lint(
+        "crates/serve/src/fixture.rs",
+        include_str!("fixtures/allows/control_character.rs"),
+    );
+    assert_eq!(
+        rules_of(&diagnostics),
+        vec!["unused-allow"],
+        "{diagnostics:?}"
+    );
+    assert!(diagnostics[0].message.contains("allow(pa\tnic)"));
+    let line = LintReport {
+        files_checked: 1,
+        diagnostics,
+    }
+    .to_json_line();
+    assert!(line.contains("allow(pa\\tnic)"), "{line}");
+    assert!(!line.chars().any(char::is_control), "{line:?}");
+}
+
+#[test]
 fn clean_report_renders_an_empty_diagnostics_array() {
     let report = LintReport {
         files_checked: 1,

@@ -16,11 +16,13 @@
 //!   utilization, per-class backlog, admission/shed rate, p50/p99).
 //! - [`chrome_trace`] — Chrome `trace_event` JSON for Perfetto.
 //! - [`FlightRecorder`] — K-worst-latency + all-failures postmortems.
+//! - [`cast`] — the checked numeric conversions this crate and
+//!   `fcad-serve` share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cast;
+pub mod cast;
 pub mod chrome;
 pub mod event;
 pub mod flight;

@@ -146,31 +146,6 @@ impl AdmissionKind {
     }
 }
 
-/// Consults `admission` and mirrors its verdict onto the trace: an
-/// `Admit` or `Shed` event stamped with the chosen shard. `Shed` doubles
-/// as the request's terminal event — a shed request never enters a queue,
-/// so nothing else can happen to it.
-pub(crate) fn admit_traced(
-    admission: AdmissionKind,
-    request: &Request,
-    view: &AdmissionView,
-    now_us: u64,
-    shard: usize,
-    sink: &mut dyn fcad_obs::TraceSink,
-    tracing: bool,
-) -> bool {
-    let admitted = admission.admits(request, view, now_us);
-    if tracing {
-        let kind = if admitted {
-            fcad_obs::RequestEventKind::Admit
-        } else {
-            fcad_obs::RequestEventKind::Shed
-        };
-        sink.record(request.trace(now_us, Some(shard), kind));
-    }
-    admitted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,6 +36,13 @@
 //! skip the per-arrival placeable scan entirely — placement is O(1)
 //! arithmetic until the first lifecycle event or spawn.
 //!
+//! Every request ends in exactly one terminal outcome — completed,
+//! dropped, lost, shed or expired — and [`Shard::settle`] is where it
+//! ends: it enters the outcome in the shard's [`Books`] row and in the
+//! branch and class rows of the run's [`Tally`], then records it on the
+//! trace, so the books count exactly what the trace narrates. A request
+//! that reaches no shard settles through [`Tally::settle`].
+//!
 //! [`serve`] drives this core through [`crate::window`]: one
 //! [`EngineCore::step`] per event through every span that couples shards,
 //! shard-local windows between them. The fixed fleet is the default
@@ -51,7 +58,7 @@ use fcad_obs::{
     BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
 };
 
-use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
+use crate::admission::{AdmissionKind, AdmissionView};
 use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
@@ -216,16 +223,22 @@ pub(crate) struct LifeEvent {
     action: Action,
 }
 
-/// One shard's full runtime state: its service model, scheduler, lifecycle
-/// phase, fabric timing and serving statistics. `free_at_us` is the
-/// instant the shard's fabric frees — its last dispatch completion or
+/// One shard's full runtime state: its id, service model, scheduler,
+/// lifecycle phase, the run's admission and deadline policies, fabric
+/// timing and books. `free_at_us` is the instant the shard's fabric
+/// frees — its last dispatch completion or
 /// weight-refill end, which is why the makespan reads straight off it;
 /// `pending_since_us` is the arrival instant that made its queue non-empty
 /// (a shard with queued work dispatches at `max(free_at, pending_since)`).
 pub(crate) struct Shard {
+    pub(crate) id: usize,
     pub(crate) model: ServiceModel,
     pub(crate) scheduler: Queue,
     pub(crate) phase: ShardState,
+    /// The scenario's front-end queue capacity.
+    capacity: usize,
+    admission: AdmissionKind,
+    deadline: DeadlinePolicy,
     pub(crate) free_at_us: u64,
     pub(crate) pending_since_us: u64,
     pub(crate) busy_us: u64,
@@ -247,12 +260,8 @@ pub(crate) struct Shard {
     /// could have changed; entries carrying an older epoch are stale and
     /// discarded when they reach the dispatch heap's head.
     pub(crate) dispatch_epoch: u64,
-    pub(crate) issued: u64,
-    pub(crate) completed: u64,
-    pub(crate) dropped: u64,
-    pub(crate) shed: u64,
-    pub(crate) expired: u64,
-    pub(crate) histogram: LatencyHistogram,
+    /// The requests this shard took in and how each one it held ended.
+    books: Books,
     /// Whether an idle check for this shard is already queued — one
     /// pending check per shard keeps the lifecycle event list from
     /// accumulating a duplicate per queue-emptying dispatch.
@@ -260,7 +269,15 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(model: ServiceModel, scheduler: Queue, phase: ShardState) -> Self {
+    /// Shard `id`, serving `model` under `spec`'s scheduler, admission and
+    /// deadline policies with a queue of `capacity` requests.
+    pub(crate) fn new(
+        id: usize,
+        model: ServiceModel,
+        phase: ShardState,
+        spec: &ServeSpec,
+        capacity: usize,
+    ) -> Self {
         let max_priority = model
             .branches
             .iter()
@@ -268,9 +285,13 @@ impl Shard {
             .fold(0.0, f64::max);
         let single_cost_us = model.single_costs();
         Self {
+            id,
             model,
-            scheduler,
+            scheduler: Queue::new(spec.scheduler),
             phase,
+            capacity,
+            admission: spec.admission,
+            deadline: spec.deadline,
             free_at_us: 0,
             pending_since_us: 0,
             busy_us: 0,
@@ -278,23 +299,18 @@ impl Shard {
             max_priority,
             single_cost_us,
             dispatch_epoch: 0,
-            issued: 0,
-            completed: 0,
-            dropped: 0,
-            shed: 0,
-            expired: 0,
-            histogram: LatencyHistogram::new(),
+            books: Books::default(),
             idle_check_pending: false,
         }
     }
 
-    fn admission_view(&self, capacity: usize, service_us: u64, branch: usize) -> AdmissionView {
+    fn admission_view(&self, branch: usize) -> AdmissionView {
         AdmissionView {
             queued: self.scheduler.queued(),
-            capacity,
+            capacity: self.capacity,
             free_at_us: self.free_at_us,
             class_backlog_us: self.class_backlog_us,
-            service_us,
+            service_us: self.single_cost_us[branch],
             priority: self.model.priority(branch),
             max_priority: self.max_priority,
         }
@@ -334,43 +350,50 @@ impl Shard {
             .expect("the class backlog holds the cost of every queued request of its class");
     }
 
+    /// Ends `request` here with the terminal outcome `kind` at `at_us`:
+    /// enters it in this shard's books and in `tally`'s branch and class
+    /// rows, then records it on the trace — the one place a shard's
+    /// request outcome is counted and narrated.
+    fn settle(
+        &mut self,
+        request: &Request,
+        at_us: u64,
+        kind: RequestEventKind,
+        tally: &mut Tally,
+        sink: &mut dyn TraceSink,
+    ) {
+        self.books.count(request, at_us, kind);
+        tally.settle(request, at_us, Some(self.id), kind, sink);
+    }
+
     /// Takes `request` through this shard's front door at its arrival
-    /// instant: counts it issued, then the `admission` policy may shed it,
-    /// a full queue drops it, or it is queued. Tallies and traces the
-    /// outcome; returns whether the request was queued.
+    /// instant: counts it issued, then the admission policy may shed it,
+    /// a full queue drops it, or it is queued. Returns whether the
+    /// request was queued.
     pub(crate) fn admit(
         &mut self,
-        shard_id: usize,
         request: Request,
-        capacity: usize,
-        admission: AdmissionKind,
         tally: &mut Tally,
         sink: &mut dyn TraceSink,
     ) -> bool {
         let now_us = request.issued_at_us;
-        let tracing = sink.enabled();
-        let class = request.class.index();
-        self.issued += 1;
-        let single_us = self.single_cost_us[request.branch];
-        let view = self.admission_view(capacity, single_us, request.branch);
-        if !admit_traced(admission, &request, &view, now_us, shard_id, sink, tracing) {
-            tally.shed[request.branch] += 1;
-            tally.class_shed[class] += 1;
-            self.shed += 1;
+        self.books.issued += 1;
+        let view = self.admission_view(request.branch);
+        if !self.admission.admits(&request, &view, now_us) {
+            self.settle(&request, now_us, RequestEventKind::Shed, tally, sink);
             return false;
         }
-        if self.scheduler.queued() >= capacity {
-            tally.dropped[request.branch] += 1;
-            tally.class_dropped[class] += 1;
-            self.dropped += 1;
-            if tracing {
-                sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Drop));
-            }
+        let tracing = sink.enabled();
+        if tracing {
+            sink.record(request.trace(now_us, Some(self.id), RequestEventKind::Admit));
+        }
+        if self.scheduler.queued() >= self.capacity {
+            self.settle(&request, now_us, RequestEventKind::Drop, tally, sink);
             return false;
         }
         self.enqueue(request, now_us);
         if tracing {
-            sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Enqueue));
+            sink.record(request.trace(now_us, Some(self.id), RequestEventKind::Enqueue));
         }
         true
     }
@@ -387,33 +410,20 @@ impl Shard {
     /// whole queue without touching the fabric.
     pub(crate) fn dispatch(
         &mut self,
-        shard_id: usize,
         now_us: u64,
-        deadline: DeadlinePolicy,
-        split_us: Option<u64>,
         tally: &mut Tally,
         sink: &mut dyn TraceSink,
     ) -> Option<u64> {
-        let tracing = sink.enabled();
         let batch = loop {
             let mut popped = self.scheduler.next_batch(&self.model, now_us);
             debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
-            if deadline.culls() {
+            if self.deadline.culls() {
                 popped.retain(|request| {
                     if now_us <= request.deadline_us() {
                         return true;
                     }
                     self.release(request);
-                    self.expired += 1;
-                    tally.expired[request.branch] += 1;
-                    tally.class_expired[request.class.index()] += 1;
-                    if tracing {
-                        sink.record(request.trace(
-                            now_us,
-                            Some(shard_id),
-                            RequestEventKind::Expired,
-                        ));
-                    }
+                    self.settle(request, now_us, RequestEventKind::Expired, tally, sink);
                     false
                 });
             }
@@ -432,42 +442,23 @@ impl Shard {
             .checked_add(service_us)
             .expect("a batch completes within the u64 microsecond clock");
         self.busy_us += service_us;
+        let tracing = sink.enabled();
         if tracing {
             sink.record(TraceEvent::Batch(BatchEvent {
                 at_us: now_us,
-                shard: shard_id,
+                shard: self.id,
                 branch,
                 len: batch.len(),
                 service_us,
             }));
         }
         for request in &batch {
-            let latency_us = request.latency_us(done_us);
             if tracing {
-                sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::ServiceStart));
-                sink.record(request.trace(
-                    done_us,
-                    Some(shard_id),
-                    RequestEventKind::Complete { latency_us },
-                ));
+                sink.record(request.trace(now_us, Some(self.id), RequestEventKind::ServiceStart));
             }
-            let class = request.class.index();
-            tally.branch_histograms[request.branch].record(latency_us);
-            tally.completed[request.branch] += 1;
-            tally.class_histograms[class].record(latency_us);
-            tally.class_completed[class] += 1;
-            if request.meets_slo(done_us) {
-                tally.within_budget[class] += 1;
-            }
-            if let Some(split) = split_us {
-                if done_us < split {
-                    tally.pre_failure.record(latency_us);
-                } else {
-                    tally.post_failure.record(latency_us);
-                }
-            }
-            self.histogram.record(latency_us);
-            self.completed += 1;
+            let latency_us = request.latency_us(done_us);
+            let complete = RequestEventKind::Complete { latency_us };
+            self.settle(request, done_us, complete, tally, sink);
             self.release(request);
         }
         self.free_at_us = done_us;
@@ -539,8 +530,12 @@ pub(crate) struct EngineCore<'b> {
     /// shard's [`Shard::dispatch_epoch`]; each shard has at most one live
     /// entry.
     pub(crate) dispatches: BinaryHeap<Reverse<(u64, usize, u64)>>,
-    pub(crate) split_us: Option<u64>,
     pub(crate) last_scale_up: Option<u64>,
+    /// The fleet lifecycle log. Only [`EngineCore::step`] changes the
+    /// fleet, so no window or worker tally holds an entry.
+    scale_events: Vec<FleetEvent>,
+    /// Orphans re-placed onto a live shard after a failure.
+    replaced: u64,
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
     /// check (the frozen loop re-summed every shard per iteration).
     pub(crate) queued_total: usize,
@@ -585,12 +580,13 @@ impl<'b> EngineCore<'b> {
         let shards: Vec<Shard> = config
             .shards
             .iter()
-            .map(|model| {
+            .enumerate()
+            .map(|(id, model)| {
                 let model = match &scenario.priorities {
                     Some(priorities) => model.clone().with_priorities(priorities),
                     None => model.clone(),
                 };
-                Shard::new(model, Queue::new(spec.scheduler), ShardState::Active)
+                Shard::new(id, model, ShardState::Active, spec, capacity)
             })
             .collect();
 
@@ -612,8 +608,9 @@ impl<'b> EngineCore<'b> {
             life: BinaryHeap::new(),
             life_seq: 0,
             dispatches: BinaryHeap::new(),
-            split_us: spec.failures.first_kill_us(),
             last_scale_up: None,
+            scale_events: Vec::new(),
+            replaced: 0,
             queued_total: 0,
             active_queued: 0,
             loads: Vec::with_capacity(shard_count),
@@ -623,7 +620,7 @@ impl<'b> EngineCore<'b> {
             ),
             placeable_ids: (0..shard_count).collect(),
             placeable_dirty: false,
-            tally: Tally::new(branch_count),
+            tally: Tally::new(branch_count, spec.failures.first_kill_us()),
             worker_tallies: Vec::new(),
             counts: WorkCounts {
                 tallies: 1,
@@ -778,8 +775,8 @@ impl<'b> EngineCore<'b> {
     /// `cap`, counting it issued against its branch and class.
     pub(crate) fn draw_before(&mut self, cap: u64) -> Option<Request> {
         let request = self.arrivals.next_before(cap)?;
-        self.tally.issued[request.branch] += 1;
-        self.tally.class_issued[request.class.index()] += 1;
+        self.tally.branches[request.branch].issued += 1;
+        self.tally.classes[request.class.index()].issued += 1;
         Some(request)
     }
 
@@ -894,7 +891,7 @@ impl<'b> EngineCore<'b> {
                     }
                     dead.class_backlog_us = [0; CLASS_COUNT];
                     dead.pending_since_us = 0;
-                    dead.issued -= usize_to_u64(orphans.len());
+                    dead.books.issued -= usize_to_u64(orphans.len());
                 }
                 self.queued_total -= orphans.len();
                 self.refresh_dispatch(victim);
@@ -908,15 +905,9 @@ impl<'b> EngineCore<'b> {
                         .place(&request, now_us)
                         .filter(|&dst| self.shards[dst].scheduler.queued() < self.capacity);
                     let Some(dst) = placed else {
-                        self.tally.lost[request.branch] += 1;
-                        self.tally.class_lost[request.class.index()] += 1;
-                        if self.tracing {
-                            self.sink.record(request.trace(
-                                now_us,
-                                None,
-                                RequestEventKind::Lost { orphaned: true },
-                            ));
-                        }
+                        let lost = RequestEventKind::Lost { orphaned: true };
+                        self.tally
+                            .settle(&request, now_us, None, lost, &mut *self.sink);
                         continue;
                     };
                     {
@@ -930,7 +921,7 @@ impl<'b> EngineCore<'b> {
                             target.busy_us += fill;
                         }
                         target.enqueue(request, now_us);
-                        target.issued += 1;
+                        target.books.issued += 1;
                         if target.phase == ShardState::Active {
                             self.active_queued += 1;
                         }
@@ -941,7 +932,7 @@ impl<'b> EngineCore<'b> {
                     // already non-empty.
                     self.refresh_dispatch(dst);
                     self.balancer.note_admitted(request.session, dst);
-                    self.tally.replaced += 1;
+                    self.replaced += 1;
                     if self.tracing {
                         self.sink.record(request.trace(
                             now_us,
@@ -1007,14 +998,7 @@ impl<'b> EngineCore<'b> {
     fn dispatch_event(&mut self, now_us: u64, shard: usize) {
         let s = &mut self.shards[shard];
         let queued_before = s.scheduler.queued();
-        let done_us = s.dispatch(
-            shard,
-            now_us,
-            self.spec.deadline,
-            self.split_us,
-            &mut self.tally,
-            &mut *self.sink,
-        );
+        let done_us = s.dispatch(now_us, &mut self.tally, &mut *self.sink);
         let removed = queued_before - s.scheduler.queued();
         self.queued_total -= removed;
         if s.phase == ShardState::Active {
@@ -1046,26 +1030,13 @@ impl<'b> EngineCore<'b> {
                 .record(request.trace(now_us, placed, RequestEventKind::Arrival));
         }
         let Some(shard) = placed else {
-            self.tally.lost[request.branch] += 1;
-            self.tally.class_lost[request.class.index()] += 1;
-            if self.tracing {
-                self.sink.record(request.trace(
-                    now_us,
-                    None,
-                    RequestEventKind::Lost { orphaned: false },
-                ));
-            }
+            let lost = RequestEventKind::Lost { orphaned: false };
+            self.tally
+                .settle(&request, now_us, None, lost, &mut *self.sink);
             return;
         };
         let target = &mut self.shards[shard];
-        if target.admit(
-            shard,
-            request,
-            self.capacity,
-            self.spec.admission,
-            &mut self.tally,
-            &mut *self.sink,
-        ) {
+        if target.admit(request, &mut self.tally, &mut *self.sink) {
             // A request queued alone makes the shard dispatchable.
             let into_empty = target.scheduler.queued() == 1;
             self.queued_total += 1;
@@ -1104,9 +1075,11 @@ impl<'b> EngineCore<'b> {
         let shard = self.shards.len();
         let template = self.shards[0].model.clone();
         self.shards.push(Shard::new(
+            shard,
             template,
-            Queue::new(spec.scheduler),
             ShardState::Warming,
+            spec,
+            self.capacity,
         ));
         self.phase_counts[phase_slot(ShardState::Warming)] += 1;
         let warm_at = now_us
@@ -1141,15 +1114,14 @@ impl<'b> EngineCore<'b> {
             kind,
             active_after: self.shards_in(ShardState::Active),
         };
-        self.tally.scale_events.push(event);
+        self.scale_events.push(event);
         if self.tracing {
             self.sink.record(TraceEvent::Fleet(event));
         }
     }
 
-    /// Consumes the core: absorbs the window workers' tallies, then folds
-    /// the per-shard state into the final report — the old loop's
-    /// epilogue, verbatim — and returns it with the run's work counts.
+    /// Consumes the core: absorbs the window workers' tallies into the
+    /// run's, then folds the run into its report.
     pub(crate) fn finish(mut self) -> (ServeReport, WorkCounts) {
         debug_assert_eq!(
             self.phase_counts,
@@ -1160,266 +1132,258 @@ impl<'b> EngineCore<'b> {
         for tally in &self.worker_tallies {
             self.tally.absorb(tally);
         }
-        let report = finalize(
-            self.scenario,
-            self.balancer_kind.name(),
-            self.spec.admission.name(),
-            self.tally,
-            &self.shards,
-        );
-        (report, self.counts)
-    }
-}
-
-/// Fleet-wide accumulators: every per-branch / per-class / availability
-/// counter and histogram that is not per-shard. All fields are
-/// exact-merge (integer sums and fixed-bucket histogram adds), which is
-/// what makes folding the windowed engine's per-worker tallies with
-/// [`Tally::absorb`] bit-identical to the sequential run in any order.
-pub(crate) struct Tally {
-    pub(crate) issued: Vec<u64>,
-    pub(crate) completed: Vec<u64>,
-    pub(crate) dropped: Vec<u64>,
-    pub(crate) lost: Vec<u64>,
-    pub(crate) shed: Vec<u64>,
-    pub(crate) expired: Vec<u64>,
-    pub(crate) branch_histograms: Vec<LatencyHistogram>,
-    pub(crate) class_issued: [u64; CLASS_COUNT],
-    pub(crate) class_completed: [u64; CLASS_COUNT],
-    pub(crate) class_dropped: [u64; CLASS_COUNT],
-    pub(crate) class_lost: [u64; CLASS_COUNT],
-    pub(crate) class_shed: [u64; CLASS_COUNT],
-    pub(crate) class_expired: [u64; CLASS_COUNT],
-    pub(crate) within_budget: [u64; CLASS_COUNT],
-    pub(crate) class_histograms: [LatencyHistogram; CLASS_COUNT],
-    pub(crate) pre_failure: LatencyHistogram,
-    pub(crate) post_failure: LatencyHistogram,
-    pub(crate) scale_events: Vec<FleetEvent>,
-    pub(crate) replaced: u64,
-}
-
-impl Tally {
-    pub(crate) fn new(branch_count: usize) -> Self {
-        Self {
-            issued: vec![0; branch_count],
-            completed: vec![0; branch_count],
-            dropped: vec![0; branch_count],
-            lost: vec![0; branch_count],
-            shed: vec![0; branch_count],
-            expired: vec![0; branch_count],
-            branch_histograms: (0..branch_count).map(|_| LatencyHistogram::new()).collect(),
-            class_issued: [0; CLASS_COUNT],
-            class_completed: [0; CLASS_COUNT],
-            class_dropped: [0; CLASS_COUNT],
-            class_lost: [0; CLASS_COUNT],
-            class_shed: [0; CLASS_COUNT],
-            class_expired: [0; CLASS_COUNT],
-            within_budget: [0; CLASS_COUNT],
-            class_histograms: std::array::from_fn(|_| LatencyHistogram::new()),
-            pre_failure: LatencyHistogram::new(),
-            post_failure: LatencyHistogram::new(),
-            scale_events: Vec::new(),
-            replaced: 0,
-        }
+        let counts = self.counts;
+        (self.finalize(), counts)
     }
 
-    /// Folds another tally into this one. Every merge is exact (integer
-    /// addition, fixed-bucket histogram merge), so folding per-worker
-    /// tallies reproduces the sequential loop's accumulators bit for bit.
-    pub(crate) fn absorb(&mut self, other: &Tally) {
-        for (mine, theirs) in self.issued.iter_mut().zip(&other.issued) {
-            *mine += theirs;
+    /// Assembles the [`ServeReport`] — the exact arithmetic (and
+    /// floating-point operation order) of the frozen loop's report tail,
+    /// with the run's totals summed over the branch rows. Shard 0's
+    /// (priority-override-applied) service model names the branches.
+    fn finalize(mut self) -> ServeReport {
+        self.scale_events.sort_by_key(|e| e.at_us);
+        let (tally, shards) = (&self.tally, &self.shards);
+        let mut total = Books::default();
+        for row in &tally.branches {
+            total.absorb(row);
         }
-        for (mine, theirs) in self.completed.iter_mut().zip(&other.completed) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.dropped.iter_mut().zip(&other.dropped) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.lost.iter_mut().zip(&other.lost) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.shed.iter_mut().zip(&other.shed) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.expired.iter_mut().zip(&other.expired) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self
-            .branch_histograms
-            .iter_mut()
-            .zip(&other.branch_histograms)
-        {
-            mine.merge(theirs);
-        }
-        for index in 0..CLASS_COUNT {
-            self.class_issued[index] += other.class_issued[index];
-            self.class_completed[index] += other.class_completed[index];
-            self.class_dropped[index] += other.class_dropped[index];
-            self.class_lost[index] += other.class_lost[index];
-            self.class_shed[index] += other.class_shed[index];
-            self.class_expired[index] += other.class_expired[index];
-            self.within_budget[index] += other.within_budget[index];
-            self.class_histograms[index].merge(&other.class_histograms[index]);
-        }
-        self.pre_failure.merge(&other.pre_failure);
-        self.post_failure.merge(&other.post_failure);
-        self.scale_events.extend(other.scale_events.iter().cloned());
-        self.replaced += other.replaced;
-    }
-}
-
-/// Assembles the [`ServeReport`] from the run's accumulators — the exact
-/// arithmetic (and floating-point operation order) of the frozen loop's
-/// report tail. Shard 0's (priority-override-applied) service model
-/// names the branches.
-fn finalize(
-    scenario: &Scenario,
-    balancer_name: &str,
-    admission_name: &str,
-    mut tally: Tally,
-    shards: &[Shard],
-) -> ServeReport {
-    tally.scale_events.sort_by_key(|e| e.at_us);
-
-    let shard_count = shards.len();
-    let total_issued: u64 = tally.issued.iter().sum();
-    let total_completed: u64 = tally.completed.iter().sum();
-    let total_dropped: u64 = tally.dropped.iter().sum();
-    let total_lost: u64 = tally.lost.iter().sum();
-    let total_shed: u64 = tally.shed.iter().sum();
-    let total_expired: u64 = tally.expired.iter().sum();
-    let total_within: u64 = tally.within_budget.iter().sum();
-    let total_busy_us: u64 = shards.iter().map(|s| s.busy_us).sum();
-    let makespan_us = shards.iter().map(|s| s.free_at_us).max().unwrap_or(0);
-    let makespan_sec = u64_to_f64(makespan_us) / 1e6;
-    let mut overall = LatencyHistogram::new();
-    for shard in shards {
-        overall.merge(&shard.histogram);
-    }
-    let branches = shards[0]
-        .model
-        .branches
-        .iter()
-        .enumerate()
-        .map(|(index, service)| BranchServeStats {
-            name: service.name.clone(),
-            priority: service.priority,
-            issued: tally.issued[index],
-            completed: tally.completed[index],
-            dropped: tally.dropped[index],
-            lost: tally.lost[index],
-            shed: tally.shed[index],
-            expired: tally.expired[index],
-            latency: LatencySummary::of(&tally.branch_histograms[index]),
-        })
-        .collect();
-    let classes: Vec<ClassServeStats> = QosClass::all()
-        .iter()
-        .map(|class| {
-            let index = class.index();
-            ClassServeStats {
+        let shard_count = shards.len();
+        let total_busy_us: u64 = shards.iter().map(|s| s.busy_us).sum();
+        let makespan_us = shards.iter().map(|s| s.free_at_us).max().unwrap_or(0);
+        let makespan_sec = u64_to_f64(makespan_us) / 1e6;
+        let branches = shards[0]
+            .model
+            .branches
+            .iter()
+            .zip(&tally.branches)
+            .map(|(service, row)| BranchServeStats {
+                name: service.name.clone(),
+                priority: service.priority,
+                issued: row.issued,
+                completed: row.completed,
+                dropped: row.dropped,
+                lost: row.lost,
+                shed: row.shed,
+                expired: row.expired,
+                latency: LatencySummary::of(&row.latency),
+            })
+            .collect();
+        let classes: Vec<ClassServeStats> = QosClass::all()
+            .iter()
+            .zip(&tally.classes)
+            .map(|(class, row)| ClassServeStats {
                 class: *class,
                 budget_ms: class.budget_ms(),
                 weight: class.weight(),
-                issued: tally.class_issued[index],
-                completed: tally.class_completed[index],
-                dropped: tally.class_dropped[index],
-                lost: tally.class_lost[index],
-                shed: tally.class_shed[index],
-                expired: tally.class_expired[index],
-                slo_attainment: attainment(
-                    tally.within_budget[index],
-                    tally.class_completed[index],
-                    tally.class_issued[index],
-                ),
-                latency: LatencySummary::of(&tally.class_histograms[index]),
+                issued: row.issued,
+                completed: row.completed,
+                dropped: row.dropped,
+                lost: row.lost,
+                shed: row.shed,
+                expired: row.expired,
+                slo_attainment: attainment(row.within_budget, row.completed, row.issued),
+                latency: LatencySummary::of(&row.latency),
+            })
+            .collect();
+        let shard_stats: Vec<ShardStats> = shards
+            .iter()
+            .map(|s| ShardStats {
+                issued: s.books.issued,
+                completed: s.books.completed,
+                dropped: s.books.dropped,
+                shed: s.books.shed,
+                expired: s.books.expired,
+                state: s.phase,
+                utilization: if makespan_us > 0 {
+                    u64_to_f64(s.busy_us) / u64_to_f64(makespan_us)
+                } else {
+                    0.0
+                },
+                latency: LatencySummary::of(&s.books.latency),
+            })
+            .collect();
+        let imbalance = {
+            let max = shards.iter().map(|s| s.busy_us).max().unwrap_or(0);
+            let min = shards.iter().map(|s| s.busy_us).min().unwrap_or(0);
+            let mean = u64_to_f64(total_busy_us) / usize_to_f64(shard_count);
+            if mean > 0.0 {
+                u64_to_f64(max - min) / mean
+            } else {
+                0.0
             }
-        })
-        .collect();
-    let shard_stats: Vec<ShardStats> = shards
-        .iter()
-        .map(|s| ShardStats {
-            issued: s.issued,
-            completed: s.completed,
-            dropped: s.dropped,
-            shed: s.shed,
-            expired: s.expired,
-            state: s.phase,
-            utilization: if makespan_us > 0 {
-                u64_to_f64(s.busy_us) / u64_to_f64(makespan_us)
+        };
+        let slo_attainment = attainment(total.within_budget, total.completed, total.issued);
+        let slo_per_busy_sec = if total_busy_us > 0 {
+            slo_attainment / (u64_to_f64(total_busy_us) / 1e6)
+        } else {
+            0.0
+        };
+        let report = ServeReport {
+            scenario: self.scenario.name.clone(),
+            scheduler: shards[0].scheduler.name().to_owned(),
+            balancer: self.balancer_kind.name().to_owned(),
+            seed: self.scenario.seed,
+            sessions: self.scenario.sessions,
+            issued: total.issued,
+            completed: total.completed,
+            dropped: total.dropped,
+            drop_rate: if total.issued == 0 {
+                0.0
+            } else {
+                u64_to_f64(total.dropped) / u64_to_f64(total.issued)
+            },
+            makespan_sec,
+            throughput_rps: if makespan_sec > 0.0 {
+                u64_to_f64(total.completed) / makespan_sec
             } else {
                 0.0
             },
-            latency: LatencySummary::of(&s.histogram),
-        })
-        .collect();
-    let imbalance = {
-        let max = shards.iter().map(|s| s.busy_us).max().unwrap_or(0);
-        let min = shards.iter().map(|s| s.busy_us).min().unwrap_or(0);
-        let mean = u64_to_f64(total_busy_us) / usize_to_f64(shard_count);
-        if mean > 0.0 {
-            u64_to_f64(max - min) / mean
-        } else {
-            0.0
+            utilization: if makespan_us > 0 {
+                u64_to_f64(total_busy_us) / u64_to_f64(usize_to_u64(shard_count) * makespan_us)
+            } else {
+                0.0
+            },
+            imbalance,
+            latency: LatencySummary::of(&total.latency),
+            branches,
+            shards: shard_stats,
+            replaced: self.replaced,
+            lost: total.lost,
+            availability: if total.issued == 0 {
+                1.0
+            } else {
+                u64_to_f64(total.completed) / u64_to_f64(total.issued)
+            },
+            latency_pre_failure: LatencySummary::of(&tally.pre_failure),
+            latency_post_failure: LatencySummary::of(&tally.post_failure),
+            scale_events: self.scale_events,
+            shed: total.shed,
+            admission: self.spec.admission.name().to_owned(),
+            slo_attainment,
+            classes,
+            expired: total.expired,
+            fabric_busy_us: total_busy_us,
+            slo_per_busy_sec,
+            trace_summary: None,
+        };
+        debug_assert!(report.conserves_requests(), "request conservation violated");
+        report
+    }
+}
+
+/// One row of the run's books — a branch, a QoS class or a shard: the
+/// requests it took in, how each one ended, how many completions met
+/// their class budget, and the completion latencies. [`Books::count`] is
+/// the only writer of the outcome counters, and [`Books::absorb`] is
+/// exact, so rows merge in any order.
+#[derive(Default)]
+pub(crate) struct Books {
+    issued: u64,
+    completed: u64,
+    dropped: u64,
+    lost: u64,
+    shed: u64,
+    expired: u64,
+    within_budget: u64,
+    latency: LatencyHistogram,
+}
+
+impl Books {
+    /// Enters `request`'s terminal outcome `kind` at `at_us`; a completion
+    /// also records its latency and whether it met the class budget. Any
+    /// other kind is not an outcome, so it counts nothing.
+    fn count(&mut self, request: &Request, at_us: u64, kind: RequestEventKind) {
+        match kind {
+            RequestEventKind::Complete { latency_us } => {
+                self.completed += 1;
+                self.within_budget += u64::from(request.meets_slo(at_us));
+                self.latency.record(latency_us);
+            }
+            RequestEventKind::Drop => self.dropped += 1,
+            RequestEventKind::Lost { .. } => self.lost += 1,
+            RequestEventKind::Shed => self.shed += 1,
+            RequestEventKind::Expired => self.expired += 1,
+            _ => debug_assert!(false, "{} is not a terminal outcome", kind.name()),
         }
-    };
-    let slo_attainment = attainment(total_within, total_completed, total_issued);
-    let slo_per_busy_sec = if total_busy_us > 0 {
-        slo_attainment / (u64_to_f64(total_busy_us) / 1e6)
-    } else {
-        0.0
-    };
-    let report = ServeReport {
-        scenario: scenario.name.clone(),
-        scheduler: shards[0].scheduler.name().to_owned(),
-        balancer: balancer_name.to_owned(),
-        seed: scenario.seed,
-        sessions: scenario.sessions,
-        issued: total_issued,
-        completed: total_completed,
-        dropped: total_dropped,
-        drop_rate: if total_issued == 0 {
-            0.0
-        } else {
-            u64_to_f64(total_dropped) / u64_to_f64(total_issued)
-        },
-        makespan_sec,
-        throughput_rps: if makespan_sec > 0.0 {
-            u64_to_f64(total_completed) / makespan_sec
-        } else {
-            0.0
-        },
-        utilization: if makespan_us > 0 {
-            u64_to_f64(total_busy_us) / u64_to_f64(usize_to_u64(shard_count) * makespan_us)
-        } else {
-            0.0
-        },
-        imbalance,
-        latency: LatencySummary::of(&overall),
-        branches,
-        shards: shard_stats,
-        replaced: tally.replaced,
-        lost: total_lost,
-        availability: if total_issued == 0 {
-            1.0
-        } else {
-            u64_to_f64(total_completed) / u64_to_f64(total_issued)
-        },
-        latency_pre_failure: LatencySummary::of(&tally.pre_failure),
-        latency_post_failure: LatencySummary::of(&tally.post_failure),
-        scale_events: tally.scale_events,
-        shed: total_shed,
-        admission: admission_name.to_owned(),
-        slo_attainment,
-        classes,
-        expired: total_expired,
-        fabric_busy_us: total_busy_us,
-        slo_per_busy_sec,
-        trace_summary: None,
-    };
-    debug_assert!(report.conserves_requests(), "request conservation violated");
-    report
+    }
+
+    /// Adds `other`'s counts and latencies to this row.
+    fn absorb(&mut self, other: &Books) {
+        self.issued += other.issued;
+        self.completed += other.completed;
+        self.dropped += other.dropped;
+        self.lost += other.lost;
+        self.shed += other.shed;
+        self.expired += other.expired;
+        self.within_budget += other.within_budget;
+        self.latency.merge(&other.latency);
+    }
+}
+
+/// The fleet-wide books: one [`Books`] row per branch and per QoS class,
+/// plus the completion latencies split at the first scheduled kill. Every
+/// merge is exact (integer sums and fixed-bucket histogram adds), which
+/// is what makes folding the windowed engine's per-worker tallies with
+/// [`Tally::absorb`] bit-identical to the sequential run in any order.
+pub(crate) struct Tally {
+    pub(crate) branches: Vec<Books>,
+    classes: [Books; CLASS_COUNT],
+    pre_failure: LatencyHistogram,
+    post_failure: LatencyHistogram,
+    /// The first scheduled kill's instant: completions before it go to
+    /// `pre_failure`, the rest to `post_failure`. `None` splits nothing.
+    pub(crate) split_us: Option<u64>,
+}
+
+impl Tally {
+    pub(crate) fn new(branch_count: usize, split_us: Option<u64>) -> Self {
+        Self {
+            branches: (0..branch_count).map(|_| Books::default()).collect(),
+            classes: std::array::from_fn(|_| Books::default()),
+            pre_failure: LatencyHistogram::new(),
+            post_failure: LatencyHistogram::new(),
+            split_us,
+        }
+    }
+
+    /// Ends `request` with the terminal outcome `kind` at `at_us`: enters
+    /// it in its branch and class rows (and a completion in the failure
+    /// split), then records it on the trace, stamped with `shard` — `None`
+    /// for a request lost before any shard held it, or orphaned by a
+    /// failure and placed nowhere.
+    pub(crate) fn settle(
+        &mut self,
+        request: &Request,
+        at_us: u64,
+        shard: Option<usize>,
+        kind: RequestEventKind,
+        sink: &mut dyn TraceSink,
+    ) {
+        self.branches[request.branch].count(request, at_us, kind);
+        self.classes[request.class.index()].count(request, at_us, kind);
+        if let (RequestEventKind::Complete { latency_us }, Some(split)) = (kind, self.split_us) {
+            if at_us < split {
+                self.pre_failure.record(latency_us);
+            } else {
+                self.post_failure.record(latency_us);
+            }
+        }
+        if sink.enabled() {
+            sink.record(request.trace(at_us, shard, kind));
+        }
+    }
+
+    /// Folds another tally into this one, row by row.
+    pub(crate) fn absorb(&mut self, other: &Tally) {
+        for (mine, theirs) in self.branches.iter_mut().zip(&other.branches) {
+            mine.absorb(theirs);
+        }
+        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
+            mine.absorb(theirs);
+        }
+        self.pre_failure.merge(&other.pre_failure);
+        self.post_failure.merge(&other.post_failure);
+    }
 }
 
 /// Attainment over completions, with issued traffic deciding the vacuous
@@ -1490,8 +1454,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "a batch completes within the u64 microsecond clock")]
     fn a_dispatch_past_the_u64_clock_panics_on_the_invariant() {
-        let model = test_model();
-        let mut shard = Shard::new(model, Queue::new(SchedulerKind::Fifo), ShardState::Active);
+        let spec = ServeSpec {
+            scheduler: SchedulerKind::Fifo,
+            ..ServeSpec::default()
+        };
+        let mut shard = Shard::new(0, test_model(), ShardState::Active, &spec, 8);
         // Branch 0 serves in 5 ms, so a batch started 100 µs before the
         // clock's end would complete past it.
         let now_us = u64::MAX - 100;
@@ -1503,8 +1470,8 @@ mod tests {
             class: QosClass::Standard,
         };
         shard.enqueue(request, now_us);
-        let mut tally = Tally::new(shard.model.branch_count());
-        shard.dispatch(0, now_us, DeadlinePolicy::Off, None, &mut tally, &mut Off);
+        let mut tally = Tally::new(shard.model.branch_count(), None);
+        shard.dispatch(now_us, &mut tally, &mut Off);
     }
 
     /// Queues one branch-0 request on `shard` at `now_us`, as an arrival

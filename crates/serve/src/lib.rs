@@ -121,7 +121,6 @@
 
 mod admission;
 mod autoscale;
-mod cast;
 mod deadline;
 mod engine;
 mod fleet;
@@ -148,6 +147,8 @@ pub use request::Request;
 pub use scenario::{ArrivalPattern, Scenario};
 pub use scheduler::SchedulerKind;
 pub use window::{simulate_windowed, simulate_windowed_traced, WindowPlan};
+
+use fcad_obs::cast;
 
 // The single-line JSON writer the report renders with.
 pub use fcad_obs::json;

@@ -21,7 +21,7 @@ use fcad_obs::{
     BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
 };
 
-use crate::admission::{admit_traced, AdmissionKind, AdmissionView};
+use crate::admission::{AdmissionKind, AdmissionView};
 use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::fleet::{Balancer, FleetConfig, ShardLoad};
@@ -849,6 +849,31 @@ fn attainment(within: u64, completed: u64, issued: u64) -> f64 {
     } else {
         u64_to_f64(within) / u64_to_f64(completed)
     }
+}
+
+/// Consults `admission` and mirrors its verdict onto the trace: an
+/// `Admit` or `Shed` event stamped with the chosen shard. `Shed` doubles
+/// as the request's terminal event — a shed request never enters a queue,
+/// so nothing else can happen to it.
+pub(crate) fn admit_traced(
+    admission: AdmissionKind,
+    request: &Request,
+    view: &AdmissionView,
+    now_us: u64,
+    shard: usize,
+    sink: &mut dyn fcad_obs::TraceSink,
+    tracing: bool,
+) -> bool {
+    let admitted = admission.admits(request, view, now_us);
+    if tracing {
+        let kind = if admitted {
+            fcad_obs::RequestEventKind::Admit
+        } else {
+            fcad_obs::RequestEventKind::Shed
+        };
+        sink.record(request.trace(now_us, Some(shard), kind));
+    }
+    admitted
 }
 
 fn collect_placeable(loads: &mut Vec<(usize, ShardLoad)>, shards: &[Shard]) {

@@ -29,9 +29,11 @@
 //!    no thread — and at the window edge re-derives exactly the
 //!    cross-shard state the sequential engine would hold: queue totals,
 //!    refreshed dispatch entries and the sorted trace stream.
-//!    Each extra worker tallies into a fleet-wide tally of its own, kept
-//!    across windows and folded into the run's by
-//!    [`EngineCore::finish`].
+//!    Each extra worker settles its shards' outcomes into a [`Tally`] of
+//!    its own — one [`Books`](crate::engine::Books) row per branch and
+//!    per class — kept across windows and folded into the run's by
+//!    [`EngineCore::finish`]. The fleet lifecycle log and the re-placed
+//!    count stay on the core: no window changes the fleet.
 //!
 //! A static fleet is the case with no pinning events at all: its windows
 //! end only at the arrival cap or the plan's `window_us` chunk size. A
@@ -362,41 +364,34 @@ impl EngineCore<'_> {
             }
         }
 
-        let capacity = self.capacity;
-        let admission = self.spec.admission;
-        let deadline = self.spec.deadline;
-        let split_us = self.split_us;
         let tracing = self.tracing;
         // One step-keyed sink per worker: step keys sort into the
         // sequential emission order however shards are spread over
-        // workers. Worker 0 runs on the calling thread and tallies
-        // straight into the run's accumulators; every other worker fills
-        // a tally of its own, kept across windows and folded in by
-        // `finish` (tally merges are exact integer and fixed-bucket
-        // histogram adds).
-        let run_share = move |share: Vec<(usize, &mut Shard, &[Request])>, tally: &mut Tally| {
+        // workers. Worker 0 runs on the calling thread and settles
+        // straight into the run's tally; every other worker fills a tally
+        // of its own, kept across windows and folded in by `finish`
+        // (tally merges are exact integer and fixed-bucket histogram
+        // adds).
+        let run_share = move |share: Vec<(&mut Shard, &[Request])>, tally: &mut Tally| {
             let mut sink = StepSink::new(tracing);
             let mut steps = 0usize;
-            for (shard_id, shard, arrivals) in share {
-                steps += advance_shard(
-                    shard_id, shard, admission, arrivals, capacity, deadline, cap, split_us, tally,
-                    &mut sink,
-                );
+            for (shard, arrivals) in share {
+                steps += advance_shard(shard, arrivals, cap, tally, &mut sink);
             }
             (sink.events, steps)
         };
 
         let worker_count = plan.workers.clamp(1, shard_count);
-        let branch_count = self.tally.issued.len();
         while self.worker_tallies.len() + 1 < worker_count {
-            self.worker_tallies.push(Tally::new(branch_count));
+            let tally = Tally::new(self.tally.branches.len(), self.tally.split_us);
+            self.worker_tallies.push(tally);
             self.counts.tallies += 1;
         }
-        let mut shares: Vec<Vec<(usize, &mut Shard, &[Request])>> =
+        let mut shares: Vec<Vec<(&mut Shard, &[Request])>> =
             (0..worker_count).map(|_| Vec::new()).collect();
         let buffers = &self.window_arrivals;
-        for (shard_id, (shard, arrivals)) in self.shards.iter_mut().zip(buffers).enumerate() {
-            shares[shard_id % worker_count].push((shard_id, shard, arrivals));
+        for (shard, arrivals) in self.shards.iter_mut().zip(buffers) {
+            shares[shard.id % worker_count].push((shard, arrivals));
         }
         let mut shares = shares.into_iter();
         let own_share = shares.next().expect("a window has at least one worker");
@@ -456,16 +451,10 @@ impl EngineCore<'_> {
 /// Queued work whose dispatch instant lands at or past the horizon stays
 /// queued for the next window (or the sequential engine). Returns the
 /// number of events processed.
-#[allow(clippy::too_many_arguments)]
 fn advance_shard(
-    shard_id: usize,
     shard: &mut Shard,
-    admission: AdmissionKind,
     arrivals: &[Request],
-    capacity: usize,
-    deadline: DeadlinePolicy,
     horizon_us: u64,
-    split_us: Option<u64>,
     tally: &mut Tally,
     sink: &mut StepSink,
 ) -> usize {
@@ -485,8 +474,8 @@ fn advance_shard(
                 break;
             }
             processed += 1;
-            sink.begin_step(now_us, LANE_DISPATCH, usize_to_u64(shard_id));
-            shard.dispatch(shard_id, now_us, deadline, split_us, tally, sink);
+            sink.begin_step(now_us, LANE_DISPATCH, usize_to_u64(shard.id));
+            shard.dispatch(now_us, tally, sink);
         } else {
             let request = due_arrival.expect("arrival_at is finite");
             debug_assert!(
@@ -498,9 +487,9 @@ fn advance_shard(
             let now_us = request.issued_at_us;
             sink.begin_step(now_us, LANE_ARRIVAL, request.id);
             if sink.on {
-                sink.record(request.trace(now_us, Some(shard_id), RequestEventKind::Arrival));
+                sink.record(request.trace(now_us, Some(shard.id), RequestEventKind::Arrival));
             }
-            shard.admit(shard_id, request, capacity, admission, tally, sink);
+            shard.admit(request, tally, sink);
         }
     }
     processed
