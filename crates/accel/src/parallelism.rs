@@ -197,11 +197,13 @@ impl LaneTable {
         Parallelism::new(split.cpf as usize, split.kpf as usize, 1)
     }
 
-    /// [`for_target`](Self::for_target)'s choice and the number of table
-    /// entries whose candidates it scored.
+    /// [`for_target`](Self::for_target)'s choice, the number of table
+    /// entries it visited and the number of candidates it scored.
     ///
     /// Why it picks what a full ascending scan of every `(cpf, kpf)` pair
-    /// with the score `(distance, usize::MAX − cpf × kpf)` picks:
+    /// with the score `(distance, usize::MAX − cpf × kpf)` picks, where the
+    /// full scan scores the candidates `h` in `[r, r + 1, r − 1]` of each
+    /// pair (clamped to `[1, max_h]`, `r` the rounded ideal):
     ///
     /// 1. The table holds one entry per `cpf × kpf`, the smallest-`cpf`
     ///    pair ([`LaneTable`]): the full scan's other pairs of that product
@@ -218,7 +220,13 @@ impl LaneTable {
     ///    Once `target − effective lanes at max_h` exceeds the best
     ///    distance, every candidate of this entry and of every entry below
     ///    it is strictly farther from the target, so the scan stops.
-    fn scan(&self, target_lanes: usize) -> (Parallelism, usize) {
+    /// 4. By point 3 and the monotone clamp, when `r` delivers fewer lanes
+    ///    than the target, `r − 1` delivers no more and is no closer; when
+    ///    it delivers more, `r + 1` is no closer; when it hits the target,
+    ///    neither is closer. A candidate no closer than `r`, which was
+    ///    scored first, cannot win under the strict rule, so the scan
+    ///    scores `r` and then only the neighbour on the target's side.
+    fn scan(&self, target_lanes: usize) -> (Parallelism, usize, usize) {
         let target = target_lanes.max(1) as f64;
         let max_h = self.max_h;
         // Channel splits of more than twice the target overshoot; the
@@ -229,7 +237,7 @@ impl LaneTable {
         });
         let mut best = Parallelism::unit();
         let mut best_distance = f64::INFINITY;
-        let mut visited = 0;
+        let (mut visited, mut scored) = (0, 0);
         for split in self.splits[..end].iter().rev() {
             // The most effective lanes any `h` gives this split (point 3).
             let lanes_at_max_h = self.ideal_cycles
@@ -238,13 +246,8 @@ impl LaneTable {
                 break;
             }
             visited += 1;
-            let channel_lanes = split.channel_lanes();
-            let h_ideal = (target / channel_lanes as f64).round() as usize;
-            for h in [
-                h_ideal,
-                h_ideal.saturating_add(1),
-                h_ideal.saturating_sub(1),
-            ] {
+            // Scores the candidate `h` and returns its effective lanes.
+            let mut score = |h: usize| {
                 let h = h.clamp(1, max_h);
                 // Score by the *effective* lanes the candidate delivers once
                 // loop quantization is taken into account: a factor that
@@ -254,6 +257,7 @@ impl LaneTable {
                     (split.channel_quanta * max_h.div_ceil(h)) as f64 * self.cycles_per_quantum;
                 let effective_lanes = self.ideal_cycles / quantized_cycles.max(1.0);
                 let distance = (effective_lanes - target).abs();
+                scored += 1;
                 // Prefer the closest effective throughput; on ties prefer
                 // more channel unrolling (better data reuse): entries come
                 // in descending `cpf × kpf`, so a tie keeps the earlier.
@@ -261,9 +265,19 @@ impl LaneTable {
                     best_distance = distance;
                     best = Parallelism::new(split.cpf as usize, split.kpf as usize, h);
                 }
+                effective_lanes
+            };
+            let h_ideal = (target / split.channel_lanes() as f64).round() as usize;
+            // Only the neighbour on the target's side can come closer
+            // (point 4).
+            let lanes = score(h_ideal);
+            if lanes < target {
+                score(h_ideal.saturating_add(1));
+            } else if lanes > target {
+                score(h_ideal.saturating_sub(1));
             }
         }
-        (best, visited)
+        (best, visited, scored)
     }
 }
 
@@ -411,7 +425,7 @@ mod tests {
         use fcad_profiler::NetworkProfile;
 
         let profile = NetworkProfile::of(&targeted_decoder());
-        let (mut calls, mut visited) = (0usize, 0usize);
+        let (mut calls, mut visited, mut scored) = (0usize, 0usize, 0usize);
         for stage in profile
             .branches()
             .iter()
@@ -422,16 +436,19 @@ mod tests {
             for k in 0..usize::BITS {
                 for target in [1usize << k, 3usize << k] {
                     if target <= 4 * max {
+                        let (_, entries, candidates) = table.scan(target);
                         calls += 1;
-                        visited += table.scan(target).1;
+                        visited += entries;
+                        scored += candidates;
                     }
                 }
             }
         }
         // A full ascending scan of every `(cpf, kpf)` pair scores 47,602
         // entries on this grid, and the deduplicated table without the
-        // bound 16,139.
-        assert_eq!((calls, visited), (807, 7_172));
+        // bound 16,139. Scoring all three `h` candidates of each visited
+        // entry scores 21,516.
+        assert_eq!((calls, visited, scored), (807, 7_172, 12_373));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use fcad_accel::{
     UnitCost,
 };
 use fcad_nnir::Precision;
+use std::cmp::Reverse;
 
 /// Greedy search for the best configuration of a single branch under a
 /// given resource distribution.
@@ -29,11 +30,24 @@ use fcad_nnir::Precision;
 /// come closer to the target, with the same result as a scan of every
 /// `(cpf, kpf)` pair.
 ///
-/// [`new`](Self::new) builds one [`LaneTable`] per stage, so callers that
+/// [`new`](Self::new) builds one [`LaneTable`] per stage and fixes the
+/// order in which the halving rounds read the stages, so callers that
 /// search one branch under many budgets should build the optimizer once and
-/// reuse it. [`optimize`](Self::optimize) is incremental: it keeps each
-/// stage's parallelism and [`UnitCost`] for its current target and
-/// recomputes only the stages whose target moved.
+/// reuse it.
+///
+/// [`optimize`](Self::optimize) costs a stage (GetPF, then its
+/// [`UnitCost`]) only when a round reads it, and keeps that cost until the
+/// stage's target moves. A halving round reads the stages in descending
+/// MACs and fails as soon as the DSPs or BRAMs of the stages read so far
+/// leave fewer than the requested copies; only a round that no such prefix
+/// fails reads every stage and goes through the full batch check,
+/// bandwidth included. The early answer is exact: floor division does not
+/// increase as its divisor grows and no stage's DSP or BRAM count is
+/// negative, so a prefix that leaves too few copies leaves the whole branch
+/// too few as well, and the batch check takes the least of its three copy
+/// counts. Costing is pure and every stage read is costed at the target an
+/// eager search would use, so the result is the one that costing every
+/// stage in every round would give.
 #[derive(Debug, Clone)]
 pub struct InBranchOptimizer<'a> {
     pipeline: &'a BranchPipeline,
@@ -41,25 +55,53 @@ pub struct InBranchOptimizer<'a> {
     frequency_hz: f64,
     cost: CostModel,
     tables: Vec<LaneTable>,
+    /// Stage indices in descending MACs (stage order among equals): the
+    /// order in which a halving round reads the stages.
+    order: Vec<usize>,
 }
 
-/// One stage's lane target with the parallelism and cost it maps to.
+/// One stage's lane target and, once a round has read it, the parallelism
+/// and cost that target maps to.
 #[derive(Debug, Clone, Copy)]
 struct StagePoint {
     target: usize,
-    parallelism: Parallelism,
-    cost: UnitCost,
+    costed: Option<(Parallelism, UnitCost)>,
+}
+
+impl StagePoint {
+    /// A stage at `target` lanes that no round has read yet.
+    fn at(target: usize) -> Self {
+        Self {
+            target,
+            costed: None,
+        }
+    }
+
+    /// The parallelism and cost of a stage a round has read.
+    ///
+    /// # Panics
+    ///
+    /// When no round has read the stage; the halving loop costs every
+    /// stage before the growth loop starts.
+    fn costed(&self) -> (Parallelism, UnitCost) {
+        self.costed
+            .expect("the halving loop costs every stage before the growth loop reads it")
+    }
 }
 
 impl<'a> InBranchOptimizer<'a> {
     /// Creates an optimizer for one branch pipeline.
     pub fn new(pipeline: &'a BranchPipeline, precision: Precision, frequency_hz: f64) -> Self {
+        let stages = pipeline.stages();
+        let mut order: Vec<usize> = (0..stages.len()).collect();
+        order.sort_by_key(|&index| Reverse(stages[index].macs));
         Self {
             pipeline,
             precision,
             frequency_hz,
             cost: CostModel::default(),
-            tables: pipeline.stages().iter().map(LaneTable::of).collect(),
+            tables: stages.iter().map(LaneTable::of).collect(),
+            order,
         }
     }
 
@@ -76,10 +118,21 @@ impl<'a> InBranchOptimizer<'a> {
     /// configuration is returned; the caller detects infeasibility by
     /// re-evaluating the returned configuration against its budget.
     pub fn optimize(&self, budget: &ResourceBudget, target_batch: usize) -> BranchConfig {
+        self.optimize_counted(budget, target_batch).0
+    }
+
+    /// [`optimize`](Self::optimize)'s configuration and the number of
+    /// stage costings (GetPF, then the unit model) the search ran.
+    pub(crate) fn optimize_counted(
+        &self,
+        budget: &ResourceBudget,
+        target_batch: usize,
+    ) -> (BranchConfig, usize) {
         let stages = self.pipeline.stages();
         if stages.is_empty() {
-            return BranchConfig::new(target_batch, Vec::new());
+            return (BranchConfig::new(target_batch, Vec::new()), 0);
         }
+        let mut costings = 0usize;
 
         // Lines 4–12: optimistic, load-balanced parallelism targets derived
         // from the bandwidth-limited frame rate.
@@ -88,26 +141,25 @@ impl<'a> InBranchOptimizer<'a> {
             budget.bandwidth_bytes_per_sec * self.cost.dram_efficiency / weight_bytes as f64;
         let mut points: Vec<StagePoint> = stages
             .iter()
-            .enumerate()
-            .map(|(i, stage)| {
+            .map(|stage| {
                 let lanes = (stage.macs as f64 * bandwidth_fps / self.frequency_hz).ceil();
-                self.point(i, (lanes as usize).max(1))
+                StagePoint::at((lanes as usize).max(1))
             })
             .collect();
 
         // Lines 13–24: halve until the requested batch size fits.
         let target_batch = target_batch.max(1);
-        loop {
-            let batch = self.supported_batch(&points, budget);
-            if batch >= target_batch {
-                break;
-            }
+        while !self.fits(&mut points, budget, target_batch, &mut costings) {
             if points.iter().all(|p| p.target <= 1) {
+                // The growth loop reads every stage.
+                for (index, point) in points.iter_mut().enumerate() {
+                    self.read(index, point, &mut costings);
+                }
                 break;
             }
-            for (i, point) in points.iter_mut().enumerate() {
+            for point in &mut points {
                 if point.target > 1 {
-                    *point = self.point(i, point.target / 2);
+                    *point = StagePoint::at(point.target / 2);
                 }
             }
         }
@@ -127,7 +179,8 @@ impl<'a> InBranchOptimizer<'a> {
                 growable[slowest] = false;
                 continue;
             }
-            points[slowest] = self.point(slowest, (current.target * 2).min(max_lanes));
+            points[slowest] =
+                self.point(slowest, (current.target * 2).min(max_lanes), &mut costings);
             if self.supported_batch(&points, budget) < target_batch {
                 points[slowest] = current;
                 growable[slowest] = false;
@@ -136,39 +189,74 @@ impl<'a> InBranchOptimizer<'a> {
 
         let configs = points
             .iter()
-            .map(|p| StageConfig::new(p.parallelism))
+            .map(|p| StageConfig::new(p.costed().0))
             .collect();
-        BranchConfig::new(target_batch, configs)
+        (BranchConfig::new(target_batch, configs), costings)
     }
 
     /// Stage `index` at `target` lanes (Algorithm 2's `GetPF`, then the
-    /// unit model).
-    fn point(&self, index: usize, target: usize) -> StagePoint {
+    /// unit model), counted in `costings`.
+    fn point(&self, index: usize, target: usize, costings: &mut usize) -> StagePoint {
+        *costings += 1;
         let parallelism = self.tables[index].for_target(target);
+        let cost = UnitCost::of(
+            &self.pipeline.stages()[index],
+            parallelism,
+            self.precision,
+            &self.cost,
+        );
         StagePoint {
             target,
-            parallelism,
-            cost: UnitCost::of(
-                &self.pipeline.stages()[index],
-                parallelism,
-                self.precision,
-                &self.cost,
-            ),
+            costed: Some((parallelism, cost)),
         }
     }
 
-    /// How many pipeline copies of the stages at `points` fit in the budget
-    /// (Algorithm 2, line 18).
+    /// The cost of stage `index` at `point`'s target, costing the stage
+    /// first if no round has read it since its target last moved.
+    fn read(&self, index: usize, point: &mut StagePoint, costings: &mut usize) -> UnitCost {
+        if point.costed.is_none() {
+            *point = self.point(index, point.target, costings);
+        }
+        point.costed().1
+    }
+
+    /// Whether the stages at their targets support `target_batch` copies
+    /// (`target_batch ≥ 1`). Reads the stages in descending MACs and
+    /// answers no as soon as the DSPs or BRAMs read so far leave fewer
+    /// copies, which the whole branch then leaves too (see the type's
+    /// docs); otherwise asks [`supported_batch`](Self::supported_batch).
+    fn fits(
+        &self,
+        points: &mut [StagePoint],
+        budget: &ResourceBudget,
+        target_batch: usize,
+        costings: &mut usize,
+    ) -> bool {
+        let (mut dsp, mut bram) = (0usize, 0usize);
+        for &index in &self.order {
+            let cost = self.read(index, &mut points[index], costings);
+            dsp += cost.dsp;
+            bram += cost.bram;
+            if budget.dsp / dsp.max(1) < target_batch || budget.bram / bram.max(1) < target_batch {
+                return false;
+            }
+        }
+        self.supported_batch(points, budget) >= target_batch
+    }
+
+    /// How many pipeline copies of the stages at `points`, every one of
+    /// them read, fit in the budget (Algorithm 2, line 18).
     fn supported_batch(&self, points: &[StagePoint], budget: &ResourceBudget) -> usize {
         let mut dsp = 0usize;
         let mut bram = 0usize;
         let mut max_latency = 1u64;
         let mut weight_bytes = 0u64;
         for point in points {
-            dsp += point.cost.dsp;
-            bram += point.cost.bram;
-            max_latency = max_latency.max(point.cost.latency_cycles);
-            weight_bytes += point.cost.weight_bytes_per_frame;
+            let (_, cost) = point.costed();
+            dsp += cost.dsp;
+            bram += cost.bram;
+            max_latency = max_latency.max(cost.latency_cycles);
+            weight_bytes += cost.weight_bytes_per_frame;
         }
         let copies_by_dsp = budget.dsp / dsp.max(1);
         let copies_by_bram = budget.bram / bram.max(1);
@@ -189,7 +277,7 @@ impl<'a> InBranchOptimizer<'a> {
             .iter()
             .enumerate()
             .filter(|(i, _)| growable[*i])
-            .max_by_key(|(_, point)| point.cost.latency_cycles)
+            .max_by_key(|(_, point)| point.costed().1.latency_cycles)
             .map(|(i, _)| i)
     }
 }
@@ -323,6 +411,48 @@ mod tests {
             "bram {}",
             report.usage.bram
         );
+    }
+
+    /// The stage costings (GetPF, then the unit model) the search runs over
+    /// a fixed grid: the decoder's three profiled branches under each Table
+    /// IV case's budget, at shares 1/8, 1/4, 1/2 and 1 of it, for batch 1
+    /// and 2. A count, so it repeats on every host.
+    #[test]
+    fn stage_costings_are_pinned_on_the_decoder_branches() {
+        use fcad_accel::Platform;
+        use fcad_nnir::models::targeted_decoder;
+        use fcad_profiler::NetworkProfile;
+
+        let profile = NetworkProfile::of(&targeted_decoder());
+        let pipelines: Vec<BranchPipeline> = profile
+            .branches()
+            .iter()
+            .map(|branch| BranchPipeline::new(&branch.name, ConvStage::stages_of_branch(branch)))
+            .collect();
+        let cases = [
+            (Platform::z7045(), Precision::Int8),
+            (Platform::zu17eg(), Precision::Int8),
+            (Platform::zu17eg(), Precision::Int16),
+            (Platform::zu9cg(), Precision::Int8),
+            (Platform::zu9cg(), Precision::Int16),
+        ];
+        let (mut calls, mut costings) = (0usize, 0usize);
+        for pipeline in &pipelines {
+            for (platform, precision) in &cases {
+                let optimizer =
+                    InBranchOptimizer::new(pipeline, *precision, platform.frequency_hz());
+                for share in [0.125, 0.25, 0.5, 1.0] {
+                    let budget = platform.budget().scaled(share);
+                    for batch in [1, 2] {
+                        calls += 1;
+                        costings += optimizer.optimize_counted(&budget, batch).1;
+                    }
+                }
+            }
+        }
+        // Costing every stage in every halving round runs 6,899 costings
+        // on this grid.
+        assert_eq!((calls, costings), (120, 3_925));
     }
 
     #[test]
