@@ -27,13 +27,14 @@ SECONDS = 10
 # runner with more cores lowers it.
 GATED = ("op_s_1w", "cpu_s", "peak_rss_mb")
 # Regressions have been multiples: the incremental in-branch search
-# removed a 6x cost from the DSE, and the one execution core a 4-5x one
-# from serving. On a 2-vCPU x86-64 host, three 10 s passes per workload
-# read the gated metrics between 21% below and 15% above a 40 s run of the
-# same seed (op_s_1w: dse_decoder 0.145-0.185 s against 0.184 s,
-# dse_classic 0.0077-0.0083 s against 0.0080 s, serve_metropolis
-# 0.176-0.233 s against 0.203 s; every run correct, none failed). 2x
-# clears that noise and still catches a multiple.
+# removed a 6x cost from the DSE, the one execution core a 4-5x one from
+# serving, and the per-stage GetPF memo a 2x one from the DSE. On a
+# 2-vCPU x86-64 host, three 10 s passes per workload read the gated
+# metrics between 11% below and 26% above a 40 s run of the same seed
+# (op_s_1w: dse_decoder 0.071-0.074 s against 0.076 s, dse_classic
+# 0.0026-0.0031 s against 0.0028 s, serve_metropolis 0.177-0.226 s
+# against 0.180 s; every run correct, none failed). 2x clears that noise
+# and still catches a multiple.
 BOUND = 2.0
 
 

@@ -5,7 +5,13 @@ use fcad_accel::{
     UnitCost,
 };
 use fcad_nnir::Precision;
+use std::cell::Cell;
 use std::cmp::Reverse;
+use std::fmt;
+
+/// GetPF memo slots per stage: slot `target % MEMO_SLOTS` holds the last
+/// target of that residue that GetPF answered.
+const MEMO_SLOTS: usize = 256;
 
 /// Greedy search for the best configuration of a single branch under a
 /// given resource distribution.
@@ -48,7 +54,22 @@ use std::cmp::Reverse;
 /// counts. Costing is pure and every stage read is costed at the target an
 /// eager search would use, so the result is the one that costing every
 /// stage in every round would give.
-#[derive(Debug, Clone)]
+///
+/// GetPF answers are memoized across calls. Each stage keeps a
+/// direct-mapped memo of 256 slots of 16 bytes (4 KiB; about 60 KiB on the
+/// decoder's 15 stages): slot `target % 256` holds the last
+/// `(target, cpf, kpf, h)` of that residue that a scan answered, and a zero
+/// target marks it empty, since targets are at least 1. A costing scans
+/// the stage's [`LaneTable`] only when its target misses the memo, and
+/// recomputes the [`UnitCost`], which is cheap, either way. The memo is
+/// exact because GetPF is a pure function of the table and the target; a
+/// target or factor that does not fit in a `u32` (the `usize::MAX` targets
+/// of infinite bandwidth, say) bypasses it. It pays because a PSO asks for
+/// far fewer distinct targets than it runs costings: its particles
+/// converge, and the halving maps many optimistic targets onto the same
+/// `t0 >> k`. The memo sits in [`Cell`]s, so the optimizer is `Send` but
+/// not `Sync`; a parallel search clones one optimizer per worker.
+#[derive(Clone)]
 pub struct InBranchOptimizer<'a> {
     pipeline: &'a BranchPipeline,
     precision: Precision,
@@ -58,6 +79,17 @@ pub struct InBranchOptimizer<'a> {
     /// Stage indices in descending MACs (stage order among equals): the
     /// order in which a halving round reads the stages.
     order: Vec<usize>,
+    /// Stage `s`'s GetPF memo at `s * MEMO_SLOTS..(s + 1) * MEMO_SLOTS`,
+    /// each slot `[target, cpf, kpf, h]`.
+    memo: Box<[Cell<[u32; 4]>]>,
+}
+
+/// The work of one search: the stage costings (GetPF, then the unit
+/// model) it ran, and the GetPF scans the memo left of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    pub(crate) costings: usize,
+    pub(crate) scans: usize,
 }
 
 /// One stage's lane target and, once a round has read it, the parallelism
@@ -102,6 +134,7 @@ impl<'a> InBranchOptimizer<'a> {
             cost: CostModel::default(),
             tables: stages.iter().map(LaneTable::of).collect(),
             order,
+            memo: vec![Cell::new([0; 4]); stages.len() * MEMO_SLOTS].into_boxed_slice(),
         }
     }
 
@@ -121,18 +154,18 @@ impl<'a> InBranchOptimizer<'a> {
         self.optimize_counted(budget, target_batch).0
     }
 
-    /// [`optimize`](Self::optimize)'s configuration and the number of
-    /// stage costings (GetPF, then the unit model) the search ran.
+    /// [`optimize`](Self::optimize)'s configuration and the work the
+    /// search ran.
     pub(crate) fn optimize_counted(
         &self,
         budget: &ResourceBudget,
         target_batch: usize,
-    ) -> (BranchConfig, usize) {
+    ) -> (BranchConfig, Work) {
+        let mut work = Work::default();
         let stages = self.pipeline.stages();
         if stages.is_empty() {
-            return (BranchConfig::new(target_batch, Vec::new()), 0);
+            return (BranchConfig::new(target_batch, Vec::new()), work);
         }
-        let mut costings = 0usize;
 
         // Lines 4–12: optimistic, load-balanced parallelism targets derived
         // from the bandwidth-limited frame rate.
@@ -149,11 +182,11 @@ impl<'a> InBranchOptimizer<'a> {
 
         // Lines 13–24: halve until the requested batch size fits.
         let target_batch = target_batch.max(1);
-        while !self.fits(&mut points, budget, target_batch, &mut costings) {
+        while !self.fits(&mut points, budget, target_batch, &mut work) {
             if points.iter().all(|p| p.target <= 1) {
                 // The growth loop reads every stage.
                 for (index, point) in points.iter_mut().enumerate() {
-                    self.read(index, point, &mut costings);
+                    self.read(index, point, &mut work);
                 }
                 break;
             }
@@ -179,8 +212,7 @@ impl<'a> InBranchOptimizer<'a> {
                 growable[slowest] = false;
                 continue;
             }
-            points[slowest] =
-                self.point(slowest, (current.target * 2).min(max_lanes), &mut costings);
+            points[slowest] = self.point(slowest, (current.target * 2).min(max_lanes), &mut work);
             if self.supported_batch(&points, budget) < target_batch {
                 points[slowest] = current;
                 growable[slowest] = false;
@@ -191,14 +223,14 @@ impl<'a> InBranchOptimizer<'a> {
             .iter()
             .map(|p| StageConfig::new(p.costed().0))
             .collect();
-        (BranchConfig::new(target_batch, configs), costings)
+        (BranchConfig::new(target_batch, configs), work)
     }
 
     /// Stage `index` at `target` lanes (Algorithm 2's `GetPF`, then the
-    /// unit model), counted in `costings`.
-    fn point(&self, index: usize, target: usize, costings: &mut usize) -> StagePoint {
-        *costings += 1;
-        let parallelism = self.tables[index].for_target(target);
+    /// unit model), counted in `work`.
+    fn point(&self, index: usize, target: usize, work: &mut Work) -> StagePoint {
+        work.costings += 1;
+        let parallelism = self.get_pf(index, target, work);
         let cost = UnitCost::of(
             &self.pipeline.stages()[index],
             parallelism,
@@ -211,11 +243,31 @@ impl<'a> InBranchOptimizer<'a> {
         }
     }
 
+    /// GetPF of stage `index` at `target`: the memo's answer, or a scan of
+    /// the stage's table, counted in `work`, whose answer the memo keeps.
+    fn get_pf(&self, index: usize, target: usize, work: &mut Work) -> Parallelism {
+        let key = u32::try_from(target).ok().filter(|&key| key != 0);
+        let slot = &self.memo[index * MEMO_SLOTS + target % MEMO_SLOTS];
+        if let Some(key) = key {
+            let [memo_target, cpf, kpf, h] = slot.get();
+            if memo_target == key {
+                return Parallelism::new(cpf as usize, kpf as usize, h as usize);
+            }
+        }
+        work.scans += 1;
+        let parallelism = self.tables[index].for_target(target);
+        let factors = [parallelism.cpf, parallelism.kpf, parallelism.h].map(u32::try_from);
+        if let (Some(key), [Ok(cpf), Ok(kpf), Ok(h)]) = (key, factors) {
+            slot.set([key, cpf, kpf, h]);
+        }
+        parallelism
+    }
+
     /// The cost of stage `index` at `point`'s target, costing the stage
     /// first if no round has read it since its target last moved.
-    fn read(&self, index: usize, point: &mut StagePoint, costings: &mut usize) -> UnitCost {
+    fn read(&self, index: usize, point: &mut StagePoint, work: &mut Work) -> UnitCost {
         if point.costed.is_none() {
-            *point = self.point(index, point.target, costings);
+            *point = self.point(index, point.target, work);
         }
         point.costed().1
     }
@@ -230,11 +282,11 @@ impl<'a> InBranchOptimizer<'a> {
         points: &mut [StagePoint],
         budget: &ResourceBudget,
         target_batch: usize,
-        costings: &mut usize,
+        work: &mut Work,
     ) -> bool {
         let (mut dsp, mut bram) = (0usize, 0usize);
         for &index in &self.order {
-            let cost = self.read(index, &mut points[index], costings);
+            let cost = self.read(index, &mut points[index], work);
             dsp += cost.dsp;
             bram += cost.bram;
             if budget.dsp / dsp.max(1) < target_batch || budget.bram / bram.max(1) < target_batch {
@@ -279,6 +331,25 @@ impl<'a> InBranchOptimizer<'a> {
             .filter(|(i, _)| growable[*i])
             .max_by_key(|(_, point)| point.costed().1.latency_cycles)
             .map(|(i, _)| i)
+    }
+}
+
+impl fmt::Debug for InBranchOptimizer<'_> {
+    /// Every field but the memo, which shows as its count of filled slots.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let filled = self.memo.iter().filter(|slot| slot.get()[0] != 0).count();
+        f.debug_struct("InBranchOptimizer")
+            .field("pipeline", self.pipeline)
+            .field("precision", &self.precision)
+            .field("frequency_hz", &self.frequency_hz)
+            .field("cost", &self.cost)
+            .field("tables", &self.tables)
+            .field("order", &self.order)
+            .field(
+                "memo",
+                &format_args!("{filled} of {} slots filled", self.memo.len()),
+            )
+            .finish()
     }
 }
 
@@ -420,15 +491,8 @@ mod tests {
     #[test]
     fn stage_costings_are_pinned_on_the_decoder_branches() {
         use fcad_accel::Platform;
-        use fcad_nnir::models::targeted_decoder;
-        use fcad_profiler::NetworkProfile;
 
-        let profile = NetworkProfile::of(&targeted_decoder());
-        let pipelines: Vec<BranchPipeline> = profile
-            .branches()
-            .iter()
-            .map(|branch| BranchPipeline::new(&branch.name, ConvStage::stages_of_branch(branch)))
-            .collect();
+        let pipelines = decoder_pipelines();
         let cases = [
             (Platform::z7045(), Precision::Int8),
             (Platform::zu17eg(), Precision::Int8),
@@ -445,7 +509,7 @@ mod tests {
                     let budget = platform.budget().scaled(share);
                     for batch in [1, 2] {
                         calls += 1;
-                        costings += optimizer.optimize_counted(&budget, batch).1;
+                        costings += optimizer.optimize_counted(&budget, batch).1.costings;
                     }
                 }
             }
@@ -453,6 +517,106 @@ mod tests {
         // Costing every stage in every halving round runs 6,899 costings
         // on this grid.
         assert_eq!((calls, costings), (120, 3_925));
+    }
+
+    /// The decoder's three profiled branches, as the flow builds them.
+    fn decoder_pipelines() -> Vec<BranchPipeline> {
+        use fcad_nnir::models::targeted_decoder;
+        use fcad_profiler::NetworkProfile;
+
+        NetworkProfile::of(&targeted_decoder())
+            .branches()
+            .iter()
+            .map(|branch| BranchPipeline::new(&branch.name, ConvStage::stages_of_branch(branch)))
+            .collect()
+    }
+
+    /// Runs one optimizer per decoder branch over `iterations` rounds of
+    /// 200 seeded resource splits, the paper's PSO population, under Table
+    /// IV cases 2 and 5, and checks every call against a fresh optimizer
+    /// (an empty memo). Returns the reused optimizers' work.
+    fn reuse_sequence(iterations: usize) -> Work {
+        use crate::ResourceDistribution;
+        use fcad_accel::Platform;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let pipelines = decoder_pipelines();
+        let mut rng = StdRng::seed_from_u64(0x6e7f);
+        let mut total = Work::default();
+        for (platform, precision) in [
+            (Platform::zu17eg(), Precision::Int8),
+            (Platform::zu9cg(), Precision::Int16),
+        ] {
+            let frequency_hz = platform.frequency_hz();
+            let reused: Vec<InBranchOptimizer> = pipelines
+                .iter()
+                .map(|pipeline| InBranchOptimizer::new(pipeline, precision, frequency_hz))
+                .collect();
+            for _ in 0..200 * iterations {
+                let split = ResourceDistribution::random(pipelines.len(), &mut rng);
+                for (index, optimizer) in reused.iter().enumerate() {
+                    let budget = split.branch_budget(index, platform.budget());
+                    let (config, work) = optimizer.optimize_counted(&budget, 1);
+                    let fresh = InBranchOptimizer::new(&pipelines[index], precision, frequency_hz);
+                    assert_eq!(config, fresh.optimize(&budget, 1), "{budget:?}");
+                    total.costings += work.costings;
+                    total.scans += work.scans;
+                }
+            }
+        }
+        total
+    }
+
+    /// The costings of [`reuse_sequence`] and the GetPF scans the memo
+    /// leaves of them: counts, so they repeat on every host.
+    #[test]
+    fn a_reused_optimizer_matches_fresh_ones_over_seeded_splits() {
+        assert_eq!(
+            reuse_sequence(2),
+            Work {
+                costings: 73_728,
+                scans: 28_391
+            }
+        );
+    }
+
+    #[test]
+    #[ignore = "PSO scale, slow in debug; run in release with --include-ignored"]
+    fn a_reused_optimizer_matches_fresh_ones_at_pso_scale() {
+        assert_eq!(
+            reuse_sequence(20),
+            Work {
+                costings: 738_987,
+                scans: 245_023
+            }
+        );
+    }
+
+    /// Targets that share a slot (`t` and `t + 256`) evict each other, and
+    /// targets beyond `u32::MAX` (`t + 2^32` shares `t`'s slot too) bypass
+    /// the memo without reading or overwriting it.
+    #[test]
+    fn the_memo_survives_slot_collisions_and_skips_wide_targets() {
+        let pipe = pipeline();
+        let optimizer = InBranchOptimizer::new(&pipe, Precision::Int8, 200e6);
+        let wide = usize::try_from(u64::from(u32::MAX) + 1).expect("a 64-bit host");
+        let mut work = Work::default();
+        for (index, table) in optimizer.tables.iter().enumerate() {
+            for target in [3, 3 + 256, 3, wide + 3, 3, usize::MAX, 3 + 256] {
+                assert_eq!(
+                    optimizer.get_pf(index, target, &mut work),
+                    table.for_target(target),
+                    "stage {index} at {target} lanes"
+                );
+            }
+        }
+        // Of each stage's seven lookups only the second `3` hits: the wide
+        // targets scan and store nothing, and `3` and `3 + 256` evict
+        // each other, leaving one filled slot per stage.
+        assert_eq!(work.scans, 3 * 6);
+        let debug = format!("{optimizer:?}");
+        assert!(debug.ends_with("memo: 3 of 768 slots filled }"), "{debug}");
     }
 
     #[test]

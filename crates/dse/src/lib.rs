@@ -19,8 +19,10 @@
 //!    that still supports the requested batch size is found. Each target
 //!    maps to a `(cpf, kpf, h)` split through `GetPF`
 //!    ([`fcad_accel::LaneTable::for_target`]), a bounded scan over one
-//!    entry per channel-lane count; it runs for every stage of every branch
-//!    of every candidate, over 400,000 times in a paper-scale flow.
+//!    entry per channel-lane count. A paper-scale flow (Table IV case 2 at
+//!    P=200, N=20, seed 2) runs 267,729 stage costings but asks for only
+//!    18,342 distinct stage targets, so each optimizer memoizes GetPF per
+//!    stage, and the flow scans a lane table 80,846 times.
 //!
 //! # Example
 //!

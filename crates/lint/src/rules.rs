@@ -23,18 +23,28 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Names of the six shipped rules, in documentation order.
-pub const RULES: [&str; 6] = [
+/// Names of the seven shipped rules, in documentation order.
+pub const RULES: [&str; 7] = [
     "wall-clock",
     "unordered-iteration",
     "unseeded-rng",
     "panic-policy",
     "lossy-cast",
+    "host-libm",
     "schema-append-only",
 ];
 
 /// Engine-level checks that police the escape hatch itself.
 pub const ENGINE_CHECKS: [&str; 2] = ["allow-syntax", "unused-allow"];
+
+/// The `f32`/`f64` methods that call the platform's libm: logarithms,
+/// exponentials, `powf`, the trigonometric and hyperbolic functions,
+/// `cbrt` and `hypot`.
+const LIBM_METHODS: [&str; 25] = [
+    "ln", "ln_1p", "log", "log2", "log10", "exp", "exp2", "exp_m1", "powf", "sin", "cos", "tan",
+    "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+    "cbrt", "hypot",
+];
 
 /// Integer and float type names a cast to which is potentially lossy.
 const NUMERIC_TYPES: [&str; 12] = [
@@ -77,6 +87,7 @@ pub fn check_file(path: &str, lexed: &mut LexedFile) -> Vec<Diagnostic> {
     unseeded_rng(path, &lexed.tokens, &mut raw);
     panic_policy(path, &lexed.tokens, &mut raw);
     lossy_cast(path, &lexed.tokens, &mut raw);
+    host_libm(path, &lexed.tokens, &mut raw);
     apply_allows(path, raw, &mut lexed.allows)
 }
 
@@ -328,6 +339,46 @@ fn lossy_cast(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                     "bare `as {}` cast — use the checked helpers in fcad_obs::cast (u64 → f64 is \
                      exact only below 2^53; float → int truncates) or annotate",
                     target.text
+                ),
+            });
+        }
+    }
+}
+
+/// `host-libm`: no transcendental float methods ([`LIBM_METHODS`]) in
+/// first-party non-test code, called as `x.ln()` or `f64::ln(x)`. They
+/// come from the platform's libm, whose last-bit rounding differs between
+/// C libraries and their versions, so a fixed seed would pin the output
+/// bytes only on one host; `fcad_obs::math` has the repo's own. The
+/// IEEE-754 operations that round exactly on every host (`sqrt`, `round`,
+/// `floor`, `ceil`, ...) are not flagged. Integration tests may compare
+/// against the host's libm.
+fn host_libm(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
+    if path.starts_with("tests/") || path.contains("/tests/") {
+        return;
+    }
+    for (i, token) in tokens.iter().enumerate() {
+        if token.in_test
+            || token.kind != TokenKind::Ident
+            || !LIBM_METHODS.contains(&token.text.as_str())
+            || !is_call(tokens, i)
+        {
+            continue;
+        }
+        let method = i > 0 && tokens[i - 1].is_punct('.');
+        let float_path = i >= 3
+            && tokens[i - 1].is_punct(':')
+            && tokens[i - 2].is_punct(':')
+            && (tokens[i - 3].is_ident("f64") || tokens[i - 3].is_ident("f32"));
+        if method || float_path {
+            out.push(Diagnostic {
+                rule: "host-libm",
+                file: path.to_owned(),
+                line: token.line,
+                message: format!(
+                    "float `{}` calls the host's libm, whose last bit differs between C \
+                     libraries — use fcad_obs::math or annotate",
+                    token.text
                 ),
             });
         }

@@ -138,6 +138,32 @@ fn lossy_cast_is_silent_on_checked_helpers() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
+// -------------------------------------------------------------- host-libm
+
+#[test]
+fn host_libm_fires_on_transcendental_float_methods() {
+    let diags = lint(
+        "crates/bench/src/fixture.rs",
+        include_str!("fixtures/host_libm/bad.rs"),
+    );
+    assert!(diags.iter().all(|d| d.rule == "host-libm"), "{diags:?}");
+    assert_eq!(
+        diags.len(),
+        9,
+        "ln, log10, exp_m1, powf, f64::sin, atan2, tanh, cbrt, hypot — and \
+         nothing from the test module: {diags:?}"
+    );
+}
+
+#[test]
+fn host_libm_is_silent_on_exact_operations_and_the_repos_own_ln() {
+    let good = include_str!("fixtures/host_libm/good.rs");
+    assert!(lint("crates/serve/src/fixture.rs", good).is_empty());
+    // Integration tests may compare against the host's libm.
+    let bad = include_str!("fixtures/host_libm/bad.rs");
+    assert!(lint("tests/fixture.rs", bad).is_empty());
+}
+
 // ------------------------------------------------------- the escape hatch
 
 #[test]

@@ -18,6 +18,8 @@
 //! - [`FlightRecorder`] — K-worst-latency + all-failures postmortems.
 //! - [`cast`] — the checked numeric conversions this crate and
 //!   `fcad-serve` share.
+//! - [`math`] — the logarithm `fcad-serve` draws Poisson gaps with,
+//!   written out so that no result depends on the host's libm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ pub mod chrome;
 pub mod event;
 pub mod flight;
 pub mod json;
+pub mod math;
 pub mod recorder;
 pub mod sink;
 pub mod window;

@@ -15,6 +15,7 @@ use std::collections::BinaryHeap;
 use crate::cast::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 use crate::qos::{ClassMix, QosClass};
 use crate::request::Request;
+use fcad_obs::math::ln;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -591,9 +592,11 @@ fn session_seed(seed: u64, session: usize) -> u64 {
 }
 
 /// Exponential inter-arrival sample at `rate` events/second, µs, ≥ 1.
+/// The logarithm is `fcad_obs::math::ln`, so the gaps do not depend on
+/// the host's libm.
 fn exponential_us(rng: &mut StdRng, rate: f64) -> u64 {
     let u: f64 = rng.gen_range(0.0..1.0);
-    secs_to_us(-(1.0 - u).ln() / rate)
+    secs_to_us(-ln(1.0 - u) / rate)
 }
 
 fn secs_to_us(seconds: f64) -> u64 {

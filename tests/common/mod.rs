@@ -321,7 +321,8 @@ pub fn prop_scenario(
 /// with a `match` on the pattern, `branches` requests per tick, then one
 /// sort on `(issued_at_us, session, branch)` and ids in that order. Only
 /// the class draw comes from the crate, through the public
-/// [`Scenario::session_class`].
+/// [`Scenario::session_class`], and the Poisson gaps' logarithm, from
+/// `fcad_obs::math::ln` as in the generator.
 #[allow(dead_code)]
 pub fn brute_force_trace(scenario: &Scenario, branches: usize) -> Vec<Request> {
     let horizon_us = (scenario.duration_sec * 1e6) as u64;
@@ -333,7 +334,7 @@ pub fn brute_force_trace(scenario: &Scenario, branches: usize) -> Vec<Request> {
     let us = |seconds: f64| (seconds * 1e6).round().max(1.0) as u64;
     let exponential_us = |rng: &mut StdRng, rate: f64| {
         let u: f64 = rng.gen_range(0.0..1.0);
-        us(-(1.0 - u).ln() / rate)
+        us(-fcad_obs::math::ln(1.0 - u) / rate)
     };
     for session in 0..scenario.sessions {
         let class = scenario.session_class(session);
