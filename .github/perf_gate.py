@@ -8,14 +8,17 @@ For each workload named in BENCHMARK.json, runs the benchmark's command
 with `--workload W --seed 1 --seconds 10` and prints the run as a ledger
 row. Exits non-zero when a run fails, is not correct or reports a failed
 operation, when the ledger has no row for a workload, or when `op_s_1w`,
-`cpu_s` or `peak_rss_mb` reads above BOUND times its row. `--write` makes
-the same run checks, then records one row per workload together with
-this host's nproc, the seed and the run length.
+`cpu_s` or `peak_rss_mb` reads above BOUND times its row. `--write` runs
+each workload WRITE_PASSES times, makes the same run checks on every
+pass, then records one row per workload whose every metric is the median
+of its passes, together with this host's nproc, the seed and the run
+length.
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -33,9 +36,15 @@ GATED = ("op_s_1w", "cpu_s", "peak_rss_mb")
 # metrics between 11% below and 26% above a 40 s run of the same seed
 # (op_s_1w: dse_decoder 0.071-0.074 s against 0.076 s, dse_classic
 # 0.0026-0.0031 s against 0.0028 s, serve_metropolis 0.177-0.226 s
-# against 0.180 s; every run correct, none failed). 2x clears that noise
-# and still catches a multiple.
+# against 0.180 s; every run correct, none failed). A one-pass row can
+# land at the fast end of that spread, and a check pass at the slow end
+# of it then reads up to 1.3x, so rows are the median of WRITE_PASSES
+# passes. 2x clears that noise and still catches a multiple.
 BOUND = 2.0
+# Passes per workload behind one ledger row; a check is one pass.
+WRITE_PASSES = 3
+# Row keys that describe the run rather than measure it.
+RUN_KEYS = ("workload", "nproc", "seed", "seconds")
 
 
 def measure(command, workload):
@@ -58,6 +67,15 @@ def measure(command, workload):
                  f"{result['failed']} of {result['attempted']} operations failed"]
 
 
+def median_row(rows):
+    """The first row with every metric replaced by its median over `rows`."""
+    row = dict(rows[0])
+    for name in row:
+        if name not in RUN_KEYS:
+            row[name] = statistics.median(r[name] for r in rows)
+    return row
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
@@ -72,12 +90,18 @@ def main(argv):
         with open(LEDGER, encoding="utf-8") as f:
             ledger = {row["workload"]: row for row in json.load(f)}
 
+    passes = WRITE_PASSES if args.write else 1
     rows, problems = [], []
     for workload in (entry["name"] for entry in bench["workloads"]):
-        row, failures = measure(bench["command"], workload)
-        problems += failures
-        if row is None:
+        runs = []
+        for _ in range(passes):
+            row, failures = measure(bench["command"], workload)
+            problems += failures
+            if row is not None:
+                runs.append(row)
+        if len(runs) < passes:
             continue
+        row = median_row(runs)
         print(json.dumps(row))
         rows.append(row)
         if args.write:

@@ -8,29 +8,48 @@
 //! `fcad_serve::serve(&result.fleet_config(shards), &scenario, &spec, sink)`
 //! then answers the question the static report cannot: what do N
 //! concurrent avatar sessions actually experience on this accelerator?
+//!
+//! The rule that turns a design into a [`ServiceModel`] lives here, so
+//! the serving simulator needs no hardware crate: a branch's frame time is
+//! the reciprocal of its frame rate, its fill is paid once per dispatched
+//! batch, and its batch size is the DSE's. The analytical and the
+//! calibrated model differ only in the fill cycles they feed it.
 
 use crate::flow::FcadResult;
 use fcad_cyclesim::Simulator;
-use fcad_serve::{FleetConfig, ServiceModel};
+use fcad_obs::cast::{f64_to_u64, u64_to_f64};
+use fcad_serve::{BranchService, FleetConfig, ServiceModel};
 
 impl FcadResult {
     /// The analytical service model of the best design: per-branch frame
     /// times from the accelerator report (Eq. 5 throughput, critical-stage
     /// fill) and priorities from the customization.
     pub fn service_model(&self) -> ServiceModel {
-        ServiceModel::from_report(self.report(), self.accelerator.frequency_hz())
-            .with_priorities(&self.customization.priorities)
+        self.service_model_of(self.report().branches.iter().map(|b| {
+            (
+                b.name.as_str(),
+                b.fps,
+                b.critical_latency_cycles,
+                b.batch_size,
+            )
+        }))
     }
 
     /// The cycle-level-calibrated service model: frame times measured by
     /// the `fcad-cyclesim` pipeline simulator (including weight-fetch
     /// stalls the analytical model ignores) at the given external-memory
-    /// bandwidth.
+    /// bandwidth, and the measured first-frame latency as the fill.
     pub fn calibrated_service_model(&self, bandwidth_bytes_per_sec: f64) -> ServiceModel {
         let simulator = Simulator::for_accelerator(&self.accelerator, bandwidth_bytes_per_sec);
         let sim = simulator.simulate_accelerator(&self.accelerator, &self.dse.best_config);
-        ServiceModel::from_simulation(&sim, self.accelerator.frequency_hz())
-            .with_priorities(&self.customization.priorities)
+        self.service_model_of(sim.branches.iter().map(|b| {
+            (
+                b.name.as_str(),
+                b.fps,
+                b.first_frame_latency_cycles,
+                b.batch_size,
+            )
+        }))
     }
 
     /// A homogeneous fleet of `shards` copies of this design's analytical
@@ -40,6 +59,37 @@ impl FcadResult {
     pub fn fleet_config(&self, shards: usize) -> FleetConfig {
         FleetConfig::uniform(self.service_model(), shards)
     }
+
+    /// The service model of `(name, fps, fill cycles, batch size)` rows,
+    /// one per branch, at this design's clock and with the
+    /// customization's priorities.
+    fn service_model_of<'a>(
+        &self,
+        rows: impl Iterator<Item = (&'a str, f64, u64, usize)>,
+    ) -> ServiceModel {
+        let frequency_hz = self.accelerator.frequency_hz();
+        let branches = rows
+            .map(|(name, fps, fill_cycles, batch_size)| BranchService {
+                name: name.to_owned(),
+                frame_time_us: seconds_to_us(1.0 / fps.max(f64::MIN_POSITIVE)),
+                fill_time_us: cycles_to_us(fill_cycles, frequency_hz),
+                max_batch: batch_size.max(1),
+                priority: 1.0,
+            })
+            .collect();
+        ServiceModel { branches }.with_priorities(&self.customization.priorities)
+    }
+}
+
+/// Whole microseconds of `seconds`, rounded up and at least 1, so every
+/// frame advances the event clock.
+fn seconds_to_us(seconds: f64) -> u64 {
+    f64_to_u64((seconds * 1e6).ceil().max(1.0))
+}
+
+/// Whole microseconds of `cycles` at `frequency_hz`, rounded up.
+fn cycles_to_us(cycles: u64, frequency_hz: f64) -> u64 {
+    f64_to_u64((u64_to_f64(cycles) / frequency_hz.max(1.0) * 1e6).ceil())
 }
 
 #[cfg(test)]
@@ -75,6 +125,59 @@ mod tests {
             let fps_from_model = 1e6 / service.frame_time_us as f64;
             assert!((fps_from_model - branch.fps).abs() / branch.fps < 0.05);
         }
+    }
+
+    #[test]
+    fn each_service_model_reads_its_own_fill_source() {
+        let result = optimized();
+        let frequency_hz = result.accelerator.frequency_hz();
+        let fill_us = |cycles: u64| (cycles as f64 / frequency_hz * 1e6).ceil() as u64;
+        let frame_us = |fps: f64| (1e6 / fps).ceil() as u64;
+
+        let analytical = result.service_model();
+        let report = &result.report().branches;
+        assert_eq!(analytical.branches.len(), report.len());
+        for (service, branch) in analytical.branches.iter().zip(report) {
+            let name = &branch.name;
+            assert_eq!(
+                service.fill_time_us,
+                fill_us(branch.critical_latency_cycles),
+                "{name}"
+            );
+            assert_eq!(service.frame_time_us, frame_us(branch.fps), "{name}");
+        }
+
+        let bandwidth = Platform::zu17eg().budget().bandwidth_bytes_per_sec;
+        let calibrated = result.calibrated_service_model(bandwidth);
+        let sim = Simulator::for_accelerator(&result.accelerator, bandwidth)
+            .simulate_accelerator(&result.accelerator, &result.dse.best_config);
+        assert_eq!(calibrated.branches.len(), sim.branches.len());
+        for (service, branch) in calibrated.branches.iter().zip(&sim.branches) {
+            let name = &branch.name;
+            assert_eq!(
+                service.fill_time_us,
+                fill_us(branch.first_frame_latency_cycles),
+                "{name}"
+            );
+            assert_eq!(service.frame_time_us, frame_us(branch.fps), "{name}");
+        }
+
+        // The two fill sources differ, so a model fed the other one fails
+        // the loops above.
+        assert!(analytical
+            .branches
+            .iter()
+            .zip(&calibrated.branches)
+            .all(|(a, c)| a.fill_time_us != c.fill_time_us));
+    }
+
+    #[test]
+    fn unit_conversions_round_up_and_stay_positive() {
+        assert_eq!(seconds_to_us(0.0005), 500);
+        assert_eq!(seconds_to_us(0.0), 1);
+        // 200 cycles at 200 MHz = 1 µs.
+        assert_eq!(cycles_to_us(200, 200e6), 1);
+        assert_eq!(cycles_to_us(0, 200e6), 0);
     }
 
     #[test]

@@ -28,7 +28,6 @@ struct WindowAccum {
     latencies_us: Vec<u64>,
     queue_depth_end: u64,
     class_queued_end: Vec<u64>,
-    closed: bool,
 }
 
 /// One finished metrics window.
@@ -169,20 +168,25 @@ impl Windowed {
         &mut self.windows[index]
     }
 
-    /// Advances the boundary cursor to `index`, snapshotting queue state
-    /// into every window the cursor leaves behind.
+    /// Advances the boundary cursor to `index`, closing every window the
+    /// cursor leaves behind.
     fn advance(&mut self, index: usize) {
         while self.cursor < index {
-            let depth = self.queue_depth;
-            let classes = self.class_queued.clone();
-            let at = self.cursor;
-            let w = self.ensure(at);
-            w.queue_depth_end = depth;
-            w.class_queued_end = classes;
-            w.closed = true;
-            self.cursor += 1;
+            self.close();
         }
         self.ensure(index);
+    }
+
+    /// Closes the cursor's window, snapshotting the queue state into it,
+    /// and moves the cursor past it.
+    fn close(&mut self) {
+        let depth = self.queue_depth;
+        let classes = self.class_queued.clone();
+        let at = self.cursor;
+        let w = self.ensure(at);
+        w.queue_depth_end = depth;
+        w.class_queued_end = classes;
+        self.cursor += 1;
     }
 
     fn note_shard(&mut self, shard: usize) {
@@ -213,15 +217,8 @@ impl Windowed {
                 windows: Vec::new(),
             };
         }
-        let last = self.max_index;
-        self.advance(last);
-        // Close the last window too.
-        let depth = self.queue_depth;
-        let classes = self.class_queued.clone();
-        let w = self.ensure(last);
-        w.queue_depth_end = depth;
-        w.class_queued_end = classes;
-        w.closed = true;
+        self.advance(self.max_index);
+        self.close();
 
         let interval = self.interval_us;
         let slots = self.shard_slots.max(1);

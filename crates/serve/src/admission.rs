@@ -37,7 +37,7 @@ const QUEUE_THRESHOLD_FRACTIONS: [f64; CLASS_COUNT] = [1.0, 0.75, 0.5];
 /// shard's queue occupancy, fabric readiness and per-class backlog, plus
 /// the single-request service estimate of the arriving request's branch.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionView {
+pub(crate) struct AdmissionView {
     /// Requests currently queued on the chosen shard.
     pub queued: usize,
     /// The scenario's front-end queue capacity.
@@ -69,7 +69,7 @@ impl AdmissionView {
     /// outrank a high-weight request on a low-priority branch. Using the
     /// model's maximum priority keeps the projection conservative (an
     /// over-estimate) without tracking per-branch backlog.
-    pub fn projected_wait_us(&self, class: QosClass, now_us: u64) -> u64 {
+    pub(crate) fn projected_wait_us(&self, class: QosClass, now_us: u64) -> u64 {
         let own_score = class.weight() * self.priority;
         let ahead: u64 = QosClass::all()
             .iter()
@@ -131,7 +131,7 @@ impl AdmissionKind {
 
     /// Whether `request`, arriving at `now_us` and routed to the shard
     /// described by `view`, may enter the queue. `false` sheds it.
-    pub fn admits(&self, request: &Request, view: &AdmissionView, now_us: u64) -> bool {
+    pub(crate) fn admits(&self, request: &Request, view: &AdmissionView, now_us: u64) -> bool {
         match self {
             AdmissionKind::AdmitAll => true,
             AdmissionKind::QueueThreshold => {

@@ -47,7 +47,7 @@ pub enum ShardState {
 
 impl ShardState {
     /// State name (used in reports).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ShardState::Warming => "warming",
             ShardState::Active => "active",
@@ -246,11 +246,6 @@ impl FailurePlan {
         Self { kills }
     }
 
-    /// Whether the plan injects no failure at all.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty()
-    }
-
     /// The first scheduled kill instant, µs — the split point between the
     /// report's pre-failure and post-failure latency summaries.
     pub fn first_kill_us(&self) -> Option<u64> {
@@ -316,7 +311,6 @@ mod tests {
     fn scheduled_plans_sort_kills_by_time() {
         let plan = FailurePlan::scheduled(&[(900_000, 1), (200_000, 0)]);
         assert_eq!(plan.first_kill_us(), Some(200_000));
-        assert!(!plan.is_empty());
         assert_eq!(plan.kills().len(), 2);
         assert!(plan.kills().windows(2).all(|w| w[0].at_us <= w[1].at_us));
     }
@@ -339,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_plan_has_no_split_point() {
-        assert!(FailurePlan::none().is_empty());
+        assert!(FailurePlan::none().kills().is_empty());
         assert_eq!(FailurePlan::none().first_kill_us(), None);
     }
 

@@ -29,22 +29,9 @@ pub enum DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// All policies, for grids and comparisons.
-    pub fn all() -> &'static [DeadlinePolicy] {
-        &[DeadlinePolicy::Off, DeadlinePolicy::CullExpired]
-    }
-
-    /// Policy name, a stable label for logs and assertion messages.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DeadlinePolicy::Off => "off",
-            DeadlinePolicy::CullExpired => "cull_expired",
-        }
-    }
-
     /// Whether dispatch should cull already-expired queued requests.
     #[inline]
-    pub fn culls(&self) -> bool {
+    pub(crate) fn culls(&self) -> bool {
         matches!(self, DeadlinePolicy::CullExpired)
     }
 }
@@ -58,11 +45,5 @@ mod tests {
         assert_eq!(DeadlinePolicy::default(), DeadlinePolicy::Off);
         assert!(!DeadlinePolicy::Off.culls());
         assert!(DeadlinePolicy::CullExpired.culls());
-    }
-
-    #[test]
-    fn names_are_stable() {
-        let names: Vec<&str> = DeadlinePolicy::all().iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["off", "cull_expired"]);
     }
 }

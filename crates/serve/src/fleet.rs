@@ -116,7 +116,7 @@ impl FleetConfig {
     /// priorities). The constructors enforce this, but the fields are
     /// public (and deserializable), so the engine re-checks through the
     /// same gate before a run.
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         assert!(!self.shards.is_empty(), "a fleet needs at least one shard");
         assert!(
             self.shards.iter().all(|m| {
@@ -134,11 +134,6 @@ impl FleetConfig {
     pub fn with_balancer(mut self, balancer: LoadBalancerKind) -> Self {
         self.balancer = balancer;
         self
-    }
-
-    /// Number of shards in the fleet.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Branch count of the fleet (shared by every shard).
@@ -455,12 +450,12 @@ mod tests {
     #[test]
     fn uniform_fleets_clamp_to_at_least_one_shard() {
         let config = FleetConfig::uniform(test_model(), 0);
-        assert_eq!(config.shard_count(), 1);
+        assert_eq!(config.shards.len(), 1);
         assert_eq!(config.branch_count(), 3);
         assert_eq!(config.balancer, LoadBalancerKind::RoundRobin);
         let fleet =
             FleetConfig::uniform(test_model(), 4).with_balancer(LoadBalancerKind::AffinityFirst);
-        assert_eq!(fleet.shard_count(), 4);
+        assert_eq!(fleet.shards.len(), 4);
         assert_eq!(fleet.balancer.name(), "affinity");
     }
 
@@ -497,6 +492,6 @@ mod tests {
             branch.frame_time_us *= 3;
         }
         let config = FleetConfig::heterogeneous(vec![test_model(), slow]);
-        assert_eq!(config.shard_count(), 2);
+        assert_eq!(config.shards.len(), 2);
     }
 }

@@ -18,7 +18,7 @@ const BUCKET_WIDTH_US: u64 = 2_000;
 /// the upper edge of the bucket where the requested rank falls, which makes
 /// `percentile(p)` monotone in `p` by construction (p99 ≥ p95 ≥ p50).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -34,7 +34,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: vec![0; BUCKETS],
             overflow: 0,
@@ -45,7 +45,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency observation, µs.
-    pub fn record(&mut self, latency_us: u64) {
+    pub(crate) fn record(&mut self, latency_us: u64) {
         let bucket = u64_to_usize(latency_us / BUCKET_WIDTH_US);
         if bucket < BUCKETS {
             self.counts[bucket] += 1;
@@ -57,16 +57,11 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(latency_us);
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// Folds another histogram into this one. Bucket widths are fixed, so
     /// the merge is exact: the merged histogram is identical to recording
     /// both observation streams into one histogram, and its count is the
     /// sum of the two counts.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
@@ -79,7 +74,7 @@ impl LatencyHistogram {
     /// The `p`-th percentile (0 < p ≤ 100), in milliseconds: the upper edge
     /// of the bucket containing the rank, or the observed maximum for ranks
     /// in the overflow bucket. Returns 0 for an empty histogram.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
+    pub(crate) fn percentile_ms(&self, p: f64) -> f64 {
         debug_assert!(
             p > 0.0 && p <= 100.0,
             "percentile {p} outside the documented domain 0 < p <= 100"
@@ -103,7 +98,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency, milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -112,7 +107,7 @@ impl LatencyHistogram {
     }
 
     /// Maximum observed latency, milliseconds.
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         u64_to_f64(self.max_us) / 1_000.0
     }
 }
@@ -124,7 +119,6 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zeros() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile_ms(50.0), 0.0);
         assert_eq!(h.mean_ms(), 0.0);
         assert_eq!(h.max_ms(), 0.0);
@@ -193,7 +187,6 @@ mod tests {
         let mut merged = left.clone();
         merged.merge(&right);
         assert_eq!(merged, combined);
-        assert_eq!(merged.count(), left.count() + right.count());
     }
 
     // ---- merge-order audit for the windowed engine's tally fold ----

@@ -19,10 +19,11 @@
 //!   priority-by-branch (visual branches outrank the audio-like stream,
 //!   with aging to bound starvation), batch-aggregation up to the
 //!   DSE-chosen batch size, and earliest-deadline-first.
-//! - **Service model** ([`ServiceModel`]): per-branch frame times taken
-//!   from the analytical [`fcad_accel::AcceleratorReport`] or, in the
-//!   calibrated mode, from the cycle-level simulator
-//!   ([`fcad_cyclesim::AcceleratorSim`]).
+//! - **Service model** ([`ServiceModel`]): per-branch frame times, fill
+//!   times and batch sizes of one accelerator design. The `fcad` flow
+//!   derives them from its analytical model or, in the calibrated mode,
+//!   from its cycle-level simulator, so this crate depends on no hardware
+//!   crate.
 //! - **Fleet serving** ([`FleetConfig`], [`LoadBalancerKind`]): scale from
 //!   one time-multiplexed accelerator to a sharded fleet (optionally
 //!   heterogeneous), with round-robin, least-loaded-by-readiness,
@@ -67,11 +68,10 @@
 //!   `serve`'s 400 ms windows. The [`Scenario::metropolis`] workload
 //!   (1.05 M sessions) exercises the path at fleet scale.
 //! - **Reporting** ([`ServeReport`]): throughput, utilization, drop rate
-//!   and p50/p95/p99 latency from a fixed-bucket histogram
-//!   ([`LatencyHistogram`]), plus per-shard utilization/imbalance
-//!   ([`ShardStats`]), availability (completed/issued with re-placed and
-//!   lost counts, pre/post-failure tails, the [`FleetEvent`] lifecycle
-//!   log), per-class latency/shed statistics with `slo_attainment` (the
+//!   and p50/p95/p99 latency from a fixed-bucket histogram, plus
+//!   per-shard utilization/imbalance ([`ShardStats`]), availability
+//!   (completed/issued with re-placed and lost counts, pre/post-failure
+//!   tails, the [`FleetEvent`] lifecycle log), per-class latency/shed statistics with `slo_attainment` (the
 //!   fraction of completions inside their class budget,
 //!   [`ClassServeStats`]) and a merged fleet-wide latency histogram,
 //!   rendered as a single machine-readable JSON line.
@@ -134,14 +134,13 @@ mod scenario;
 mod scheduler;
 mod window;
 
-pub use admission::{AdmissionKind, AdmissionView};
+pub use admission::AdmissionKind;
 pub use autoscale::{Autoscaler, FailurePlan, ShardState};
 pub use deadline::DeadlinePolicy;
 pub use engine::{serve, simulate, ServeSpec};
 pub use fleet::{FleetConfig, LoadBalancerKind};
-pub use histogram::LatencyHistogram;
 pub use model::{BranchService, ServiceModel};
-pub use qos::{ClassMix, QosClass, CLASS_COUNT};
+pub use qos::{ClassMix, QosClass};
 pub use report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 pub use request::Request;
 pub use scenario::{ArrivalPattern, Scenario};

@@ -1,22 +1,19 @@
 //! The service model: how long the accelerator takes to decode requests.
 //!
 //! The serving simulator never re-derives hardware behaviour; it consumes
-//! the per-branch frame times that the analytical model
-//! ([`fcad_accel::AcceleratorReport`]) or the cycle-level simulator
-//! ([`fcad_cyclesim::AcceleratorSim`]) already computed for the
-//! DSE-optimized design. The serving front end time-multiplexes the whole
-//! accelerator across sessions (the paper's Table V scales one decoder
-//! accelerator to 1/3/5 concurrent avatars); because every codec-avatar
-//! session decodes with its own identity-specific weights, a dispatched
-//! batch first pays the branch's fill time (weight streaming plus
-//! pipeline refill) and then computes, occupying the fabric for
-//! `fill + k · frame_time` microseconds. The fill is paid once per batch
-//! and amortized as the scheduler aggregates same-branch requests up to
-//! the DSE-chosen batch size.
+//! the per-branch frame and fill times already computed for the
+//! DSE-optimized design (the `fcad` flow takes them from the analytical
+//! model or from the cycle-level simulator). The serving front end
+//! time-multiplexes the whole accelerator across sessions (the paper's
+//! Table V scales one decoder accelerator to 1/3/5 concurrent avatars);
+//! because every codec-avatar session decodes with its own
+//! identity-specific weights, a dispatched batch first pays the branch's
+//! fill time (weight streaming plus pipeline refill) and then computes,
+//! occupying the fabric for `fill + k · frame_time` microseconds. The fill
+//! is paid once per batch and amortized as the scheduler aggregates
+//! same-branch requests up to the DSE-chosen batch size.
 
-use crate::cast::{f64_to_u64, u64_to_f64, usize_to_u64};
-use fcad_accel::AcceleratorReport;
-use fcad_cyclesim::AcceleratorSim;
+use crate::cast::usize_to_u64;
 
 /// Service parameters of one branch pipeline of the accelerator.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,43 +40,6 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Builds the analytical service model from an accelerator report:
-    /// frame time from the branch throughput (Eq. 5), fill overhead from
-    /// the critical stage latency at the accelerator clock.
-    pub fn from_report(report: &AcceleratorReport, frequency_hz: f64) -> Self {
-        let branches = report
-            .branches
-            .iter()
-            .map(|b| BranchService {
-                name: b.name.clone(),
-                frame_time_us: seconds_to_us(1.0 / b.fps.max(f64::MIN_POSITIVE)),
-                fill_time_us: cycles_to_us(b.critical_latency_cycles, frequency_hz),
-                max_batch: b.batch_size.max(1),
-                priority: 1.0,
-            })
-            .collect();
-        Self { branches }
-    }
-
-    /// Builds the cycle-level-calibrated service model from a simulation:
-    /// frame time from the measured throughput, fill overhead from the
-    /// measured first-frame latency (which includes weight-fetch stalls the
-    /// analytical model ignores).
-    pub fn from_simulation(sim: &AcceleratorSim, frequency_hz: f64) -> Self {
-        let branches = sim
-            .branches
-            .iter()
-            .map(|b| BranchService {
-                name: b.name.clone(),
-                frame_time_us: seconds_to_us(1.0 / b.fps.max(f64::MIN_POSITIVE)),
-                fill_time_us: cycles_to_us(b.first_frame_latency_cycles, frequency_hz),
-                max_batch: b.batch_size.max(1),
-                priority: 1.0,
-            })
-            .collect();
-        Self { branches }
-    }
-
     /// Replaces the per-branch priorities (missing entries keep 1.0).
     pub fn with_priorities(mut self, priorities: &[f64]) -> Self {
         for (index, branch) in self.branches.iter_mut().enumerate() {
@@ -95,7 +55,7 @@ impl ServiceModel {
 
     /// Service time of one dispatched batch of `batch_len` same-branch
     /// requests, µs. Always at least 1 µs so the event clock advances.
-    pub fn batch_service_us(&self, branch: usize, batch_len: usize) -> u64 {
+    pub(crate) fn batch_service_us(&self, branch: usize, batch_len: usize) -> u64 {
         let b = &self.branches[branch];
         (b.fill_time_us + usize_to_u64(batch_len) * b.frame_time_us).max(1)
     }
@@ -104,29 +64,21 @@ impl ServiceModel {
     /// (`batch_service_us(branch, 1)`), resolved once so the engine's
     /// per-arrival admission view and per-completion backlog accounting
     /// are table lookups on the hot path.
-    pub fn single_costs(&self) -> Vec<u64> {
+    pub(crate) fn single_costs(&self) -> Vec<u64> {
         (0..self.branch_count())
             .map(|branch| self.batch_service_us(branch, 1))
             .collect()
     }
 
     /// Priority weight of `branch` (1.0 when out of range).
-    pub fn priority(&self, branch: usize) -> f64 {
+    pub(crate) fn priority(&self, branch: usize) -> f64 {
         self.branches.get(branch).map_or(1.0, |b| b.priority)
     }
 
     /// DSE-chosen maximum batch size of `branch` (1 when out of range).
-    pub fn max_batch(&self, branch: usize) -> usize {
+    pub(crate) fn max_batch(&self, branch: usize) -> usize {
         self.branches.get(branch).map_or(1, |b| b.max_batch)
     }
-}
-
-fn seconds_to_us(seconds: f64) -> u64 {
-    f64_to_u64((seconds * 1e6).ceil().max(1.0))
-}
-
-fn cycles_to_us(cycles: u64, frequency_hz: f64) -> u64 {
-    f64_to_u64((u64_to_f64(cycles) / frequency_hz.max(1.0) * 1e6).ceil())
 }
 
 /// A small hand-built model used across the crate's unit tests: two
@@ -182,14 +134,5 @@ mod tests {
         assert_eq!(model.priority(1), 1.0);
         assert_eq!(model.priority(9), 1.0);
         assert_eq!(model.max_batch(9), 1);
-    }
-
-    #[test]
-    fn unit_conversions_round_up_and_stay_positive() {
-        assert_eq!(seconds_to_us(0.0005), 500);
-        assert_eq!(seconds_to_us(0.0), 1);
-        // 200 cycles at 200 MHz = 1 µs.
-        assert_eq!(cycles_to_us(200, 200e6), 1);
-        assert_eq!(cycles_to_us(0, 200e6), 0);
     }
 }

@@ -20,7 +20,7 @@
 use crate::cast::{u64_to_f64, usize_to_u64};
 
 /// Number of QoS classes (the length of every per-class array).
-pub const CLASS_COUNT: usize = 3;
+pub(crate) const CLASS_COUNT: usize = 3;
 
 /// A session's quality-of-service class: its latency budget (the SLO) and
 /// its scheduling weight.
@@ -49,7 +49,7 @@ impl QosClass {
     }
 
     /// Class name (used in reports).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             QosClass::Interactive => "interactive",
             QosClass::Standard => "standard",
@@ -59,7 +59,7 @@ impl QosClass {
 
     /// Index of this class into per-class arrays (the position in
     /// [`QosClass::all`]).
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             QosClass::Interactive => 0,
             QosClass::Standard => 1,
@@ -69,7 +69,7 @@ impl QosClass {
 
     /// Latency budget (the per-class SLO), µs: a completed request meets
     /// its SLO when `latency ≤ budget`.
-    pub fn budget_us(&self) -> u64 {
+    pub(crate) fn budget_us(&self) -> u64 {
         match self {
             QosClass::Interactive => 100_000,
             QosClass::Standard => 400_000,
@@ -103,9 +103,9 @@ const CLASS_STREAM: u64 = 0xC1A5_55E5;
 /// drawn deterministically from the scenario seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
-    /// Relative (unnormalized) session fractions, indexed by
-    /// [`QosClass::index`]. Negative entries are treated as 0; an
-    /// all-zero mix falls back to `Standard`.
+    /// Relative (unnormalized) session fractions, in [`QosClass::all`]
+    /// order. Negative entries are treated as 0; an all-zero mix falls
+    /// back to `Standard`.
     pub fractions: [f64; CLASS_COUNT],
 }
 
@@ -129,18 +129,9 @@ impl ClassMix {
         Self::new(0.5, 0.3, 0.2)
     }
 
-    /// Whether every session draws `Standard` (the classless path).
-    /// Mirrors [`ClassMix::class_at`] exactly: an all-zero (or
-    /// all-negative) mix falls back to `Standard` for every draw, so it
-    /// counts as standard-only too.
-    pub fn is_standard_only(&self) -> bool {
-        let fraction = |c: QosClass| self.fractions[c.index()].max(0.0);
-        fraction(QosClass::Interactive) == 0.0 && fraction(QosClass::BestEffort) == 0.0
-    }
-
     /// The class at cumulative position `u ∈ [0, 1)` of the normalized
     /// mix.
-    pub fn class_at(&self, u: f64) -> QosClass {
+    pub(crate) fn class_at(&self, u: f64) -> QosClass {
         let total: f64 = self.fractions.iter().map(|f| f.max(0.0)).sum();
         if total <= 0.0 {
             return QosClass::Standard;
@@ -158,7 +149,7 @@ impl ClassMix {
     /// Deterministic class draw for one session: the same `(seed,
     /// session)` always yields the same class, independent of the
     /// session's arrival stream (which mixes the seed differently).
-    pub fn class_for_session(&self, seed: u64, session: usize) -> QosClass {
+    pub(crate) fn class_for_session(&self, seed: u64, session: usize) -> QosClass {
         let draw = crate::autoscale::mix(seed ^ CLASS_STREAM, usize_to_u64(session));
         // Upper 53 bits to a uniform f64 in [0, 1).
         let u = u64_to_f64(draw >> 11) / u64_to_f64(1u64 << 53);
@@ -204,13 +195,11 @@ mod tests {
     #[test]
     fn standard_only_mix_always_draws_standard() {
         let mix = ClassMix::standard_only();
-        assert!(mix.is_standard_only());
         for session in 0..256 {
             for seed in [0u64, 7, 0xF_CAD] {
                 assert_eq!(mix.class_for_session(seed, session), QosClass::Standard);
             }
         }
-        assert!(!ClassMix::telepresence().is_standard_only());
     }
 
     #[test]
@@ -219,10 +208,6 @@ mod tests {
             ClassMix::new(0.0, 0.0, 0.0).class_at(0.5),
             QosClass::Standard
         );
-        // The predicate agrees with the draw behaviour on the fallback.
-        assert!(ClassMix::new(0.0, 0.0, 0.0).is_standard_only());
-        assert!(ClassMix::new(-1.0, -2.0, 0.0).is_standard_only());
-        assert!(!ClassMix::new(0.0, 0.0, 1.0).is_standard_only());
         assert_eq!(
             ClassMix::new(-1.0, -2.0, 0.0).class_at(0.1),
             QosClass::Standard

@@ -12,18 +12,24 @@
 //! [`Recorder`](fcad_obs::Recorder) trace stream) is **byte-identical**
 //! to this module's output.
 //!
+//! Its one entry point, [`serve`], mirrors the front door
+//! [`crate::serve`]: the same fleet, scenario, [`ServeSpec`] and sink, so
+//! a test hands both the same inputs. Only that entry point is new; the
+//! loop behind it is unchanged, and it predates expiry culling, so it
+//! takes only [`DeadlinePolicy::Off`].
+//!
 //! Nothing here is a template for new code: it is deliberately slow and
 //! deliberately frozen. Fix bugs in the live engine; only touch this file
 //! if a bug predates the rebuild and the fix must land on both sides to
 //! keep the battery meaningful.
 
-use fcad_obs::{
-    BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
-};
+use fcad_obs::{BatchEvent, FleetEvent, FleetEventKind, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::{AdmissionKind, AdmissionView};
 use crate::autoscale::{Autoscaler, FailurePlan, KillTarget, ShardState};
 use crate::cast::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
+use crate::deadline::DeadlinePolicy;
+use crate::engine::ServeSpec;
 use crate::fleet::{Balancer, FleetConfig, ShardLoad};
 use crate::histogram::LatencyHistogram;
 use crate::model::ServiceModel;
@@ -33,70 +39,33 @@ use crate::request::Request;
 use crate::scenario::Scenario;
 use crate::scheduler::{Queue, SchedulerKind};
 
-/// The frozen loop on a fixed fleet under admit-all, with per-shard
-/// schedulers of `kind`: the oracle for [`crate::serve`] with only the
-/// scheduler set.
-pub fn simulate_fleet(
+/// The frozen loop run with [`crate::serve`]'s signature: every shard,
+/// spawned ones included, queues under `spec.scheduler`. The loop is
+/// sequential, so `spec.workers` is ignored.
+///
+/// # Panics
+///
+/// If `spec.deadline` is not [`DeadlinePolicy::Off`]: the loop predates
+/// expiry culling.
+pub fn serve(
     config: &FleetConfig,
     scenario: &Scenario,
-    kind: SchedulerKind,
-) -> ServeReport {
-    simulate_fleet_qos(config, scenario, kind, AdmissionKind::AdmitAll)
-}
-
-/// [`simulate_fleet`] under the admission policy `admission`.
-pub fn simulate_fleet_qos(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    admission: AdmissionKind,
-) -> ServeReport {
-    run(
-        config,
-        scenario,
-        kind,
-        None,
-        &Autoscaler::none(),
-        &FailurePlan::none(),
-        admission,
-        &mut Off,
-    )
-}
-
-/// [`simulate_fleet_qos`] on a dynamic fleet: `policy` scales it (spawned
-/// shards run schedulers of `kind`) and `failures` kills shards.
-pub fn simulate_autoscaled_qos(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: AdmissionKind,
-) -> ServeReport {
-    simulate_traced(
-        config, scenario, kind, policy, failures, admission, &mut Off,
-    )
-}
-
-/// [`simulate_autoscaled_qos`] narrating itself through `sink`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_traced(
-    config: &FleetConfig,
-    scenario: &Scenario,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    failures: &FailurePlan,
-    admission: AdmissionKind,
+    spec: &ServeSpec,
     sink: &mut dyn TraceSink,
 ) -> ServeReport {
+    assert_eq!(
+        spec.deadline,
+        DeadlinePolicy::Off,
+        "the frozen loop predates expiry culling"
+    );
     run(
         config,
         scenario,
-        kind,
-        Some(kind),
-        policy,
-        failures,
-        admission,
+        spec.scheduler,
+        Some(spec.scheduler),
+        &spec.autoscaler,
+        &spec.failures,
+        spec.admission,
         sink,
     )
 }
@@ -986,7 +955,11 @@ mod tests {
             for &kind in SchedulerKind::all() {
                 let config = FleetConfig::uniform(model.clone(), 2)
                     .with_balancer(LoadBalancerKind::LeastLoaded);
-                let report = simulate_fleet(&config, &scenario, kind);
+                let spec = ServeSpec {
+                    scheduler: kind,
+                    ..ServeSpec::default()
+                };
+                let report = serve(&config, &scenario, &spec, &mut fcad_obs::Off);
                 assert!(report.conserves_requests(), "{}", scenario.name);
                 assert!(report.latency.p99_ms >= report.latency.p50_ms);
             }

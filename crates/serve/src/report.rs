@@ -25,7 +25,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Reads the summary out of a histogram.
-    pub fn of(histogram: &LatencyHistogram) -> Self {
+    pub(crate) fn of(histogram: &LatencyHistogram) -> Self {
         Self {
             p50_ms: histogram.percentile_ms(50.0),
             p95_ms: histogram.percentile_ms(95.0),
@@ -257,11 +257,6 @@ impl ServeReport {
     /// Number of shards the run used.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Statistics of the branch with the given index.
-    pub fn branch(&self, index: usize) -> Option<&BranchServeStats> {
-        self.branches.get(index)
     }
 
     /// Statistics of one QoS class.

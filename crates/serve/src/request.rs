@@ -37,7 +37,7 @@ impl Request {
     /// If `done_us` precedes the arrival: a request completes, and is
     /// scored by a scheduler, only after it was issued.
     #[inline]
-    pub fn latency_us(&self, done_us: u64) -> u64 {
+    pub(crate) fn latency_us(&self, done_us: u64) -> u64 {
         done_us
             .checked_sub(self.issued_at_us)
             .expect("a request completes no earlier than it was issued")
@@ -66,7 +66,7 @@ impl Request {
 
     /// Whether completing at `done_us` meets this request's class budget.
     #[inline]
-    pub fn meets_slo(&self, done_us: u64) -> bool {
+    pub(crate) fn meets_slo(&self, done_us: u64) -> bool {
         self.latency_us(done_us) <= self.class.budget_us()
     }
 
@@ -74,7 +74,7 @@ impl Request {
     /// `issued_at_us + budget_us`, saturating. Completing at exactly the
     /// deadline still meets the SLO; one microsecond later misses it.
     #[inline]
-    pub fn deadline_us(&self) -> u64 {
+    pub(crate) fn deadline_us(&self) -> u64 {
         self.issued_at_us.saturating_add(self.class.budget_us())
     }
 }

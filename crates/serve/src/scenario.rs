@@ -164,7 +164,7 @@ impl Scenario {
 
     /// Diurnal ramp: four sessions whose rate climbs from 30 % to 160 % of
     /// the base rate over three seconds (a compressed day of traffic).
-    pub fn diurnal() -> Self {
+    pub(crate) fn diurnal() -> Self {
         Self {
             name: "diurnal_ramp".to_owned(),
             sessions: 4,
@@ -207,7 +207,7 @@ impl Scenario {
 
     /// `a1` scaled to a fleet: one steady 10 Hz session per shard, so an
     /// evenly balanced fleet stays as unloaded as the single-device `a1`.
-    pub fn a1_fleet(shards: usize) -> Self {
+    pub(crate) fn a1_fleet(shards: usize) -> Self {
         Self::a1().scaled_for_fleet(shards)
     }
 
@@ -705,7 +705,7 @@ mod tests {
     #[test]
     fn legacy_scenarios_stay_classless_and_the_qos_burst_mixes() {
         for scenario in Scenario::suite() {
-            assert!(scenario.class_mix.is_standard_only());
+            assert_eq!(scenario.class_mix, ClassMix::standard_only());
             for request in scenario.generate(2) {
                 assert_eq!(request.class, QosClass::Standard);
             }
@@ -714,7 +714,7 @@ mod tests {
         assert_eq!(qos.sessions, 8);
         assert_eq!(qos.priorities, None);
         assert_eq!(qos.arrival, Scenario::b2().arrival);
-        assert!(!qos.class_mix.is_standard_only());
+        assert_eq!(qos.class_mix, ClassMix::telepresence());
         // Class assignment is per session: every request of a session
         // carries the session's class, and the mix actually lands more
         // than one class across the eight sessions.
@@ -742,7 +742,7 @@ mod tests {
         for request in &requests {
             assert_eq!(request.class, scenario.session_class(request.session));
         }
-        assert!(!scenario.class_mix.is_standard_only());
+        assert_eq!(scenario.class_mix, ClassMix::telepresence());
         let full = Scenario::metropolis();
         assert_eq!(full.sessions, 1_050_000);
         assert_eq!(full.name, "metropolis");

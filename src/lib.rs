@@ -1,13 +1,6 @@
-//! Workspace-level convenience re-exports for the F-CAD reproduction.
+//! Workspace facade for the F-CAD reproduction.
 //!
 //! This crate exists so that the repository-root `examples/` and `tests/`
-//! directories have a host package. Library users should depend on the
-//! individual crates (most importantly [`fcad`]) directly.
-
-pub use fcad;
-pub use fcad_accel as accel;
-pub use fcad_baselines as baselines;
-pub use fcad_cyclesim as cyclesim;
-pub use fcad_dse as dse;
-pub use fcad_nnir as nnir;
-pub use fcad_profiler as profiler;
+//! directories have a host package; it exports nothing. Library users
+//! should depend on the individual crates (most importantly [`fcad`])
+//! directly.

@@ -40,7 +40,7 @@ fn noop_policy_is_bit_identical_to_the_fixed_fleet_everywhere() {
             for &kind in SchedulerKind::all() {
                 for shards in [1usize, 3] {
                     let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-                    let fixed = reference::simulate_fleet(&config, &scenario, kind);
+                    let fixed = reference::serve(&config, &scenario, &spec_for(kind), &mut Off);
                     let noop = serve(&config, &scenario, &spec_for(kind), &mut Off);
                     assert_eq!(
                         fixed,

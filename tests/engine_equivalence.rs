@@ -56,8 +56,9 @@ fn rebuilt_engine_matches_the_reference_everywhere() {
             for &kind in SchedulerKind::all() {
                 for &balancer in LoadBalancerKind::all() {
                     let config = fleet(shards, balancer);
-                    let frozen = reference::simulate_fleet(&config, &scenario, kind);
-                    let rebuilt = serve(&config, &scenario, &spec_for(kind), &mut Off);
+                    let spec = spec_for(kind);
+                    let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
+                    let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                     assert_eq!(
                         frozen.to_json_line(),
                         rebuilt.to_json_line(),
@@ -77,7 +78,7 @@ fn parallel_engine_matches_the_reference_at_every_worker_count() {
             for &kind in SchedulerKind::all() {
                 for &balancer in LoadBalancerKind::all() {
                     let config = fleet(shards, balancer);
-                    let frozen = reference::simulate_fleet(&config, &scenario, kind);
+                    let frozen = reference::serve(&config, &scenario, &spec_for(kind), &mut Off);
                     for &workers in &WORKER_COUNTS {
                         let parallel = simulate_windowed(
                             &config,
@@ -107,8 +108,9 @@ fn parallel_engine_matches_the_reference_at_every_worker_count() {
 /// engine at 8 workers on a static fleet under `BatchAggregating`.
 fn assert_static_cell_matches_the_reference(config: &FleetConfig, scenario: &Scenario) {
     let kind = SchedulerKind::BatchAggregating;
-    let frozen = reference::simulate_fleet(config, scenario, kind).to_json_line();
-    let rebuilt = serve(config, scenario, &spec_for(kind), &mut Off);
+    let spec = spec_for(kind);
+    let frozen = reference::serve(config, scenario, &spec, &mut Off).to_json_line();
+    let rebuilt = serve(config, scenario, &spec, &mut Off);
     assert_eq!(frozen, rebuilt.to_json_line(), "serve: {}", scenario.name);
     let parallel = simulate_windowed(
         config,
@@ -144,7 +146,7 @@ fn fleet_scale_cells_match_the_reference() {
     // twin, so it must conserve requests.
     let qos = Scenario::b2_qos();
     let edf = spec_for(SchedulerKind::Deadline);
-    let frozen = reference::simulate_fleet(&config, &qos, SchedulerKind::Deadline);
+    let frozen = reference::serve(&config, &qos, &edf, &mut Off);
     let off = serve(&config, &qos, &edf, &mut Off);
     assert_eq!(
         frozen.to_json_line(),
@@ -168,19 +170,11 @@ fn fleet_scale_cells_match_the_reference() {
         .with_cooldown_us(0)
         .with_idle_retire_us(0);
     let config = fleet(192, LoadBalancerKind::RoundRobin);
-    let frozen = reference::simulate_autoscaled_qos(
-        &config,
-        &metropolis,
-        kind,
-        &policy,
-        &FailurePlan::none(),
-        AdmissionKind::AdmitAll,
-    )
-    .to_json_line();
     let spec = ServeSpec {
         autoscaler: policy.clone(),
         ..spec_for(kind)
     };
+    let frozen = reference::serve(&config, &metropolis, &spec, &mut Off).to_json_line();
     let rebuilt = serve(&config, &metropolis, &spec, &mut Off);
     assert_eq!(frozen, rebuilt.to_json_line(), "autoscaled serve");
     let sequential = serve_sequential(&config, &metropolis, &spec, &mut Off);
@@ -205,11 +199,11 @@ fn qos_admission_grid_is_bit_identical_across_engines() {
         let config = fleet(3, balancer);
         for &kind in SchedulerKind::all() {
             for admission in ADMISSIONS {
-                let frozen = reference::simulate_fleet_qos(&config, &scenario, kind, admission);
                 let spec = ServeSpec {
                     admission,
                     ..spec_for(kind)
                 };
+                let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
                 let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
@@ -244,19 +238,12 @@ fn autoscaled_runs_are_bit_identical_to_the_reference() {
         for &balancer in LoadBalancerKind::all() {
             let config = fleet(2, balancer);
             for admission in ADMISSIONS {
-                let frozen = reference::simulate_autoscaled_qos(
-                    &config,
-                    &scenario,
-                    kind,
-                    &policy,
-                    &FailurePlan::none(),
-                    admission,
-                );
                 let spec = ServeSpec {
                     admission,
                     autoscaler: policy.clone(),
                     ..spec_for(kind)
                 };
+                let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
                 let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
@@ -277,19 +264,12 @@ fn failure_injection_runs_are_bit_identical_to_the_reference() {
         for &kind in SchedulerKind::all() {
             for &balancer in LoadBalancerKind::all() {
                 let config = fleet(3, balancer);
-                let frozen = reference::simulate_autoscaled_qos(
-                    &config,
-                    &scenario,
-                    kind,
-                    &Autoscaler::reactive(2, 4),
-                    failures,
-                    AdmissionKind::AdmitAll,
-                );
                 let spec = ServeSpec {
                     autoscaler: Autoscaler::reactive(2, 4),
                     failures: failures.clone(),
                     ..spec_for(kind)
                 };
+                let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
                 let rebuilt = serve(&config, &scenario, &spec, &mut Off);
                 assert_eq!(
                     frozen.to_json_line(),
@@ -310,22 +290,14 @@ fn trace_streams_are_identical_event_for_event() {
     for &kind in SchedulerKind::all() {
         for &balancer in LoadBalancerKind::all() {
             let config = fleet(2, balancer);
-            let mut frozen_rec = Recorder::new();
-            let frozen = reference::simulate_traced(
-                &config,
-                &scenario,
-                kind,
-                &policy,
-                &failures,
-                AdmissionKind::QueueThreshold,
-                &mut frozen_rec,
-            );
             let spec = ServeSpec {
                 admission: AdmissionKind::QueueThreshold,
                 autoscaler: policy.clone(),
                 failures: failures.clone(),
                 ..spec_for(kind)
             };
+            let mut frozen_rec = Recorder::new();
+            let frozen = reference::serve(&config, &scenario, &spec, &mut frozen_rec);
             let mut rebuilt_rec = Recorder::new();
             let rebuilt = serve(&config, &scenario, &spec, &mut rebuilt_rec);
             assert_eq!(frozen.to_json_line(), rebuilt.to_json_line());
@@ -638,16 +610,12 @@ fn parallel_trace_streams_match_the_sequential_recording() {
     for &kind in SchedulerKind::all() {
         for &balancer in LoadBalancerKind::all() {
             let config = fleet(4, balancer);
+            let spec = ServeSpec {
+                admission: AdmissionKind::BudgetAware,
+                ..spec_for(kind)
+            };
             let mut frozen_rec = Recorder::new();
-            let frozen = reference::simulate_traced(
-                &config,
-                &scenario,
-                kind,
-                &Autoscaler::none(),
-                &FailurePlan::none(),
-                AdmissionKind::BudgetAware,
-                &mut frozen_rec,
-            );
+            let frozen = reference::serve(&config, &scenario, &spec, &mut frozen_rec);
             for &workers in &WORKER_COUNTS {
                 let mut parallel_rec = Recorder::new();
                 let parallel = simulate_windowed_traced(

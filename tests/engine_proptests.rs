@@ -42,7 +42,11 @@ proptest! {
         } else {
             LoadBalancerKind::RoundRobin
         };
-        let frozen = reference::simulate_fleet(&config, &scenario, kind);
+        let spec = ServeSpec {
+            scheduler: kind,
+            ..ServeSpec::default()
+        };
+        let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
         for workers in [1usize, 2, 4, 8] {
             let parallel = simulate_windowed(
                 &config,

@@ -21,8 +21,12 @@ fn one_shard_fleet_is_bit_identical_to_the_single_device_engine() {
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
             let single = simulate(&model(), &scenario, kind);
-            let fleet =
-                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
+            let fleet = reference::serve(
+                &FleetConfig::uniform(model(), 1),
+                &scenario,
+                &spec_for(kind),
+                &mut Off,
+            );
             assert_eq!(
                 single, fleet,
                 "{} / {kind:?}: one-shard fleet diverged from the single device",
@@ -69,7 +73,12 @@ fn one_shard_fleet_matches_the_single_device_on_an_optimized_design() {
     for scenario in [Scenario::a1(), Scenario::b2()] {
         let kind = SchedulerKind::BatchAggregating;
         let single = simulate(&result.service_model(), &scenario, kind);
-        let fleet = reference::simulate_fleet(&result.fleet_config(1), &scenario, kind);
+        let fleet = reference::serve(
+            &result.fleet_config(1),
+            &scenario,
+            &spec_for(kind),
+            &mut Off,
+        );
         assert_eq!(
             single, fleet,
             "{}: optimized-design divergence",

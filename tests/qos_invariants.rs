@@ -72,19 +72,23 @@ fn slow_model() -> ServiceModel {
 fn classless_equivalence_holds_everywhere() {
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
+            let admit_all = spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off);
             let single = simulate(&model(), &scenario, kind);
-            let frozen =
-                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
+            let frozen = reference::serve(
+                &FleetConfig::uniform(model(), 1),
+                &scenario,
+                &admit_all,
+                &mut Off,
+            );
             assert_eq!(
                 single, frozen,
                 "{} / {:?}: single-device QoS path diverged",
                 scenario.name, kind
             );
-            let admit_all = spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off);
             for &balancer in LoadBalancerKind::all() {
                 for shards in [1usize, 3] {
                     let config = FleetConfig::uniform(model(), shards).with_balancer(balancer);
-                    let fleet = reference::simulate_fleet(&config, &scenario, kind);
+                    let fleet = reference::serve(&config, &scenario, &admit_all, &mut Off);
                     let fleet_qos = serve(&config, &scenario, &admit_all, &mut Off);
                     assert_eq!(
                         fleet,
@@ -108,14 +112,7 @@ fn autoscaled_classless_equivalence_holds() {
     for scenario in Scenario::suite() {
         for &balancer in LoadBalancerKind::all() {
             let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-            let fixed = reference::simulate_autoscaled_qos(
-                &config,
-                &scenario,
-                SchedulerKind::BatchAggregating,
-                &Autoscaler::none(),
-                &FailurePlan::none(),
-                AdmissionKind::AdmitAll,
-            );
+            let fixed = reference::serve(&config, &scenario, &ServeSpec::default(), &mut Off);
             let qos = serve(&config, &scenario, &ServeSpec::default(), &mut Off);
             assert_eq!(
                 fixed,
@@ -272,8 +269,12 @@ fn deadline_policy_off_is_byte_identical_everywhere() {
     for scenario in Scenario::suite() {
         for &kind in SchedulerKind::all() {
             let off_spec = spec(kind, AdmissionKind::AdmitAll, DeadlinePolicy::Off);
-            let frozen =
-                reference::simulate_fleet(&FleetConfig::uniform(model(), 1), &scenario, kind);
+            let frozen = reference::serve(
+                &FleetConfig::uniform(model(), 1),
+                &scenario,
+                &off_spec,
+                &mut Off,
+            );
             let off = single(&model(), &scenario, &off_spec);
             assert_eq!(
                 frozen.to_json_line(),
@@ -284,7 +285,7 @@ fn deadline_policy_off_is_byte_identical_everywhere() {
             );
             for &balancer in LoadBalancerKind::all() {
                 let config = FleetConfig::uniform(model(), 3).with_balancer(balancer);
-                let fleet = reference::simulate_fleet(&config, &scenario, kind);
+                let fleet = reference::serve(&config, &scenario, &off_spec, &mut Off);
                 let off = serve(&config, &scenario, &off_spec, &mut Off);
                 assert_eq!(
                     fleet.to_json_line(),
@@ -324,19 +325,12 @@ fn autoscaled_deadline_off_matches_the_qos_path() {
     let scenario = Scenario::b2_failover(2).with_class_mix(ClassMix::telepresence());
     for &balancer in LoadBalancerKind::all() {
         let config = FleetConfig::uniform(model(), 2).with_balancer(balancer);
-        let qos = reference::simulate_autoscaled_qos(
-            &config,
-            &scenario,
-            SchedulerKind::PriorityByBranch,
-            &Autoscaler::none(),
-            &FailurePlan::scheduled(&[(1_100_000, 1)]),
-            AdmissionKind::QueueThreshold,
-        );
         let kill = killed(
             SchedulerKind::PriorityByBranch,
             AdmissionKind::QueueThreshold,
             DeadlinePolicy::Off,
         );
+        let qos = reference::serve(&config, &scenario, &kill, &mut Off);
         let off = serve(&config, &scenario, &kill, &mut Off);
         assert_eq!(
             qos.to_json_line(),

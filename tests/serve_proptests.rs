@@ -191,7 +191,12 @@ proptest! {
     ) {
         let scenario = scenario(seed, sessions, rate, capacity, arrival).with_class_mix(mix);
         let config = FleetConfig::uniform(model(), 1);
-        let frozen = reference::simulate_fleet_qos(&config, &scenario, kind, admission);
+        let spec = ServeSpec {
+            scheduler: kind,
+            admission,
+            ..ServeSpec::default()
+        };
+        let frozen = reference::serve(&config, &scenario, &spec, &mut Off);
         let off = single(&scenario, kind, admission, DeadlinePolicy::Off);
         prop_assert_eq!(frozen, off);
     }
