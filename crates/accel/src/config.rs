@@ -55,11 +55,6 @@ impl BranchConfig {
     pub fn stage_count(&self) -> usize {
         self.stages.len()
     }
-
-    /// Total MAC lanes across all stages of a single pipeline copy.
-    pub fn total_lanes(&self) -> usize {
-        self.stages.iter().map(|s| s.parallelism.total()).sum()
-    }
 }
 
 /// A complete accelerator configuration: one [`BranchConfig`] per branch
@@ -113,7 +108,6 @@ mod tests {
         let cfg = BranchConfig::minimal(4);
         assert_eq!(cfg.batch_size, 1);
         assert_eq!(cfg.stage_count(), 4);
-        assert_eq!(cfg.total_lanes(), 4);
     }
 
     #[test]

@@ -182,7 +182,7 @@ mod tests {
         let net = mimic_decoder();
         let result = HybridDnn::new(Platform::zu9cg()).evaluate(&net);
         assert!(
-            result.capped_layers().count() > 0,
+            result.layers.iter().any(|l| l.at_parallelism_cap),
             "the HD low-channel layers cannot fill the folded engine"
         );
     }

@@ -33,11 +33,6 @@ pub struct BaselineResult {
 }
 
 impl BaselineResult {
-    /// The layers that sit at the baseline's parallelism cap.
-    pub fn capped_layers(&self) -> impl Iterator<Item = &LayerLatency> {
-        self.layers.iter().filter(|l| l.at_parallelism_cap)
-    }
-
     /// The slowest layer, if a per-layer breakdown exists.
     pub fn bottleneck(&self) -> Option<&LayerLatency> {
         self.layers.iter().max_by_key(|l| l.cycles)
@@ -72,6 +67,5 @@ mod tests {
             ],
         };
         assert_eq!(result.bottleneck().unwrap().name, "b");
-        assert_eq!(result.capped_layers().count(), 1);
     }
 }

@@ -90,12 +90,6 @@ impl Construction {
         &self.branches
     }
 
-    /// Total pipeline stages across all branches (each shared layer
-    /// instantiated exactly once).
-    pub fn total_stages(&self) -> usize {
-        self.branches.iter().map(|b| b.stages).sum()
-    }
-
     /// Instantiates the elastic architecture for a platform: one branch
     /// pipeline per (reorganized) branch, expanded along the X axis by its
     /// stage count and along the Y axis by the branch count.
@@ -143,7 +137,6 @@ mod tests {
         assert_eq!(geometry.stages, 6);
         assert_eq!(texture.stages, 8);
         assert_eq!(warp.stages, 1);
-        assert_eq!(construction.total_stages(), 15);
     }
 
     #[test]
@@ -152,7 +145,8 @@ mod tests {
         let construction = construct(&net);
         // Total stages equals the number of distinct compute layers.
         let distinct_compute = net.layers().filter(|(_, l)| l.kind().is_compute()).count();
-        assert_eq!(construction.total_stages(), distinct_compute);
+        let stages: usize = construction.branches().iter().map(|b| b.stages).sum();
+        assert_eq!(stages, distinct_compute);
     }
 
     #[test]

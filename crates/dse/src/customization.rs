@@ -44,12 +44,6 @@ impl Customization {
         self
     }
 
-    /// Replaces the per-branch batch sizes.
-    pub fn with_batch_sizes(mut self, batch_sizes: Vec<usize>) -> Self {
-        self.batch_sizes = batch_sizes;
-        self
-    }
-
     /// Number of branches this customization describes.
     pub fn branch_count(&self) -> usize {
         self.batch_sizes.len()
@@ -88,10 +82,7 @@ mod tests {
 
     #[test]
     fn builders_replace_fields() {
-        let c = Customization::uniform(2, Precision::Int8)
-            .with_priorities(vec![2.0, 1.0])
-            .with_batch_sizes(vec![4, 1]);
+        let c = Customization::uniform(2, Precision::Int8).with_priorities(vec![2.0, 1.0]);
         assert_eq!(c.priority(0), 2.0);
-        assert_eq!(c.batch_size(0), 4);
     }
 }

@@ -169,18 +169,14 @@ pub enum LayerKind {
 impl LayerKind {
     /// Returns `true` for layers that dominate compute or memory and
     /// therefore occupy their own pipeline stage (Conv-like and up-sampling
-    /// layers in the paper's terminology).
+    /// layers in the paper's terminology). The Construction step fuses every
+    /// other layer (activations, reshapes, pooling) into its neighbouring
+    /// major layer.
     pub fn is_major(&self) -> bool {
         matches!(
             self,
             LayerKind::Conv(_) | LayerKind::Dense { .. } | LayerKind::Upsample { .. }
         )
-    }
-
-    /// Returns `true` for lightweight layers that the Construction step fuses
-    /// into their neighbouring major layer (activations, reshapes, pooling).
-    pub fn is_fusible(&self) -> bool {
-        !self.is_major()
     }
 
     /// Returns `true` for layers that perform multiply-accumulate work.
@@ -565,10 +561,10 @@ mod tests {
     fn major_vs_fusible_classification() {
         assert!(LayerKind::Conv(ConvSpec::same(8, 3, BiasKind::None)).is_major());
         assert!(LayerKind::Upsample { factor: 2 }.is_major());
-        assert!(LayerKind::Activation(ActivationKind::Relu).is_fusible());
-        assert!(LayerKind::Reshape {
+        assert!(!LayerKind::Activation(ActivationKind::Relu).is_major());
+        assert!(!LayerKind::Reshape {
             target: TensorShape::flat(1)
         }
-        .is_fusible());
+        .is_major());
     }
 }

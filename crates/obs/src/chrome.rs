@@ -61,6 +61,20 @@ fn span(name: &str, cat: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: &str
         .render()
 }
 
+/// The `queued` span of a request that waited on `tid` from `since` until
+/// `e` took it out of the queue.
+fn queued_span(tid: u64, since: u64, e: &RequestEvent) -> String {
+    span(
+        "queued",
+        "request",
+        SERVE_PID,
+        tid,
+        since,
+        e.at_us - since,
+        &request_args(e),
+    )
+}
+
 fn instant(name: &str, cat: &str, pid: u64, tid: u64, ts: u64, args: &str) -> String {
     JsonObject::new()
         .str("ph", "i")
@@ -121,29 +135,13 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     if let Some((q_tid, since)) = queued_since.take() {
                         let from = usize_to_u64(from_shard);
                         debug_assert_eq!(q_tid, from, "replace must leave the failed shard");
-                        rows.push(span(
-                            "queued",
-                            "request",
-                            SERVE_PID,
-                            from,
-                            since,
-                            e.at_us - since,
-                            &request_args(e),
-                        ));
+                        rows.push(queued_span(from, since, e));
                     }
                     queued_since = Some((tid, e.at_us));
                 }
                 RequestEventKind::ServiceStart => {
                     if let Some((q_tid, since)) = queued_since.take() {
-                        rows.push(span(
-                            "queued",
-                            "request",
-                            SERVE_PID,
-                            q_tid,
-                            since,
-                            e.at_us - since,
-                            &request_args(e),
-                        ));
+                        rows.push(queued_span(q_tid, since, e));
                     }
                     service_since = Some((tid, e.at_us));
                 }
@@ -171,6 +169,12 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                 | RequestEventKind::Shed
                 | RequestEventKind::Lost { .. }
                 | RequestEventKind::Expired => {
+                    // A request that leaves its queue unserved (expired,
+                    // or orphaned by a failure and lost) ends its wait on
+                    // the shard that held it.
+                    if let Some((q_tid, since)) = queued_since.take() {
+                        rows.push(queued_span(q_tid, since, e));
+                    }
                     rows.push(instant(
                         e.kind.name(),
                         "request",
@@ -326,6 +330,23 @@ mod tests {
         ] {
             assert!(doc.contains(name), "missing {name}");
         }
+    }
+
+    #[test]
+    fn a_request_that_leaves_its_queue_unserved_closes_its_queued_span() {
+        let events = vec![
+            req(0, 1, Some(0), RequestEventKind::Enqueue),
+            req(90, 1, Some(0), RequestEventKind::Expired),
+            req(0, 2, Some(1), RequestEventKind::Enqueue),
+            req(50, 2, None, RequestEventKind::Lost { orphaned: true }),
+        ];
+        let doc = chrome_trace(&events);
+        validate_json(&doc).expect("trace is valid JSON");
+        assert_eq!(doc.matches("\"name\":\"queued\"").count(), 2);
+        // Expired on its shard: queued 0 → 90 on shard (tid) 0.
+        assert!(doc.contains("\"tid\":0,\"ts\":0,\"dur\":90"));
+        // Lost with no shard: the span closes on shard 1, which held it.
+        assert!(doc.contains("\"tid\":1,\"ts\":0,\"dur\":50"));
     }
 
     #[test]

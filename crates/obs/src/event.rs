@@ -60,19 +60,6 @@ impl RequestEventKind {
             RequestEventKind::Complete { .. } => "complete",
         }
     }
-
-    /// Whether this kind ends a request's lifecycle (exactly one terminal
-    /// event per issued request: complete, drop, lost, shed, or expired).
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            RequestEventKind::Complete { .. }
-                | RequestEventKind::Drop
-                | RequestEventKind::Lost { .. }
-                | RequestEventKind::Shed
-                | RequestEventKind::Expired
-        )
-    }
 }
 
 /// One request lifecycle event.
@@ -181,24 +168,6 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_kinds_are_exactly_the_five_report_counters() {
-        assert!(RequestEventKind::Complete { latency_us: 1 }.is_terminal());
-        assert!(RequestEventKind::Drop.is_terminal());
-        assert!(RequestEventKind::Lost { orphaned: true }.is_terminal());
-        assert!(RequestEventKind::Shed.is_terminal());
-        assert!(RequestEventKind::Expired.is_terminal());
-        for kind in [
-            RequestEventKind::Arrival,
-            RequestEventKind::Admit,
-            RequestEventKind::Enqueue,
-            RequestEventKind::Replace { from_shard: 0 },
-            RequestEventKind::ServiceStart,
-        ] {
-            assert!(!kind.is_terminal(), "{} must not be terminal", kind.name());
-        }
-    }
 
     #[test]
     fn names_are_stable_lowercase_identifiers() {

@@ -43,11 +43,6 @@ impl MemoryFootprint {
         }
     }
 
-    /// Whether the weights alone exceed a cache/buffer of `capacity_bytes`.
-    pub fn exceeds_cache(&self, capacity_bytes: u64) -> bool {
-        self.weight_bytes > capacity_bytes
-    }
-
     /// Total working-set bytes (weights plus peak feature map).
     pub fn working_set_bytes(&self) -> u64 {
         self.weight_bytes + self.peak_feature_bytes
@@ -76,7 +71,7 @@ mod tests {
         let profile = NetworkProfile::of(&targeted_decoder());
         let fp = MemoryFootprint::of(&profile, Precision::Int8);
         let soc_cache = 4 * 1024 * 1024;
-        assert!(fp.exceeds_cache(soc_cache));
+        assert!(fp.weight_bytes > soc_cache);
         assert!(fp.peak_feature_bytes >= 16 * 1024 * 1024);
     }
 

@@ -1,6 +1,6 @@
 //! Layer-, branch- and network-level demand statistics.
 
-use fcad_nnir::{BranchId, LayerId, LayerKind, Network, Precision, TensorShape};
+use fcad_nnir::{BranchId, LayerId, Network, Precision, TensorShape};
 
 /// Compute and memory demand of a single layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,17 +49,6 @@ impl LayerProfile {
     pub fn weight_bytes(&self, precision: Precision) -> u64 {
         self.params * precision.bytes() as u64
     }
-
-    /// Arithmetic intensity: operations per weight parameter. High values
-    /// mean weights are heavily reused (large spatial maps); low values mean
-    /// the layer is weight-bound (dense layers).
-    pub fn ops_per_param(&self) -> f64 {
-        if self.params == 0 {
-            f64::INFINITY
-        } else {
-            self.ops as f64 / self.params as f64
-        }
-    }
 }
 
 /// Demand statistics of one branch (including its shared prefix).
@@ -98,11 +87,6 @@ impl BranchProfile {
     /// Number of layers in the branch.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Number of compute (Conv / Dense) layers in the branch.
-    pub fn compute_layer_count(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_compute).count()
     }
 
     /// The compute layers of the branch only (the units the accelerator
@@ -214,43 +198,12 @@ impl NetworkProfile {
     pub fn max_intermediate_elements(&self) -> usize {
         self.max_intermediate_elements
     }
-
-    /// Index of the branch with the highest compute demand (the "critical
-    /// flow" the Construction step assigns shared layers to).
-    pub fn critical_branch(&self) -> Option<BranchId> {
-        self.branches
-            .iter()
-            .max_by_key(|b| b.ops())
-            .map(|b| b.branch_id)
-    }
-
-    /// The layer kinds present in the network, with their occurrence count —
-    /// the "layer types" statistic of the Analysis step.
-    pub fn layer_kind_histogram(net: &Network) -> Vec<(String, usize)> {
-        let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for (_, layer) in net.layers() {
-            let tag = match layer.kind() {
-                LayerKind::Conv(spec) => match spec.bias {
-                    fcad_nnir::BiasKind::Untied => "conv (untied bias)".to_owned(),
-                    _ => "conv".to_owned(),
-                },
-                LayerKind::Dense { .. } => "dense".to_owned(),
-                LayerKind::Activation(kind) => format!("activation ({kind})"),
-                LayerKind::Upsample { .. } => "upsample".to_owned(),
-                LayerKind::Pool { .. } => "pool".to_owned(),
-                LayerKind::Reshape { .. } => "reshape".to_owned(),
-                _ => "other".to_owned(),
-            };
-            *counts.entry(tag).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcad_nnir::models::{mimic_decoder, targeted_decoder, vgg16};
+    use fcad_nnir::models::{targeted_decoder, vgg16};
 
     #[test]
     fn decoder_profile_matches_network_totals() {
@@ -283,46 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn critical_branch_is_the_texture_branch() {
-        let net = targeted_decoder();
-        let profile = NetworkProfile::of(&net);
-        let critical = profile.critical_branch().unwrap();
-        let (texture, _) = net.branch_by_name("texture").unwrap();
-        assert_eq!(critical, texture);
-    }
-
-    #[test]
     fn compute_layer_counts_follow_structure() {
         let net = targeted_decoder();
         let profile = NetworkProfile::of(&net);
         // Branch 1: 5 CAU convs + output conv = 6 compute layers.
-        assert_eq!(profile.branches()[0].compute_layer_count(), 6);
+        assert_eq!(profile.branches()[0].compute_layers().count(), 6);
         // Branch 2: 5 shared + 2 own CAU convs + output conv = 8.
-        assert_eq!(profile.branches()[1].compute_layer_count(), 8);
+        assert_eq!(profile.branches()[1].compute_layers().count(), 8);
         // Branch 3: 5 shared convs + output conv = 6.
-        assert_eq!(profile.branches()[2].compute_layer_count(), 6);
-    }
-
-    #[test]
-    fn layer_kind_histogram_reports_customized_conv() {
-        let net = targeted_decoder();
-        let histogram = NetworkProfile::layer_kind_histogram(&net);
-        let untied = histogram
-            .iter()
-            .find(|(kind, _)| kind == "conv (untied bias)")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert_eq!(untied, 3, "one customized conv per branch output");
-        let mimic = NetworkProfile::layer_kind_histogram(&mimic_decoder());
-        assert!(mimic.iter().all(|(kind, _)| kind != "conv (untied bias)"));
-    }
-
-    #[test]
-    fn ops_per_param_distinguishes_conv_from_dense() {
-        let profile = NetworkProfile::of(&vgg16());
-        let branch = &profile.branches()[0];
-        let first_conv = branch.compute_layers().next().unwrap();
-        let last_dense = branch.compute_layers().last().unwrap();
-        assert!(first_conv.ops_per_param() > last_dense.ops_per_param());
+        assert_eq!(profile.branches()[2].compute_layers().count(), 6);
     }
 }

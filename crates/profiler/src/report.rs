@@ -36,11 +36,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as fixed-width text.
     pub fn render(&self) -> String {
         let columns = self
@@ -143,7 +138,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("a"));
         assert!(lines[1].chars().all(|c| c == '-'));
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]

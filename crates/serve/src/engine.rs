@@ -52,7 +52,7 @@
 //! device ([`simulate`]) is the one-shard fleet.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use fcad_obs::{
     BatchEvent, FleetEvent, FleetEventKind, Off, RequestEventKind, TraceEvent, TraceSink,
@@ -151,7 +151,7 @@ pub(crate) fn serve_counted(
 pub(crate) struct WorkCounts {
     /// Events processed one at a time by [`EngineCore::step`].
     pub(crate) steps: usize,
-    /// Windows that cleared the fan-out threshold and ran.
+    /// Windows that ran.
     pub(crate) windows: usize,
     /// Events processed inside those windows.
     pub(crate) window_events: usize,
@@ -505,10 +505,6 @@ pub(crate) struct EngineCore<'b> {
     /// every draw goes through [`EngineCore::draw_before`], which counts
     /// the request issued.
     arrivals: Arrivals<'b>,
-    /// Arrivals drawn ahead of the engine while [`EngineCore::run_window`]
-    /// weighs a window against the plan's fan-out threshold: never more
-    /// than that threshold, and empty whenever a window runs.
-    pub(crate) lookahead: VecDeque<Request>,
     /// Per-shard arrival buffers of the current window, reused across
     /// windows. A window buffers at most its arrival cap (16,384, or 64
     /// per shard above 256 shards) plus the rest of the last arrival's
@@ -599,7 +595,6 @@ impl<'b> EngineCore<'b> {
             sink,
             tracing,
             arrivals: scenario.arrivals(branch_count),
-            lookahead: VecDeque::new(),
             window_arrivals: Vec::new(),
             phase_counts: count_phases(&shards),
             shards,
@@ -765,10 +760,7 @@ impl<'b> EngineCore<'b> {
 
     /// The next arrival, without drawing it.
     pub(crate) fn due_arrival(&self) -> Option<Request> {
-        self.lookahead
-            .front()
-            .copied()
-            .or_else(|| self.arrivals.peek())
+        self.arrivals.peek()
     }
 
     /// Draws the stream's next arrival if it arrives strictly before
@@ -778,16 +770,6 @@ impl<'b> EngineCore<'b> {
         self.tally.branches[request.branch].issued += 1;
         self.tally.classes[request.class.index()].issued += 1;
         Some(request)
-    }
-
-    /// Takes the next arrival: the lookahead's head, which
-    /// [`EngineCore::run_window`] drew before the cap of the window it
-    /// weighed, or else a fresh draw strictly before `cap`.
-    pub(crate) fn take_before(&mut self, cap: u64) -> Option<Request> {
-        match self.lookahead.pop_front() {
-            Some(request) => Some(request),
-            None => self.draw_before(cap),
-        }
     }
 
     /// The instant of the earliest live dispatch entry, discarding stale
@@ -840,7 +822,7 @@ impl<'b> EngineCore<'b> {
             }
             LANE_ARRIVAL => {
                 let request = self
-                    .take_before(u64::MAX)
+                    .draw_before(u64::MAX)
                     .expect("the due arrival was just peeked");
                 self.arrival_event(request);
             }

@@ -95,7 +95,9 @@ pub struct ClassServeStats {
 /// Serving statistics of one fleet shard (one accelerator device).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
-    /// Requests the balancer routed to this shard (admitted + dropped).
+    /// Requests the balancer routed to this shard, plus orphans re-placed
+    /// onto it, minus the orphans its failure took off it:
+    /// `completed + dropped + shed + expired == issued`.
     pub issued: u64,
     /// Requests this shard completed.
     pub completed: u64,

@@ -35,12 +35,12 @@
 //!    [`EngineCore::finish`]. The fleet lifecycle log and the re-placed
 //!    count stay on the core: no window changes the fleet.
 //!
-//! A static fleet is the case with no pinning events at all: its windows
-//! end only at the arrival cap or the plan's `window_us` chunk size. A
-//! plan whose fan-out threshold no window can clear
-//! (`WindowPlan::new(1).with_min_parallel_events(usize::MAX)`) steps every
-//! event — the sequential comparator the equivalence battery checks the
-//! windows against.
+//! Every quiescent span runs as a window, however little it holds, and a
+//! static fleet is the case with no pinning events at all: its windows end
+//! only at the arrival cap or the plan's `window_us` chunk size, so it
+//! never steps. The zero-length plan (`WindowPlan::new(1).with_window_us(0)`)
+//! opens no window and steps every event — the sequential comparator the
+//! equivalence battery checks the windows against.
 //!
 //! **Window-edge pinning rules** (what forces a window to end):
 //!
@@ -66,8 +66,7 @@
 //! (least-loaded, affinity-with-spill) read every shard's live load *per
 //! arrival*, so each placement is itself a cross-shard read and no window
 //! can open; a speculative run-and-rollback scheme for those is the
-//! ROADMAP follow-on. Windows holding less work than the plan's fan-out
-//! threshold also step sequentially.
+//! ROADMAP follow-on.
 //!
 //! Identical inputs produce **byte-identical** reports and recorder
 //! streams at every worker count and plan — pinned across the coupled grid
@@ -115,37 +114,23 @@ pub struct WindowPlan {
     /// end earlier at any pinned edge (lifecycle event, armed trigger
     /// gate) and at the first instant boundary after 16,384 buffered
     /// arrivals (64 per shard above 256 shards), so on a busy fleet this
-    /// bounds only the windows that hold few arrivals or none.
+    /// bounds only the windows that hold few arrivals or none. `0` opens
+    /// no window: every event steps.
     pub window_us: u64,
-    /// Minimum in-window workload (pending arrivals plus queued requests)
-    /// worth a window's fixed cost — per-shard set-up, a dispatch refresh
-    /// of every shard and the thread fan-out; smaller windows step
-    /// sequentially. Also the most arrivals the engine draws ahead of
-    /// itself to weigh a window.
-    pub min_parallel_events: usize,
 }
 
 impl WindowPlan {
-    /// A plan with `workers` workers and the default window shape
-    /// (100 ms windows, 128-event fan-out threshold).
+    /// A plan with `workers` workers and 100 ms windows.
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
             window_us: 100_000,
-            min_parallel_events: 128,
         }
     }
 
-    /// Replaces the maximum window length (must be non-zero).
+    /// Replaces the maximum window length; `0` steps every event.
     pub fn with_window_us(mut self, window_us: u64) -> Self {
-        assert!(window_us > 0, "a window must span at least 1 us");
         self.window_us = window_us;
-        self
-    }
-
-    /// Replaces the fan-out threshold.
-    pub fn with_min_parallel_events(mut self, min_parallel_events: usize) -> Self {
-        self.min_parallel_events = min_parallel_events;
         self
     }
 }
@@ -212,52 +197,24 @@ pub(crate) fn drive(
     plan: &WindowPlan,
 ) -> (ServeReport, WorkCounts) {
     let mut core = EngineCore::new(config, scenario, spec, sink);
-    while let Some(start) = core.next_instant() {
-        match core.quiescent_horizon() {
-            Some(horizon) => {
-                let cap = horizon.min(start.saturating_add(plan.window_us));
-                // `cap <= start`: the pinning event *is* the next event.
-                // `run_window == 0`: the window is below the fan-out
-                // threshold (or holds only work dispatchable at or after
-                // the edge). Either way, advance sequentially — `step()`
-                // is always correct.
-                if (cap <= start || core.run_window(cap, plan) == 0) && !core.step_until(cap) {
-                    break;
-                }
-            }
-            None => {
-                if !core.step() {
-                    break;
-                }
-            }
+    while let Some((start, _)) = core.next_event() {
+        // No window when no horizon is proved, when the pinning event *is*
+        // the next event, or under a zero-length plan: that event steps.
+        // The cap clamps on purpose, as any cap at or below the horizon is
+        // exact.
+        let cap = core.quiescent_horizon().map_or(start, |horizon| {
+            horizon.min(start.saturating_add(plan.window_us))
+        });
+        if cap > start {
+            core.run_window(cap, plan);
+        } else if !core.step() {
+            break;
         }
     }
     core.finish()
 }
 
 impl EngineCore<'_> {
-    /// The instant of [`EngineCore::next_event`], or `None` when the run
-    /// is complete.
-    pub(crate) fn next_instant(&mut self) -> Option<u64> {
-        self.next_event().map(|(at_us, _)| at_us)
-    }
-
-    /// Runs sequential steps through every event strictly before `cap`,
-    /// taking at least one step (the pinning event at the window edge
-    /// when the window itself was empty). Returns `false` on run
-    /// completion.
-    pub(crate) fn step_until(&mut self, cap: u64) -> bool {
-        if !self.step() {
-            return false;
-        }
-        while self.next_instant().is_some_and(|at| at < cap) {
-            if !self.step() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Proves a quiescent horizon: the earliest instant at which an event
     /// *could* read or write cross-shard state. Every event strictly
     /// before the horizon touches only its own shard, so `[now, horizon)`
@@ -313,26 +270,17 @@ impl EngineCore<'_> {
     /// edge: queue totals, dispatch entries and the sorted trace stream.
     ///
     /// Once the arrival cap is buffered ([`WINDOW_ARRIVALS`], or
-    /// [`SHARD_ARRIVALS`] per shard if that is more) and the lookahead is
-    /// empty, the window draws on only while the next arrival shares the
-    /// last one's instant, then lowers `cap` to the next arrival: every
-    /// buffered arrival is strictly before the lowered cap, which still
-    /// lies at or below the horizon, so the window stays exact.
+    /// [`SHARD_ARRIVALS`] per shard if that is more), the window draws on
+    /// only while the next arrival shares the last one's instant, then
+    /// lowers `cap` to the next arrival: every buffered arrival is
+    /// strictly before the lowered cap, which still lies at or below the
+    /// horizon, so the window stays exact.
     ///
-    /// Whether the window clears the plan's fan-out threshold is decided
-    /// first, by drawing at most that many arrivals into the lookahead.
-    /// Returns the number of events processed; `0` means the window was
-    /// below the threshold (nothing ran and the drawn arrivals wait in
-    /// the lookahead — the caller advances sequentially instead).
-    pub(crate) fn run_window(&mut self, cap: u64, plan: &WindowPlan) -> usize {
-        // Draw ahead only until the window is known to clear the threshold.
-        let threshold = plan.min_parallel_events.max(1);
-        while self.queued_total + self.lookahead.len() < threshold {
-            let Some(request) = self.draw_before(cap) else {
-                return 0;
-            };
-            self.lookahead.push_back(request);
-        }
+    /// The caller opens a window only when the next event lies before
+    /// `cap`. That event is an arrival or a dispatch, since a lifecycle
+    /// event at the window's start would have bounded the horizon there,
+    /// so every window processes at least one event.
+    pub(crate) fn run_window(&mut self, cap: u64, plan: &WindowPlan) {
         self.counts.windows += 1;
         if self.placeable_dirty {
             self.rebuild_placeable();
@@ -342,7 +290,7 @@ impl EngineCore<'_> {
         let arrival_cap = WINDOW_ARRIVALS.max(SHARD_ARRIVALS * shard_count);
         let mut cap = cap;
         let mut buffered = 0usize;
-        while let Some(request) = self.take_before(cap) {
+        while let Some(request) = self.draw_before(cap) {
             let dst = self
                 .balancer
                 .place_dense(&request, &self.placeable_ids)
@@ -350,7 +298,7 @@ impl EngineCore<'_> {
             self.window_arrivals[dst].push(request);
             self.counts.dense_placed += 1;
             buffered += 1;
-            if buffered < arrival_cap || !self.lookahead.is_empty() {
+            if buffered < arrival_cap {
                 continue;
             }
             // Full: finish this instant, then end at the next arrival.
@@ -432,6 +380,7 @@ impl EngineCore<'_> {
             }
             self.refresh_dispatch(shard);
         }
+        debug_assert!(processed > 0, "a window opens only before its first event");
         self.counts.window_events += processed;
         if tracing {
             trace.sort_unstable_by_key(|(key, _)| *key);
@@ -439,7 +388,6 @@ impl EngineCore<'_> {
                 self.sink.record(event);
             }
         }
-        processed
     }
 }
 
@@ -637,6 +585,29 @@ mod tests {
         }
     }
 
+    /// A static round-robin or branch-sharded fleet has no coupling event,
+    /// so every event of the run executes in a window, however few events
+    /// the run holds.
+    #[test]
+    fn a_static_fleet_never_steps() {
+        let balancers = [
+            LoadBalancerKind::RoundRobin,
+            LoadBalancerKind::BranchSharded,
+        ];
+        for scenario in Scenario::suite() {
+            for shards in [1, 3, 8] {
+                for balancer in balancers {
+                    let config = FleetConfig::uniform(test_model(), shards).with_balancer(balancer);
+                    let (report, counts) =
+                        serve_counted(&config, &scenario, &ServeSpec::default(), &mut Off);
+                    let cell = format!("{} on {shards} {balancer:?} shards", report.scenario);
+                    assert_eq!(counts.steps, 0, "{cell}");
+                    assert!(counts.window_events > 0, "{cell}");
+                }
+            }
+        }
+    }
+
     /// Small cells of each regime and their exact work counts under
     /// `serve` at one worker, as `[steps, windows, window_events,
     /// dense_placed, shard_reads, tallies, calendar_pushes, stale_pops]`.
@@ -668,12 +639,12 @@ mod tests {
             (
                 "round-robin",
                 fixed(LoadBalancerKind::RoundRobin),
-                [76, 5, 3766, 2298, 20, 1, 80, 0],
+                [0, 6, 3842, 2298, 24, 1, 8, 0],
             ),
             (
                 "branch-sharded",
                 fixed(LoadBalancerKind::BranchSharded),
-                [94, 6, 3593, 2298, 24, 1, 105, 0],
+                [0, 7, 3687, 2298, 28, 1, 13, 0],
             ),
             (
                 "autoscaled",
@@ -684,7 +655,7 @@ mod tests {
                     FailurePlan::none(),
                     burst(),
                 ),
-                [499, 7, 3552, 2298, 72, 1, 199, 0],
+                [463, 8, 3588, 2298, 78, 1, 165, 0],
             ),
             (
                 "failure-injected",
@@ -695,7 +666,7 @@ mod tests {
                     FailurePlan::scheduled(&[(600_000, 0), (1_400_000, 2)]),
                     Scenario::b2_failover(3),
                 ),
-                [985, 6, 2313, 1746, 96, 1, 429, 0],
+                [767, 8, 2531, 1746, 105, 1, 317, 0],
             ),
             (
                 "least-loaded",
@@ -708,7 +679,7 @@ mod tests {
                 [3836, 0, 0, 0, 9192, 1, 1538, 0],
             ),
         ];
-        let sequential = WindowPlan::new(1).with_min_parallel_events(usize::MAX);
+        let sequential = WindowPlan::new(1).with_window_us(0);
         for (name, (config, scenario, spec), golden) in goldens {
             let (_, c) = serve_counted(&config, &scenario, &spec, &mut Off);
             let counts = [
@@ -723,6 +694,7 @@ mod tests {
             ];
             assert_eq!(counts, golden, "{name}");
             let (_, stepped) = drive(&config, &scenario, &spec, &mut Off, &sequential);
+            assert_eq!(stepped.windows, 0, "{name}: the comparator opens no window");
             assert_eq!(c.steps + c.window_events, stepped.steps, "{name}");
         }
     }

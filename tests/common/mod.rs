@@ -20,9 +20,9 @@ pub fn spec_for(kind: SchedulerKind) -> ServeSpec {
 }
 
 /// `spec` on the windows-disabled driver, every event delivered to `sink`:
-/// no window clears a fan-out threshold of `usize::MAX`, so every event
-/// steps through `EngineCore::step`, one at a time — the sequential
-/// comparator of the windowed grids. `spec.workers` is ignored.
+/// the zero-length plan opens no window, so every event steps through
+/// `EngineCore::step`, one at a time — the sequential comparator of the
+/// windowed grids. `spec.workers` is ignored.
 #[allow(dead_code)]
 pub fn serve_sequential(
     config: &FleetConfig,
@@ -39,7 +39,7 @@ pub fn serve_sequential(
         spec.admission,
         spec.deadline,
         sink,
-        &WindowPlan::new(1).with_min_parallel_events(usize::MAX),
+        &WindowPlan::new(1).with_window_us(0),
     )
 }
 

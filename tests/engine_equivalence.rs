@@ -310,13 +310,10 @@ fn trace_streams_are_identical_event_for_event() {
     }
 }
 
-/// A deliberately aggressive plan: tiny windows and a low fan-out
-/// threshold so even the small test scenarios open many parallel windows
-/// (instead of falling through to the sequential span path every time).
+/// A deliberately aggressive plan: 50 ms windows, so even the small test
+/// scenarios cut their quiescent spans into many parallel windows.
 fn stress_plan(workers: usize) -> WindowPlan {
-    WindowPlan::new(workers)
-        .with_window_us(50_000)
-        .with_min_parallel_events(8)
+    WindowPlan::new(workers).with_window_us(50_000)
 }
 
 /// A coupled regime: (name, scenario, fleet size, autoscaler, failure

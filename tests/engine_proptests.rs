@@ -82,7 +82,6 @@ proptest! {
         admission_sel in 0usize..3,
         regime_sel in 0usize..4,
         window_us in 10_000u64..200_000,
-        min_events in 1usize..64,
     ) {
         let kind = SchedulerKind::all()[kind_sel];
         let admission = [
@@ -122,9 +121,7 @@ proptest! {
         };
         let sequential = serve_sequential(&config, &scenario, &spec, &mut Off);
         for workers in [0usize, 1, 2, 4, 8] {
-            let plan = WindowPlan::new(workers)
-                .with_window_us(window_us)
-                .with_min_parallel_events(min_events);
+            let plan = WindowPlan::new(workers).with_window_us(window_us);
             let windowed = simulate_windowed(
                 &config, &scenario, kind, &policy, &failures, admission, deadline, &plan,
             );

@@ -3,7 +3,7 @@
 //! shards under queue pressure (those spans run sequentially), then runs
 //! its terminal phase in windows. It times three runs: `serve` at one
 //! worker, the windowed engine at 8 workers and the windows-disabled
-//! driver, whose fan-out threshold no window clears, so every event steps
+//! driver, whose zero-length plan opens no window, so every event steps
 //! through `EngineCore::step`. The three reports must be byte-identical.
 //! It prints both ratios over the windows-disabled driver and a
 //! `parallel_speedup` line (8 workers over one, same window shape) next
@@ -72,7 +72,7 @@ fn serve_and_windowed8_match_the_windows_disabled_driver_and_print_their_ratios(
             plan,
         )
     };
-    let sequential = WindowPlan::new(1).with_min_parallel_events(usize::MAX);
+    let sequential = WindowPlan::new(1).with_window_us(0);
     let (seq_sec, seq_report) = timed(|| windowed(&sequential));
     let plan = WindowPlan::new(PARALLEL_WORKERS).with_window_us(400_000);
     let (win_sec, win_report) = timed(|| windowed(&plan));
